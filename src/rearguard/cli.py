@@ -11,8 +11,8 @@ embed a hash of the resolved configuration, so any report can be traced
 back to exactly what produced it, and rerunning with the same config and
 seed reproduces the bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 configuration error, 3 unreadable or invalid
+input file (with its line number), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import yaml
 from .evaluation import (
     REPORT_NOTES,
     SAMPLER_KINDS,
-    ConfigError,
     PipelineConfig,
     compare,
     comparison_to_dict,
@@ -41,9 +40,13 @@ from .evaluation import (
 from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S
 from .sampler import QTable, SamplerConfig, load_qtable, save_qtable
 from .scenario import (
+    DEFAULT_FOV,
     CameraConfig,
+    InvalidConfig,
     ParseError,
     VersionMismatch,
+    build_config,
+    check_aligned,
     config_from_dict,
     generate,
     read_trace,
@@ -58,8 +61,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
-DEFAULT_FOV = 1.2
-
 
 # ------------------------------------------------------------ config io
 
@@ -67,55 +68,70 @@ def _load_yaml(path) -> dict:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise InvalidConfig(f"{path}: top level must be a mapping")
     return raw
 
 
-def _build_dataclass(raw, cls, label: str):
-    """Instantiate a config dataclass from a mapping, naming bad fields."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{label}: must be a mapping")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"{label}: unknown field(s) {unknown}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+def _block(raw: dict, key: str) -> dict:
+    """A top-level config block as a fresh mapping; absent or null is empty."""
+    block = raw.get(key) or {}
+    if not isinstance(block, dict):
+        raise InvalidConfig(f"{key}: must be a mapping")
+    return dict(block)
+
+
+def _convert(conv, value, key: str):
     try:
-        return cls(**kwargs)
+        return conv(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+        raise InvalidConfig(f"{key}: {exc}") from exc
 
 
-def _pipeline_config(raw: dict, warmup_s: float) -> PipelineConfig:
+def _non_negative_int(value) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
+def _positive_float(value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError("must be positive")
+    return value
+
+
+SAMPLER_ALIASES = {"period": "interval_period", "p": "random_p", "c_min": "c_min"}
+
+
+def _pipeline_config(raw: dict, warmup_s) -> PipelineConfig:
     """Assemble the pipeline config from the tracker/sampler/risk blocks."""
-    tracker = _build_dataclass(raw.get("tracker"), TrackerConfig, "tracker")
+    tracker = build_config(TrackerConfig, raw.get("tracker"), "tracker")
 
-    sam_raw = dict(raw.get("sampler") or {})
+    sam_raw = _block(raw, "sampler")
     sam_raw.pop("kind", None)
     sam_raw.pop("qtable", None)
-    overrides = {}
-    if "period" in sam_raw:
-        overrides["interval_period"] = float(sam_raw.pop("period"))
-    if "p" in sam_raw:
-        overrides["random_p"] = float(sam_raw.pop("p"))
-    if "c_min" in sam_raw:
-        overrides["c_min"] = float(sam_raw.pop("c_min"))
-    sampler = _build_dataclass(sam_raw, SamplerConfig, "sampler")
+    overrides = {
+        field: _convert(float, sam_raw.pop(key), f"sampler.{key}")
+        for key, field in SAMPLER_ALIASES.items() if key in sam_raw
+    }
+    sampler = build_config(SamplerConfig, sam_raw, "sampler")
 
-    risk_raw = dict(raw.get("risk") or {})
-    reaction = float(risk_raw.pop("reaction_time", DEFAULT_REACTION_TIME_S))
-    threshold = float(risk_raw.pop("alert_threshold", DEFAULT_ALERT_THRESHOLD))
+    risk_raw = _block(raw, "risk")
+    reaction = _convert(_positive_float, risk_raw.pop("reaction_time", DEFAULT_REACTION_TIME_S),
+                        "risk.reaction_time")
+    threshold = _convert(float, risk_raw.pop("alert_threshold", DEFAULT_ALERT_THRESHOLD),
+                         "risk.alert_threshold")
     if risk_raw:
-        raise ConfigError(f"risk: unknown field(s) {sorted(risk_raw)}")
+        raise InvalidConfig(", ".join(f"risk.{k}" for k in sorted(map(str, risk_raw)))
+                            + ": unknown field")
 
     return PipelineConfig(
         tracker=tracker,
         sampler=sampler,
         reaction_time=reaction,
         alert_threshold=threshold,
-        warmup_s=float(warmup_s),
+        warmup_s=_convert(float, warmup_s, "warmup_s"),
         **overrides,
     )
 
@@ -125,7 +141,7 @@ def _scenario_from(entry, label: str):
     if isinstance(entry, str):
         entry = _load_yaml(entry)
     if not isinstance(entry, dict):
-        raise ConfigError(f"{label}: expected a mapping or a path")
+        raise InvalidConfig(f"{label}: expected a mapping or a path")
     return config_from_dict(entry)
 
 
@@ -163,22 +179,24 @@ def _resolve_run_inputs(raw: dict):
     """Returns (frames, truth, camera, fov) from files or an inline scenario."""
     if "trace" in raw or "truth" in raw:
         if not ("trace" in raw and "truth" in raw):
-            raise ConfigError("trace and truth paths must be given together")
+            raise InvalidConfig("trace and truth paths must be given together")
         header, frames = read_trace(raw["trace"])
         theader, truth = read_truth(raw["truth"])
         if header.seed != theader.seed or header.tick_rate != theader.tick_rate:
-            raise ConfigError("trace and truth headers disagree; not the same run")
+            raise ParseError(f"{raw['truth']}: line 1: trace and truth headers disagree; "
+                             "not the same run")
+        check_aligned(frames, truth, raw["truth"])
         camera = CameraConfig(
             intrinsics=header.intrinsics,
             image_size=tuple(header.image_size),
             camera_height=header.camera_height,
         )
-        return frames, truth, camera, float(raw.get("fov", DEFAULT_FOV))
+        return frames, truth, camera, _convert(float, raw.get("fov", DEFAULT_FOV), "fov")
     if "scenario" in raw:
         scen = _scenario_from(raw["scenario"], "scenario")
         frames, truth = generate(scen)
         return frames, truth, scen.camera, scen.detector.fov
-    raise ConfigError("run config needs either trace+truth paths or a scenario")
+    raise InvalidConfig("run config needs either trace+truth paths or a scenario")
 
 
 def cmd_run(args) -> int:
@@ -186,10 +204,12 @@ def cmd_run(args) -> int:
 
     seed = args.seed if args.seed is not None else raw.get("seed")
     if seed is None:
-        raise ConfigError("seed is mandatory (config key 'seed' or --seed)")
-    kind = args.sampler or (raw.get("sampler") or {}).get("kind") or "sarsa"
+        raise InvalidConfig("seed is mandatory (config key 'seed' or --seed)")
+    seed = _convert(_non_negative_int, seed, "seed")
+    sampler_raw = _block(raw, "sampler")
+    kind = args.sampler or sampler_raw.get("kind") or "sarsa"
     if kind not in SAMPLER_KINDS:
-        raise ConfigError(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+        raise InvalidConfig(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
     warmup = args.warmup_s if args.warmup_s is not None else raw.get("warmup_s", 60.0)
 
     config = _pipeline_config(raw, warmup)
@@ -197,20 +217,20 @@ def cmd_run(args) -> int:
 
     qtable = None
     if kind == "sarsa":
-        qtable_path = (raw.get("sampler") or {}).get("qtable")
+        qtable_path = sampler_raw.get("qtable")
         qtable = load_qtable(qtable_path) if qtable_path else QTable()
 
     report = run_pipeline(
         frames, truth, kind, config,
-        seed=int(seed), camera=camera, fov=fov, qtable=qtable,
+        seed=seed, camera=camera, fov=fov, qtable=qtable,
         scenario_label=raw.get("label", ""),
     )
 
     resolved = {
         **raw,
-        "seed": int(seed),
-        "warmup_s": float(warmup),
-        "sampler": {**(raw.get("sampler") or {}), "kind": kind},
+        "seed": seed,
+        "warmup_s": config.warmup_s,
+        "sampler": {**sampler_raw, "kind": kind},
     }
     digest = config_digest(resolved)
 
@@ -239,11 +259,11 @@ def _resolve_suite(raw: dict):
         return list(standard_suite())
     entries = raw.get("scenarios")
     if not entries:
-        raise ConfigError("compare config needs suite: standard or a scenarios list")
+        raise InvalidConfig("compare config needs suite: standard or a scenarios list")
     suite = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "scenario" not in entry:
-            raise ConfigError(f"scenarios[{i}]: expected a mapping with a 'scenario' key")
+            raise InvalidConfig(f"scenarios[{i}]: expected a mapping with a 'scenario' key")
         name = str(entry.get("name", f"scenario-{i + 1:02d}"))
         suite.append((name, _scenario_from(entry["scenario"], f"scenarios[{i}]")))
     return suite
@@ -255,6 +275,9 @@ def cmd_compare(args) -> int:
     suite = _resolve_suite(raw)
     samplers = [args.sampler] if args.sampler else list(raw.get("samplers") or SAMPLER_KINDS)
     seeds = [args.seed] if args.seed is not None else raw.get("seeds")
+    if seeds is not None and not (isinstance(seeds, list)
+                                  and all(isinstance(s, int) and s >= 0 for s in seeds)):
+        raise InvalidConfig(f"seeds: expected a list of non-negative integers, got {seeds!r}")
     warmup = args.warmup_s if args.warmup_s is not None else raw.get("warmup_s", 60.0)
     config = _pipeline_config(raw, warmup)
 
@@ -268,7 +291,7 @@ def cmd_compare(args) -> int:
         **raw,
         "samplers": list(samplers),
         "seeds": list(seeds) if seeds else None,
-        "warmup_s": float(warmup),
+        "warmup_s": config.warmup_s,
     }
     digest = config_digest(resolved)
 
@@ -323,17 +346,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, VersionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (yaml.YAMLError, ValueError) as exc:
-        # ConfigError and the scenario/sampler validation errors land here
+    except (InvalidConfig, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - the safety net
+    except (ParseError, VersionMismatch, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except Exception as exc:  # the safety net: a broken invariant, not bad input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INVARIANT
 

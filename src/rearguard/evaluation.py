@@ -40,21 +40,20 @@ import numpy as np
 from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, assess
 from .sampler import QTable, SamplerConfig, SarsaSampler
 from .scenario import (
+    DEFAULT_FOV,
     DEFAULT_USER_SPEED,
     CameraConfig,
     ScenarioConfig,
     UserConfig,
     VehicleConfig,
+    check_aligned,
     generate,
     in_sensing_footprint,
 )
+from .scenario import InvalidConfig as ConfigError
 from .tracking import TrackerConfig, TrackerState, advance, snapshots, step
 
 SAMPLER_KINDS = ("sarsa", "everyframe", "interval", "random", "confidence")
-
-
-class ConfigError(ValueError):
-    """Malformed harness configuration (unknown sampler, empty suite, ...)."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def ground_truth_danger(
 def observable_danger(
     truth_tick,
     camera: CameraConfig,
-    fov: float = 1.2,
+    fov: float = DEFAULT_FOV,
     t_r: float = DEFAULT_REACTION_TIME_S,
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
 ) -> bool:
@@ -268,7 +267,7 @@ def run_pipeline(
     config: PipelineConfig = PipelineConfig(),
     seed: int = 0,
     camera: CameraConfig = CameraConfig(),
-    fov: float = 1.2,
+    fov: float = DEFAULT_FOV,
     qtable: QTable | None = None,
     keep_ticks: bool = False,
     scenario_label: str = "",
@@ -276,10 +275,7 @@ def run_pipeline(
     """Run one sampler over one (trace, truth) pair and score it."""
     frames = list(frames)
     truth = list(truth)
-    if len(frames) != len(truth) or any(
-        f.t != g.t for f, g in zip(frames, truth)
-    ):
-        raise ValueError("trace and truth are not aligned on ticks")
+    check_aligned(frames, truth)
 
     rng = np.random.default_rng(seed)
     smp = make_sampler(sampler_kind, config, rng, qtable)

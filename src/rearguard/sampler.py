@@ -26,6 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .scenario import ParseError, VersionMismatch
+
 SKIP, BLINK = 0, 1
 
 QTABLE_FORMAT = "rearguard-qtable"
@@ -151,21 +153,27 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
+    """Read a table written by save_qtable; a malformed file is a
+    ParseError naming the path and line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(QTABLE_FORMAT):
-        raise ValueError(f"not a {QTABLE_FORMAT} file: {path}")
+        raise ParseError(f"{path}: line 1: not a {QTABLE_FORMAT} file")
     version = lines[0].split("v")[-1]
-    if int(version) != QTABLE_VERSION:
-        raise ValueError(f"unsupported qtable version {version}")
-    q = QTable(tick=int(lines[1].split()[1]))
-    for line in lines[2:]:
-        if not line:
-            continue
-        cb, db, tb, a, value, visits = line.split()
-        key = (SamplerState(int(cb), int(db), int(tb)), int(a))
-        q.values[key] = float(value)
-        q.visits[key] = int(visits)
+    if version != str(QTABLE_VERSION):
+        raise VersionMismatch(f"{path}: unsupported qtable version {version}")
+    i = 2
+    try:
+        q = QTable(tick=int(lines[1].split()[1]))
+        for i, line in enumerate(lines[2:], start=3):
+            if not line:
+                continue
+            cb, db, tb, a, value, visits = line.split()
+            key = (SamplerState(int(cb), int(db), int(tb)), int(a))
+            q.values[key] = float(value)
+            q.visits[key] = int(visits)
+    except (ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: line {i}: {exc}") from exc
     return q
 
 

@@ -14,9 +14,11 @@ given config produces byte-identical traces every time.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,6 +43,8 @@ ROAD_TYPES = ("along", "intersection")
 LIGHT_CONDITIONS = ("day", "night")
 VEHICLE_CLASSES = ("car", "cycle")
 VEHICLE_PROFILES = ("constant", "decelerate-at", "lane-change-at")
+# numeric params each profile needs; the last one must be positive
+PROFILE_PARAMS = {"decelerate-at": ("at", "rate"), "lane-change-at": ("at", "to_x", "duration")}
 
 # physical extent of a detection target, meters (width, height)
 CLASS_DIMENSIONS = {"car": (1.8, 1.5), "cycle": (0.6, 1.7)}
@@ -48,6 +52,8 @@ CLASS_DIMENSIONS = {"car": (1.8, 1.5), "cycle": (0.6, 1.7)}
 # the reference approach the detector medians are calibrated against
 REF_APPROACH_SPEED = 8.33   # m/s
 REF_APPROACH_START = 40.0   # m
+
+DEFAULT_FOV = 1.2   # detector full view angle, radians
 
 DEFAULT_USER_SPEED = {"standing": 0.0, "walking": 1.4, "jogging": 2.6}
 
@@ -60,11 +66,11 @@ DEFAULT_HEAD_MOTION = {
 
 
 class InvalidConfig(ValueError):
-    """Scenario config rejected; the message names the offending field."""
+    """Config rejected; the message names the offending field by its dotted path."""
 
 
 class ParseError(ValueError):
-    """Trace file unreadable; the message carries the line number."""
+    """Input file unreadable or invalid; the message carries the line number."""
 
 
 class VersionMismatch(ValueError):
@@ -118,7 +124,7 @@ class VehicleConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    fov: float = 1.2                        # full angle, radians
+    fov: float = DEFAULT_FOV                # full angle, radians
     box_noise_px: float = 1.5
     first_detect_m: dict = field(default_factory=lambda: {"car": 12.0, "cycle": 6.0})
     spread_m: dict = field(default_factory=lambda: {"car": 1.2, "cycle": 0.8})
@@ -133,7 +139,7 @@ class ScenarioConfig:
     tick_rate: float = 10.0
     user: UserConfig = UserConfig()
     head_motion: HeadMotionConfig | None = None
-    vehicles: tuple = ()
+    vehicles: tuple[VehicleConfig, ...] = ()
     road: str = "along"
     light: str = "day"
     detector: DetectorConfig = DetectorConfig()
@@ -177,103 +183,136 @@ def _require(cond: bool, fieldname: str, message: str):
         raise InvalidConfig(f"{fieldname}: {message}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    _require(isinstance(cfg.seed, int), "seed", "must be an integer")
+    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed", "must be a non-negative integer")
     _require(cfg.duration > 0, "duration", "must be positive")
     _require(cfg.tick_rate > 0, "tick_rate", "must be positive")
     _require(cfg.user.mode in USER_MODES, "user.mode", f"must be one of {USER_MODES}")
     _require(cfg.user.resolved_speed() >= 0, "user.speed", "must be non-negative")
     _require(cfg.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
     _require(cfg.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
-    _require(0 < cfg.detector.fov < math.pi, "detector.fov", "must be in (0, pi)")
-    _require(0 < cfg.detector.night_factor <= 1, "detector.night_factor", "must be in (0, 1]")
-    _require(cfg.detector.box_noise_px >= 0, "detector.box_noise_px", "must be non-negative")
+    det = cfg.detector
+    _require(0 < det.fov < math.pi, "detector.fov", "must be in (0, pi)")
+    _require(0 < det.night_factor <= 1, "detector.night_factor", "must be in (0, 1]")
+    _require(det.box_noise_px >= 0, "detector.box_noise_px", "must be non-negative")
+    for cls in VEHICLE_CLASSES:
+        # the calibration approach starts at REF_APPROACH_START
+        median = det.first_detect_m.get(cls)
+        _require(_positive(median) and median <= REF_APPROACH_START,
+                 f"detector.first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
+        _require(_positive(det.spread_m.get(cls)), f"detector.spread_m.{cls}", "must be positive")
     hm = cfg.resolved_head_motion()
     _require(hm.yaw_period > 0, "head_motion.yaw_period", "must be positive")
     _require(hm.pitch_period > 0, "head_motion.pitch_period", "must be positive")
     _require(hm.jitter_std >= 0, "head_motion.jitter_std", "must be non-negative")
+    _require(abs(hm.pitch_amplitude) + 6 * hm.jitter_std < math.pi / 2, "head_motion.pitch_amplitude",
+             "plus 6 jitter_std must stay below pi/2, the pitch limit")
     _require(cfg.camera.camera_height > 0, "camera.camera_height", "must be positive")
+    _require(len(cfg.camera.image_size) == 2 and all(map(_positive, cfg.camera.image_size)),
+             "camera.image_size", "must be two positive numbers")
     for i, v in enumerate(cfg.vehicles):
         tag = f"vehicles[{i}]"
         _require(v.cls in VEHICLE_CLASSES, f"{tag}.cls", f"must be one of {VEHICLE_CLASSES}")
         _require(0 <= v.spawn_time < cfg.duration, f"{tag}.spawn_time", "must lie within the scenario duration")
         _require(v.speed >= 0, f"{tag}.speed", "must be non-negative")
         _require(v.profile in VEHICLE_PROFILES, f"{tag}.profile", f"must be one of {VEHICLE_PROFILES}")
-        if v.profile == "decelerate-at":
-            _require("at" in v.params, f"{tag}.params.at", "required for decelerate-at")
-            _require(v.params.get("rate", 0) > 0, f"{tag}.params.rate", "must be positive")
-        if v.profile == "lane-change-at":
-            _require("at" in v.params, f"{tag}.params.at", "required for lane-change-at")
-            _require("to_x" in v.params, f"{tag}.params.to_x", "required for lane-change-at")
-            _require(v.params.get("duration", 0) > 0, f"{tag}.params.duration", "must be positive")
+        for name in PROFILE_PARAMS.get(v.profile, ()):
+            value = v.params.get(name)
+            _require(_is_number(value), f"{tag}.params.{name}",
+                     f"a number is required for {v.profile}")
+            if name == PROFILE_PARAMS[v.profile][-1]:
+                _require(value > 0, f"{tag}.params.{name}", "must be positive")
     return cfg
+
+
+@lru_cache(maxsize=None)
+def _schema(cls) -> dict:
+    """Each field of a config dataclass as (type without `| None`, may be
+    null, is required); resolving string annotations is slow, and the
+    classes are few and fixed."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        nullable = type(None) in args
+        hint = next(t for t in args if t is not type(None)) if nullable else hints[f.name]
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema[f.name] = (hint, nullable, required)
+    return schema
+
+
+def build_config(cls, raw, label: str):
+    """Build config dataclass `cls` from YAML data, led by its type hints:
+    nested config dataclasses and tuples of them are built recursively,
+    other lists become tuples, and an empty or null nested block means the
+    field's default.  Unknown and missing keys are named by dotted path
+    (`vehicles[1].foo`); constructor errors are re-raised naming the block."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{label or 'config'}: must be a mapping")
+    path = f"{label}." if label else ""
+    schema = _schema(cls)
+    unknown = sorted(str(k) for k in raw if k not in schema)
+    if unknown:
+        raise InvalidConfig(", ".join(path + k for k in unknown) + ": unknown field")
+    kwargs = {k: _build_value(*schema[k][:2], v, path + k) for k, v in raw.items()
+              if not (dataclasses.is_dataclass(schema[k][0]) and v in (None, {}))}
+    missing = [k for k, (_, _, required) in schema.items() if required and k not in kwargs]
+    if missing:
+        raise InvalidConfig(", ".join(path + k for k in missing) + ": missing")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{label or 'config'}: {exc}") from exc
+
+
+def _build_value(hint, nullable: bool, value, label: str):
+    if nullable and value is None:
+        return None
+    if dataclasses.is_dataclass(hint):
+        return build_config(hint, value, label)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and dataclasses.is_dataclass(args[0]):
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfig(f"{label}: must be a list")
+        return tuple(build_config(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
+    value = tuple(value) if isinstance(value, list) else value
+    expected = typing.get_origin(hint) or hint
+    if not isinstance(value, (int, float) if expected is float else expected):
+        raise InvalidConfig(f"{label}: expected {expected.__name__}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from plain dict/YAML data."""
-    try:
-        camera_raw = dict(raw.get("camera", {}))
-        intr_raw = camera_raw.pop("intrinsics", {})
-        camera = CameraConfig(
-            intrinsics=CameraIntrinsics(**intr_raw) if intr_raw else CameraConfig().intrinsics,
-            **{k: tuple(v) if k == "image_size" else v for k, v in camera_raw.items()},
-        )
-        head_raw = raw.get("head_motion")
-        detector_raw = dict(raw.get("detector", {}))
-        if "occlusion_sector_deg" in detector_raw:
-            detector_raw["occlusion_sector"] = math.radians(detector_raw.pop("occlusion_sector_deg"))
-        cfg = ScenarioConfig(
-            seed=raw["seed"],
-            duration=raw.get("duration", 60.0),
-            tick_rate=raw.get("tick_rate", 10.0),
-            user=UserConfig(**raw.get("user", {})),
-            head_motion=HeadMotionConfig(**head_raw) if head_raw else None,
-            vehicles=tuple(VehicleConfig(**v) for v in raw.get("vehicles", ())),
-            road=raw.get("road", "along"),
-            light=raw.get("light", "day"),
-            detector=DetectorConfig(**detector_raw),
-            camera=camera,
-        )
-    except KeyError as exc:
-        raise InvalidConfig(f"{exc.args[0]}: missing") from exc
-    except TypeError as exc:
-        raise InvalidConfig(str(exc)) from exc
-    return validate_config(cfg)
+    return validate_config(build_config(ScenarioConfig, raw, ""))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    intr = cfg.camera.intrinsics
-    return {
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "tick_rate": cfg.tick_rate,
-        "user": {"mode": cfg.user.mode, "speed": cfg.user.resolved_speed(), "height": cfg.user.height},
-        "head_motion": vars(cfg.resolved_head_motion()).copy(),
-        "vehicles": [
-            {
-                "cls": v.cls, "spawn_time": v.spawn_time, "x0": v.x0, "z0": v.z0,
-                "speed": v.speed, "heading": v.heading, "profile": v.profile,
-                "params": dict(v.params),
-            }
-            for v in cfg.vehicles
-        ],
-        "road": cfg.road,
-        "light": cfg.light,
-        "detector": {
-            "fov": cfg.detector.fov,
-            "box_noise_px": cfg.detector.box_noise_px,
-            "first_detect_m": dict(cfg.detector.first_detect_m),
-            "spread_m": dict(cfg.detector.spread_m),
-            "night_factor": cfg.detector.night_factor,
-            "occlusion_sector": cfg.detector.occlusion_sector,
-        },
-        "camera": {
-            "intrinsics": {"f_x": intr.f_x, "f_y": intr.f_y, "c_x": intr.c_x, "c_y": intr.c_y},
-            "image_size": list(cfg.camera.image_size),
-            "camera_height": cfg.camera.camera_height,
-            "margin_px": cfg.camera.margin_px,
-        },
-    }
+    """Plain data that config_from_dict reads back, with the user speed and
+    head motion resolved to the values a run uses."""
+    cfg = dataclasses.replace(
+        cfg, user=dataclasses.replace(cfg.user, speed=cfg.user.resolved_speed()),
+        head_motion=cfg.resolved_head_motion())
+    return _plain(dataclasses.asdict(cfg))
+
+
+def _plain(value):
+    """Tuples as lists, all the way down, for YAML and JSON."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 # -------------------------------------------------------------- detector
@@ -345,7 +384,7 @@ def _project_clean_box(x: float, z: float, cls: str, pose: ImuPose,
 
 
 def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
-                         cam: CameraConfig, fov: float = 1.2) -> bool:
+                         cam: CameraConfig, fov: float = DEFAULT_FOV) -> bool:
     """Whether an object could in principle appear in a frame taken now.
 
     Applies the deterministic gates only (behind the camera plane, view
@@ -528,30 +567,64 @@ def _header_record(config: ScenarioConfig, kind: str) -> dict:
     }
 
 
-def _parse_header(line: str, expected_kind: str) -> TraceHeader:
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+# NaN and Infinity are rejected as a line is decoded; floats keep the
+# decoder's fast path and are checked a record at a time by _check_numbers
+_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+
+
+def _check_numbers(values, what: str) -> None:
+    """Raise ValueError unless every value is a finite number.  One float sum
+    per record costs far less than a check per field; a literal too large
+    for a double decodes to inf and fails it, and so do values whose sum
+    overflows, all near the float limit."""
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line 1: {exc}") from exc
+        if math.isfinite(sum(values, 0.0)):
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"non-finite number or non-number in {what} {list(values)!r}")
+
+
+def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
+    where = f"{path}: line 1"
+    try:
+        raw = _DECODER.decode(line)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{where}: header must be a JSON object")
     if raw.get("version") != TRACE_VERSION:
-        raise VersionMismatch(f"expected version {TRACE_VERSION}, got {raw.get('version')!r}")
+        raise VersionMismatch(f"{path}: expected version {TRACE_VERSION}, got {raw.get('version')!r}")
     if raw.get("kind") != expected_kind:
-        raise ParseError(f"line 1: expected kind {expected_kind!r}, got {raw.get('kind')!r}")
+        raise ParseError(f"{where}: expected kind {expected_kind!r}, got {raw.get('kind')!r}")
     for fieldname in ("intrinsics", "camera_height", "tick_rate", "seed", "duration"):
         if fieldname not in raw:
-            raise ParseError(f"line 1: header missing field {fieldname!r}")
+            raise ParseError(f"{where}: header missing field {fieldname!r}")
     intr = raw["intrinsics"]
     for sub in ("f_x", "f_y", "c_x", "c_y"):
-        if sub not in intr:
-            raise ParseError(f"line 1: header missing field intrinsics.{sub!r}")
-    return TraceHeader(
-        intrinsics=CameraIntrinsics(**intr),
-        image_size=tuple(raw.get("image_size", (640, 640))),
-        camera_height=raw["camera_height"],
-        tick_rate=raw["tick_rate"],
-        seed=raw["seed"],
-        duration=raw["duration"],
-    )
+        if not isinstance(intr, dict) or sub not in intr:
+            raise ParseError(f"{where}: header missing field intrinsics.{sub!r}")
+    try:
+        header = TraceHeader(
+            intrinsics=CameraIntrinsics(**intr),
+            image_size=tuple(raw.get("image_size", (640, 640))),
+            camera_height=raw["camera_height"],
+            tick_rate=raw["tick_rate"],
+            seed=raw["seed"],
+            duration=raw["duration"],
+        )
+        _check_numbers((*dataclasses.astuple(header.intrinsics), header.camera_height,
+                        header.tick_rate, header.duration, *header.image_size), "header")
+        if not (header.camera_height > 0 and len(header.image_size) == 2
+                and min(header.image_size) > 0):
+            raise ValueError("camera_height and image_size must be positive")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return header
 
 
 def _dump(record: dict) -> str:
@@ -578,31 +651,53 @@ def write_trace(path, config: ScenarioConfig, frames) -> None:
             )
 
 
-def read_trace(path):
+def _split_lines(path):
+    """A trace or truth file as its header line and its (line number, line)
+    records; blank lines are skipped."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ParseError("line 1: empty trace file")
-    header = _parse_header(lines[0], "trace-header")
-    frames = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+        raise ParseError(f"{path}: line 1: empty file")
+    return lines[0], [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def _read_records(path, header_kind: str, build):
+    """Header plus one record per line, each checked where it enters:
+    finite numbers, valid boxes and poses, strictly increasing t."""
+    header_line, body = _split_lines(path)
+    header = _parse_header(path, header_line, header_kind)
+    records = []
+    for i, line in body:
         try:
-            raw = json.loads(line)
-            frames.append(
-                Frame(
-                    t=raw["t"],
-                    pose=ImuPose(pitch=raw["pitch"], yaw=raw["yaw"]),
-                    detections=tuple(
-                        BoundingBox2D(x=d[0], y=d[1], w=d[2], h=d[3], cls=d[4], score=d[5])
-                        for d in raw["detections"]
-                    ),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-            raise ParseError(f"line {i}: {exc}") from exc
-    return header, frames
+            rec = build(_DECODER.decode(line))
+            if records and not rec.t > records[-1].t:
+                raise ValueError(f"t={rec.t} does not increase")
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ParseError(f"{path}: line {i}: {exc}") from exc
+        records.append(rec)
+    return header, records
+
+
+def _box(d) -> BoundingBox2D:
+    x, y, w, h, cls, score = d
+    _check_numbers((x, y, w, h, score), "box")
+    return BoundingBox2D(x=x, y=y, w=w, h=h, cls=cls, score=score)
+
+
+def _pose_record(raw: dict) -> tuple:
+    """A record's t and pose, shared by trace frames and truth ticks."""
+    t, pitch, yaw = raw["t"], raw["pitch"], raw["yaw"]
+    _check_numbers((t, pitch, yaw), "t, pitch, yaw")
+    return t, ImuPose(pitch=pitch, yaw=yaw)
+
+
+def _frame(raw: dict) -> Frame:
+    t, pose = _pose_record(raw)
+    return Frame(t=t, pose=pose, detections=tuple(map(_box, raw["detections"])))
+
+
+def read_trace(path):
+    return _read_records(path, "trace-header", _frame)
 
 
 def write_truth(path, config: ScenarioConfig, truth) -> None:
@@ -626,30 +721,37 @@ def write_truth(path, config: ScenarioConfig, truth) -> None:
             )
 
 
+def _truth_object(o) -> GroundTruthObject:
+    oid, cls, x, z, vx, vz, height = o
+    if cls not in VEHICLE_CLASSES:
+        raise ValueError(f"object {o!r}: class must be one of {VEHICLE_CLASSES}")
+    _check_numbers((x, z, vx, vz, height), "object")
+    return GroundTruthObject(id=oid, cls=cls, x=x, z=z, vx=vx, vz=vz, height=height)
+
+
+def _truth_tick(raw: dict) -> GroundTruthTick:
+    t, pose = _pose_record(raw)
+    return GroundTruthTick(t=t, pose=pose, objects=tuple(map(_truth_object, raw["objects"])))
+
+
 def read_truth(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("line 1: empty truth file")
-    header = _parse_header(lines[0], "truth-header")
-    truth = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            truth.append(
-                GroundTruthTick(
-                    t=raw["t"],
-                    pose=ImuPose(pitch=raw["pitch"], yaw=raw["yaw"]),
-                    objects=tuple(
-                        GroundTruthObject(
-                            id=o[0], cls=o[1], x=o[2], z=o[3], vx=o[4], vz=o[5], height=o[6]
-                        )
-                        for o in raw["objects"]
-                    ),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-            raise ParseError(f"line {i}: {exc}") from exc
-    return header, truth
+    return _read_records(path, "truth-header", _truth_tick)
+
+
+def check_aligned(frames, truth, truth_path=None) -> None:
+    """Raise ParseError at the first tick where trace and truth disagree,
+    naming its line when the truth was read from `truth_path`."""
+    n = min(len(frames), len(truth))
+    k = next((k for k in range(n) if frames[k].t != truth[k].t), n)
+    if k == len(frames) == len(truth):
+        return
+    trace_t = frames[k].t if k < len(frames) else None
+    truth_t = truth[k].t if k < len(truth) else None
+    where = ""
+    if truth_path is not None:
+        # record k sits on numbers[k + 1]; a missing record, one past the end
+        numbers = [1, *(i for i, _ in _split_lines(truth_path)[1])]
+        line = numbers[k + 1] if k + 1 < len(numbers) else numbers[-1] + 1
+        where = f"{truth_path}: line {line}: "
+    raise ParseError(f"{where}truth t={truth_t} but trace t={trace_t}; "
+                     "trace and truth are not aligned on ticks")

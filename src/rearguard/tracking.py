@@ -46,6 +46,20 @@ class TrackerConfig:
     gamma: float = 1e-6
     d_max: float = 30.0
 
+    def __post_init__(self):
+        for name in ("q_car", "q_cycle", "miss_max"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("gamma", "d_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 <= self.iou_gate <= 1:
+            raise ValueError("iou_gate must be in [0, 1]")
+        for name, n in (("r_diag", 3), ("p0_diag", 4)):
+            diag = getattr(self, name)
+            if len(diag) != n or not all(isinstance(v, (int, float)) and v > 0 for v in diag):
+                raise ValueError(f"{name} must hold {n} positive numbers")
+
     def q_for(self, cls: str) -> float:
         return self.q_cycle if cls == "cycle" else self.q_car
 

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rearguard.geometry import user_to_camera_planar
+from rearguard.geometry import CameraIntrinsics, user_to_camera_planar
 from rearguard.risk import ttc
 from rearguard.scenario import (
+    LIGHT_CONDITIONS,
+    ROAD_TYPES,
+    USER_MODES,
+    VEHICLE_CLASSES,
+    CameraConfig,
     DetectorConfig,
     Frame,
     HeadMotionConfig,
@@ -58,10 +67,110 @@ def test_config_validation_names_fields():
         config_from_dict({})
 
 
+CAR = {"cls": "car", "spawn_time": 0.0, "x0": 0.0, "z0": -20.0, "speed": 5.0}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": -1}, "seed: must be a non-negative integer"),
+    ({"vehicles": [{"cls": "car", "spawn_time": 0.0}]},
+     "vehicles[0].x0, vehicles[0].z0, vehicles[0].speed: missing"),
+    ({"detector": {"first_detect_m": {"car": 12.0}}}, "detector.first_detect_m.cycle: must be in"),
+    ({"detector": {"spread_m": {"car": 1.2, "cycle": 0}}}, "detector.spread_m.cycle: must be positive"),
+    ({"camera": {"image_size": [640]}}, "camera.image_size: must be two positive numbers"),
+    ({"head_motion": {"yaw_amplitude": 0.1, "yaw_period": 4.0, "pitch_amplitude": 0.1,
+                      "pitch_period": 3.5, "jitter_std": 1.0}}, "head_motion.pitch_amplitude:"),
+    ({"vehicles": [{**CAR, "profile": "decelerate-at", "params": {"at": 1.0, "rate": "fast"}}]},
+     "vehicles[0].params.rate: a number is required for decelerate-at"),
+    ({"vehicles": [{**CAR, "profile": "lane-change-at",
+                    "params": {"at": 1.0, "to_x": 2.0, "duration": 0}}]},
+     "vehicles[0].params.duration: must be positive"),
+], ids=["seed-negative", "vehicle-fields-missing", "detect-median-missing", "spread-zero",
+        "image-size-short", "pitch-jitter-too-big", "param-not-a-number", "param-not-positive"])
+def test_invalid_value_is_named(change, message):
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict({"seed": 1, **change})
+    assert str(err.value).startswith(message)
+
+
+def test_missing_seed_is_named():
+    with pytest.raises(InvalidConfig, match="^seed: missing$"):
+        config_from_dict({})
+
+
+@pytest.mark.parametrize("block", [
+    {"head_motion": {}}, {"head_motion": None}, {"user": None}, {"detector": {}},
+    {"camera": {"intrinsics": {}}}, {"camera": {"intrinsics": None}},
+], ids=["head-motion-empty", "head-motion-null", "user-null", "detector-empty",
+        "intrinsics-empty", "intrinsics-null"])
+def test_empty_or_null_block_means_the_default(block):
+    assert config_from_dict({"seed": 1, **block}) == ScenarioConfig(seed=1)
+
+
 def test_config_dict_roundtrip():
     cfg = one_car()
     again = config_from_dict(config_to_dict(cfg))
     assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _params(profile):
+    if profile == "decelerate-at":
+        return st.fixed_dictionaries({"at": _floats(0, 100), "rate": _floats(0.1, 5)})
+    if profile == "lane-change-at":
+        return st.fixed_dictionaries(
+            {"at": _floats(0, 100), "to_x": _floats(-5, 5), "duration": _floats(0.5, 5)})
+    return st.just({})
+
+
+@st.composite
+def scenario_configs(draw):
+    duration = draw(_floats(1, 200))
+    vehicles = []
+    for _ in range(draw(st.integers(0, 4))):
+        profile = draw(st.sampled_from(("constant", "decelerate-at", "lane-change-at")))
+        vehicles.append(VehicleConfig(
+            cls=draw(st.sampled_from(VEHICLE_CLASSES)),
+            spawn_time=draw(_floats(0, duration).filter(lambda t: t < duration)),
+            x0=draw(_floats(-10, 10)), z0=draw(_floats(-80, 0)), speed=draw(_floats(0, 20)),
+            heading=draw(_floats(-math.pi, math.pi)), profile=profile,
+            params=draw(_params(profile)),
+        ))
+    positive = _floats(0.1, 10)
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**31)),
+        duration=duration,
+        tick_rate=draw(st.sampled_from((5.0, 10.0, 20.0))),
+        user=UserConfig(mode=draw(st.sampled_from(USER_MODES)),
+                        speed=draw(st.none() | _floats(0, 4)), height=draw(_floats(1, 2.2))),
+        head_motion=draw(st.none() | st.builds(
+            HeadMotionConfig, _floats(0, 0.3), positive, _floats(0, 0.1), positive,
+            _floats(0, 0.01))),
+        vehicles=tuple(vehicles),
+        road=draw(st.sampled_from(ROAD_TYPES)),
+        light=draw(st.sampled_from(LIGHT_CONDITIONS)),
+        detector=draw(st.builds(
+            DetectorConfig, fov=_floats(0.1, 3.0), box_noise_px=_floats(0, 5),
+            first_detect_m=st.fixed_dictionaries({"car": positive, "cycle": positive}),
+            night_factor=_floats(0.1, 1), occlusion_sector=_floats(0, 0.2))),
+        camera=draw(st.builds(
+            CameraConfig,
+            intrinsics=st.builds(CameraIntrinsics, positive, positive,
+                                 _floats(0, 640), _floats(0, 640)),
+            image_size=st.tuples(st.integers(16, 2048), st.integers(16, 2048)),
+            camera_height=positive, margin_px=_floats(0, 200))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_configs())
+def test_config_dict_roundtrip_through_yaml(cfg):
+    text = yaml.safe_dump(config_to_dict(cfg))
+    again = config_from_dict(yaml.safe_load(text))
+    assert again == replace(cfg, user=replace(cfg.user, speed=cfg.user.resolved_speed()),
+                            head_motion=cfg.resolved_head_motion())
 
 
 def test_spawn_time_must_fit_duration():
@@ -244,6 +353,21 @@ def test_truncated_trace_reports_line(tmp_path):
     content = path.read_text().splitlines()
     path.write_text("\n".join(content[:5]) + "\n" + content[5][: len(content[5]) // 2] + "\n")
     with pytest.raises(ParseError, match="line 6"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 250 + "e99"],
+                         ids=["nan", "minus-infinity", "overflow-exponent", "overflow-digits"])
+def test_non_finite_number_reports_line(tmp_path, literal):
+    cfg = one_car(duration=2.0)
+    frames, _ = generate(cfg)
+    path = tmp_path / "t.trace"
+    write_trace(path, cfg, frames)
+    content = path.read_text().splitlines()
+    record = json.loads(content[4])
+    content[4] = content[4].replace(json.dumps(record["yaw"]), literal, 1)
+    path.write_text("\n".join(content) + "\n")
+    with pytest.raises(ParseError, match="line 5: non-finite number"):
         read_trace(path)
 
 
