@@ -34,6 +34,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -156,6 +157,14 @@ def ground_truth_danger(
     return assess(truth_tick.objects, t_r, alert_threshold, now=truth_tick.t).alert
 
 
+def _sensed(truth_tick, camera: CameraConfig, fov: float) -> list:
+    """The tick's objects inside the sensing footprint."""
+    return [
+        o for o in truth_tick.objects
+        if in_sensing_footprint(o.x, o.z, o.cls, truth_tick.pose, camera, fov)
+    ]
+
+
 def observable_danger(
     truth_tick,
     camera: CameraConfig,
@@ -164,11 +173,7 @@ def observable_danger(
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
 ) -> bool:
     """Danger label restricted to objects inside the sensing footprint."""
-    visible = [
-        o for o in truth_tick.objects
-        if in_sensing_footprint(o.x, o.z, o.cls, truth_tick.pose, camera, fov)
-    ]
-    return assess(visible, t_r, alert_threshold, now=truth_tick.t).alert
+    return assess(_sensed(truth_tick, camera, fov), t_r, alert_threshold, now=truth_tick.t).alert
 
 
 # -------------------------------------------------------------- reports
@@ -223,36 +228,14 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def _episodes(flags):
-    """Maximal runs of consecutive True flags, as (start, end) index pairs."""
-    spans = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            spans.append((start, i - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(flags) - 1))
+    """Maximal runs of consecutive True flags, as slices."""
+    spans, start = [], 0
+    for on, run in groupby(flags):
+        end = start + sum(1 for _ in run)
+        if on:
+            spans.append(slice(start, end))
+        start = end
     return spans
-
-
-def _alert_events(times, alerts, peak_ids, gammas):
-    events = []
-    for start, end in _episodes(alerts):
-        ids = []
-        for i in range(start, end + 1):
-            if peak_ids[i] is not None and peak_ids[i] not in ids:
-                ids.append(peak_ids[i])
-        events.append(
-            AlertEvent(
-                t_start=times[start],
-                t_end=times[end],
-                peak_gamma=max(gammas[start : end + 1]),
-                track_ids=tuple(ids),
-            )
-        )
-    return tuple(events)
 
 
 # ------------------------------------------------------------- pipeline
@@ -281,13 +264,12 @@ def run_pipeline(
     smp = make_sampler(sampler_kind, config, rng, qtable)
     tracker = TrackerState()
     intr = camera.intrinsics
-
-    times, alerts, dangers, excludes, blinks, measured_flags = [], [], [], [], [], []
-    gammas, peak_ids = [], []
-    errors = []
-    covered = 0
-    visible_obj_ticks = 0
+    t_r, threshold = config.reaction_time, config.alert_threshold
     d_max = config.tracker.d_max
+
+    records, peak_ids = [], []
+    errors = []            # one per covered object-tick: distance to the nearest track
+    visible_obj_ticks = 0
 
     for frame, tick in zip(frames, truth):
         tracker = advance(tracker, frame.t, config.tracker)
@@ -296,30 +278,22 @@ def run_pipeline(
         if blink:
             tracker, snaps = step(tracker, frame, config.tracker, intr, camera.camera_height)
 
-        result = assess(snaps, config.reaction_time, config.alert_threshold, now=frame.t)
-        raw = ground_truth_danger(tick, config.reaction_time, config.alert_threshold)
-        danger = observable_danger(tick, camera, fov,
-                                   config.reaction_time, config.alert_threshold)
+        result = assess(snaps, t_r, threshold, now=frame.t)
+        sensed = _sensed(tick, camera, fov)
+        danger = assess(sensed, t_r, threshold, now=tick.t).alert
+        # excluded is true danger the sensor cannot see: raw and not observable
+        excluded = not danger and ground_truth_danger(tick, t_r, threshold)
         measured = frame.t >= config.warmup_s
-
-        if result.per_object:
-            worst = max(result.per_object, key=lambda o: (o.kappa, -o.track_id))
-            peak_ids.append(worst.track_id)
-        else:
-            peak_ids.append(None)
-        gammas.append(result.gamma_overall)
-        times.append(frame.t)
-        alerts.append(result.alert)
-        dangers.append(danger)
-        excludes.append(raw and not danger)
-        blinks.append(blink)
-        measured_flags.append(measured)
+        records.append(TickRecord(frame.t, blink, result.alert, danger, excluded, measured,
+                                  result.gamma_overall))
+        peak_ids.append(
+            max(result.per_object, key=lambda o: (o.kappa, -o.track_id)).track_id
+            if result.per_object else None
+        )
 
         if measured:
-            for obj in tick.objects:
+            for obj in sensed:
                 if obj.range > d_max:
-                    continue
-                if not in_sensing_footprint(obj.x, obj.z, obj.cls, tick.pose, camera, fov):
                     continue
                 visible_obj_ticks += 1
                 dist = min(
@@ -327,59 +301,52 @@ def run_pipeline(
                     default=math.inf,
                 )
                 if dist <= MATCH_RADIUS_M:
-                    covered += 1
                     errors.append(dist)
 
-    n_ticks = len(frames)
-    m_idx = [i for i in range(n_ticks) if measured_flags[i]]
-    scored = [i for i in m_idx if not excludes[i]]
+    post = [r for r in records if r.measured]
+    scored = [r for r in post if not r.excluded]
     n_a = len(scored)
-    n_fp = sum(1 for i in scored if alerts[i] and not dangers[i])
-    n_fn = sum(1 for i in scored if dangers[i] and not alerts[i])
-    blink_count = sum(blinks)
-    blinks_measured = sum(1 for i in m_idx if blinks[i])
+    n_fp = sum(r.alert and not r.danger for r in scored)
+    n_fn = sum(r.danger and not r.alert for r in scored)
 
-    m_alerts = [alerts[i] for i in m_idx]
-    m_dangers = [dangers[i] for i in m_idx]
-    m_ok = [dangers[i] or excludes[i] for i in m_idx]
-    danger_eps = _episodes(m_dangers)
-    missed = sum(
-        1 for s, e in danger_eps if not any(m_alerts[s : e + 1])
-    )
+    danger_eps = _episodes(r.danger for r in post)
+    missed = sum(not any(r.alert for r in post[ep]) for ep in danger_eps)
     # an alert run is a false event only if it never touches real danger,
     # visible or otherwise
     false_eps = sum(
-        1 for s, e in _episodes(m_alerts) if not any(m_ok[s : e + 1])
+        not any(r.danger or r.excluded for r in post[ep])
+        for ep in _episodes(r.alert for r in post)
     )
-
-    ticks = None
-    if keep_ticks:
-        ticks = tuple(
-            TickRecord(times[i], blinks[i], alerts[i], dangers[i],
-                       excludes[i], measured_flags[i], gammas[i])
-            for i in range(n_ticks)
+    alert_events = tuple(
+        AlertEvent(
+            t_start=records[ep.start].t,
+            t_end=records[ep.stop - 1].t,
+            peak_gamma=max(r.gamma for r in records[ep]),
+            track_ids=tuple(dict.fromkeys(i for i in peak_ids[ep] if i is not None)),
         )
+        for ep in _episodes(r.alert for r in records)
+    )
 
     return RunReport(
         scenario=scenario_label,
         sampler_kind=sampler_kind,
         seed=seed,
-        n_ticks=n_ticks,
+        n_ticks=len(records),
         n_assessments=n_a,
-        n_excluded=len(m_idx) - n_a,
+        n_excluded=len(post) - n_a,
         n_fp=n_fp,
         n_fn=n_fn,
         fpr=n_fp / n_a if n_a else 0.0,
         fnr=n_fn / n_a if n_a else 0.0,
-        blink_count=blink_count,
-        blink_fraction=blinks_measured / len(m_idx) if m_idx else 0.0,
+        blink_count=sum(r.blink for r in records),
+        blink_fraction=sum(r.blink for r in post) / len(post) if post else 0.0,
         mean_tracking_error=math.fsum(errors) / len(errors) if errors else 0.0,
-        tracking_coverage=covered / visible_obj_ticks if visible_obj_ticks else 1.0,
+        tracking_coverage=len(errors) / visible_obj_ticks if visible_obj_ticks else 1.0,
         n_danger_episodes=len(danger_eps),
         n_missed_episodes=missed,
         n_false_alert_episodes=false_eps,
-        alert_events=_alert_events(times, alerts, peak_ids, gammas),
-        ticks=ticks,
+        alert_events=alert_events,
+        ticks=tuple(records) if keep_ticks else None,
     )
 
 
@@ -423,11 +390,15 @@ def _mean(values) -> float:
 
 
 def _aggregate(rows):
-    """rows: list of RunReport, one sampler.  Means in a canonical order."""
-    rows = sorted(rows, key=lambda r: (r.scenario, r.seed))
+    """rows: list of RunReport, one sampler.  fsum makes the means exact,
+    so they do not depend on the order of the rows."""
     return {m: _mean(getattr(r, m) for r in rows) for m in _AGG_METRICS} | {
         "runs": len(rows)
     }
+
+
+def _per_kind(runs, kinds) -> dict:
+    return {kind: _aggregate([r for r in runs if r.sampler_kind == kind]) for kind in kinds}
 
 
 def compare(
@@ -447,9 +418,11 @@ def compare(
     `seeds` multiplies the grid: every scenario is replayed once per
     seed (the trace stays fixed; the seed drives the sampler side).
     Default is one run per scenario using the scenario's own seed.
+    Scenario names and sampler kinds must be unique.
     """
     scenarios = list(scenarios)
     samplers = list(samplers)
+    seeds = list(seeds) if seeds else None
     if not scenarios:
         raise ConfigError("at least one scenario is required")
     if not samplers:
@@ -457,15 +430,20 @@ def compare(
     for kind in samplers:
         if kind not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+    for what, values in (("scenario name", [name for name, _ in scenarios]),
+                         ("sampler kind", samplers)):
+        dups = [v for i, v in enumerate(values) if v in values[:i]]
+        if dups:
+            raise ConfigError(f"duplicate {what}: {dups[0]!r}")
 
     runs = []
-    axes_by_key = {}
+    axes = {}
+    ordered = sorted(samplers, key=lambda k: k != "sarsa")
     for name, scen in scenarios:
         frames, truth = generate(scen)
-        axes = _scenario_axes(scen)
-        for seed in (list(seeds) if seeds else [scen.seed]):
+        axes[name] = _scenario_axes(scen)
+        for seed in seeds or [scen.seed]:
             anchor = None
-            ordered = sorted(samplers, key=lambda k: k != "sarsa")
             for kind in ordered:
                 cfg_k = config
                 if budget_match and anchor is not None:
@@ -481,35 +459,19 @@ def compare(
                 if kind == "sarsa":
                     anchor = report.blink_fraction
                 runs.append(report)
-                axes_by_key[(name, kind, seed)] = axes
 
     runs.sort(key=lambda r: (r.scenario, r.sampler_kind, r.seed))
-
-    aggregates = {
-        kind: _aggregate([r for r in runs if r.sampler_kind == kind])
-        for kind in sorted(set(samplers))
+    kinds = sorted(samplers)
+    breakdowns = {
+        axis: {
+            value: _per_kind([r for r in runs if axes[r.scenario][axis] == value], kinds)
+            for value in sorted({a[axis] for a in axes.values()})
+        }
+        for axis in ("mode", "road", "light", "classes", "vehicle_count")
     }
-
-    breakdowns = {}
-    for axis in ("mode", "road", "light", "classes", "vehicle_count"):
-        per_value = {}
-        values = sorted({
-            axes_by_key[(r.scenario, r.sampler_kind, r.seed)][axis] for r in runs
-        })
-        for value in values:
-            per_value[value] = {
-                kind: _aggregate([
-                    r for r in runs
-                    if r.sampler_kind == kind
-                    and axes_by_key[(r.scenario, r.sampler_kind, r.seed)][axis] == value
-                ])
-                for kind in sorted(set(samplers))
-            }
-        breakdowns[axis] = per_value
-
     return ComparisonReport(
         runs=tuple(runs),
-        aggregates=aggregates,
+        aggregates=_per_kind(runs, kinds),
         breakdowns=breakdowns,
         budget_matched=budget_match,
     )

@@ -631,24 +631,25 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def write_trace(path, config: ScenarioConfig, frames) -> None:
+def _write_records(path, config: ScenarioConfig, header_kind: str, rows) -> None:
+    """Header line, then one line per record dict."""
     with open(path, "w") as fh:
-        fh.write(_dump(_header_record(config, "trace-header")) + "\n")
-        for f in frames:
-            fh.write(
-                _dump(
-                    {
-                        "kind": "frame",
-                        "t": f.t,
-                        "pitch": f.pose.pitch,
-                        "yaw": f.pose.yaw,
-                        "detections": [
-                            [d.x, d.y, d.w, d.h, d.cls, d.score] for d in f.detections
-                        ],
-                    }
-                )
-                + "\n"
-            )
+        fh.write(_dump(_header_record(config, header_kind)) + "\n")
+        for row in rows:
+            fh.write(_dump(row) + "\n")
+
+
+def write_trace(path, config: ScenarioConfig, frames) -> None:
+    _write_records(path, config, "trace-header", (
+        {
+            "kind": "frame",
+            "t": f.t,
+            "pitch": f.pose.pitch,
+            "yaw": f.pose.yaw,
+            "detections": [[d.x, d.y, d.w, d.h, d.cls, d.score] for d in f.detections],
+        }
+        for f in frames
+    ))
 
 
 def _split_lines(path):
@@ -701,24 +702,16 @@ def read_trace(path):
 
 
 def write_truth(path, config: ScenarioConfig, truth) -> None:
-    with open(path, "w") as fh:
-        fh.write(_dump(_header_record(config, "truth-header")) + "\n")
-        for tick in truth:
-            fh.write(
-                _dump(
-                    {
-                        "kind": "truth",
-                        "t": tick.t,
-                        "pitch": tick.pose.pitch,
-                        "yaw": tick.pose.yaw,
-                        "objects": [
-                            [o.id, o.cls, o.x, o.z, o.vx, o.vz, o.height]
-                            for o in tick.objects
-                        ],
-                    }
-                )
-                + "\n"
-            )
+    _write_records(path, config, "truth-header", (
+        {
+            "kind": "truth",
+            "t": tick.t,
+            "pitch": tick.pose.pitch,
+            "yaw": tick.pose.yaw,
+            "objects": [[o.id, o.cls, o.x, o.z, o.vx, o.vz, o.height] for o in tick.objects],
+        }
+        for tick in truth
+    ))
 
 
 def _truth_object(o) -> GroundTruthObject:

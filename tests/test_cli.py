@@ -430,6 +430,15 @@ def test_compare_unknown_sampler_in_config(tmp_path, capsys):
     assert "sonar" in capsys.readouterr().err
 
 
+def test_compare_duplicate_scenario_name_is_a_config_error(tmp_path, capsys):
+    cfg = compare_config(tmp_path, scenarios=[
+        {"name": "cars", "scenario": dict(SCENARIO)},
+        {"name": "cars", "scenario": {**SCENARIO, "seed": 32}},
+    ])
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert "duplicate scenario name: 'cars'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seeds", [[1, "two"], [-1]], ids=["not-a-number", "negative"])
 def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
     cfg = compare_config(tmp_path, seeds=seeds)

@@ -149,6 +149,35 @@ def test_rates_match_exhaustive_hand_count():
     )
 
 
+def test_blink_fraction_counts_only_post_warmup_ticks():
+    # interval period 3 over 12 empty ticks blinks at ticks 2, 5, 8 and 11;
+    # warm-up ends at t=0.4 (tick 4), leaving 8 ticks with 3 blinks
+    frames, truth = hand_trace([[]] * 12)
+    cfg = replace(NO_WARMUP, warmup_s=0.4, interval_period=3.0)
+    report = run_pipeline(frames, truth, "interval", cfg, keep_ticks=True)
+    assert report.blink_count == 4
+    assert report.blink_fraction == 0.375
+    assert [r.blink for r in report.ticks if r.measured] == [False, True, False] * 2 + [False, True]
+
+
+@pytest.mark.parametrize(
+    "obj, warmup_s, coverage",
+    [
+        (car(0.0, -20.0), 0.0, 0.0),   # visible and in range, never tracked
+        (car(0.0, -35.0), 0.0, 1.0),   # beyond tracker.d_max: not counted
+        (car(0.0, -1.2), 0.0, 1.0),    # below the frame: not counted
+        (car(0.0, -20.0), 5.0, 1.0),   # only during warm-up: not counted
+    ],
+    ids=["visible", "beyond-d-max", "below-frame", "warm-up-only"],
+)
+def test_tracking_coverage_counts_visible_post_warmup_object_ticks(obj, warmup_s, coverage):
+    # no detections, so no tracks: an object-tick that counts is uncovered
+    frames, truth = hand_trace([[obj]] * 10)
+    report = run_pipeline(frames, truth, "everyframe", replace(NO_WARMUP, warmup_s=warmup_s))
+    assert report.tracking_coverage == coverage
+    assert report.mean_tracking_error == 0.0
+
+
 def test_fp_fn_bounded_by_assessments():
     per_tick = [[car(0.0, -5.0, vz=2.0)]] * 8
     frames, truth = hand_trace(per_tick)
@@ -297,6 +326,22 @@ def test_empty_sampler_list_is_a_config_error():
 def test_unknown_sampler_in_compare_is_a_config_error():
     with pytest.raises(ConfigError, match="radar"):
         compare(two_quick_scenarios(), ["everyframe", "radar"], NO_WARMUP)
+
+
+@pytest.mark.parametrize(
+    "names, kinds, message",
+    [
+        (("alpha", "alpha"), ["everyframe"], "duplicate scenario name: 'alpha'"),
+        (("alpha", "bravo"), ["sarsa", "everyframe", "sarsa"], "duplicate sampler kind: 'sarsa'"),
+    ],
+    ids=["scenario-name", "sampler-kind"],
+)
+def test_duplicates_in_compare_are_config_errors(names, kinds, message):
+    # a repeated name would merge two scenarios' breakdown rows; a repeated
+    # kind would run and count every one of its cells twice
+    suite = [(name, scen) for name, (_, scen) in zip(names, two_quick_scenarios())]
+    with pytest.raises(ConfigError, match=message):
+        compare(suite, kinds, NO_WARMUP)
 
 
 def test_single_scenario_single_sampler_yields_one_row():
