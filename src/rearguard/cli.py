@@ -275,9 +275,6 @@ def cmd_compare(args) -> int:
     suite = _resolve_suite(raw)
     samplers = [args.sampler] if args.sampler else list(raw.get("samplers") or SAMPLER_KINDS)
     seeds = [args.seed] if args.seed is not None else raw.get("seeds")
-    if seeds is not None and not (isinstance(seeds, list)
-                                  and all(isinstance(s, int) and s >= 0 for s in seeds)):
-        raise InvalidConfig(f"seeds: expected a list of non-negative integers, got {seeds!r}")
     warmup = args.warmup_s if args.warmup_s is not None else raw.get("warmup_s", 60.0)
     config = _pipeline_config(raw, warmup)
 
@@ -290,7 +287,7 @@ def cmd_compare(args) -> int:
     resolved = {
         **raw,
         "samplers": list(samplers),
-        "seeds": list(seeds) if seeds else None,
+        "seeds": seeds,
         "warmup_s": config.warmup_s,
     }
     digest = config_digest(resolved)

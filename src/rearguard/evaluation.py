@@ -273,12 +273,12 @@ def run_pipeline(
 
     for frame, tick in zip(frames, truth):
         tracker = advance(tracker, frame.t, config.tracker)
-        snaps = snapshots(tracker)
-        blink = smp.decide(snaps, frame.t)
+        tracks = snapshots(tracker)
+        blink = smp.decide(tracks, frame.t)
         if blink:
-            tracker, snaps = step(tracker, frame, config.tracker, intr, camera.camera_height)
+            tracker, tracks = step(tracker, frame, config.tracker, intr, camera.camera_height)
 
-        result = assess(snaps, t_r, threshold, now=frame.t)
+        result = assess(tracks, t_r, threshold, now=frame.t)
         sensed = _sensed(tick, camera, fov)
         danger = assess(sensed, t_r, threshold, now=tick.t).alert
         # excluded is true danger the sensor cannot see: raw and not observable
@@ -297,7 +297,7 @@ def run_pipeline(
                     continue
                 visible_obj_ticks += 1
                 dist = min(
-                    (math.hypot(s.x - obj.x, s.z - obj.z) for s in snaps),
+                    (math.hypot(tr.x - obj.x, tr.z - obj.z) for tr in tracks),
                     default=math.inf,
                 )
                 if dist <= MATCH_RADIUS_M:
@@ -417,12 +417,12 @@ def compare(
 
     `seeds` multiplies the grid: every scenario is replayed once per
     seed (the trace stays fixed; the seed drives the sampler side).
-    Default is one run per scenario using the scenario's own seed.
+    Default is one run per scenario using the scenario's own seed; given
+    seeds are a non-empty list of distinct non-negative integers.
     Scenario names and sampler kinds must be unique.
     """
     scenarios = list(scenarios)
     samplers = list(samplers)
-    seeds = list(seeds) if seeds else None
     if not scenarios:
         raise ConfigError("at least one scenario is required")
     if not samplers:
@@ -435,6 +435,13 @@ def compare(
         dups = [v for i, v in enumerate(values) if v in values[:i]]
         if dups:
             raise ConfigError(f"duplicate {what}: {dups[0]!r}")
+    if seeds is not None:
+        valid = isinstance(seeds, (list, tuple)) and all(isinstance(s, int) and s >= 0 for s in seeds)
+        repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]] if valid else []
+        if not (valid and seeds) or repeated:
+            raise ConfigError(
+                "seeds: expected a list of non-negative integers, at least one and none repeated,"
+                f" got {seeds!r}" + (f"; seed {repeated[0]} repeats" if repeated else ""))
 
     runs = []
     axes = {}

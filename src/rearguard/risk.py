@@ -72,7 +72,7 @@ def assess(
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
     now: float = 0.0,
 ) -> RiskAssessment:
-    """Score every track snapshot and fold into the overall alert decision.
+    """Score every track and fold into the overall alert decision.
 
     A track sitting exactly on the user is treated as maximal risk rather
     than an error; the degenerate position only occurs on estimated

@@ -22,6 +22,7 @@ which is what the convergence test leans on.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,6 +41,10 @@ class SamplerState(NamedTuple):
     dt_bin: int
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     sample_cost: float = -0.05
@@ -54,12 +59,20 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0 < self.epsilon0 <= 1:
             raise ValueError("epsilon0 must be in (0, 1]")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
         if not 0 <= self.beta < 1:
             raise ValueError("beta must be in [0, 1)")
-        if self.sample_cost > 0:
-            raise ValueError("sample_cost is a cost; it cannot be positive")
+        if not self.sample_cost <= 0:
+            raise ValueError("sample_cost is a cost; it must be zero or negative")
+        if not (_is_finite_number(self.dt_max) and self.dt_max > 0):
+            raise ValueError(f"dt_max must be a positive finite number, got {self.dt_max!r}")
+        for name in ("conf_edges", "dist_edges", "dt_edges"):
+            edges = getattr(self, name)
+            if not (isinstance(edges, tuple) and all(map(_is_finite_number, edges))
+                    and all(a < b for a, b in zip(edges, edges[1:]))):
+                raise ValueError(
+                    f"{name} must be a strictly increasing tuple of finite numbers, got {edges!r}")
 
     @property
     def no_tracks_bin(self) -> int:

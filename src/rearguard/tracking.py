@@ -6,6 +6,10 @@ from geometry.project_observation, linearized on the fly (EKF).  Blink
 to blink association runs Kuhn-Munkres on IoU between detections and
 the tracks' predicted boxes.
 
+Each object is one frozen Track: the filter state (vec, P), its
+confidence and what association needs.  Risk, the samplers and scoring
+read these tracks directly; there is no separate per-tick view.
+
 The tracker is a value (TrackerState); step() and advance() return new
 states and never mutate their inputs, which keeps replays and
 comparisons trivially reproducible.
@@ -71,9 +75,17 @@ class TrackerConfig:
 
 
 @dataclass(frozen=True)
-class TrackState:
+class Track:
+    """One tracked object: the filter state and what association needs."""
+
+    id: int
+    cls: str
     vec: np.ndarray   # shape (4,): x, z, vx, vz
     P: np.ndarray     # shape (4, 4)
+    obj_height: float
+    confidence: float
+    miss_count: int = 0
+    last_box: BoundingBox2D | None = None
 
     @property
     def x(self):
@@ -90,36 +102,6 @@ class TrackState:
     @property
     def vz(self):
         return float(self.vec[3])
-
-
-@dataclass(frozen=True)
-class Track:
-    id: int
-    state: TrackState
-    cls: str
-    obj_height: float
-    confidence: float
-    miss_count: int = 0
-    last_update: float = 0.0
-    last_box: BoundingBox2D | None = None
-
-    @property
-    def range(self) -> float:
-        return math.hypot(self.state.x, self.state.z)
-
-
-@dataclass(frozen=True)
-class TrackSnapshot:
-    """Immutable per-tick view of a track, consumed by risk and sampling."""
-
-    id: int
-    cls: str
-    x: float
-    z: float
-    vx: float
-    vz: float
-    confidence: float
-    obj_height: float
 
     @property
     def range(self) -> float:
@@ -223,14 +205,10 @@ def predict(track: Track, dt: float, q: float, gamma: float = 1e-6) -> Track:
     if dt < 0:
         raise ValueError("dt must be non-negative")
     F = transition_matrix(dt)
-    vec = F @ track.state.vec
-    P = F @ track.state.P @ F.T + process_noise(dt, q)
+    vec = F @ track.vec
+    P = F @ track.P @ F.T + process_noise(dt, q)
     P = 0.5 * (P + P.T)
-    return replace(
-        track,
-        state=TrackState(vec=vec, P=P),
-        confidence=confidence(P, gamma),
-    )
+    return replace(track, vec=vec, P=P, confidence=confidence(P, gamma))
 
 
 def update(
@@ -243,17 +221,11 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    st = track.state
-    predicted = geometry.project_observation(
-        st.x, st.z, track.obj_height, pose, intr, camera_height
-    )
-    H = observation_jacobian(st.x, st.z, track.obj_height, pose, intr, camera_height)
-    vec, P = kalman_update(st.vec, st.P, np.asarray(obs, float) - predicted, H, r)
-    return replace(
-        track,
-        state=TrackState(vec=vec, P=P),
-        confidence=confidence(P, gamma),
-    )
+    x, z = track.x, track.z
+    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
+    H = observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
+    vec, P = kalman_update(track.vec, track.P, np.asarray(obs, float) - predicted, H, r)
+    return replace(track, vec=vec, P=P, confidence=confidence(P, gamma))
 
 
 # ------------------------------------------------------------ association
@@ -281,7 +253,7 @@ def predicted_box(
         return None
     try:
         obs = geometry.project_observation(
-            track.state.x, track.state.z, track.obj_height, pose, intr, camera_height
+            track.x, track.z, track.obj_height, pose, intr, camera_height
         )
     except BehindCamera:
         return None
@@ -381,21 +353,9 @@ def match(
 
 # -------------------------------------------------------------- lifecycle
 
-def snapshot(track: Track) -> TrackSnapshot:
-    return TrackSnapshot(
-        id=track.id,
-        cls=track.cls,
-        x=track.state.x,
-        z=track.state.z,
-        vx=track.state.vx,
-        vz=track.state.vz,
-        confidence=track.confidence,
-        obj_height=track.obj_height,
-    )
-
-
 def snapshots(tracker: TrackerState):
-    return [snapshot(t) for t in tracker.tracks]
+    """The live tracks, as risk and the samplers read them."""
+    return tracker.tracks
 
 
 def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerState:
@@ -416,7 +376,6 @@ def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerSt
 def _spawn(
     box: BoundingBox2D,
     track_id: int,
-    frame_t: float,
     pose: ImuPose,
     intr: CameraIntrinsics,
     camera_height: float,
@@ -433,12 +392,11 @@ def _spawn(
     P0 = config.p0_matrix()
     return Track(
         id=track_id,
-        state=TrackState(vec=np.array([p_user.x, p_user.z, 0.0, 0.0]), P=P0),
         cls=box.cls,
+        vec=np.array([p_user.x, p_user.z, 0.0, 0.0]),
+        P=P0,
         obj_height=box.h * depth / intr.f_y,
         confidence=confidence(P0, config.gamma),
-        miss_count=0,
-        last_update=frame_t,
         last_box=box,
     )
 
@@ -452,7 +410,7 @@ def step(
 ):
     """Ingest one blink: predict, associate, update, spawn, retire.
 
-    Returns (new TrackerState, snapshots of the surviving tracks).
+    Returns (new TrackerState, its surviving tracks).
     Detections whose ground contact sits above the horizon are ignored;
     an update with a singular innovation counts as a miss.
     """
@@ -480,7 +438,7 @@ def step(
             new = update(track, obs, pose, intr, camera_height, R, config.gamma)
         except (SingularInnovation, BehindCamera):
             continue
-        updated[tid] = replace(new, miss_count=0, last_update=frame.t, last_box=det)
+        updated[tid] = replace(new, miss_count=0, last_box=det)
 
     survivors = []
     for track in tracker.tracks:
@@ -497,9 +455,7 @@ def step(
 
     next_id = tracker.next_id
     for j in assignment.unmatched_detections:
-        spawned = _spawn(
-            detections[j], next_id, frame.t, pose, intr, camera_height, config
-        )
+        spawned = _spawn(detections[j], next_id, pose, intr, camera_height, config)
         if spawned is None:
             continue
         survivors.append(spawned)
@@ -511,4 +467,4 @@ def step(
         last_t=frame.t,
         last_frame_t=frame.t,
     )
-    return out, snapshots(out)
+    return out, out.tracks

@@ -4,14 +4,17 @@ Running `pytest -v tests/test_acceptance.py` prints one pass/fail line
 per criterion.  Scales, tolerances and runtime budgets are fixed here;
 the per-module test files carry the same oracles at smaller sizes for
 day-to-day work, and this file imports those oracles rather than
-restating them.
+restating them.  The same standard-suite comparison that criteria 7-8
+read is also pinned byte for byte to the digest the benchmark records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from rearguard.evaluation import (
     SAMPLER_KINDS,
     PipelineConfig,
     compare,
+    comparison_to_dict,
     format_comparison,
     standard_suite,
 )
@@ -141,10 +145,15 @@ def test_criterion_06_detector_first_detection_medians():
 
 
 @pytest.fixture(scope="module")
-def suite_aggregates():
-    """One budget-matched run of the full grid, shared by criteria 7-8."""
-    rep = compare(standard_suite(), list(SAMPLER_KINDS), PipelineConfig())
-    return rep.aggregates
+def suite_report():
+    """One budget-matched run of the full grid, shared by criteria 7-8 and
+    the digest pin."""
+    return compare(standard_suite(), list(SAMPLER_KINDS), PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def suite_aggregates(suite_report):
+    return suite_report.aggregates
 
 
 def test_criterion_07_blink_budget_and_fnr_vs_everyframe(suite_aggregates):
@@ -168,6 +177,15 @@ def test_criterion_08_fpr_ordering_at_matched_budgets(suite_aggregates):
         assert sarsa["fpr"] <= other["fpr"], (
             f"sarsa fpr {sarsa['fpr']:.4f} above {kind} {other['fpr']:.4f}"
         )
+
+
+def test_standard_suite_comparison_bytes_match_the_recorded_digest(suite_report):
+    # the digest perfbench records for suite-compare; any change to a
+    # comparison.json byte must re-record it there, on purpose
+    recorded = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    want = recorded["recorded"]["suite-compare"]["*"]["comparison"]
+    payload = json.dumps(comparison_to_dict(suite_report), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(payload.encode()).hexdigest() == want
 
 
 def test_criterion_09_absolute_field_rates_declared_out_of_scope():

@@ -214,6 +214,17 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "sampler: eta must be positive", id="sampler-field-invalid"),
     pytest.param({"sampler": "sarsa"}, EXIT_CONFIG,
                  "sampler: must be a mapping", id="sampler-not-a-mapping"),
+    pytest.param({"sampler": {"kind": "sarsa", "dt_max": -1.0}}, EXIT_CONFIG,
+                 "sampler: dt_max must be a positive finite number", id="sampler-dt-max-negative"),
+    pytest.param({"sampler": {"kind": "confidence", "dt_max": float("nan")}}, EXIT_CONFIG,
+                 "sampler: dt_max must be a positive finite number", id="sampler-dt-max-nan"),
+    pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [0.5, 0.1, 0.02]}}, EXIT_CONFIG,
+                 "sampler: conf_edges must be a strictly increasing tuple of finite numbers",
+                 id="sampler-edges-unsorted"),
+    pytest.param({"sampler": {"kind": "sarsa", "eta": float("nan")}}, EXIT_CONFIG,
+                 "sampler: eta must be positive", id="sampler-eta-nan"),
+    pytest.param({"sampler": {"kind": "sarsa", "sample_cost": float("nan")}}, EXIT_CONFIG,
+                 "sampler: sample_cost is a cost", id="sampler-cost-nan"),
     pytest.param({"seed": "five"}, EXIT_CONFIG, "seed:", id="seed-not-a-number"),
     pytest.param({"warmup_s": "soon"}, EXIT_CONFIG, "warmup_s:", id="warmup-not-a-number"),
     pytest.param({"risk": {"reaction_time": "slow"}}, EXIT_CONFIG,
@@ -439,7 +450,8 @@ def test_compare_duplicate_scenario_name_is_a_config_error(tmp_path, capsys):
     assert "duplicate scenario name: 'cars'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seeds", [[1, "two"], [-1]], ids=["not-a-number", "negative"])
+@pytest.mark.parametrize("seeds", [[1, "two"], [-1], [1, 1], []],
+                         ids=["not-a-number", "negative", "repeated", "empty"])
 def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
     cfg = compare_config(tmp_path, seeds=seeds)
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG

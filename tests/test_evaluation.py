@@ -329,19 +329,23 @@ def test_unknown_sampler_in_compare_is_a_config_error():
 
 
 @pytest.mark.parametrize(
-    "names, kinds, message",
+    "names, kinds, seeds, message",
     [
-        (("alpha", "alpha"), ["everyframe"], "duplicate scenario name: 'alpha'"),
-        (("alpha", "bravo"), ["sarsa", "everyframe", "sarsa"], "duplicate sampler kind: 'sarsa'"),
+        (("alpha", "alpha"), ["everyframe"], None, "duplicate scenario name: 'alpha'"),
+        (("alpha", "bravo"), ["sarsa", "everyframe", "sarsa"], None,
+         "duplicate sampler kind: 'sarsa'"),
+        (("alpha", "bravo"), ["everyframe"], [1, 1], r"got \[1, 1\]; seed 1 repeats"),
+        (("alpha", "bravo"), ["everyframe"], [], r"seeds: .*at least one.*got \[\]"),
     ],
-    ids=["scenario-name", "sampler-kind"],
+    ids=["scenario-name", "sampler-kind", "seed", "empty-seeds"],
 )
-def test_duplicates_in_compare_are_config_errors(names, kinds, message):
+def test_duplicates_in_compare_are_config_errors(names, kinds, seeds, message):
     # a repeated name would merge two scenarios' breakdown rows; a repeated
-    # kind would run and count every one of its cells twice
+    # kind or seed would run and count every one of its cells twice; an
+    # empty seed list would quietly fall back to each scenario's own seed
     suite = [(name, scen) for name, (_, scen) in zip(names, two_quick_scenarios())]
     with pytest.raises(ConfigError, match=message):
-        compare(suite, kinds, NO_WARMUP)
+        compare(suite, kinds, NO_WARMUP, seeds=seeds)
 
 
 def test_single_scenario_single_sampler_yields_one_row():

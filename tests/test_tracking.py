@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
+from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
 from rearguard import tracking
 from rearguard.tracking import (
+    SingularInnovation,
     Track,
-    TrackState,
     TrackerConfig,
     TrackerState,
+    advance,
     confidence,
     iou,
     kalman_update,
@@ -98,8 +101,9 @@ def make_track(x, z, vx, vz, P=None, cls="car", obj_height=1.5, tid=1):
     P = np.diag([4.0, 4.0, 16.0, 16.0]) if P is None else P
     return Track(
         id=tid,
-        state=TrackState(vec=np.array([x, z, vx, vz], float), P=P),
         cls=cls,
+        vec=np.array([x, z, vx, vz], float),
+        P=P,
         obj_height=obj_height,
         confidence=confidence(P),
         last_box=BoundingBox2D(290.0, 323.0, 60.0, 90.0, cls=cls),
@@ -110,18 +114,18 @@ def make_track(x, z, vx, vz, P=None, cls="car", obj_height=1.5, tid=1):
 
 def test_predict_hand_values():
     t = predict(make_track(0.0, -10.0, 0.0, 2.0), 0.1, q=2.0)
-    assert (t.state.x, t.state.z) == (0.0, -9.8)
-    assert (t.state.vx, t.state.vz) == (0.0, 2.0)
+    assert (t.x, t.z) == (0.0, -9.8)
+    assert (t.vx, t.vz) == (0.0, 2.0)
 
     t2 = predict(make_track(1.0, 5.0, -1.0, -1.0), 2.0, q=2.0)
-    assert (t2.state.x, t2.state.z) == (-1.0, 3.0)
+    assert (t2.x, t2.z) == (-1.0, 3.0)
 
 
 def test_predict_zero_dt_is_identity():
     tr = make_track(3.0, -8.0, 0.5, 1.5)
     out = predict(tr, 0.0, q=2.0)
-    assert np.array_equal(out.state.vec, tr.state.vec)
-    assert np.array_equal(out.state.P, tr.state.P)
+    assert np.array_equal(out.vec, tr.vec)
+    assert np.array_equal(out.P, tr.P)
 
 
 def test_predict_trace_never_decreases():
@@ -130,7 +134,7 @@ def test_predict_trace_never_decreases():
     for _ in range(50):
         dt = rng.uniform(0.0, 1.0)
         out = predict(tr, dt, q=2.0)
-        assert np.trace(out.state.P) >= np.trace(tr.state.P) - 1e-12
+        assert np.trace(out.P) >= np.trace(tr.P) - 1e-12
         tr = out
 
 
@@ -139,8 +143,8 @@ def test_process_noise_composes_over_splits():
     tr = make_track(0.0, -10.0, 0.3, 2.0, P=random_spd(np.random.default_rng(4)))
     one = predict(tr, 0.2, q=2.0)
     two = predict(predict(tr, 0.1, q=2.0), 0.1, q=2.0)
-    assert np.allclose(one.state.vec, two.state.vec, atol=1e-12)
-    assert np.allclose(one.state.P, two.state.P, atol=1e-12)
+    assert np.allclose(one.vec, two.vec, atol=1e-12)
+    assert np.allclose(one.P, two.P, atol=1e-12)
 
 
 def test_process_noise_matrix_shape():
@@ -202,15 +206,15 @@ def test_update_zero_innovation_keeps_state():
     tr = make_track(0.5, -11.0, 0.1, 2.0)
     obs = project_observation(0.5, -11.0, tr.obj_height, REAR, INTR, H_E)
     out = update(tr, obs, REAR, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
-    assert np.allclose(out.state.vec, tr.state.vec, atol=1e-9)
-    assert np.trace(out.state.P) <= np.trace(tr.state.P) + 1e-9
+    assert np.allclose(out.vec, tr.vec, atol=1e-9)
+    assert np.trace(out.P) <= np.trace(tr.P) + 1e-9
 
 
 def test_update_pulls_position_toward_measurement():
     tr = make_track(0.0, -10.0, 0.0, 2.0)
     obs = project_observation(0.0, -12.0, tr.obj_height, REAR, INTR, H_E)
     out = update(tr, obs, REAR, INTR, H_E, np.diag([1e-4, 1e-4, 1e-4]))
-    assert abs(out.state.z - (-12.0)) < 0.5
+    assert abs(out.z - (-12.0)) < 0.5
 
 
 def test_update_trace_never_increases():
@@ -220,7 +224,7 @@ def test_update_trace_never_increases():
         tr = make_track(x, z, rng.normal(), rng.normal(), P=random_spd(rng))
         obs = project_observation(x, z, tr.obj_height, pose, INTR, H_E) + rng.normal(0, 2, 3)
         out = update(tr, obs, pose, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
-        assert np.trace(out.state.P) <= np.trace(tr.state.P) + 1e-9
+        assert np.trace(out.P) <= np.trace(tr.P) + 1e-9
 
 
 def test_covariance_stays_symmetric_over_long_sequences():
@@ -228,19 +232,73 @@ def test_covariance_stays_symmetric_over_long_sequences():
     tr = make_track(0.0, -20.0, 0.0, 2.0)
     for i in range(1000):
         tr = predict(tr, 0.1, q=2.0)
-        P = tr.state.P
+        P = tr.P
         assert np.max(np.abs(P - P.T)) <= 1e-9
         assert np.all(np.diag(P) >= 0)
-        if i % 3 == 0 and -29 < tr.state.z < -2:
+        if i % 3 == 0 and -29 < tr.z < -2:
             obs = project_observation(
-                tr.state.x, tr.state.z, tr.obj_height, REAR, INTR, H_E
+                tr.x, tr.z, tr.obj_height, REAR, INTR, H_E
             ) + rng.normal(0, 2, 3)
             tr = update(tr, obs, REAR, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
-            P = tr.state.P
+            P = tr.P
             assert np.max(np.abs(P - P.T)) <= 1e-9
             assert np.all(np.diag(P) >= 0)
-        if tr.state.z > -3:
-            tr = make_track(0.0, -20.0, 0.0, 2.0, P=tr.state.P)
+        if tr.z > -3:
+            tr = make_track(0.0, -20.0, 0.0, 2.0, P=tr.P)
+
+
+def _assert_filter_invariants(track, gamma):
+    P = track.P
+    assert np.all(np.isfinite(track.vec)) and np.all(np.isfinite(P))
+    assert np.array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P).min() >= -1e-9
+    assert track.confidence == 1.0 / (float(np.trace(P)) + gamma)
+
+
+def _noisy_box(x, z, rng):
+    box = _det_box_for(x, z, REAR)
+    return BoundingBox2D(box.x + rng.normal(0, 3), box.y + rng.normal(0, 3),
+                         box.w * math.exp(rng.normal(0, 0.1)),
+                         box.h * math.exp(rng.normal(0, 0.1)), cls="car")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ticks=st.lists(st.tuples(st.floats(0.01, 1.5), st.booleans(), st.booleans()),
+                   min_size=1, max_size=40),
+    z0=st.floats(-28.0, -6.0),
+    vz=st.floats(0.0, 3.0),
+    two=st.booleans(),
+    noise_seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_invariants_under_random_blink_schedules(ticks, z0, vz, two, noise_seed):
+    """Whatever the tick spacing and the blink/detection schedule, every
+    covariance stays symmetric, PSD and finite, and confidence is
+    1 / (trace P + gamma): through step and advance on the tracker, and
+    through predict and update on a lone track."""
+    cfg = TrackerConfig()
+    rng = np.random.default_rng(noise_seed)
+    state, lone = TrackerState(), make_track(0.5, z0, 0.0, vz, P=cfg.p0_matrix())
+    t, z, lanes = 0.0, z0, ((0.5, 3.5) if two else (0.5,))
+    for dt, blink, seen in ticks:
+        t += dt
+        z += vz * dt
+        lone = predict(lone, dt, cfg.q_car, cfg.gamma)
+        visible = seen and -30.0 < z < -2.0
+        if blink:
+            dets = [_noisy_box(x, z, rng) for x in lanes] if visible else []
+            state, _ = step(state, FakeFrame(t, REAR, dets), cfg, INTR, H_E)
+            if visible:
+                obs = project_observation(0.5, z, lone.obj_height, REAR, INTR, H_E)
+                try:
+                    lone = update(lone, obs + rng.normal(0, 2, 3), REAR, INTR, H_E,
+                                  cfg.r_matrix(), cfg.gamma)
+                except (SingularInnovation, BehindCamera):
+                    pass
+        else:
+            state = advance(state, t, cfg)
+        for tr in (*state.tracks, lone):
+            _assert_filter_invariants(tr, cfg.gamma)
 
 
 def test_linear_model_reduces_to_textbook_kf():
