@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -96,6 +97,8 @@ def _non_negative_int(value) -> int:
 
 def _positive_float(value) -> float:
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
     if not value > 0:
         raise ValueError("must be positive")
     return value
@@ -180,6 +183,7 @@ def _resolve_run_inputs(raw: dict):
     if "trace" in raw or "truth" in raw:
         if not ("trace" in raw and "truth" in raw):
             raise InvalidConfig("trace and truth paths must be given together")
+        fov = _convert(_positive_float, raw.get("fov", DEFAULT_FOV), "fov")
         header, frames = read_trace(raw["trace"])
         theader, truth = read_truth(raw["truth"])
         if header.seed != theader.seed or header.tick_rate != theader.tick_rate:
@@ -191,7 +195,7 @@ def _resolve_run_inputs(raw: dict):
             image_size=tuple(header.image_size),
             camera_height=header.camera_height,
         )
-        return frames, truth, camera, _convert(float, raw.get("fov", DEFAULT_FOV), "fov")
+        return frames, truth, camera, fov
     if "scenario" in raw:
         scen = _scenario_from(raw["scenario"], "scenario")
         frames, truth = generate(scen)

@@ -14,7 +14,8 @@ the view cone; no sampling policy can see it, so ticks whose danger
 comes only from such objects are excluded from scoring rather than
 charged to every sampler as misses.  The exclusion depends only on the
 ground truth, never on the sampler, so denominators line up across a
-comparison.
+comparison.  For the same reason `label_truth` labels a scenario once
+and `compare` scores every sampler and seed against those labels.
 
 Metrics are accumulated after a warm-up segment (learning stays on
 throughout; warm-up only excludes the cold start from the counters).
@@ -35,6 +36,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
+from numbers import Real
 
 import numpy as np
 
@@ -69,6 +71,13 @@ class PipelineConfig:
     c_min: float = 1.5             # confidence floor for the threshold baseline;
                                    # picked so its suite blink fraction lands next
                                    # to the adaptive sampler's (equal-budget runs)
+
+    def __post_init__(self):
+        for name in ("warmup_s", "interval_period", "random_p", "c_min",
+                     "reaction_time", "alert_threshold"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 # ------------------------------------------------------------- samplers
@@ -176,6 +185,58 @@ def observable_danger(
     return assess(_sensed(truth_tick, camera, fov), t_r, alert_threshold, now=truth_tick.t).alert
 
 
+@dataclass(frozen=True)
+class TruthLabel:
+    """What the ground truth says about one tick, whatever the sampler."""
+
+    t: float
+    danger: bool       # observable danger, the scoring label
+    excluded: bool     # true danger invisible to the sensor; not scored
+    visible: tuple     # sensed objects within tracker.d_max: the coverage denominator
+
+
+@dataclass(frozen=True)
+class TruthLabels:
+    """A scenario's per-tick labels and the settings they were made with."""
+
+    ticks: tuple       # of TruthLabel, one per truth tick
+    camera: CameraConfig
+    fov: float
+    reaction_time: float
+    alert_threshold: float
+    d_max: float
+
+
+def _label_settings(camera: CameraConfig, fov: float, config: PipelineConfig) -> dict:
+    return {"camera": camera, "fov": fov, "reaction_time": config.reaction_time,
+            "alert_threshold": config.alert_threshold, "d_max": config.tracker.d_max}
+
+
+def label_truth(
+    truth,
+    camera: CameraConfig = CameraConfig(),
+    fov: float = DEFAULT_FOV,
+    config: PipelineConfig = PipelineConfig(),
+) -> TruthLabels:
+    """Label every truth tick once, for any number of runs to score against.
+
+    The labels read only the true states, the sensing footprint and the
+    risk rule, never the sampler, so every sampler and seed replaying
+    the same scenario shares them.
+    """
+    t_r, threshold = config.reaction_time, config.alert_threshold
+    d_max = config.tracker.d_max
+    labels = []
+    for tick in truth:
+        sensed = _sensed(tick, camera, fov)
+        danger = assess(sensed, t_r, threshold, now=tick.t).alert
+        # excluded is true danger the sensor cannot see: raw and not observable
+        excluded = not danger and ground_truth_danger(tick, t_r, threshold)
+        visible = tuple(o for o in sensed if o.range <= d_max)
+        labels.append(TruthLabel(tick.t, danger, excluded, visible))
+    return TruthLabels(tuple(labels), **_label_settings(camera, fov, config))
+
+
 # -------------------------------------------------------------- reports
 
 @dataclass(frozen=True)
@@ -255,23 +316,36 @@ def run_pipeline(
     keep_ticks: bool = False,
     scenario_label: str = "",
 ) -> RunReport:
-    """Run one sampler over one (trace, truth) pair and score it."""
+    """Run one sampler over one trace and score it.
+
+    `truth` is either the scenario's truth ticks, which are labelled
+    here with `label_truth` before the first tick, or the `TruthLabels`
+    already made from them with this run's camera, fov, risk terms and
+    tracker range.
+    """
     frames = list(frames)
-    truth = list(truth)
-    check_aligned(frames, truth)
+    if isinstance(truth, TruthLabels):
+        run = _label_settings(camera, fov, config)
+        differ = [f"{k} {getattr(truth, k)!r} (run: {v!r})" for k, v in run.items()
+                  if getattr(truth, k) != v]
+        if differ:
+            raise ConfigError("truth labels were made with another " + ", ".join(differ))
+    else:
+        truth = label_truth(truth, camera, fov, config)
+    labels = truth.ticks
+    check_aligned(frames, labels)
 
     rng = np.random.default_rng(seed)
     smp = make_sampler(sampler_kind, config, rng, qtable)
     tracker = TrackerState()
     intr = camera.intrinsics
     t_r, threshold = config.reaction_time, config.alert_threshold
-    d_max = config.tracker.d_max
 
     records, peak_ids = [], []
     errors = []            # one per covered object-tick: distance to the nearest track
     visible_obj_ticks = 0
 
-    for frame, tick in zip(frames, truth):
+    for frame, label in zip(frames, labels):
         tracker = advance(tracker, frame.t, config.tracker)
         tracks = snapshots(tracker)
         blink = smp.decide(tracks, frame.t)
@@ -279,23 +353,17 @@ def run_pipeline(
             tracker, tracks = step(tracker, frame, config.tracker, intr, camera.camera_height)
 
         result = assess(tracks, t_r, threshold, now=frame.t)
-        sensed = _sensed(tick, camera, fov)
-        danger = assess(sensed, t_r, threshold, now=tick.t).alert
-        # excluded is true danger the sensor cannot see: raw and not observable
-        excluded = not danger and ground_truth_danger(tick, t_r, threshold)
         measured = frame.t >= config.warmup_s
-        records.append(TickRecord(frame.t, blink, result.alert, danger, excluded, measured,
-                                  result.gamma_overall))
+        records.append(TickRecord(frame.t, blink, result.alert, label.danger, label.excluded,
+                                  measured, result.gamma_overall))
         peak_ids.append(
             max(result.per_object, key=lambda o: (o.kappa, -o.track_id)).track_id
             if result.per_object else None
         )
 
         if measured:
-            for obj in sensed:
-                if obj.range > d_max:
-                    continue
-                visible_obj_ticks += 1
+            visible_obj_ticks += len(label.visible)
+            for obj in label.visible:
                 dist = min(
                     (math.hypot(tr.x - obj.x, tr.z - obj.z) for tr in tracks),
                     default=math.inf,
@@ -448,6 +516,7 @@ def compare(
     ordered = sorted(samplers, key=lambda k: k != "sarsa")
     for name, scen in scenarios:
         frames, truth = generate(scen)
+        labels = label_truth(truth, scen.camera, scen.detector.fov, config)
         axes[name] = _scenario_axes(scen)
         for seed in seeds or [scen.seed]:
             anchor = None
@@ -459,7 +528,7 @@ def compare(
                     elif kind == "random":
                         cfg_k = replace(config, random_p=min(1.0, max(0.0, anchor)))
                 report = run_pipeline(
-                    frames, truth, kind, cfg_k,
+                    frames, labels, kind, cfg_k,
                     seed=seed, camera=scen.camera, fov=scen.detector.fov,
                     scenario_label=name,
                 )

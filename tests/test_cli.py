@@ -252,6 +252,21 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "duration: expected float", id="scenario-field-not-a-number"),
     pytest.param({"tracker": {"miss_max": "three"}}, EXIT_CONFIG,
                  "tracker.miss_max: expected int", id="tracker-field-not-a-number"),
+    pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
+                 "warmup_s must be a finite number, got nan", id="warmup-nan"),
+    pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
+                 "interval_period must be a finite number, got inf", id="period-inf"),
+    pytest.param({"sampler": {"kind": "confidence", "c_min": float("nan")}}, EXIT_CONFIG,
+                 "c_min must be a finite number, got nan", id="c-min-nan"),
+    pytest.param({"risk": {"alert_threshold": float("nan")}}, EXIT_CONFIG,
+                 "alert_threshold must be a finite number, got nan", id="alert-threshold-nan"),
+    pytest.param({"risk": {"reaction_time": float("inf")}}, EXIT_CONFIG,
+                 "risk.reaction_time: must be finite", id="reaction-time-inf"),
+    # fov is checked before the trace files are opened, so none are needed here
+    pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl", "fov": float("nan")},
+                 EXIT_CONFIG, "fov: must be finite", id="fov-nan"),
+    pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 0.0},
+                 EXIT_CONFIG, "fov: must be positive", id="fov-zero"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bad.qtable"}}, EXIT_IO,
                  "bad.qtable: line 3", id="qtable-malformed"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,

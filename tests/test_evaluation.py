@@ -6,20 +6,24 @@ on traces small enough to verify every flag by hand.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from rearguard import evaluation
 from rearguard.evaluation import (
     SAMPLER_KINDS,
     ComparisonReport,
     ConfigError,
     PipelineConfig,
+    TruthLabels,
     compare,
     comparison_to_dict,
     config_digest,
     format_comparison,
     ground_truth_danger,
+    label_truth,
     make_sampler,
     observable_danger,
     report_to_dict,
@@ -27,6 +31,7 @@ from rearguard.evaluation import (
     standard_suite,
 )
 from rearguard.scenario import (
+    DEFAULT_FOV,
     CameraConfig,
     DetectorConfig,
     Frame,
@@ -39,6 +44,7 @@ from rearguard.scenario import (
     generate,
 )
 from rearguard.geometry import ImuPose
+from rearguard.tracking import TrackerConfig
 
 REAR = ImuPose(pitch=0.0, yaw=math.pi)
 NO_WARMUP = PipelineConfig(warmup_s=0.0)
@@ -189,6 +195,60 @@ def test_misaligned_truth_is_rejected():
     frames, truth = hand_trace([[]] * 5)
     with pytest.raises(ValueError, match="aligned"):
         run_pipeline(frames, truth[:-1], "everyframe", NO_WARMUP)
+
+
+@pytest.mark.parametrize("field", ["warmup_s", "interval_period", "random_p", "c_min",
+                                   "reaction_time", "alert_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_pipeline_values_are_config_errors(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+        PipelineConfig(**{field: value})
+
+
+# ------------------------------------------------------------- truth labels
+
+def test_run_from_labels_equals_run_from_truth():
+    scen = quick_scenario(
+        seed=4, duration=20.0,
+        vehicles=[VehicleConfig(cls="car", spawn_time=1.0, x0=0.8, z0=-25.0, speed=2.4)],
+    )
+    frames, truth = generate(scen)
+    kw = dict(seed=3, camera=scen.camera, fov=scen.detector.fov, keep_ticks=True)
+    labels = label_truth(truth, scen.camera, scen.detector.fov, NO_WARMUP)
+    assert isinstance(labels, TruthLabels)
+    assert [label.t for label in labels.ticks] == [tick.t for tick in truth]
+    assert any(label.danger for label in labels.ticks)
+    from_labels = run_pipeline(frames, labels, "sarsa", NO_WARMUP, **kw)
+    assert from_labels == run_pipeline(frames, truth, "sarsa", NO_WARMUP, **kw)
+    assert [(r.danger, r.excluded) for r in from_labels.ticks] == [
+        (label.danger, label.excluded) for label in labels.ticks]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"fov": 1.0}, r"fov 1\.2 \(run: 1\.0\)"),
+        ({"camera": CameraConfig(camera_height=1.4)}, "camera"),
+        ({"config": replace(NO_WARMUP, reaction_time=2.0)}, "reaction_time"),
+        ({"config": replace(NO_WARMUP, alert_threshold=0.5)}, "alert_threshold"),
+        ({"config": replace(NO_WARMUP, tracker=TrackerConfig(d_max=20.0))}, "d_max"),
+    ],
+    ids=["fov", "camera", "reaction-time", "alert-threshold", "d-max"],
+)
+def test_labels_made_for_another_run_are_config_errors(change, message):
+    frames, truth = hand_trace([[car(0.0, -6.0, vz=2.0)]] * 4)
+    labels = label_truth(truth, CameraConfig(), DEFAULT_FOV, NO_WARMUP)
+    run = {"camera": CameraConfig(), "fov": DEFAULT_FOV, "config": NO_WARMUP, **change}
+    with pytest.raises(ConfigError, match=message):
+        run_pipeline(frames, labels, "everyframe", run["config"],
+                     camera=run["camera"], fov=run["fov"])
+
+
+def test_labels_are_checked_against_the_trace_times():
+    frames, truth = hand_trace([[]] * 5)
+    labels = label_truth(truth[:-1])
+    with pytest.raises(ValueError, match="aligned"):
+        run_pipeline(frames, labels, "everyframe", NO_WARMUP)
 
 
 # --------------------------------------------------------- the baselines
@@ -346,6 +406,51 @@ def test_duplicates_in_compare_are_config_errors(names, kinds, seeds, message):
     suite = [(name, scen) for name, (_, scen) in zip(names, two_quick_scenarios())]
     with pytest.raises(ConfigError, match=message):
         compare(suite, kinds, NO_WARMUP, seeds=seeds)
+
+
+def test_compare_runs_equal_lone_pipeline_runs(monkeypatch):
+    # every cell compare scores against the shared labels must report what
+    # a lone run on the raw truth reports, budget-matched configs included
+    suite = two_quick_scenarios()
+    cells = []
+    lone_pipeline = evaluation.run_pipeline
+
+    def recording(frames, truth, kind, config, **kw):
+        cells.append((truth, kind, config, kw))
+        return lone_pipeline(frames, truth, kind, config, **kw)
+
+    monkeypatch.setattr(evaluation, "run_pipeline", recording)
+    rep = compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2])
+    monkeypatch.undo()
+
+    assert len(cells) == len(rep.runs) == 2 * 2 * len(SAMPLER_KINDS)
+    assert {kind for _, kind, cfg, _ in cells if cfg != NO_WARMUP} == {"interval", "random"}
+    for name, _ in suite:
+        assert len({id(truth) for truth, *_, kw in cells if kw["scenario_label"] == name}) == 1
+    generated = {name: generate(scen) for name, scen in suite}
+    by_cell = {(r.scenario, r.sampler_kind, r.seed): r for r in rep.runs}
+    for _, kind, cfg_k, kw in cells:
+        frames, truth = generated[kw["scenario_label"]]
+        lone = run_pipeline(frames, truth, kind, cfg_k, **kw)
+        assert by_cell[(kw["scenario_label"], kind, kw["seed"])] == lone
+
+
+def test_compare_labels_each_scenario_once(monkeypatch):
+    counts = Counter()
+    for name in ("ground_truth_danger", "in_sensing_footprint"):
+        def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    suite = two_quick_scenarios()
+
+    compare(suite, ["everyframe"], NO_WARMUP, seeds=[1])
+    once = dict(counts)
+    counts.clear()
+    compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2])
+
+    assert once["ground_truth_danger"] > 0 and once["in_sensing_footprint"] > 0
+    assert dict(counts) == once
 
 
 def test_single_scenario_single_sampler_yields_one_row():

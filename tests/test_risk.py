@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rearguard.risk import DegeneratePosition, assess, risk_level, ttc
 
@@ -63,6 +65,31 @@ def test_risk_level_monotone_in_ttc():
     ks = [risk_level(t, 3.3) for t in ts]
     assert all(a >= b for a, b in zip(ks, ks[1:]))
     assert all(0.0 <= k <= 1.0 for k in ks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1e3), b=st.floats(0.0, 1e3), t_r=st.floats(0.1, 10.0))
+def test_risk_level_non_increasing_in_ttc_property(a, b, t_r):
+    # over approaching objects (ttc >= 0) a sooner collision never scores lower
+    sooner, later = sorted((a, b))
+    assert 0.0 <= risk_level(later, t_r) <= risk_level(sooner, t_r) <= 1.0
+
+
+coordinate = st.floats(-30.0, 30.0)
+speed = st.floats(-5.0, 5.0)
+fake_tracks = st.lists(
+    st.builds(FakeTrack, id=st.integers(0, 9), x=coordinate, z=coordinate, vx=speed, vz=speed),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracks=fake_tracks, extra=fake_tracks, t_r=st.floats(0.1, 10.0))
+def test_assess_overall_is_max_over_single_objects_property(tracks, extra, t_r):
+    gamma = assess(tracks, t_r).gamma_overall
+    assert gamma == max((assess([tr], t_r).gamma_overall for tr in tracks), default=0.0)
+    # adding objects never lowers the overall level
+    assert assess(tracks + extra, t_r).gamma_overall >= gamma
 
 
 def test_assess_empty():
