@@ -197,14 +197,24 @@ def _resolve_run_inputs(raw: dict):
         )
         return frames, truth, camera, fov
     if "scenario" in raw:
+        if "fov" in raw:
+            raise InvalidConfig("fov: not allowed beside an inline scenario; "
+                                "the scenario's detector.fov sets it")
         scen = _scenario_from(raw["scenario"], "scenario")
         frames, truth = generate(scen)
         return frames, truth, scen.camera, scen.detector.fov
     raise InvalidConfig("run config needs either trace+truth paths or a scenario")
 
 
+RUN_KEYS = ("seed", "warmup_s", "label", "out", "trace", "truth", "fov",
+            "scenario", "sampler", "tracker", "risk")
+
+
 def cmd_run(args) -> int:
     raw = _load_yaml(args.config)
+    unknown = sorted(map(str, set(raw) - set(RUN_KEYS)))
+    if unknown:
+        raise InvalidConfig(", ".join(unknown) + ": unknown field")
 
     seed = args.seed if args.seed is not None else raw.get("seed")
     if seed is None:

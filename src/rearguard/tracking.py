@@ -3,8 +3,14 @@
 State per track is [x, z, vx, vz] in the user frame with a constant
 velocity model; the measurement is the pixel-space observation triple
 from geometry.project_observation, linearized on the fly (EKF).  Blink
-to blink association runs Kuhn-Munkres on IoU between detections and
-the tracks' predicted boxes.
+to blink association maximises the total IoU between detections and
+the tracks' predicted boxes.  Among the assignments whose math.fsum
+total is optimal it returns the lexicographically smallest sorted pair
+list.  Association splits the graph of gated (track, detection) pairs
+into connected components: a component of one pair is taken as it is,
+and only a component with a conflict (a track or detection with two
+gated pairs) runs Kuhn-Munkres and the row-by-row tie-break, on its own
+submatrix.
 
 Each object is one frozen Track: the filter state (vec, P), its
 confidence and what association needs.  Risk, the samplers and scoring
@@ -18,7 +24,7 @@ comparisons trivially reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -150,7 +156,7 @@ def confidence(P: np.ndarray, gamma: float = 1e-6) -> float:
     """Reciprocal of the covariance trace, offset by a small constant."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return 1.0 / (float(np.trace(P)) + gamma)
+    return 1.0 / (float(P.trace()) + gamma)
 
 
 def observation_jacobian(
@@ -182,6 +188,25 @@ def observation_jacobian(
     return H
 
 
+def _condition(S: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix, from its eigenvalues.
+
+    Singular values of a symmetric matrix are its absolute eigenvalues,
+    so this is np.linalg.cond(S) without the SVD.  Like np.linalg.cond
+    it is inf for a singular S or one with an infinite entry, and a NaN
+    entry raises LinAlgError.
+    """
+    try:
+        mags = [abs(v) for v in np.linalg.eigvalsh(S).tolist()]
+        if all(m > 0.0 for m in mags):  # also false for a NaN
+            return max(mags) / min(mags)
+    except np.linalg.LinAlgError:
+        pass
+    if np.isnan(S).any():
+        raise np.linalg.LinAlgError("innovation covariance has a NaN entry")
+    return math.inf
+
+
 def kalman_update(vec, P, residual, H, R):
     """Shared measurement-update algebra (Joseph form, symmetrized).
 
@@ -190,8 +215,9 @@ def kalman_update(vec, P, residual, H, R):
     innovation covariance is not invertible to working precision.
     """
     S = H @ P @ H.T + R
-    if np.linalg.cond(S) > COND_LIMIT:
-        raise SingularInnovation(f"cond(S) = {np.linalg.cond(S):.3e}")
+    cond = _condition(S)
+    if cond > COND_LIMIT:
+        raise SingularInnovation(f"cond(S) = {cond:.3e}")
     K = P @ H.T @ np.linalg.inv(S)
     vec_post = vec + K @ residual
     I_KH = np.eye(P.shape[0]) - K @ H
@@ -200,15 +226,20 @@ def kalman_update(vec, P, residual, H, R):
     return vec_post, P_post
 
 
+def _predict(track: Track, F: np.ndarray, Q: np.ndarray, gamma: float) -> Track:
+    """predict() with the transition and process noise already built."""
+    vec = F @ track.vec
+    P = F @ track.P @ F.T + Q
+    P = 0.5 * (P + P.T)
+    return Track(track.id, track.cls, vec, P, track.obj_height, confidence(P, gamma),
+                 track.miss_count, track.last_box)
+
+
 def predict(track: Track, dt: float, q: float, gamma: float = 1e-6) -> Track:
     """Advance a track by dt under the constant-velocity model."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    F = transition_matrix(dt)
-    vec = F @ track.vec
-    P = F @ track.P @ F.T + process_noise(dt, q)
-    P = 0.5 * (P + P.T)
-    return replace(track, vec=vec, P=P, confidence=confidence(P, gamma))
+    return _predict(track, transition_matrix(dt), process_noise(dt, q), gamma)
 
 
 def update(
@@ -225,15 +256,19 @@ def update(
     predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
     H = observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
     vec, P = kalman_update(track.vec, track.P, np.asarray(obs, float) - predicted, H, r)
-    return replace(track, vec=vec, P=P, confidence=confidence(P, gamma))
+    return Track(track.id, track.cls, vec, P, track.obj_height, confidence(P, gamma),
+                 track.miss_count, track.last_box)
 
 
 # ------------------------------------------------------------ association
 
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
-    iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
-    inter = ix * iy
+    # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
+    ax, bx, ay, by = a.x, b.x, a.y, b.y
+    ax2, bx2, ay2, by2 = ax + a.w, bx + b.w, ay + a.h, by + b.h
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
+    inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
     if inter == 0.0:
         return 0.0
     return inter / (a.w * a.h + b.w * b.h - inter)
@@ -269,48 +304,87 @@ def _solve_rect(weights: np.ndarray, eligible: np.ndarray):
     if weights.size == 0:
         return []
     rows, cols = linear_sum_assignment(weights, maximize=True)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if eligible[r, c]]
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if eligible[r, c]]
+
+
+def _components(eligible: np.ndarray):
+    """Connected components of the bipartite graph of eligible cells, as
+    (rows, cols) pairs of sorted index lists."""
+    groups: list[tuple[list, set]] = []
+    for r, line in enumerate(eligible.tolist()):
+        cols = {c for c, ok in enumerate(line) if ok}
+        if not cols:
+            continue
+        rows, rest = [r], []
+        for g_rows, g_cols in groups:
+            if g_cols & cols:  # column sets of groups are disjoint
+                rows += g_rows
+                cols |= g_cols
+            else:
+                rest.append((g_rows, g_cols))
+        groups = rest + [(rows, cols)]
+    return [(sorted(rows), sorted(cols)) for rows, cols in groups]
+
+
+def _tie_break(weights: np.ndarray, eligible: np.ndarray):
+    """Lexicographically smallest optimal assignment, row by row.
+
+    Each row takes the smallest eligible column that still allows the
+    optimal total; a row no column allows stays unmatched.  A current
+    optimal witness (scipy's base solve, then each accepted completion)
+    settles its own column without another solve.
+    """
+    w, el = weights.tolist(), eligible.tolist()
+    witness = dict(_solve_rect(weights, eligible))
+    t_star = math.fsum(w[r][c] for r, c in witness.items())
+    fixed: list[tuple[int, int]] = []
+    free_cols = list(range(weights.shape[1]))
+    for row in range(len(w)):
+        for col in free_cols:
+            if not el[row][col]:
+                continue
+            if witness.get(row) != col:
+                sub_cols = [c for c in free_cols if c != col]
+                completion = [
+                    (row + 1 + r, sub_cols[c])
+                    for r, c in _solve_rect(weights[row + 1:].take(sub_cols, 1),
+                                            eligible[row + 1:].take(sub_cols, 1))
+                ]
+                total = math.fsum(
+                    [w[r][c] for r, c in fixed] + [w[row][col]] + [w[r][c] for r, c in completion]
+                )
+                if total != t_star:
+                    continue
+                witness = dict(fixed + [(row, col)] + completion)
+            fixed.append((row, col))
+            free_cols.remove(col)
+            break
+    return fixed
 
 
 def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     """Maximum-total assignment with a deterministic tie-break.
 
-    Among all assignments achieving the optimal total, returns the one
-    whose sorted (row, col) pair list is lexicographically smallest.
-    Totals are compared as math.fsum of the pair weights, which is
-    order-independent, so equal-total ties resolve identically no matter
-    how the optimum was found.
+    Among all assignments over the eligible cells achieving the optimal
+    total, returns the one whose sorted (row, col) pair list is
+    lexicographically smallest, and its total.  Totals are compared as
+    math.fsum of the pair weights, which is order-independent, so
+    equal-total ties resolve identically no matter how the optimum was
+    found.  Components of the eligibility graph are independent: a lone
+    pair is taken as it is, and the tie-break runs on each other
+    component's submatrix.  Cells outside eligible must weigh zero, as
+    match makes them.
     """
-    base = _solve_rect(weights, eligible)
-    t_star = math.fsum(weights[r, c] for r, c in base)
-    fixed: list[tuple[int, int]] = []
-    free_rows = list(range(weights.shape[0]))
-    free_cols = list(range(weights.shape[1]))
-    for row in range(weights.shape[0]):
-        free_rows.remove(row)
-        chosen = None
-        for col in free_cols:
-            if not eligible[row, col]:
-                continue
-            sub_rows = free_rows
-            sub_cols = [c for c in free_cols if c != col]
-            sub = weights[np.ix_(sub_rows, sub_cols)] if sub_rows and sub_cols else np.zeros((0, 0))
-            sub_el = (
-                eligible[np.ix_(sub_rows, sub_cols)] if sub_rows and sub_cols else np.zeros((0, 0), bool)
-            )
-            completion = _solve_rect(sub, sub_el)
-            total = math.fsum(
-                [weights[r, c] for r, c in fixed]
-                + [weights[row, col]]
-                + [sub[r, c] for r, c in completion]
-            )
-            if total == t_star:
-                chosen = col
-                break
-        if chosen is not None:
-            fixed.append((row, chosen))
-            free_cols.remove(chosen)
-    return fixed, t_star
+    pairs: list[tuple[int, int]] = []
+    for rows, cols in _components(eligible):
+        if len(rows) == len(cols) == 1:
+            pairs.append((rows[0], cols[0]))
+            continue
+        local = _tie_break(weights.take(rows, 0).take(cols, 1),
+                           eligible.take(rows, 0).take(cols, 1))
+        pairs.extend((rows[r], cols[c]) for r, c in local)
+    pairs.sort()
+    return pairs, math.fsum(weights[r, c] for r, c in pairs)
 
 
 def match(
@@ -330,17 +404,12 @@ def match(
     order = sorted(range(len(tracks)), key=lambda i: tracks[i].id)
     boxes = [predicted_box(tracks[i], pose, intr, camera_height) for i in order]
     nt, nd = len(tracks), len(detections)
-    weights = np.zeros((nt, nd))
-    eligible = np.zeros((nt, nd), dtype=bool)
-    for r, (i, b) in enumerate(zip(order, boxes)):
-        if b is None:
-            continue
-        for j, det in enumerate(detections):
-            v = iou(b, det)
-            if v > 0.0 and v >= iou_gate:
-                weights[r, j] = v
-                eligible[r, j] = True
-    pairs_rc, _ = max_weight_assignment(weights, eligible)
+    rows = []
+    for b in boxes:
+        ious = [0.0] * nd if b is None else [iou(b, det) for det in detections]
+        rows.append([v if v > 0.0 and v >= iou_gate else 0.0 for v in ious])
+    weights = np.array(rows, dtype=float).reshape(nt, nd)
+    pairs_rc, _ = max_weight_assignment(weights, weights > 0.0)
     pairs = tuple((tracks[order[r]].id, c) for r, c in pairs_rc)
     matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
@@ -361,16 +430,18 @@ def snapshots(tracker: TrackerState):
 def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerState:
     """Predict every track forward to time t (no measurement)."""
     if tracker.last_t is None:
-        return replace(tracker, last_t=t)
+        return TrackerState(tracker.tracks, tracker.next_id, t, tracker.last_frame_t)
     dt = t - tracker.last_t
     if dt < 0:
         raise ValueError("time went backwards")
     if dt == 0:
         return tracker
-    moved = tuple(
-        predict(tr, dt, config.q_for(tr.cls), config.gamma) for tr in tracker.tracks
-    )
-    return replace(tracker, tracks=moved, last_t=t)
+    if not tracker.tracks:
+        return TrackerState((), tracker.next_id, t, tracker.last_frame_t)
+    F = transition_matrix(dt)
+    noise = {cls: process_noise(dt, config.q_for(cls)) for cls in {tr.cls for tr in tracker.tracks}}
+    moved = tuple(_predict(tr, F, noise[tr.cls], config.gamma) for tr in tracker.tracks)
+    return TrackerState(moved, tracker.next_id, t, tracker.last_frame_t)
 
 
 def _spawn(
@@ -425,6 +496,7 @@ def step(
     )
     by_id = {t.id: t for t in tracker.tracks}
     R = config.r_matrix()
+    y_h = geometry.horizon_line(intr, pose.pitch)
 
     updated: dict[int, Track] = {}
     for tid, j in assignment.pairs:
@@ -432,13 +504,12 @@ def step(
         det = detections[j]
         # measurement triple straight from the detection box
         u, v_bottom = det.bottom_center
-        y_h = geometry.horizon_line(intr, pose.pitch)
         obs = np.array([u - intr.c_x, det.h, v_bottom - y_h])
         try:
             new = update(track, obs, pose, intr, camera_height, R, config.gamma)
         except (SingularInnovation, BehindCamera):
             continue
-        updated[tid] = replace(new, miss_count=0, last_box=det)
+        updated[tid] = Track(tid, new.cls, new.vec, new.P, new.obj_height, new.confidence, 0, det)
 
     survivors = []
     for track in tracker.tracks:
@@ -446,7 +517,8 @@ def step(
             track = updated[track.id]
         else:
             # unmatched, or the update failed; either way a miss
-            track = replace(track, miss_count=track.miss_count + 1)
+            track = Track(track.id, track.cls, track.vec, track.P, track.obj_height,
+                          track.confidence, track.miss_count + 1, track.last_box)
         if track.miss_count > config.miss_max:
             continue
         if track.range > config.d_max:

@@ -267,6 +267,9 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  EXIT_CONFIG, "fov: must be finite", id="fov-nan"),
     pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 0.0},
                  EXIT_CONFIG, "fov: must be positive", id="fov-zero"),
+    pytest.param({"fov": 0.05}, EXIT_CONFIG,
+                 "fov: not allowed beside an inline scenario; the scenario's detector.fov sets it",
+                 id="fov-beside-inline-scenario"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bad.qtable"}}, EXIT_IO,
                  "bad.qtable: line 3", id="qtable-malformed"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
@@ -292,6 +295,7 @@ def test_run_exit_code_table(tmp_path, monkeypatch, capsys, change, code, text):
     ({"tracker": {"iou_gat": 0.2}}, "tracker.iou_gat"),
     ({"sampler": {"kind": "sarsa", "epsilon": 0.5}}, "sampler.epsilon"),
     ({"risk": {"reaction": 2.0}}, "risk.reaction"),
+    ({"warmupp_s": 30.0}, "warmupp_s"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_unknown_key_is_rejected_with_its_dotted_path(tmp_path, capsys, change, path):
     cfg = run_config(tmp_path, **change)

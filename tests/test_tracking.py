@@ -8,6 +8,7 @@ with the same lexicographic tie-break contract.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
-from rearguard import tracking
+from rearguard import scenario, tracking
 from rearguard.tracking import (
     SingularInnovation,
     Track,
@@ -323,6 +324,35 @@ def test_singular_innovation_raises():
         kalman_update(vec, P, np.zeros(2), H, np.zeros((2, 2)))
 
 
+# With P = 0 the innovation covariance S is R itself.
+_H2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+
+
+@pytest.mark.parametrize("R", [
+    pytest.param(np.diag([1.0, math.inf]), id="inf-diagonal"),
+    pytest.param(np.array([[1.0, math.inf], [math.inf, 1.0]]), id="inf-off-diagonal"),
+    pytest.param(np.diag([1e13, 1.0]), id="ratio-1e13"),
+])
+def test_ill_conditioned_innovation_raises(R):
+    with pytest.raises(tracking.SingularInnovation):
+        kalman_update(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
+
+
+@pytest.mark.parametrize("R", [
+    pytest.param(np.diag([1.0, math.nan]), id="nan-diagonal"),
+    pytest.param(np.array([[1.0, math.nan], [math.nan, 1.0]]), id="nan-off-diagonal"),
+])
+def test_nan_innovation_is_a_linalg_error(R):
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_update(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
+
+
+def test_innovation_below_the_condition_limit_updates():
+    vec, P = kalman_update(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2, np.diag([1e11, 1.0]))
+    assert np.array_equal(vec, np.zeros(4))
+    assert np.array_equal(P, np.zeros((4, 4)))
+
+
 # ------------------------------------------------------------- association
 
 def test_iou_basic_cases():
@@ -364,6 +394,42 @@ def test_assignment_matches_brute_force():
         want_pairs, want_total = brute_force_assignment(W, eligible)
         assert sorted(got_pairs) == want_pairs, f"instance {i}"
         assert got_total == want_total, f"instance {i}"
+
+
+@st.composite
+def block_diagonal_problems(draw):
+    """Tie-heavy assignment problems made of independent blocks, with
+    rows and columns shuffled.  Dyadic weights make every fsum total
+    exact, so the brute-force optimum and its tie-break are exact too."""
+    blocks, rows_left, cols_left = [], 6, 6
+    for _ in range(draw(st.integers(1, 4))):
+        if not (rows_left and cols_left):
+            break
+        nr = draw(st.integers(1, min(3, rows_left)))
+        nc = draw(st.integers(1, min(3, cols_left)))
+        cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=nr * nc,
+                         max_size=nr * nc)
+        blocks.append(np.array(draw(cells)).reshape(nr, nc))
+        rows_left, cols_left = rows_left - nr, cols_left - nc
+    W = np.zeros((6 - rows_left, 6 - cols_left))
+    r0 = c0 = 0
+    for block in blocks:
+        W[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
+        r0, c0 = r0 + block.shape[0], c0 + block.shape[1]
+    rows = draw(st.permutations(range(W.shape[0])))
+    cols = draw(st.permutations(range(W.shape[1])))
+    W = W[np.ix_(rows, cols)]
+    return W, W > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_diagonal_problems())
+def test_assignment_matches_brute_force_on_independent_blocks(problem):
+    W, eligible = problem
+    got_pairs, got_total = max_weight_assignment(W, eligible)
+    want_pairs, want_total = brute_force_assignment(W, eligible)
+    assert got_pairs == want_pairs
+    assert got_total == want_total
 
 
 def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
@@ -468,3 +534,50 @@ def test_straight_approach_converges():
         z += vz * 0.1
     assert est_at_10 is not None
     assert abs(est_at_10 - z) / abs(z) <= 0.10
+
+
+# ------------------------------------------------------------ byte pins
+
+DENSE_TRACKER_DIGEST = "84961a8813f64cc1dba4ca64b42625bb6ee1c87b5680e7dd28cf3f059985a7c1"
+
+
+def _dense_scenario(seed=6, vehicles=30, duration=20.0):
+    """Slow traffic bunched behind a standing user: 5-6 live tracks and
+    a detection eligible for two tracks on most ticks."""
+    rng = np.random.default_rng(seed)
+    spawns = np.sort(rng.uniform(0.0, duration - 1.0, vehicles))
+    return scenario.ScenarioConfig(
+        seed=int(rng.integers(2**31)),
+        duration=duration,
+        user=scenario.UserConfig(mode="standing"),
+        vehicles=tuple(
+            scenario.VehicleConfig(
+                cls="car" if rng.random() < 0.75 else "cycle",
+                spawn_time=float(t),
+                x0=float(rng.uniform(-8.0, 8.0)),
+                z0=-float(rng.uniform(6.0, 12.0)),
+                speed=float(rng.uniform(0.1, 0.4)),
+            )
+            for t in spawns
+        ),
+    )
+
+
+def test_dense_tracker_bytes_pinned():
+    """Every-frame tracking over a crowded scenario reproduces the
+    recorded per-tick track bytes: ids, state, covariance, misses and
+    confidence.  Any change to the float operations or to association's
+    tie-break moves this digest."""
+    scen = _dense_scenario()
+    frames, _ = scenario.generate(scen)
+    cfg = TrackerConfig()
+    state = TrackerState()
+    digest = hashlib.sha256()
+    for frame in frames:
+        state, tracks = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
+        digest.update(f"tick {frame.t!r} {len(tracks)}\n".encode())
+        for tr in tracks:
+            digest.update(f"{tr.id} {tr.miss_count} {tr.confidence!r}\n".encode())
+            digest.update(tr.vec.tobytes())
+            digest.update(tr.P.tobytes())
+    assert digest.hexdigest() == DENSE_TRACKER_DIGEST
