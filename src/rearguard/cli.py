@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -38,7 +39,6 @@ from .evaluation import (
     run_pipeline,
     standard_suite,
 )
-from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S
 from .sampler import QTable, SamplerConfig, load_qtable, save_qtable
 from .scenario import (
     DEFAULT_FOV,
@@ -65,6 +65,95 @@ EXIT_INVARIANT = 4
 
 # ------------------------------------------------------------ config io
 
+@dataclass(frozen=True)
+class SamplerBlock(SamplerConfig):
+    """A compare file's `sampler` block: the learned sampler's fields and the baselines' knobs."""
+    period: float = PipelineConfig.interval_period
+    p: float = PipelineConfig.random_p
+    c_min: float = PipelineConfig.c_min
+
+
+@dataclass(frozen=True)
+class RunSamplerBlock(SamplerBlock):
+    """A run file's `sampler` block also picks the sampler and may name a Q-table to resume."""
+    kind: str = "sarsa"
+    qtable: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind not in SAMPLER_KINDS:
+            raise ValueError(f"unknown sampler kind: {self.kind!r} (expected one of {SAMPLER_KINDS})")
+
+
+@dataclass(frozen=True)
+class RiskBlock:
+    reaction_time: float = PipelineConfig.reaction_time
+    alert_threshold: float = PipelineConfig.alert_threshold
+
+    def __post_init__(self):
+        if not (math.isfinite(self.reaction_time) and self.reaction_time > 0):
+            raise ValueError(f"reaction_time must be a positive finite number, got {self.reaction_time!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run file.  The trace comes from `trace` and `truth` files (whose header
+    lacks the detector `fov`) or from a `scenario` mapping or scenario file path."""
+    seed: int
+    warmup_s: float = 60.0
+    label: str = ""
+    out: str | None = None
+    trace: str | None = None
+    truth: str | None = None
+    fov: float | None = None
+    scenario: dict | str | None = None
+    sampler: RunSamplerBlock = RunSamplerBlock()
+    tracker: TrackerConfig = TrackerConfig()
+    risk: RiskBlock = RiskBlock()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed: must be non-negative, got {self.seed}")
+        if (self.trace is None) != (self.truth is None):
+            raise ValueError("trace and truth paths must be given together")
+        if (self.trace is None) == (self.scenario is None):
+            raise ValueError("trace, truth, scenario: a run config needs exactly one of "
+                             "trace+truth paths or a scenario")
+        if self.scenario is not None and self.fov is not None:
+            raise ValueError("fov: not allowed beside an inline scenario; "
+                             "the scenario's detector.fov sets it")
+        if self.fov is not None and not (math.isfinite(self.fov) and self.fov > 0):
+            raise ValueError(f"fov: must be a positive finite number, got {self.fov!r}")
+
+
+@dataclass(frozen=True)
+class ScenarioEntry:
+    scenario: dict | str
+    name: str | None = None
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """A compare file: the sampler grid over `suite: standard` or a `scenarios` list."""
+    suite: str | None = None
+    scenarios: tuple[ScenarioEntry, ...] | None = None
+    samplers: tuple = SAMPLER_KINDS
+    seeds: tuple | None = None
+    warmup_s: float = 60.0
+    budget_match: bool = True
+    out: str | None = None
+    sampler: SamplerBlock = SamplerBlock()
+    tracker: TrackerConfig = TrackerConfig()
+    risk: RiskBlock = RiskBlock()
+
+    def __post_init__(self):
+        if self.suite not in (None, "standard"):
+            raise ValueError(f"suite: must be 'standard', got {self.suite!r}")
+        if (self.suite is None) == (self.scenarios is None):
+            raise ValueError("suite, scenarios: a compare config needs exactly one of "
+                             "suite: standard or a scenarios list")
+
+
 def _load_yaml(path) -> dict:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -73,87 +162,39 @@ def _load_yaml(path) -> dict:
     return raw
 
 
-def _block(raw: dict, key: str) -> dict:
-    """A top-level config block as a fresh mapping; absent or null is empty."""
-    block = raw.get(key) or {}
-    if not isinstance(block, dict):
-        raise InvalidConfig(f"{key}: must be a mapping")
-    return dict(block)
+def _load(cls, path, **flags):
+    """The file with the given flags in place of its keys, and the `cls` config built from it."""
+    raw = _load_yaml(path)
+    raw.update((k, v) for k, v in flags.items() if v is not None)
+    return raw, build_config(cls, raw, "")
 
 
-def _convert(conv, value, key: str):
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{key}: {exc}") from exc
-
-
-def _non_negative_int(value) -> int:
-    value = int(value)
-    if value < 0:
-        raise ValueError("must be non-negative")
-    return value
-
-
-def _positive_float(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    if not value > 0:
-        raise ValueError("must be positive")
-    return value
-
-
-SAMPLER_ALIASES = {"period": "interval_period", "p": "random_p", "c_min": "c_min"}
-
-
-def _pipeline_config(raw: dict, warmup_s) -> PipelineConfig:
-    """Assemble the pipeline config from the tracker/sampler/risk blocks."""
-    tracker = build_config(TrackerConfig, raw.get("tracker"), "tracker")
-
-    sam_raw = _block(raw, "sampler")
-    sam_raw.pop("kind", None)
-    sam_raw.pop("qtable", None)
-    overrides = {
-        field: _convert(float, sam_raw.pop(key), f"sampler.{key}")
-        for key, field in SAMPLER_ALIASES.items() if key in sam_raw
-    }
-    sampler = build_config(SamplerConfig, sam_raw, "sampler")
-
-    risk_raw = _block(raw, "risk")
-    reaction = _convert(_positive_float, risk_raw.pop("reaction_time", DEFAULT_REACTION_TIME_S),
-                        "risk.reaction_time")
-    threshold = _convert(float, risk_raw.pop("alert_threshold", DEFAULT_ALERT_THRESHOLD),
-                         "risk.alert_threshold")
-    if risk_raw:
-        raise InvalidConfig(", ".join(f"risk.{k}" for k in sorted(map(str, risk_raw)))
-                            + ": unknown field")
-
+def _pipeline_config(cfg: RunConfig | CompareConfig) -> PipelineConfig:
+    sam = cfg.sampler
+    learned = {f.name: getattr(sam, f.name) for f in dataclasses.fields(SamplerConfig)}
     return PipelineConfig(
-        tracker=tracker,
-        sampler=sampler,
-        reaction_time=reaction,
-        alert_threshold=threshold,
-        warmup_s=_convert(float, warmup_s, "warmup_s"),
-        **overrides,
+        tracker=cfg.tracker,
+        sampler=SamplerConfig(**learned),
+        reaction_time=cfg.risk.reaction_time,
+        alert_threshold=cfg.risk.alert_threshold,
+        warmup_s=float(cfg.warmup_s),
+        interval_period=sam.period,
+        random_p=sam.p,
+        c_min=sam.c_min,
     )
 
 
-def _scenario_from(entry, label: str):
+def _scenario_from(entry: dict | str):
     """A scenario is either an inline mapping or a path to a YAML file."""
-    if isinstance(entry, str):
-        entry = _load_yaml(entry)
-    if not isinstance(entry, dict):
-        raise InvalidConfig(f"{label}: expected a mapping or a path")
-    return config_from_dict(entry)
+    return config_from_dict(_load_yaml(entry) if isinstance(entry, str) else entry)
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _out_dir(args, raw: dict) -> Path:
-    out = Path(args.out or raw.get("out") or ".")
+def _out_dir(out) -> Path:
+    out = Path(out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -163,9 +204,9 @@ def _out_dir(args, raw: dict) -> Path:
 def cmd_generate(args) -> int:
     raw = _load_yaml(args.config)
     if args.seed is not None:
-        raw = {**raw, "seed": args.seed}
-    out = _out_dir(args, raw)
-    raw.pop("out", None)
+        raw["seed"] = args.seed
+    file_out = raw.pop("out", None)
+    out = _out_dir(args.out or file_out)
     scen = config_from_dict(raw)
     frames, truth = generate(scen)
 
@@ -178,77 +219,50 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_run_inputs(raw: dict):
+def _resolve_run_inputs(cfg: RunConfig):
     """Returns (frames, truth, camera, fov) from files or an inline scenario."""
-    if "trace" in raw or "truth" in raw:
-        if not ("trace" in raw and "truth" in raw):
-            raise InvalidConfig("trace and truth paths must be given together")
-        fov = _convert(_positive_float, raw.get("fov", DEFAULT_FOV), "fov")
-        header, frames = read_trace(raw["trace"])
-        theader, truth = read_truth(raw["truth"])
-        if header.seed != theader.seed or header.tick_rate != theader.tick_rate:
-            raise ParseError(f"{raw['truth']}: line 1: trace and truth headers disagree; "
-                             "not the same run")
-        check_aligned(frames, truth, raw["truth"])
-        camera = CameraConfig(
-            intrinsics=header.intrinsics,
-            image_size=tuple(header.image_size),
-            camera_height=header.camera_height,
-        )
-        return frames, truth, camera, fov
-    if "scenario" in raw:
-        if "fov" in raw:
-            raise InvalidConfig("fov: not allowed beside an inline scenario; "
-                                "the scenario's detector.fov sets it")
-        scen = _scenario_from(raw["scenario"], "scenario")
+    if cfg.scenario is not None:
+        scen = _scenario_from(cfg.scenario)
         frames, truth = generate(scen)
         return frames, truth, scen.camera, scen.detector.fov
-    raise InvalidConfig("run config needs either trace+truth paths or a scenario")
-
-
-RUN_KEYS = ("seed", "warmup_s", "label", "out", "trace", "truth", "fov",
-            "scenario", "sampler", "tracker", "risk")
+    header, frames = read_trace(cfg.trace)
+    theader, truth = read_truth(cfg.truth)
+    if header.seed != theader.seed or header.tick_rate != theader.tick_rate:
+        raise ParseError(f"{cfg.truth}: line 1: trace and truth headers disagree; "
+                         "not the same run")
+    check_aligned(frames, truth, cfg.truth)
+    camera = CameraConfig(
+        intrinsics=header.intrinsics,
+        image_size=tuple(header.image_size),
+        camera_height=header.camera_height,
+    )
+    return frames, truth, camera, DEFAULT_FOV if cfg.fov is None else cfg.fov
 
 
 def cmd_run(args) -> int:
-    raw = _load_yaml(args.config)
-    unknown = sorted(map(str, set(raw) - set(RUN_KEYS)))
-    if unknown:
-        raise InvalidConfig(", ".join(unknown) + ": unknown field")
+    raw, cfg = _load(RunConfig, args.config, seed=args.seed, warmup_s=args.warmup_s)
+    if args.sampler:
+        cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, kind=args.sampler))
+    kind = cfg.sampler.kind
 
-    seed = args.seed if args.seed is not None else raw.get("seed")
-    if seed is None:
-        raise InvalidConfig("seed is mandatory (config key 'seed' or --seed)")
-    seed = _convert(_non_negative_int, seed, "seed")
-    sampler_raw = _block(raw, "sampler")
-    kind = args.sampler or sampler_raw.get("kind") or "sarsa"
-    if kind not in SAMPLER_KINDS:
-        raise InvalidConfig(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
-    warmup = args.warmup_s if args.warmup_s is not None else raw.get("warmup_s", 60.0)
-
-    config = _pipeline_config(raw, warmup)
-    frames, truth, camera, fov = _resolve_run_inputs(raw)
+    config = _pipeline_config(cfg)
+    frames, truth, camera, fov = _resolve_run_inputs(cfg)
 
     qtable = None
     if kind == "sarsa":
-        qtable_path = sampler_raw.get("qtable")
-        qtable = load_qtable(qtable_path) if qtable_path else QTable()
+        qtable = load_qtable(cfg.sampler.qtable) if cfg.sampler.qtable else QTable()
 
     report = run_pipeline(
         frames, truth, kind, config,
-        seed=seed, camera=camera, fov=fov, qtable=qtable,
-        scenario_label=raw.get("label", ""),
+        seed=cfg.seed, camera=camera, fov=fov, qtable=qtable,
+        scenario_label=cfg.label,
     )
 
-    resolved = {
-        **raw,
-        "seed": seed,
-        "warmup_s": config.warmup_s,
-        "sampler": {**sampler_raw, "kind": kind},
-    }
-    digest = config_digest(resolved)
+    # the file as written, with the flags, the warm-up and the sampler kind resolved
+    digest = config_digest({**raw, "warmup_s": config.warmup_s,
+                            "sampler": {**(raw.get("sampler") or {}), "kind": kind}})
 
-    out = _out_dir(args, raw)
+    out = _out_dir(args.out or cfg.out)
     report_path = out / "report.json"
     _write_json(report_path, {
         "config_digest": digest,
@@ -268,45 +282,28 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _resolve_suite(raw: dict):
-    if raw.get("suite") == "standard":
+def _resolve_suite(cfg: CompareConfig):
+    if cfg.suite:
         return list(standard_suite())
-    entries = raw.get("scenarios")
-    if not entries:
-        raise InvalidConfig("compare config needs suite: standard or a scenarios list")
-    suite = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "scenario" not in entry:
-            raise InvalidConfig(f"scenarios[{i}]: expected a mapping with a 'scenario' key")
-        name = str(entry.get("name", f"scenario-{i + 1:02d}"))
-        suite.append((name, _scenario_from(entry["scenario"], f"scenarios[{i}]")))
-    return suite
+    return [(f"scenario-{i + 1:02d}" if entry.name is None else entry.name,
+             _scenario_from(entry.scenario))
+            for i, entry in enumerate(cfg.scenarios)]
 
 
 def cmd_compare(args) -> int:
-    raw = _load_yaml(args.config)
+    raw, cfg = _load(CompareConfig, args.config,
+                     samplers=args.sampler and [args.sampler],
+                     seeds=None if args.seed is None else [args.seed],
+                     warmup_s=args.warmup_s)
 
-    suite = _resolve_suite(raw)
-    samplers = [args.sampler] if args.sampler else list(raw.get("samplers") or SAMPLER_KINDS)
-    seeds = [args.seed] if args.seed is not None else raw.get("seeds")
-    warmup = args.warmup_s if args.warmup_s is not None else raw.get("warmup_s", 60.0)
-    config = _pipeline_config(raw, warmup)
+    suite = _resolve_suite(cfg)
+    config = _pipeline_config(cfg)
+    rep = compare(suite, cfg.samplers, config, budget_match=cfg.budget_match, seeds=cfg.seeds)
 
-    rep = compare(
-        suite, samplers, config,
-        budget_match=bool(raw.get("budget_match", True)),
-        seeds=seeds,
-    )
+    digest = config_digest({**raw, "samplers": list(cfg.samplers), "seeds": cfg.seeds,
+                            "warmup_s": config.warmup_s})
 
-    resolved = {
-        **raw,
-        "samplers": list(samplers),
-        "seeds": seeds,
-        "warmup_s": config.warmup_s,
-    }
-    digest = config_digest(resolved)
-
-    out = _out_dir(args, raw)
+    out = _out_dir(args.out or cfg.out)
     json_path = out / "comparison.json"
     _write_json(json_path, {"config_digest": digest, **comparison_to_dict(rep)})
     summary_path = out / "summary.txt"

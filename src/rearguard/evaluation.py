@@ -36,10 +36,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
-from numbers import Real
 
 import numpy as np
 
+from .geometry import is_number
 from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, assess
 from .sampler import QTable, SamplerConfig, SarsaSampler
 from .scenario import (
@@ -76,7 +76,7 @@ class PipelineConfig:
         for name in ("warmup_s", "interval_period", "random_p", "c_min",
                      "reaction_time", "alert_threshold"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value)):
+            if not (is_number(value) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
@@ -504,7 +504,8 @@ def compare(
         if dups:
             raise ConfigError(f"duplicate {what}: {dups[0]!r}")
     if seeds is not None:
-        valid = isinstance(seeds, (list, tuple)) and all(isinstance(s, int) and s >= 0 for s in seeds)
+        valid = isinstance(seeds, (list, tuple)) and all(
+            isinstance(s, int) and is_number(s) and s >= 0 for s in seeds)
         repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]] if valid else []
         if not (valid and seeds) or repeated:
             raise ConfigError(

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -56,6 +57,12 @@ class AboveHorizon(ValueError):
 
 class BehindCamera(ValueError):
     """Point has non-positive forward coordinate in the camera frame."""
+
+
+def is_number(value) -> bool:
+    """A real number; a bool is not one, though Python (and so YAML's
+    true and false) counts it an int."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .geometry import is_number
 from .scenario import ParseError, VersionMismatch
 
 SKIP, BLINK = 0, 1
@@ -42,7 +43,7 @@ class SamplerState(NamedTuple):
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return is_number(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

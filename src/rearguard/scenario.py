@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,6 +31,7 @@ from .geometry import (
     CameraIntrinsics,
     ImuPose,
     horizon_line,
+    is_number,
     normalize_angle,
     user_to_camera_planar,
 )
@@ -183,12 +185,8 @@ def _require(cond: bool, fieldname: str, message: str):
         raise InvalidConfig(f"{fieldname}: {message}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float))
-
-
 def _positive(value) -> bool:
-    return _is_number(value) and value > 0
+    return is_number(value) and value > 0
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -226,7 +224,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         _require(v.profile in VEHICLE_PROFILES, f"{tag}.profile", f"must be one of {VEHICLE_PROFILES}")
         for name in PROFILE_PARAMS.get(v.profile, ()):
             value = v.params.get(name)
-            _require(_is_number(value), f"{tag}.params.{name}",
+            _require(is_number(value), f"{tag}.params.{name}",
                      f"a number is required for {v.profile}")
             if name == PROFILE_PARAMS[v.profile][-1]:
                 _require(value > 0, f"{tag}.params.{name}", "must be positive")
@@ -243,7 +241,8 @@ def _schema(cls) -> dict:
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         nullable = type(None) in args
-        hint = next(t for t in args if t is not type(None)) if nullable else hints[f.name]
+        # a union of one type is that type itself
+        hint = typing.Union[tuple(t for t in args if t is not type(None))] if nullable else hints[f.name]
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         schema[f.name] = (hint, nullable, required)
     return schema
@@ -253,8 +252,11 @@ def build_config(cls, raw, label: str):
     """Build config dataclass `cls` from YAML data, led by its type hints:
     nested config dataclasses and tuples of them are built recursively,
     other lists become tuples, and an empty or null nested block means the
-    field's default.  Unknown and missing keys are named by dotted path
-    (`vehicles[1].foo`); constructor errors are re-raised naming the block."""
+    field's default.  A plain field takes a value of its type or of any type
+    in its union; an int passes for a float, a bool for neither.  Unknown and
+    missing keys are named by dotted path (`vehicles[1].foo`); constructor
+    errors are re-raised naming the block, or as they are for the top level,
+    whose constructor names its own keys."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -272,7 +274,7 @@ def build_config(cls, raw, label: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{label or 'config'}: {exc}") from exc
+        raise InvalidConfig(f"{label}: {exc}" if label else str(exc)) from exc
 
 
 def _build_value(hint, nullable: bool, value, label: str):
@@ -286,9 +288,15 @@ def _build_value(hint, nullable: bool, value, label: str):
             raise InvalidConfig(f"{label}: must be a list")
         return tuple(build_config(args[0], v, f"{label}[{i}]") for i, v in enumerate(value))
     value = tuple(value) if isinstance(value, list) else value
-    expected = typing.get_origin(hint) or hint
-    if not isinstance(value, (int, float) if expected is float else expected):
-        raise InvalidConfig(f"{label}: expected {expected.__name__}, got {value!r}")
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    expected = args if union else (typing.get_origin(hint) or hint,)
+    if is_number(value):   # an int passes for a float
+        valid = float in expected or isinstance(value, expected)
+    else:   # a bool is an int to Python, so it passes only where a bool is expected
+        valid = isinstance(value, tuple(t for t in expected if t is not int))
+    if not valid:
+        raise InvalidConfig(f"{label}: expected {' or '.join(t.__name__ for t in expected)}, "
+                            f"got {value!r}")
     return value
 
 

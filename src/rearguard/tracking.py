@@ -67,7 +67,7 @@ class TrackerConfig:
             raise ValueError("iou_gate must be in [0, 1]")
         for name, n in (("r_diag", 3), ("p0_diag", 4)):
             diag = getattr(self, name)
-            if len(diag) != n or not all(isinstance(v, (int, float)) and v > 0 for v in diag):
+            if len(diag) != n or not all(geometry.is_number(v) and v > 0 for v in diag):
                 raise ValueError(f"{name} must hold {n} positive numbers")
 
     def q_for(self, cls: str) -> float:

@@ -69,6 +69,15 @@ def test_generate_seed_flag_changes_the_trace(tmp_path):
     ).read_bytes()
 
 
+def test_generate_out_flag_overrides_the_files_out(tmp_path):
+    cfg = write_yaml(tmp_path / "scen.yaml", {**SCENARIO, "out": str(tmp_path / "file")})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "flag")]) == EXIT_OK
+    assert (tmp_path / "flag" / "trace.jsonl").exists()
+    assert not (tmp_path / "file").exists()
+    assert main(["generate", "--config", cfg]) == EXIT_OK
+    assert (tmp_path / "file" / "truth.jsonl").exists()
+
+
 def test_generate_invalid_config_names_the_field(tmp_path, capsys):
     bad = {**SCENARIO, "user": {"mode": "driving"}}
     cfg = write_yaml(tmp_path / "scen.yaml", bad)
@@ -203,7 +212,7 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
 
 @pytest.mark.parametrize("change, code, text", [
     pytest.param({"sampler": {"kind": "interval", "period": "often"}}, EXIT_CONFIG,
-                 "sampler.period: could not convert", id="period-not-a-number"),
+                 "sampler.period: expected float, got 'often'", id="period-not-a-number"),
     pytest.param({"sampler": {"kind": "random", "p": "half"}}, EXIT_CONFIG,
                  "sampler.p:", id="p-not-a-number"),
     pytest.param({"sampler": {"kind": "confidence", "c_min": [1.5]}}, EXIT_CONFIG,
@@ -243,7 +252,8 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
         "jitter_std": 0.0}}}, EXIT_CONFIG, "head_motion.pitch_amplitude:", id="pitch-amplitude-too-big"),
     pytest.param({"seed": -1}, EXIT_CONFIG, "seed: must be non-negative", id="seed-negative"),
     pytest.param({"risk": {"reaction_time": 0}}, EXIT_CONFIG,
-                 "risk.reaction_time: must be positive", id="reaction-time-zero"),
+                 "risk: reaction_time must be a positive finite number, got 0",
+                 id="reaction-time-zero"),
     pytest.param({"tracker": {"gamma": 0}}, EXIT_CONFIG,
                  "tracker: gamma must be positive", id="tracker-gamma-zero"),
     pytest.param({"tracker": {"r_diag": [16.0, 9.0]}}, EXIT_CONFIG,
@@ -261,15 +271,53 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
     pytest.param({"risk": {"alert_threshold": float("nan")}}, EXIT_CONFIG,
                  "alert_threshold must be a finite number, got nan", id="alert-threshold-nan"),
     pytest.param({"risk": {"reaction_time": float("inf")}}, EXIT_CONFIG,
-                 "risk.reaction_time: must be finite", id="reaction-time-inf"),
+                 "risk: reaction_time must be a positive finite number, got inf",
+                 id="reaction-time-inf"),
     # fov is checked before the trace files are opened, so none are needed here
-    pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl", "fov": float("nan")},
-                 EXIT_CONFIG, "fov: must be finite", id="fov-nan"),
-    pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 0.0},
-                 EXIT_CONFIG, "fov: must be positive", id="fov-zero"),
+    pytest.param({"scenario": None, "trace": "trace.jsonl", "truth": "truth.jsonl",
+                  "fov": float("nan")},
+                 EXIT_CONFIG, "fov: must be a positive finite number, got nan", id="fov-nan"),
+    pytest.param({"scenario": None, "trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 0.0},
+                 EXIT_CONFIG, "fov: must be a positive finite number, got 0.0", id="fov-zero"),
     pytest.param({"fov": 0.05}, EXIT_CONFIG,
                  "fov: not allowed beside an inline scenario; the scenario's detector.fov sets it",
                  id="fov-beside-inline-scenario"),
+    pytest.param({"trace": "trace.jsonl", "truth": "truth.jsonl"}, EXIT_CONFIG,
+                 "trace, truth, scenario: a run config needs exactly one of",
+                 id="files-beside-inline-scenario"),
+    pytest.param({"scenario": None, "trace": "trace.jsonl"}, EXIT_CONFIG,
+                 "trace and truth paths must be given together", id="trace-without-truth"),
+    pytest.param({"scenario": None}, EXIT_CONFIG,
+                 "trace, truth, scenario: a run config needs exactly one of", id="no-input"),
+    pytest.param({"scenario": None, "fov": 1.0}, EXIT_CONFIG,
+                 "trace, truth, scenario: a run config needs exactly one of",
+                 id="fov-without-input"),
+    pytest.param({"scenario": 3}, EXIT_CONFIG,
+                 "scenario: expected dict or str, got 3", id="scenario-not-a-mapping-or-path"),
+    pytest.param({"sampler": {"kind": None}}, EXIT_CONFIG,
+                 "sampler.kind: expected str, got None", id="kind-null"),
+    # YAML booleans and quoted numbers are not numbers
+    pytest.param({"seed": True}, EXIT_CONFIG, "seed: expected int, got True", id="seed-true"),
+    pytest.param({"seed": "3"}, EXIT_CONFIG, "seed: expected int, got '3'", id="seed-quoted"),
+    pytest.param({"warmup_s": True}, EXIT_CONFIG,
+                 "warmup_s: expected float, got True", id="warmup-true"),
+    pytest.param({"warmup_s": "0"}, EXIT_CONFIG,
+                 "warmup_s: expected float, got '0'", id="warmup-quoted"),
+    pytest.param({"sampler": {"kind": "interval", "period": True}}, EXIT_CONFIG,
+                 "sampler.period: expected float, got True", id="period-true"),
+    pytest.param({"risk": {"alert_threshold": False}}, EXIT_CONFIG,
+                 "risk.alert_threshold: expected float, got False", id="alert-threshold-false"),
+    pytest.param({"tracker": {"miss_max": True}}, EXIT_CONFIG,
+                 "tracker.miss_max: expected int, got True", id="tracker-miss-max-true"),
+    pytest.param({"tracker": {"r_diag": [True, 9.0, 9.0]}}, EXIT_CONFIG,
+                 "tracker: r_diag must hold 3 positive numbers", id="tracker-r-diag-true"),
+    pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [False, 0.1, 0.5]}}, EXIT_CONFIG,
+                 "sampler: conf_edges must be a strictly increasing tuple of finite numbers",
+                 id="sampler-edges-false"),
+    pytest.param({"scenario": {**SCENARIO, "duration": True}}, EXIT_CONFIG,
+                 "duration: expected float, got True", id="scenario-duration-true"),
+    pytest.param({"scenario": {**SCENARIO, "seed": True}}, EXIT_CONFIG,
+                 "seed: expected int, got True", id="scenario-seed-true"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bad.qtable"}}, EXIT_IO,
                  "bad.qtable: line 3", id="qtable-malformed"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
@@ -477,7 +525,86 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
     assert "seeds: expected a list of non-negative integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, text", [
+    pytest.param({"seed": 7}, "seed: unknown field", id="unknown-seed"),
+    pytest.param({"warmupp_s": 30.0}, "warmupp_s: unknown field", id="unknown-warmupp-s"),
+    pytest.param({"scenarios": [{"name": "cars", "scenario": dict(SCENARIO), "seed": 4}]},
+                 "scenarios[0].seed: unknown field", id="unknown-entry-key"),
+    pytest.param({"scenarios": [{"name": "cars"}]}, "scenarios[0].scenario: missing",
+                 id="entry-without-scenario"),
+    pytest.param({"scenarios": ["cars.yaml"]}, "scenarios[0]: must be a mapping",
+                 id="entry-not-a-mapping"),
+    pytest.param({"scenarios": [{"scenario": 3}]},
+                 "scenarios[0].scenario: expected dict or str, got 3", id="entry-scenario-number"),
+    pytest.param({"sampler": {"kind": "sarsa"}}, "sampler.kind: unknown field", id="sampler-kind"),
+    pytest.param({"sampler": {"qtable": "q.txt"}}, "sampler.qtable: unknown field",
+                 id="sampler-qtable"),
+    pytest.param({"suite": "standard"},
+                 "suite, scenarios: a compare config needs exactly one of",
+                 id="suite-beside-scenarios"),
+    pytest.param({"suite": "full", "scenarios": None}, "suite: must be 'standard', got 'full'",
+                 id="suite-unknown"),
+    pytest.param({"budget_match": "false"}, "budget_match: expected bool, got 'false'",
+                 id="budget-match-quoted"),
+    pytest.param({"samplers": []}, "at least one sampler is required", id="samplers-empty"),
+    pytest.param({"warmup_s": True}, "warmup_s: expected float, got True", id="warmup-true"),
+    pytest.param({"seeds": [True]}, "seeds: expected a list of non-negative integers",
+                 id="seeds-true"),
+    pytest.param({"risk": {"reaction_time": False}}, "risk.reaction_time: expected float",
+                 id="reaction-time-false"),
+])
+def test_compare_exit_code_table(tmp_path, capsys, change, text):
+    cfg = compare_config(tmp_path, **change)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_compare_seed_and_sampler_flags_replace_the_file_keys(tmp_path):
+    cfg = compare_config(tmp_path, seeds=[1, 2], samplers=["everyframe", "confidence"])
+    out = tmp_path / "c"
+    assert main(["compare", "--config", cfg, "--seed", "4", "--sampler", "interval",
+                 "--out", str(out)]) == EXIT_OK
+    runs = json.loads((out / "comparison.json").read_text())["runs"]
+    assert {(r["sampler_kind"], r["seed"]) for r in runs} == {("interval", 4)}
+
+
 def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "cmp.yaml", {"samplers": ["everyframe"]})
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
     assert "scenarios" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ digest pins
+
+def _digest_case(tmp_path, case):
+    out = tmp_path / "out"
+    if case == "run-helper":
+        argv, name = ["run", "--config", run_config(tmp_path)], "report.json"
+    elif case == "compare-helper":
+        argv, name = ["compare", "--config", compare_config(tmp_path)], "comparison.json"
+    elif case == "run-integer-warmup":
+        cfg = run_config(tmp_path, warmup_s=60, sampler={"kind": "interval", "period": 120})
+        argv, name = ["run", "--config", cfg], "report.json"
+    else:
+        argv = ["run", "--config", run_config(tmp_path), "--seed", "9",
+                "--warmup-s", "2", "--sampler", "random"]
+        name = "report.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    return json.loads((out / name).read_text())["config_digest"]
+
+
+# recorded before run and compare files got their dataclass schema; the
+# digested payload is the resolved config dict and must keep its bytes
+@pytest.mark.parametrize("case, digest", [
+    ("run-helper",
+     "e980b208faa45a7074ad1ef1b6ccc656c1c19f43cb4ba8bb7b2ac26bf0b2e775"),
+    ("compare-helper",
+     "462ae52d9a43144573f22e15b994d10658f1327210c4d7e2bb2a2c0a4eebf40c"),
+    ("run-integer-warmup",
+     "54f2d435b9ef92e166292a1a5f50bdb268823b2cf3c86db5dce3d50aaaf99de8"),
+    ("run-flag-overrides",
+     "320039a3bdf4064eff494be0a9c49a6fdda2a4f157a38ea18b9755f3ed62858d"),
+])
+def test_config_digest_is_pinned(tmp_path, case, digest):
+    assert _digest_case(tmp_path, case) == digest

@@ -199,7 +199,7 @@ def test_misaligned_truth_is_rejected():
 
 @pytest.mark.parametrize("field", ["warmup_s", "interval_period", "random_p", "c_min",
                                    "reaction_time", "alert_threshold"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])   # a bool is no number
 def test_non_finite_pipeline_values_are_config_errors(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
         PipelineConfig(**{field: value})

@@ -92,6 +92,28 @@ def test_invalid_value_is_named(change, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"seed": True}, "seed: expected int, got True"),
+    ({"duration": True}, "duration: expected float, got True"),
+    ({"tick_rate": False}, "tick_rate: expected float, got False"),
+    ({"duration": "60"}, "duration: expected float, got '60'"),
+    ({"user": {"speed": True}}, "user.speed: expected float, got True"),
+    ({"vehicles": [{**CAR, "x0": True}]}, "vehicles[0].x0: expected float, got True"),
+    ({"detector": {"fov": True}}, "detector.fov: expected float, got True"),
+    ({"camera": {"camera_height": True}}, "camera.camera_height: expected float, got True"),
+    ({"camera": {"intrinsics": {"f_x": True, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}}},
+     "camera.intrinsics.f_x: expected float, got True"),
+    ({"camera": {"image_size": [True, 640]}}, "camera.image_size: must be two positive numbers"),
+    ({"vehicles": [{**CAR, "profile": "decelerate-at", "params": {"at": True, "rate": 1.0}}]},
+     "vehicles[0].params.at: a number is required for decelerate-at"),
+], ids=["seed", "duration", "tick-rate", "duration-quoted", "user-speed", "vehicle-x0",
+        "detector-fov", "camera-height", "intrinsics-f-x", "image-size", "profile-param"])
+def test_boolean_or_quoted_number_is_not_a_number(change, message):
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict({"seed": 1, **change})
+    assert str(err.value).startswith(message)
+
+
 def test_missing_seed_is_named():
     with pytest.raises(InvalidConfig, match="^seed: missing$"):
         config_from_dict({})
