@@ -29,7 +29,6 @@ import yaml
 
 from .evaluation import (
     REPORT_NOTES,
-    SAMPLER_KINDS,
     PipelineConfig,
     compare,
     comparison_to_dict,
@@ -39,7 +38,7 @@ from .evaluation import (
     run_pipeline,
     standard_suite,
 )
-from .sampler import QTable, SamplerConfig, load_qtable, save_qtable
+from .sampler import SAMPLER_KINDS, QTable, SamplerConfig, check_kind, load_qtable, save_qtable
 from .scenario import (
     DEFAULT_FOV,
     CameraConfig,
@@ -66,23 +65,14 @@ EXIT_INVARIANT = 4
 # ------------------------------------------------------------ config io
 
 @dataclass(frozen=True)
-class SamplerBlock(SamplerConfig):
-    """A compare file's `sampler` block: the learned sampler's fields and the baselines' knobs."""
-    period: float = PipelineConfig.interval_period
-    p: float = PipelineConfig.random_p
-    c_min: float = PipelineConfig.c_min
-
-
-@dataclass(frozen=True)
-class RunSamplerBlock(SamplerBlock):
+class RunSamplerBlock(SamplerConfig):
     """A run file's `sampler` block also picks the sampler and may name a Q-table to resume."""
     kind: str = "sarsa"
     qtable: str | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind: {self.kind!r} (expected one of {SAMPLER_KINDS})")
+        check_kind(self.kind)
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ class CompareConfig:
     warmup_s: float = 60.0
     budget_match: bool = True
     out: str | None = None
-    sampler: SamplerBlock = SamplerBlock()
+    sampler: SamplerConfig = SamplerConfig()
     tracker: TrackerConfig = TrackerConfig()
     risk: RiskBlock = RiskBlock()
 
@@ -170,17 +160,12 @@ def _load(cls, path, **flags):
 
 
 def _pipeline_config(cfg: RunConfig | CompareConfig) -> PipelineConfig:
-    sam = cfg.sampler
-    learned = {f.name: getattr(sam, f.name) for f in dataclasses.fields(SamplerConfig)}
     return PipelineConfig(
         tracker=cfg.tracker,
-        sampler=SamplerConfig(**learned),
+        sampler=cfg.sampler,
         reaction_time=cfg.risk.reaction_time,
         alert_threshold=cfg.risk.alert_threshold,
         warmup_s=float(cfg.warmup_s),
-        interval_period=sam.period,
-        random_p=sam.p,
-        c_min=sam.c_min,
     )
 
 
@@ -244,6 +229,9 @@ def cmd_run(args) -> int:
     if args.sampler:
         cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, kind=args.sampler))
     kind = cfg.sampler.kind
+    if cfg.sampler.qtable is not None and kind != "sarsa":
+        raise InvalidConfig(f"sampler.qtable: only the sarsa sampler reads a Q-table; "
+                            f"the run's sampler is {kind!r}")
 
     config = _pipeline_config(cfg)
     frames, truth, camera, fov = _resolve_run_inputs(cfg)

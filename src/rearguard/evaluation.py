@@ -41,7 +41,8 @@ import numpy as np
 
 from .geometry import is_number
 from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, assess
-from .sampler import QTable, SamplerConfig, SarsaSampler
+from .sampler import BASELINES, QTable, SamplerConfig, SarsaSampler, check_kind
+from .sampler import SAMPLER_KINDS  # noqa: F401  callers read evaluation.SAMPLER_KINDS
 from .scenario import (
     DEFAULT_FOV,
     DEFAULT_USER_SPEED,
@@ -56,8 +57,6 @@ from .scenario import (
 from .scenario import InvalidConfig as ConfigError
 from .tracking import TrackerConfig, TrackerState, advance, snapshots, step
 
-SAMPLER_KINDS = ("sarsa", "everyframe", "interval", "random", "confidence")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -66,89 +65,19 @@ class PipelineConfig:
     reaction_time: float = DEFAULT_REACTION_TIME_S
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD
     warmup_s: float = 60.0
-    interval_period: float = 5.0   # ticks between blinks for the interval baseline
-    random_p: float = 0.2          # per-tick blink probability for the random baseline
-    c_min: float = 1.5             # confidence floor for the threshold baseline;
-                                   # picked so its suite blink fraction lands next
-                                   # to the adaptive sampler's (equal-budget runs)
 
     def __post_init__(self):
-        for name in ("warmup_s", "interval_period", "random_p", "c_min",
-                     "reaction_time", "alert_threshold"):
+        for name in ("warmup_s", "reaction_time", "alert_threshold"):
             value = getattr(self, name)
             if not (is_number(value) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-# ------------------------------------------------------------- samplers
-
-class EveryFrameSampler:
-    def decide(self, tracks, now: float) -> bool:
-        return True
-
-
-class IntervalSampler:
-    """Blink once every `period` ticks; fractional periods accumulate phase."""
-
-    def __init__(self, period: float):
-        if period < 1.0:
-            raise ConfigError("interval period must be at least one tick")
-        self.period = period
-        self._acc = 0.0
-
-    def decide(self, tracks, now: float) -> bool:
-        self._acc += 1.0
-        if self._acc >= self.period:
-            self._acc -= self.period
-            return True
-        return False
-
-
-class RandomSampler:
-    def __init__(self, p: float, rng):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError("random blink probability must be in [0, 1]")
-        self.p = p
-        self._rng = rng
-
-    def decide(self, tracks, now: float) -> bool:
-        return self._rng.random() < self.p
-
-
-class ConfidenceThresholdSampler:
-    """Blink whenever the weakest track drops below c_min.  With no
-    tracks there is no confidence to lean on, so discovery falls back on
-    the same forced-blink interval the adaptive sampler uses; blinking
-    every empty tick would peg the budget far above any threshold's
-    influence."""
-
-    def __init__(self, c_min: float, dt_max: float):
-        self.c_min = c_min
-        self.dt_max = dt_max
-        self.last_blink = 0.0
-
-    def decide(self, tracks, now: float) -> bool:
-        if tracks:
-            blink = min(t.confidence for t in tracks) < self.c_min
-        else:
-            blink = now - self.last_blink >= self.dt_max
-        if blink:
-            self.last_blink = now
-        return blink
-
-
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):
-    if kind == "sarsa":
+    """The `kind` sampler, set up from `config.sampler`."""
+    if check_kind(kind) == "sarsa":
         return SarsaSampler(config.sampler, rng, qtable)
-    if kind == "everyframe":
-        return EveryFrameSampler()
-    if kind == "interval":
-        return IntervalSampler(config.interval_period)
-    if kind == "random":
-        return RandomSampler(config.random_p, rng)
-    if kind == "confidence":
-        return ConfidenceThresholdSampler(config.c_min, config.sampler.dt_max)
-    raise ConfigError(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+    return BASELINES[kind](config.sampler, rng)
 
 
 # ------------------------------------------------------------- labeling
@@ -172,17 +101,6 @@ def _sensed(truth_tick, camera: CameraConfig, fov: float) -> list:
         o for o in truth_tick.objects
         if in_sensing_footprint(o.x, o.z, o.cls, truth_tick.pose, camera, fov)
     ]
-
-
-def observable_danger(
-    truth_tick,
-    camera: CameraConfig,
-    fov: float = DEFAULT_FOV,
-    t_r: float = DEFAULT_REACTION_TIME_S,
-    alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
-) -> bool:
-    """Danger label restricted to objects inside the sensing footprint."""
-    return assess(_sensed(truth_tick, camera, fov), t_r, alert_threshold, now=truth_tick.t).alert
 
 
 @dataclass(frozen=True)
@@ -496,8 +414,7 @@ def compare(
     if not samplers:
         raise ConfigError("at least one sampler is required")
     for kind in samplers:
-        if kind not in SAMPLER_KINDS:
-            raise ConfigError(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+        check_kind(kind)
     for what, values in (("scenario name", [name for name, _ in scenarios]),
                          ("sampler kind", samplers)):
         dups = [v for i, v in enumerate(values) if v in values[:i]]
@@ -525,9 +442,11 @@ def compare(
                 cfg_k = config
                 if budget_match and anchor is not None:
                     if kind == "interval":
-                        cfg_k = replace(config, interval_period=max(1.0, 1.0 / max(anchor, 1e-9)))
+                        cfg_k = replace(config, sampler=replace(
+                            config.sampler, period=max(1.0, 1.0 / max(anchor, 1e-9))))
                     elif kind == "random":
-                        cfg_k = replace(config, random_p=min(1.0, max(0.0, anchor)))
+                        cfg_k = replace(config, sampler=replace(
+                            config.sampler, p=min(1.0, max(0.0, anchor))))
                 report = run_pipeline(
                     frames, labels, kind, cfg_k,
                     seed=seed, camera=scen.camera, fov=scen.detector.fov,

@@ -1,4 +1,4 @@
-"""Tabular SARSA blink scheduler.
+"""Blink schedulers: tabular SARSA and the four baselines it is compared with.
 
 The MDP state is a coarse discretization of what the tracker knows: the
 bin of the lowest track confidence (plus a dedicated no-tracks bin), the
@@ -18,6 +18,10 @@ Exploration follows epsilon_t = epsilon0 / (1 + eta * t) on the global
 step counter; the learning rate for a pair is one over its visit count.
 Both schedules decay slowly enough that every pair keeps being visited,
 which is what the convergence test leans on.
+
+The baselines (every frame, a fixed interval, a coin flip, a confidence
+threshold) read their knobs from the same `SamplerConfig`, so one
+config block describes whichever sampler a run uses.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import is_number
-from .scenario import ParseError, VersionMismatch
+from .scenario import InvalidConfig, ParseError, VersionMismatch
 
 SKIP, BLINK = 0, 1
 
@@ -56,24 +60,35 @@ class SamplerConfig:
     dist_edges: tuple = (5.0, 10.0, 20.0)
     dt_edges: tuple = (0.2, 0.5, 1.0)
     dt_max: float = 2.0   # forced-blink valve: never go longer than this blind
+    period: float = 5.0   # ticks between blinks for the interval baseline
+    p: float = 0.2        # per-tick blink probability for the random baseline
+    c_min: float = 1.5    # confidence floor for the threshold baseline; picked so its
+                          # suite blink fraction lands next to the adaptive sampler's
 
     def __post_init__(self):
         if not 0 < self.epsilon0 <= 1:
-            raise ValueError("epsilon0 must be in (0, 1]")
+            raise InvalidConfig("epsilon0 must be in (0, 1]")
         if not self.eta > 0:
-            raise ValueError("eta must be positive")
+            raise InvalidConfig("eta must be positive")
         if not 0 <= self.beta < 1:
-            raise ValueError("beta must be in [0, 1)")
+            raise InvalidConfig("beta must be in [0, 1)")
         if not self.sample_cost <= 0:
-            raise ValueError("sample_cost is a cost; it must be zero or negative")
+            raise InvalidConfig("sample_cost is a cost; it must be zero or negative")
         if not (_is_finite_number(self.dt_max) and self.dt_max > 0):
-            raise ValueError(f"dt_max must be a positive finite number, got {self.dt_max!r}")
+            raise InvalidConfig(f"dt_max must be a positive finite number, got {self.dt_max!r}")
         for name in ("conf_edges", "dist_edges", "dt_edges"):
             edges = getattr(self, name)
             if not (isinstance(edges, tuple) and all(map(_is_finite_number, edges))
                     and all(a < b for a, b in zip(edges, edges[1:]))):
-                raise ValueError(
+                raise InvalidConfig(
                     f"{name} must be a strictly increasing tuple of finite numbers, got {edges!r}")
+        for name in ("period", "c_min"):
+            if not _is_finite_number(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.period < 1.0:
+            raise InvalidConfig(f"period must be at least one tick, got {self.period!r}")
+        if not (is_number(self.p) and 0.0 <= self.p <= 1.0):
+            raise InvalidConfig(f"p must be a blink probability in [0, 1], got {self.p!r}")
 
     @property
     def no_tracks_bin(self) -> int:
@@ -228,3 +243,75 @@ class SarsaSampler:
         if a == BLINK:
             self.last_blink = now
         return a == BLINK
+
+
+# -------------------------------------------------------------- baselines
+
+class EveryFrameSampler:
+    def __init__(self, config: SamplerConfig, rng):
+        pass
+
+    def decide(self, tracks, now: float) -> bool:
+        return True
+
+
+class IntervalSampler:
+    """Blink once every `period` ticks; fractional periods accumulate phase."""
+
+    def __init__(self, config: SamplerConfig, rng):
+        self.period = config.period
+        self._acc = 0.0
+
+    def decide(self, tracks, now: float) -> bool:
+        self._acc += 1.0
+        if self._acc >= self.period:
+            self._acc -= self.period
+            return True
+        return False
+
+
+class RandomSampler:
+    def __init__(self, config: SamplerConfig, rng):
+        self.p = config.p
+        self._rng = rng
+
+    def decide(self, tracks, now: float) -> bool:
+        return self._rng.random() < self.p
+
+
+class ConfidenceThresholdSampler:
+    """Blink whenever the weakest track drops below c_min.  With no
+    tracks there is no confidence to lean on, so discovery falls back on
+    the same forced-blink interval the adaptive sampler uses; blinking
+    every empty tick would peg the budget far above any threshold's
+    influence."""
+
+    def __init__(self, config: SamplerConfig, rng):
+        self.c_min = config.c_min
+        self.dt_max = config.dt_max
+        self.last_blink = 0.0
+
+    def decide(self, tracks, now: float) -> bool:
+        if tracks:
+            blink = min(t.confidence for t in tracks) < self.c_min
+        else:
+            blink = now - self.last_blink >= self.dt_max
+        if blink:
+            self.last_blink = now
+        return blink
+
+
+BASELINES = {
+    "everyframe": EveryFrameSampler,
+    "interval": IntervalSampler,
+    "random": RandomSampler,
+    "confidence": ConfidenceThresholdSampler,
+}
+SAMPLER_KINDS = ("sarsa", *BASELINES)
+
+
+def check_kind(kind) -> str:
+    """The sampler kind, if it names one; the config error otherwise."""
+    if kind not in SAMPLER_KINDS:
+        raise InvalidConfig(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+    return kind

@@ -265,7 +265,7 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
                  "warmup_s must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
-                 "interval_period must be a finite number, got inf", id="period-inf"),
+                 "sampler: period must be a finite number, got inf", id="period-inf"),
     pytest.param({"sampler": {"kind": "confidence", "c_min": float("nan")}}, EXIT_CONFIG,
                  "c_min must be a finite number, got nan", id="c-min-nan"),
     pytest.param({"risk": {"alert_threshold": float("nan")}}, EXIT_CONFIG,
@@ -322,12 +322,22 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "bad.qtable: line 3", id="qtable-malformed"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
+    # only sarsa reads a Q-table; a path beside another kind is never opened
+    pytest.param({"sampler": {"kind": "interval", "qtable": "does-not-exist.txt"}}, EXIT_CONFIG,
+                 "sampler.qtable: only the sarsa sampler reads a Q-table; the run's sampler is "
+                 "'interval'", id="qtable-beside-baseline"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "bad.qtable"},
+                  "flags": ["--sampler", "random"]}, EXIT_CONFIG,
+                 "sampler.qtable: only the sarsa sampler reads a Q-table; the run's sampler is "
+                 "'random'", id="qtable-beside-flag-baseline"),
 ])
 def test_run_exit_code_table(tmp_path, monkeypatch, capsys, change, code, text):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.qtable").write_text("rearguard-qtable v1\ntick 3\n0 1 2 blink\n")
+    change = dict(change)
+    flags = change.pop("flags", [])   # command-line flags, kept out of the file
     cfg = run_config(tmp_path, **change)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == code
+    assert main(["run", "--config", cfg, *flags, "--out", str(tmp_path / "r")]) == code
     assert text in capsys.readouterr().err
 
 
@@ -552,6 +562,11 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
                  id="seeds-true"),
     pytest.param({"risk": {"reaction_time": False}}, "risk.reaction_time: expected float",
                  id="reaction-time-false"),
+    # checked on load, though budget matching would replace both
+    pytest.param({"budget_match": True, "sampler": {"period": 0.5}},
+                 "sampler: period must be at least one tick, got 0.5", id="period-below-one-tick"),
+    pytest.param({"budget_match": True, "sampler": {"p": 1.5}},
+                 "sampler: p must be a blink probability in [0, 1], got 1.5", id="p-above-one"),
 ])
 def test_compare_exit_code_table(tmp_path, capsys, change, text):
     cfg = compare_config(tmp_path, **change)

@@ -25,7 +25,6 @@ from rearguard.evaluation import (
     ground_truth_danger,
     label_truth,
     make_sampler,
-    observable_danger,
     report_to_dict,
     run_pipeline,
     standard_suite,
@@ -104,10 +103,12 @@ def test_danger_needs_ttc_inside_budget():
 
 def test_observable_danger_drops_objects_below_the_frame():
     # 1.2 m behind the user the ground contact is below the image edge;
-    # the raw label fires, the observable one must not
+    # the raw label fires, the observable one must not, so the tick is
+    # excluded from scoring
     close = tick_at([car(0.0, -1.2, vz=2.0)])
     assert ground_truth_danger(close)
-    assert not observable_danger(close, CameraConfig())
+    (label,) = label_truth([close], CameraConfig()).ticks
+    assert (label.danger, label.excluded, label.visible) == (False, True, ())
 
 
 # ------------------------------------------------- hand-counted scoring
@@ -159,7 +160,7 @@ def test_blink_fraction_counts_only_post_warmup_ticks():
     # interval period 3 over 12 empty ticks blinks at ticks 2, 5, 8 and 11;
     # warm-up ends at t=0.4 (tick 4), leaving 8 ticks with 3 blinks
     frames, truth = hand_trace([[]] * 12)
-    cfg = replace(NO_WARMUP, warmup_s=0.4, interval_period=3.0)
+    cfg = replace(NO_WARMUP, warmup_s=0.4, sampler=replace(NO_WARMUP.sampler, period=3.0))
     report = run_pipeline(frames, truth, "interval", cfg, keep_ticks=True)
     assert report.blink_count == 4
     assert report.blink_fraction == 0.375
@@ -197,8 +198,7 @@ def test_misaligned_truth_is_rejected():
         run_pipeline(frames, truth[:-1], "everyframe", NO_WARMUP)
 
 
-@pytest.mark.parametrize("field", ["warmup_s", "interval_period", "random_p", "c_min",
-                                   "reaction_time", "alert_threshold"])
+@pytest.mark.parametrize("field", ["warmup_s", "reaction_time", "alert_threshold"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])   # a bool is no number
 def test_non_finite_pipeline_values_are_config_errors(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
@@ -269,7 +269,7 @@ def test_sampler_kind_listing_matches_factory():
 
 def test_interval_with_period_of_whole_trace_blinks_once():
     frames, truth = hand_trace([[]] * 30)
-    cfg = replace(NO_WARMUP, interval_period=30.0)
+    cfg = replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, period=30.0))
     report = run_pipeline(frames, truth, "interval", cfg)
     assert report.blink_count == 1
 
@@ -277,12 +277,14 @@ def test_interval_with_period_of_whole_trace_blinks_once():
 def test_interval_period_below_one_tick_is_rejected():
     frames, truth = hand_trace([[]] * 3)
     with pytest.raises(ConfigError, match="period"):
-        run_pipeline(frames, truth, "interval", replace(NO_WARMUP, interval_period=0.5))
+        run_pipeline(frames, truth, "interval",
+                     replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, period=0.5)))
 
 
 def test_random_with_p_zero_never_blinks_after_warmup():
     frames, truth = hand_trace([[]] * 40)
-    report = run_pipeline(frames, truth, "random", replace(NO_WARMUP, random_p=0.0))
+    report = run_pipeline(frames, truth, "random",
+                          replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, p=0.0)))
     assert report.blink_count == 0
     assert report.blink_fraction == 0.0
 
@@ -290,13 +292,14 @@ def test_random_with_p_zero_never_blinks_after_warmup():
 def test_random_p_out_of_range_is_rejected():
     frames, truth = hand_trace([[]] * 3)
     with pytest.raises(ConfigError, match="probability"):
-        run_pipeline(frames, truth, "random", replace(NO_WARMUP, random_p=1.5))
+        run_pipeline(frames, truth, "random",
+                     replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, p=1.5)))
 
 
 def test_interval_fraction_stays_under_its_rate():
     scen = quick_scenario(duration=30.0)
     frames, truth = generate(scen)
-    cfg = replace(NO_WARMUP, interval_period=7.0)
+    cfg = replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, period=7.0))
     report = run_pipeline(frames, truth, "interval", cfg)
     assert report.blink_fraction <= 1.0 / 7.0 + 1.0 / report.n_ticks
 
@@ -425,6 +428,12 @@ def test_compare_runs_equal_lone_pipeline_runs(monkeypatch):
 
     assert len(cells) == len(rep.runs) == 2 * 2 * len(SAMPLER_KINDS)
     assert {kind for _, kind, cfg, _ in cells if cfg != NO_WARMUP} == {"interval", "random"}
+    # budget matching moves only the baselines' own knob
+    for _, kind, cfg, _ in cells:
+        knob = {"interval": "period", "random": "p"}.get(kind)
+        if knob is not None:
+            assert cfg == replace(NO_WARMUP, sampler=replace(
+                NO_WARMUP.sampler, **{knob: getattr(cfg.sampler, knob)}))
     for name, _ in suite:
         assert len({id(truth) for truth, *_, kw in cells if kw["scenario_label"] == name}) == 1
     generated = {name: generate(scen) for name, scen in suite}

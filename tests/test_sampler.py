@@ -4,6 +4,7 @@ convergence on the toy MDP (full 10-seed sweep lives in acceptance)."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from rearguard.sampler import (
     sarsa_update,
     save_qtable,
 )
+from rearguard.scenario import InvalidConfig
 
 CFG = SamplerConfig()
 
@@ -35,6 +37,38 @@ CFG = SamplerConfig()
 class Snap:
     confidence: float
     range: float
+
+
+# ----------------------------------------------------------------- config
+
+KNOB_RULES = {
+    "period": "period must be a finite number",
+    "p": "p must be a blink probability in [0, 1]",
+    "c_min": "c_min must be a finite number",
+}
+
+
+@pytest.mark.parametrize("field", list(KNOB_RULES))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])   # a bool is no number
+def test_non_finite_baseline_knobs_are_config_errors(field, value):
+    with pytest.raises(InvalidConfig, match=re.escape(f"{KNOB_RULES[field]}, got {value!r}")):
+        SamplerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("period", 0.5, "period must be at least one tick, got 0.5"),
+    ("p", -0.1, "p must be a blink probability in [0, 1], got -0.1"),
+    ("p", 1.5, "p must be a blink probability in [0, 1], got 1.5"),
+], ids=["period-below-one-tick", "p-negative", "p-above-one"])
+def test_baseline_knobs_out_of_range_are_config_errors(field, value, message):
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        SamplerConfig(**{field: value})
+
+
+def test_baseline_knobs_at_their_edges_are_accepted():
+    cfg = SamplerConfig(period=1.0, p=0.0, c_min=-1e9)
+    assert (cfg.period, cfg.p, cfg.c_min) == (1.0, 0.0, -1e9)
+    assert SamplerConfig(p=1.0).p == 1.0
 
 
 # ----------------------------------------------------------------- states
