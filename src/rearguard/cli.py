@@ -232,13 +232,15 @@ def cmd_run(args) -> int:
     if cfg.sampler.qtable is not None and kind != "sarsa":
         raise InvalidConfig(f"sampler.qtable: only the sarsa sampler reads a Q-table; "
                             f"the run's sampler is {kind!r}")
+    if cfg.sampler.qtable == "":
+        raise InvalidConfig("sampler.qtable: must name a Q-table file, got ''")
 
     config = _pipeline_config(cfg)
     frames, truth, camera, fov = _resolve_run_inputs(cfg)
 
     qtable = None
     if kind == "sarsa":
-        qtable = load_qtable(cfg.sampler.qtable) if cfg.sampler.qtable else QTable()
+        qtable = QTable() if cfg.sampler.qtable is None else load_qtable(cfg.sampler.qtable)
 
     report = run_pipeline(
         frames, truth, kind, config,

@@ -16,6 +16,13 @@ Each object is one frozen Track: the filter state (vec, P), its
 confidence and what association needs.  Risk, the samplers and scoring
 read these tracks directly; there is no separate per-tick view.
 
+The filter algebra works on stacks: advance() predicts every live
+track, and step() updates every matched pair, with one set of numpy
+calls; predict(), update() and kalman_update() are the one-member case
+of the same code.  Every stacked operation gives each member the same
+bytes as the 2-D call on that member alone.  Transition, process-noise
+and measurement-noise matrices are cached and read-only.
+
 The tracker is a value (TrackerState); step() and advance() return new
 states and never mutate their inputs, which keeps replays and
 comparisons trivially reproducible.
@@ -23,6 +30,8 @@ comparisons trivially reproducible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,18 +72,24 @@ class TrackerConfig:
         for name in ("gamma", "d_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("q_car", "q_cycle", "gamma", "d_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 <= self.iou_gate <= 1:
             raise ValueError("iou_gate must be in [0, 1]")
         for name, n in (("r_diag", 3), ("p0_diag", 4)):
             diag = getattr(self, name)
             if len(diag) != n or not all(geometry.is_number(v) and v > 0 for v in diag):
                 raise ValueError(f"{name} must hold {n} positive numbers")
+            if not all(math.isfinite(v) for v in diag):
+                raise ValueError(f"{name} must hold finite numbers, got {list(diag)!r}")
 
     def q_for(self, cls: str) -> float:
         return self.q_cycle if cls == "cycle" else self.q_car
 
     def r_matrix(self) -> np.ndarray:
-        return np.diag(self.r_diag).astype(float)
+        """diag(r_diag), cached and read-only."""
+        return _diagonal(tuple(self.r_diag))
 
     def p0_matrix(self) -> np.ndarray:
         return np.diag(self.p0_diag).astype(float)
@@ -131,25 +146,39 @@ class TrackerState:
 
 # ----------------------------------------------------------------- filter
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=256)
+def _diagonal(diag: tuple) -> np.ndarray:
+    return _read_only(np.diag(diag).astype(float))
+
+
+@functools.lru_cache(maxsize=256)
 def transition_matrix(dt: float) -> np.ndarray:
+    """Constant-velocity transition over dt, cached and read-only."""
     F = np.eye(4)
     F[0, 2] = dt
     F[1, 3] = dt
-    return F
+    return _read_only(F)
 
 
+@functools.lru_cache(maxsize=256)
 def process_noise(dt: float, q: float) -> np.ndarray:
     """White-noise-acceleration discretization, independent per axis.
 
     Additive over interval splits: Q(a) + F(a) Q(b) F(a)^T ... reduces to
-    Q(a+b), so predicting tick by tick equals one long predict.
+    Q(a+b), so predicting tick by tick equals one long predict.  Cached
+    and read-only.
     """
     dt2 = dt * dt
     Q = np.zeros((4, 4))
     Q[0, 0] = Q[1, 1] = q * dt * dt2 / 3.0
     Q[0, 2] = Q[2, 0] = Q[1, 3] = Q[3, 1] = q * dt2 / 2.0
     Q[2, 2] = Q[3, 3] = q * dt
-    return Q
+    return _read_only(Q)
 
 
 def confidence(P: np.ndarray, gamma: float = 1e-6) -> float:
@@ -188,23 +217,50 @@ def observation_jacobian(
     return H
 
 
-def _condition(S: np.ndarray) -> float:
-    """2-norm condition number of a symmetric matrix, from its eigenvalues.
+def _condition(S: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack of symmetric matrices, from
+    their eigenvalues.
 
     Singular values of a symmetric matrix are its absolute eigenvalues,
-    so this is np.linalg.cond(S) without the SVD.  Like np.linalg.cond
-    it is inf for a singular S or one with an infinite entry, and a NaN
-    entry raises LinAlgError.
+    so each is np.linalg.cond(S[i]) without the SVD.  Like
+    np.linalg.cond it is inf for a singular member or one with an
+    infinite entry, and a NaN entry raises LinAlgError.
     """
     try:
-        mags = [abs(v) for v in np.linalg.eigvalsh(S).tolist()]
-        if all(m > 0.0 for m in mags):  # also false for a NaN
-            return max(mags) / min(mags)
+        mags = np.abs(np.linalg.eigvalsh(S))
     except np.linalg.LinAlgError:
-        pass
-    if np.isnan(S).any():
-        raise np.linalg.LinAlgError("innovation covariance has a NaN entry")
-    return math.inf
+        if len(S) > 1:  # find the member that failed, and keep the others
+            return np.concatenate([_condition(S[i:i + 1]) for i in range(len(S))])
+        mags = np.zeros(S.shape[:-1])
+    lo, hi = mags.min(-1), mags.max(-1)
+    regular = lo > 0.0  # also false for a NaN
+    if not regular.all():
+        if np.isnan(S[~regular]).any():
+            raise np.linalg.LinAlgError("innovation covariance has a NaN entry")
+        lo, hi = np.where(regular, lo, 1.0), np.where(regular, hi, math.inf)
+    return hi / lo
+
+
+def _kalman_stack(vec, P, residual, H, R):
+    """Measurement update of a stack of members, one shared R.
+
+    vec, P, residual and H carry the member on their first axis.
+    Returns (cond, keep, vec_post, P_post): every member's innovation
+    condition number, whether it is within COND_LIMIT, and the posterior
+    of the members kept, in order; the others are left out unupdated.
+    """
+    Ht = H.swapaxes(-1, -2)
+    S = H @ P @ Ht + R
+    cond = _condition(S)
+    keep = cond <= COND_LIMIT
+    if not keep.all():
+        vec, P, residual, H, Ht, S = (a[keep] for a in (vec, P, residual, H, Ht, S))
+    K = P @ Ht @ np.linalg.inv(S)
+    vec_post = vec + (K @ residual[..., None])[..., 0]
+    I_KH = _diagonal((1.0,) * P.shape[-1]) - K @ H
+    P_post = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
+    P_post = 0.5 * (P_post + P_post.swapaxes(-1, -2))
+    return cond, keep, vec_post, P_post
 
 
 def kalman_update(vec, P, residual, H, R):
@@ -214,32 +270,49 @@ def kalman_update(vec, P, residual, H, R):
     for a plain linear model alike.  Raises SingularInnovation when the
     innovation covariance is not invertible to working precision.
     """
-    S = H @ P @ H.T + R
-    cond = _condition(S)
-    if cond > COND_LIMIT:
-        raise SingularInnovation(f"cond(S) = {cond:.3e}")
-    K = P @ H.T @ np.linalg.inv(S)
-    vec_post = vec + K @ residual
-    I_KH = np.eye(P.shape[0]) - K @ H
-    P_post = I_KH @ P @ I_KH.T + K @ R @ K.T
-    P_post = 0.5 * (P_post + P_post.T)
-    return vec_post, P_post
+    cond, keep, vec_post, P_post = _kalman_stack(np.asarray(vec)[None], P[None],
+                                                 np.asarray(residual)[None], H[None], R)
+    if not keep[0]:
+        raise SingularInnovation(f"cond(S) = {cond[0]:.3e}")
+    return vec_post[0], P_post[0]
 
 
-def _predict(track: Track, F: np.ndarray, Q: np.ndarray, gamma: float) -> Track:
-    """predict() with the transition and process noise already built."""
-    vec = F @ track.vec
-    P = F @ track.P @ F.T + Q
-    P = 0.5 * (P + P.T)
-    return Track(track.id, track.cls, vec, P, track.obj_height, confidence(P, gamma),
-                 track.miss_count, track.last_box)
+def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
+    """The tracks with new filter states (stacked on the first axis) and
+    their confidence().  Tracks measured by detections also clear their
+    misses and take their detection's box."""
+    traces = P.trace(axis1=-2, axis2=-1).tolist()
+    return [
+        Track(tr.id, tr.cls, vec[i], P[i], tr.obj_height, 1.0 / (traces[i] + gamma),
+              tr.miss_count if detections is None else 0,
+              tr.last_box if detections is None else detections[i])
+        for i, tr in enumerate(tracks)
+    ]
+
+
+def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
+    """predict() for each track, with the process noise density in qs."""
+    F = transition_matrix(dt)
+    Q = np.array([process_noise(dt, q) for q in qs])
+    vec = (F @ np.array([tr.vec for tr in tracks])[..., None])[..., 0]
+    P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
+    P = 0.5 * (P + P.swapaxes(-1, -2))
+    return _refiltered(tracks, vec, P, gamma)
 
 
 def predict(track: Track, dt: float, q: float, gamma: float = 1e-6) -> Track:
     """Advance a track by dt under the constant-velocity model."""
     if dt < 0:
         raise ValueError("dt must be non-negative")
-    return _predict(track, transition_matrix(dt), process_noise(dt, q), gamma)
+    return _predict_stack([track], dt, [q], gamma)[0]
+
+
+def _linearize(track: Track, pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
+    """The track's predicted observation triple and the observation
+    Jacobian there; raises BehindCamera."""
+    x, z = track.x, track.z
+    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
+    return predicted, observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
 
 
 def update(
@@ -252,12 +325,9 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    x, z = track.x, track.z
-    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
-    H = observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
+    predicted, H = _linearize(track, pose, intr, camera_height)
     vec, P = kalman_update(track.vec, track.P, np.asarray(obs, float) - predicted, H, r)
-    return Track(track.id, track.cls, vec, P, track.obj_height, confidence(P, gamma),
-                 track.miss_count, track.last_box)
+    return _refiltered([track], vec[None], P[None], gamma)[0]
 
 
 # ------------------------------------------------------------ association
@@ -438,10 +508,9 @@ def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerSt
         return tracker
     if not tracker.tracks:
         return TrackerState((), tracker.next_id, t, tracker.last_frame_t)
-    F = transition_matrix(dt)
-    noise = {cls: process_noise(dt, config.q_for(cls)) for cls in {tr.cls for tr in tracker.tracks}}
-    moved = tuple(_predict(tr, F, noise[tr.cls], config.gamma) for tr in tracker.tracks)
-    return TrackerState(moved, tracker.next_id, t, tracker.last_frame_t)
+    tracks = tracker.tracks
+    moved = _predict_stack(tracks, dt, [config.q_for(tr.cls) for tr in tracks], config.gamma)
+    return TrackerState(tuple(moved), tracker.next_id, t, tracker.last_frame_t)
 
 
 def _spawn(
@@ -495,21 +564,34 @@ def step(
         tracker.tracks, detections, pose, intr, camera_height, config.iou_gate
     )
     by_id = {t.id: t for t in tracker.tracks}
-    R = config.r_matrix()
     y_h = geometry.horizon_line(intr, pose.pitch)
 
-    updated: dict[int, Track] = {}
+    matched, observed, predicted, jacobians = [], [], [], []
     for tid, j in assignment.pairs:
         track = by_id[tid]
         det = detections[j]
+        try:
+            obs_hat, H = _linearize(track, pose, intr, camera_height)
+        except BehindCamera:
+            continue
         # measurement triple straight from the detection box
         u, v_bottom = det.bottom_center
-        obs = np.array([u - intr.c_x, det.h, v_bottom - y_h])
-        try:
-            new = update(track, obs, pose, intr, camera_height, R, config.gamma)
-        except (SingularInnovation, BehindCamera):
-            continue
-        updated[tid] = Track(tid, new.cls, new.vec, new.P, new.obj_height, new.confidence, 0, det)
+        observed.append([u - intr.c_x, det.h, v_bottom - y_h])
+        matched.append((track, det))
+        predicted.append(obs_hat)
+        jacobians.append(H)
+
+    updated: dict[int, Track] = {}
+    if matched:
+        _, keep, vec, P = _kalman_stack(np.array([tr.vec for tr, _ in matched]),
+                                        np.array([tr.P for tr, _ in matched]),
+                                        np.array(observed) - np.array(predicted),
+                                        np.array(jacobians), config.r_matrix())
+        # a singular innovation drops its pair, as a miss
+        kept = list(itertools.compress(matched, keep.tolist()))
+        for tr in _refiltered([tr for tr, _ in kept], vec, P, config.gamma,
+                              [det for _, det in kept]):
+            updated[tr.id] = tr
 
     survivors = []
     for track in tracker.tracks:

@@ -262,6 +262,25 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "duration: expected float", id="scenario-field-not-a-number"),
     pytest.param({"tracker": {"miss_max": "three"}}, EXIT_CONFIG,
                  "tracker.miss_max: expected int", id="tracker-field-not-a-number"),
+    # non-finite filter terms: an inf noise term used to exit 4 (a NaN in the
+    # filter), an inf r_diag entry or gamma to run on with a filter that ignores
+    # its measurements
+    pytest.param({"tracker": {"q_car": float("inf")}}, EXIT_CONFIG,
+                 "tracker: q_car must be finite, got inf", id="tracker-q-car-inf"),
+    pytest.param({"tracker": {"q_cycle": float("inf")}}, EXIT_CONFIG,
+                 "tracker: q_cycle must be finite, got inf", id="tracker-q-cycle-inf"),
+    pytest.param({"tracker": {"gamma": float("inf")}}, EXIT_CONFIG,
+                 "tracker: gamma must be finite, got inf", id="tracker-gamma-inf"),
+    pytest.param({"tracker": {"d_max": float("inf")}}, EXIT_CONFIG,
+                 "tracker: d_max must be finite, got inf", id="tracker-d-max-inf"),
+    pytest.param({"tracker": {"r_diag": [float("inf"), 9.0, 9.0]}}, EXIT_CONFIG,
+                 "tracker: r_diag must hold finite numbers, got [inf, 9.0, 9.0]",
+                 id="tracker-r-diag-inf"),
+    pytest.param({"tracker": {"p0_diag": [4.0, 4.0, float("inf"), 16.0]}}, EXIT_CONFIG,
+                 "tracker: p0_diag must hold finite numbers, got [4.0, 4.0, inf, 16.0]",
+                 id="tracker-p0-diag-inf"),
+    pytest.param({"tracker": {"q_car": float("nan")}}, EXIT_CONFIG,
+                 "tracker: q_car must be non-negative", id="tracker-q-car-nan"),
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
                  "warmup_s must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
@@ -322,6 +341,8 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "bad.qtable: line 3", id="qtable-malformed"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": ""}}, EXIT_CONFIG,
+                 "sampler.qtable: must name a Q-table file, got ''", id="qtable-empty"),
     # only sarsa reads a Q-table; a path beside another kind is never opened
     pytest.param({"sampler": {"kind": "interval", "qtable": "does-not-exist.txt"}}, EXIT_CONFIG,
                  "sampler.qtable: only the sarsa sampler reads a Q-table; the run's sampler is "

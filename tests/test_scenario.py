@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import CameraIntrinsics, user_to_camera_planar
+from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, user_to_camera_planar
 from rearguard.risk import ttc
 from rearguard.scenario import (
     LIGHT_CONDITIONS,
@@ -22,6 +24,8 @@ from rearguard.scenario import (
     CameraConfig,
     DetectorConfig,
     Frame,
+    GroundTruthObject,
+    GroundTruthTick,
     HeadMotionConfig,
     InvalidConfig,
     ParseError,
@@ -365,6 +369,39 @@ def test_trace_roundtrip(tmp_path):
     assert header.seed == cfg.seed
     assert list(frames2) == list(frames)
     assert list(truth2) == list(truth)
+
+
+_COORD = st.floats(-1e6, 1e6)  # finite, -0.0 included
+_SIZE = st.floats(1e-3, 1e4)
+_POSE = st.builds(ImuPose, st.floats(-1.5, 1.5), st.floats(-3.14, 3.14))
+_TIMES = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12, unique=True).map(sorted)
+_BOX = st.builds(BoundingBox2D, _COORD, _COORD, _SIZE, _SIZE, st.text(max_size=6),
+                 st.floats(0.0, 1.0))
+_OBJECT = st.builds(GroundTruthObject, st.integers(0, 10**6), st.sampled_from(VEHICLE_CLASSES),
+                    _COORD, _COORD, _COORD, _COORD, _SIZE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(times=_TIMES, data=st.data())
+def test_trace_and_truth_records_roundtrip_unchanged(times, data):
+    """Any valid frames and truth ticks come back from their files equal,
+    down to the sign of a zero and the type of every number: write_trace
+    and write_truth share _write_records, read_trace and read_truth
+    _read_records."""
+    frames = [Frame(t, data.draw(_POSE), tuple(data.draw(st.lists(_BOX, max_size=4))))
+              for t in times]
+    truth = [GroundTruthTick(t, data.draw(_POSE), tuple(data.draw(st.lists(_OBJECT, max_size=4))))
+             for t in times]
+    cfg = one_car()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(Path(tmp) / "t.trace", cfg, frames)
+        write_truth(Path(tmp) / "t.truth", cfg, truth)
+        trace_header, frames2 = read_trace(Path(tmp) / "t.trace")
+        truth_header, truth2 = read_truth(Path(tmp) / "t.truth")
+    assert trace_header == truth_header
+    assert (trace_header.seed, trace_header.duration) == (cfg.seed, cfg.duration)
+    assert frames2 == frames and repr(frames2) == repr(frames)
+    assert truth2 == truth and repr(truth2) == repr(truth)
 
 
 def test_truncated_trace_reports_line(tmp_path):

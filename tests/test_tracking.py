@@ -71,6 +71,25 @@ def textbook_linear_kf(vec, P, meas, H, R):
     return vec_post, P_post
 
 
+def per_track_joseph_update(vec, P, residual, H, R):
+    """The measurement update as 2-D calls on one track, the form the
+    stacked filter must match byte for byte."""
+    S = H @ P @ H.T + R
+    K = P @ H.T @ np.linalg.inv(S)
+    vec_post = vec + K @ residual
+    I_KH = np.eye(P.shape[0]) - K @ H
+    P_post = I_KH @ P @ I_KH.T + K @ R @ K.T
+    return vec_post, 0.5 * (P_post + P_post.T)
+
+
+def per_track_predict(vec, P, dt, q):
+    """The constant-velocity predict as 2-D calls on one track."""
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    P = F @ P @ F.T + process_noise(dt, q)
+    return F @ vec, 0.5 * (P + P.T)
+
+
 def brute_force_assignment(weights, eligible):
     """Enumerate every maximal matching via permutations of the padded
     square problem; keep the largest fsum total, breaking ties toward the
@@ -351,6 +370,108 @@ def test_innovation_below_the_condition_limit_updates():
     vec, P = kalman_update(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2, np.diag([1e11, 1.0]))
     assert np.array_equal(vec, np.zeros(4))
     assert np.array_equal(P, np.zeros((4, 4)))
+
+
+# ---------------------------------------------------------- stacked filter
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    r_kind=st.sampled_from(["regular", "zero-row", "inf-row"]),
+    row=st.integers(0, 2),
+    singular=st.lists(st.booleans(), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
+    """The stacked update gives each member the bytes of its own
+    kalman_update call and of the 2-D algebra, and drops exactly the
+    members whose innovation covariance is singular: with a zero row of
+    R, those whose Jacobian has that row zeroed; with an infinite row,
+    every member."""
+    rng = np.random.default_rng(seed)
+    R = np.diag(rng.uniform(1.0, 20.0, 3))
+    if r_kind != "regular":
+        R[row, row] = 0.0 if r_kind == "zero-row" else math.inf
+    vecs = [rng.normal(0.0, 10.0, 4) for _ in range(n)]
+    Ps = [random_spd(rng) for _ in range(n)]
+    Hs = [rng.normal(0.0, 50.0, (3, 4)) for _ in range(n)]
+    residuals = [rng.normal(0.0, 5.0, 3) for _ in range(n)]
+    for H, flag in zip(Hs, singular):
+        if flag:
+            H[row] = 0.0
+
+    cond, keep, vec_post, P_post = tracking._kalman_stack(
+        np.array(vecs), np.array(Ps), np.array(residuals), np.array(Hs), R)
+
+    separate = []
+    for i in range(n):
+        try:
+            separate.append((i, *kalman_update(vecs[i], Ps[i], residuals[i], Hs[i], R)))
+        except SingularInnovation:
+            pass
+    kept = [i for i, k in enumerate(keep.tolist()) if k]
+    assert kept == [i for i, c in enumerate(cond.tolist()) if c <= tracking.COND_LIMIT]
+    assert kept == [i for i, _, _ in separate]
+    if r_kind == "inf-row":
+        assert kept == []
+    elif r_kind == "zero-row":
+        assert kept == [i for i in range(n) if not singular[i]]
+    else:
+        assert kept == list(range(n))
+    assert len(vec_post) == len(P_post) == len(kept)
+    for j, (i, vec, P) in enumerate(separate):
+        want_vec, want_P = per_track_joseph_update(vecs[i], Ps[i], residuals[i], Hs[i], R)
+        assert vec_post[j].tobytes() == vec.tobytes() == want_vec.tobytes()
+        assert P_post[j].tobytes() == P.tobytes() == want_P.tobytes()
+
+
+def test_stacked_update_with_a_nan_member_is_a_linalg_error():
+    """A NaN in one member's innovation covariance raises, as it does
+    for that member alone, while the others would update."""
+    rng = np.random.default_rng(3)
+    Ps = np.array([random_spd(rng) for _ in range(3)])
+    Ps[1, 0, 0] = math.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        tracking._kalman_stack(np.zeros((3, 4)), Ps, np.zeros((3, 2)),
+                               np.array([_H2] * 3), np.eye(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    classes=st.lists(st.sampled_from(["car", "cycle"]), min_size=1, max_size=8),
+    dt=st.floats(0.001, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_advance_equals_separate_predicts(classes, dt, seed):
+    """advance over mixed car and cycle tracks gives every track the
+    bytes of its own predict call and of the 2-D algebra."""
+    rng = np.random.default_rng(seed)
+    cfg = TrackerConfig()
+    tracks = tuple(
+        make_track(*rng.normal(0.0, 10.0, 4), P=random_spd(rng), cls=cls, tid=i + 1)
+        for i, cls in enumerate(classes)
+    )
+    moved = advance(TrackerState(tracks, len(tracks) + 1, 5.0), 5.0 + dt, cfg).tracks
+    assert [tr.id for tr in moved] == [tr.id for tr in tracks]
+    for before, after in zip(tracks, moved):
+        q = cfg.q_for(before.cls)
+        alone = predict(before, (5.0 + dt) - 5.0, q, cfg.gamma)
+        want_vec, want_P = per_track_predict(before.vec, before.P, (5.0 + dt) - 5.0, q)
+        assert after.vec.tobytes() == alone.vec.tobytes() == want_vec.tobytes()
+        assert after.P.tobytes() == alone.P.tobytes() == want_P.tobytes()
+        assert after.confidence == alone.confidence == confidence(want_P, cfg.gamma)
+        assert (after.miss_count, after.last_box) == (before.miss_count, before.last_box)
+
+
+def test_cached_filter_matrices_are_read_only():
+    """F, Q and R are shared between calls, so none may be written."""
+    for M in (tracking.transition_matrix(0.1), process_noise(0.1, 2.0),
+              TrackerConfig().r_matrix()):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    assert tracking.transition_matrix(0.1) is tracking.transition_matrix(0.1)
+    assert np.array_equal(TrackerConfig().r_matrix(), np.diag([16.0, 9.0, 9.0]))
 
 
 # ------------------------------------------------------------- association
