@@ -82,7 +82,7 @@ class RiskBlock:
 
     def __post_init__(self):
         if not (math.isfinite(self.reaction_time) and self.reaction_time > 0):
-            raise ValueError(f"reaction_time must be a positive finite number, got {self.reaction_time!r}")
+            raise InvalidConfig(f"reaction_time must be a positive finite number, got {self.reaction_time!r}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,17 @@ class RunConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValueError(f"seed: must be non-negative, got {self.seed}")
+            raise InvalidConfig(f"seed: must be non-negative, got {self.seed}")
         if (self.trace is None) != (self.truth is None):
-            raise ValueError("trace and truth paths must be given together")
+            raise InvalidConfig("trace and truth paths must be given together")
         if (self.trace is None) == (self.scenario is None):
-            raise ValueError("trace, truth, scenario: a run config needs exactly one of "
-                             "trace+truth paths or a scenario")
+            raise InvalidConfig("trace, truth, scenario: a run config needs exactly one of "
+                                "trace+truth paths or a scenario")
         if self.scenario is not None and self.fov is not None:
-            raise ValueError("fov: not allowed beside an inline scenario; "
-                             "the scenario's detector.fov sets it")
+            raise InvalidConfig("fov: not allowed beside an inline scenario; "
+                                "the scenario's detector.fov sets it")
         if self.fov is not None and not (math.isfinite(self.fov) and self.fov > 0):
-            raise ValueError(f"fov: must be a positive finite number, got {self.fov!r}")
+            raise InvalidConfig(f"fov: must be a positive finite number, got {self.fov!r}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ class CompareConfig:
 
     def __post_init__(self):
         if self.suite not in (None, "standard"):
-            raise ValueError(f"suite: must be 'standard', got {self.suite!r}")
+            raise InvalidConfig(f"suite: must be 'standard', got {self.suite!r}")
         if (self.suite is None) == (self.scenarios is None):
-            raise ValueError("suite, scenarios: a compare config needs exactly one of "
-                             "suite: standard or a scenarios list")
+            raise InvalidConfig("suite, scenarios: a compare config needs exactly one of "
+                                "suite: standard or a scenarios list")
 
 
 def _load_yaml(path) -> dict:

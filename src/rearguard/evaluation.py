@@ -47,6 +47,7 @@ from .scenario import (
     DEFAULT_FOV,
     DEFAULT_USER_SPEED,
     CameraConfig,
+    InvalidConfig,
     ScenarioConfig,
     UserConfig,
     VehicleConfig,
@@ -54,7 +55,6 @@ from .scenario import (
     generate,
     in_sensing_footprint,
 )
-from .scenario import InvalidConfig as ConfigError
 from .tracking import TrackerConfig, TrackerState, advance, snapshots, step
 
 
@@ -70,7 +70,9 @@ class PipelineConfig:
         for name in ("warmup_s", "reaction_time", "alert_threshold"):
             value = getattr(self, name)
             if not (is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
+        if not self.reaction_time > 0:
+            raise InvalidConfig(f"reaction_time must be positive, got {self.reaction_time!r}")
 
 
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):
@@ -247,7 +249,7 @@ def run_pipeline(
         differ = [f"{k} {getattr(truth, k)!r} (run: {v!r})" for k, v in run.items()
                   if getattr(truth, k) != v]
         if differ:
-            raise ConfigError("truth labels were made with another " + ", ".join(differ))
+            raise InvalidConfig("truth labels were made with another " + ", ".join(differ))
     else:
         truth = label_truth(truth, camera, fov, config)
     labels = truth.ticks
@@ -410,22 +412,22 @@ def compare(
     scenarios = list(scenarios)
     samplers = list(samplers)
     if not scenarios:
-        raise ConfigError("at least one scenario is required")
+        raise InvalidConfig("at least one scenario is required")
     if not samplers:
-        raise ConfigError("at least one sampler is required")
+        raise InvalidConfig("at least one sampler is required")
     for kind in samplers:
         check_kind(kind)
     for what, values in (("scenario name", [name for name, _ in scenarios]),
                          ("sampler kind", samplers)):
         dups = [v for i, v in enumerate(values) if v in values[:i]]
         if dups:
-            raise ConfigError(f"duplicate {what}: {dups[0]!r}")
+            raise InvalidConfig(f"duplicate {what}: {dups[0]!r}")
     if seeds is not None:
         valid = isinstance(seeds, (list, tuple)) and all(
             isinstance(s, int) and is_number(s) and s >= 0 for s in seeds)
         repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]] if valid else []
         if not (valid and seeds) or repeated:
-            raise ConfigError(
+            raise InvalidConfig(
                 "seeds: expected a list of non-negative integers, at least one and none repeated,"
                 f" got {seeds!r}" + (f"; seed {repeated[0]} repeats" if repeated else ""))
 

@@ -153,22 +153,21 @@ def estimate_depth(
     intr: CameraIntrinsics,
     pitch: float,
     camera_height: float,
-    max_depth: float = DEFAULT_MAX_DEPTH_M,
-    min_dy: float = DEFAULT_MIN_DY_PX,
 ) -> float:
     """Depth of the box's ground contact from its offset below the horizon.
 
-    Raises AboveHorizon when the bottom edge is less than ``min_dy`` pixels
-    below the horizon row (contact at or above the horizon carries no
-    usable depth).  Results are clamped to ``max_depth``.
+    Raises AboveHorizon when the bottom edge is less than
+    ``DEFAULT_MIN_DY_PX`` pixels below the horizon row (contact at or
+    above the horizon carries no usable depth).  Results are clamped to
+    ``DEFAULT_MAX_DEPTH_M``.
     """
     if camera_height <= 0:
         raise ValueError("camera_height must be positive")
     y_h = horizon_line(intr, pitch)
     dy = box.y + box.h - y_h
-    if dy <= min_dy:
-        raise AboveHorizon(f"contact point {dy:.2f} px below horizon (min {min_dy})")
-    return min(intr.f_y * camera_height / dy, max_depth)
+    if dy <= DEFAULT_MIN_DY_PX:
+        raise AboveHorizon(f"contact point {dy:.2f} px below horizon (min {DEFAULT_MIN_DY_PX})")
+    return min(intr.f_y * camera_height / dy, DEFAULT_MAX_DEPTH_M)
 
 
 def backproject(box: BoundingBox2D, depth: float, intr: CameraIntrinsics) -> PointCamera3D:

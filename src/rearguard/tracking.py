@@ -4,9 +4,10 @@ State per track is [x, z, vx, vz] in the user frame with a constant
 velocity model; the measurement is the pixel-space observation triple
 from geometry.project_observation, linearized on the fly (EKF).  Blink
 to blink association maximises the total IoU between detections and
-the tracks' predicted boxes.  Among the assignments whose math.fsum
-total is optimal it returns the lexicographically smallest sorted pair
-list.  Association splits the graph of gated (track, detection) pairs
+the tracks' predicted boxes; it projects each track once per blink,
+and the update reuses that predicted triple for its residual.  Among
+the assignments whose math.fsum total is optimal it returns the
+lexicographically smallest sorted pair list.  Association splits the graph of gated (track, detection) pairs
 into connected components: a component of one pair is taken as it is,
 and only a component with a conflict (a track or detection with two
 gated pairs) runs Kuhn-Munkres and the row-by-row tie-break, on its own
@@ -46,6 +47,7 @@ from .geometry import (
     CameraIntrinsics,
     ImuPose,
 )
+from .scenario import InvalidConfig
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 
@@ -68,21 +70,21 @@ class TrackerConfig:
     def __post_init__(self):
         for name in ("q_car", "q_cycle", "miss_max"):
             if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise InvalidConfig(f"{name} must be non-negative")
         for name in ("gamma", "d_max"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidConfig(f"{name} must be positive")
         for name in ("q_car", "q_cycle", "gamma", "d_max"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 <= self.iou_gate <= 1:
-            raise ValueError("iou_gate must be in [0, 1]")
+            raise InvalidConfig("iou_gate must be in [0, 1]")
         for name, n in (("r_diag", 3), ("p0_diag", 4)):
             diag = getattr(self, name)
             if len(diag) != n or not all(geometry.is_number(v) and v > 0 for v in diag):
-                raise ValueError(f"{name} must hold {n} positive numbers")
+                raise InvalidConfig(f"{name} must hold {n} positive numbers")
             if not all(math.isfinite(v) for v in diag):
-                raise ValueError(f"{name} must hold finite numbers, got {list(diag)!r}")
+                raise InvalidConfig(f"{name} must hold finite numbers, got {list(diag)!r}")
 
     def q_for(self, cls: str) -> float:
         return self.q_cycle if cls == "cycle" else self.q_car
@@ -134,6 +136,7 @@ class Assignment:
     pairs: tuple            # ((track_id, det_index), ...)
     unmatched_tracks: tuple
     unmatched_detections: tuple
+    predicted: dict         # track_id -> predicted observation triple, per projected track
 
 
 @dataclass(frozen=True)
@@ -307,14 +310,6 @@ def predict(track: Track, dt: float, q: float, gamma: float = 1e-6) -> Track:
     return _predict_stack([track], dt, [q], gamma)[0]
 
 
-def _linearize(track: Track, pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
-    """The track's predicted observation triple and the observation
-    Jacobian there; raises BehindCamera."""
-    x, z = track.x, track.z
-    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
-    return predicted, observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
-
-
 def update(
     track: Track,
     obs: np.ndarray,
@@ -325,7 +320,9 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    predicted, H = _linearize(track, pose, intr, camera_height)
+    x, z = track.x, track.z
+    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
+    H = observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
     vec, P = kalman_update(track.vec, track.P, np.asarray(obs, float) - predicted, H, r)
     return _refiltered([track], vec[None], P[None], gamma)[0]
 
@@ -345,23 +342,14 @@ def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
 
 
 def predicted_box(
-    track: Track, pose: ImuPose, intr: CameraIntrinsics, camera_height: float
-) -> BoundingBox2D | None:
-    """Project the predicted state to an image box for IoU gating.
+    track: Track, obs: np.ndarray, pose: ImuPose, intr: CameraIntrinsics
+) -> BoundingBox2D:
+    """The image box of the track's predicted observation triple, for IoU gating.
 
-    Bottom-center comes from the observation model; width and height are
+    Bottom-center comes from the observation triple; width and height are
     carried over from the last observed box (there is no better prior
-    between blinks).  Returns None when the prediction is behind the
-    camera this blink.
+    between blinks).
     """
-    if track.last_box is None:
-        return None
-    try:
-        obs = geometry.project_observation(
-            track.x, track.z, track.obj_height, pose, intr, camera_height
-        )
-    except BehindCamera:
-        return None
     u = intr.c_x + obs[0]
     v_bottom = geometry.horizon_line(intr, pose.pitch) + obs[2]
     w, h = track.last_box.w, track.last_box.h
@@ -467,26 +455,39 @@ def match(
 ) -> Assignment:
     """Associate detections to tracks by maximum total IoU.
 
-    Pairs below the gate (or with zero overlap) are never matched.
-    Tracks whose predicted state cannot be projected this blink are
-    unmatched by construction.
+    Each track with a last box is projected once; the triples come back
+    in the Assignment's `predicted`, for the update to reuse.  Pairs
+    below the gate (or with zero overlap) are never matched.  Tracks
+    whose predicted state is behind the camera this blink are unmatched
+    by construction.
     """
-    order = sorted(range(len(tracks)), key=lambda i: tracks[i].id)
-    boxes = [predicted_box(tracks[i], pose, intr, camera_height) for i in order]
-    nt, nd = len(tracks), len(detections)
-    rows = []
-    for b in boxes:
-        ious = [0.0] * nd if b is None else [iou(b, det) for det in detections]
+    ordered = sorted(tracks, key=lambda t: t.id)
+    nd = len(detections)
+    predicted, rows = {}, []
+    for track in ordered:
+        ious = [0.0] * nd
+        if track.last_box is not None:
+            try:
+                obs = geometry.project_observation(
+                    track.x, track.z, track.obj_height, pose, intr, camera_height
+                )
+            except BehindCamera:
+                pass
+            else:
+                predicted[track.id] = obs
+                box = predicted_box(track, obs, pose, intr)
+                ious = [iou(box, det) for det in detections]
         rows.append([v if v > 0.0 and v >= iou_gate else 0.0 for v in ious])
-    weights = np.array(rows, dtype=float).reshape(nt, nd)
+    weights = np.array(rows, dtype=float).reshape(len(ordered), nd)
     pairs_rc, _ = max_weight_assignment(weights, weights > 0.0)
-    pairs = tuple((tracks[order[r]].id, c) for r, c in pairs_rc)
+    pairs = tuple((ordered[r].id, c) for r, c in pairs_rc)
     matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
     return Assignment(
         pairs=pairs,
         unmatched_tracks=tuple(t.id for t in tracks if t.id not in matched_tracks),
         unmatched_detections=tuple(j for j in range(nd) if j not in matched_dets),
+        predicted=predicted,
     )
 
 
@@ -570,16 +571,13 @@ def step(
     for tid, j in assignment.pairs:
         track = by_id[tid]
         det = detections[j]
-        try:
-            obs_hat, H = _linearize(track, pose, intr, camera_height)
-        except BehindCamera:
-            continue
         # measurement triple straight from the detection box
         u, v_bottom = det.bottom_center
         observed.append([u - intr.c_x, det.h, v_bottom - y_h])
         matched.append((track, det))
-        predicted.append(obs_hat)
-        jacobians.append(H)
+        predicted.append(assignment.predicted[tid])
+        jacobians.append(observation_jacobian(track.x, track.z, track.obj_height,
+                                              pose, intr, camera_height))
 
     updated: dict[int, Track] = {}
     if matched:

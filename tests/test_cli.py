@@ -12,6 +12,8 @@ import yaml
 from rearguard import cli
 from rearguard.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from rearguard.sampler import load_qtable
+from rearguard.scenario import InvalidConfig
+from rearguard.tracking import TrackerConfig
 
 SCENARIO = {
     "seed": 31,
@@ -609,6 +611,18 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "cmp.yaml", {"samplers": ["everyframe"]})
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
     assert "scenarios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrackerConfig(q_car=-1.0), "^q_car must be non-negative$"),
+    (lambda: cli.RiskBlock(reaction_time=0),
+     "^reaction_time must be a positive finite number, got 0$"),
+    (lambda: cli.RunConfig(seed=-1, scenario={}), "^seed: must be non-negative, got -1$"),
+    (lambda: cli.CompareConfig(suite="mini"), "^suite: must be 'standard', got 'mini'$"),
+], ids=["tracker", "risk", "run", "compare"])
+def test_config_blocks_built_in_python_raise_invalid_config(build, message):
+    with pytest.raises(InvalidConfig, match=message):
+        build()
 
 
 # ------------------------------------------------------------ digest pins

@@ -15,7 +15,6 @@ from rearguard import evaluation
 from rearguard.evaluation import (
     SAMPLER_KINDS,
     ComparisonReport,
-    ConfigError,
     PipelineConfig,
     TruthLabels,
     compare,
@@ -37,6 +36,7 @@ from rearguard.scenario import (
     GroundTruthObject,
     GroundTruthTick,
     HeadMotionConfig,
+    InvalidConfig,
     ScenarioConfig,
     UserConfig,
     VehicleConfig,
@@ -198,10 +198,17 @@ def test_misaligned_truth_is_rejected():
         run_pipeline(frames, truth[:-1], "everyframe", NO_WARMUP)
 
 
-@pytest.mark.parametrize("field", ["warmup_s", "reaction_time", "alert_threshold"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])   # a bool is no number
-def test_non_finite_pipeline_values_are_config_errors(field, value):
-    with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+BAD_PIPELINE_VALUES = [
+    (field, value, f"{field} must be a finite number")
+    for field in ("warmup_s", "reaction_time", "alert_threshold")
+    for value in (math.nan, math.inf, -math.inf, True, False)   # a bool is no number
+] + [("reaction_time", value, "reaction_time must be positive") for value in (0.0, -1.0)]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_PIPELINE_VALUES,
+                         ids=[f"{value}-{field}" for field, value, _ in BAD_PIPELINE_VALUES])
+def test_non_finite_pipeline_values_are_config_errors(field, value, message):
+    with pytest.raises(InvalidConfig, match=message):
         PipelineConfig(**{field: value})
 
 
@@ -239,7 +246,7 @@ def test_labels_made_for_another_run_are_config_errors(change, message):
     frames, truth = hand_trace([[car(0.0, -6.0, vz=2.0)]] * 4)
     labels = label_truth(truth, CameraConfig(), DEFAULT_FOV, NO_WARMUP)
     run = {"camera": CameraConfig(), "fov": DEFAULT_FOV, "config": NO_WARMUP, **change}
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         run_pipeline(frames, labels, "everyframe", run["config"],
                      camera=run["camera"], fov=run["fov"])
 
@@ -255,7 +262,7 @@ def test_labels_are_checked_against_the_trace_times():
 
 def test_unknown_sampler_kind_is_a_config_error():
     frames, truth = hand_trace([[]] * 3)
-    with pytest.raises(ConfigError, match="lidar"):
+    with pytest.raises(InvalidConfig, match="lidar"):
         run_pipeline(frames, truth, "lidar", NO_WARMUP)
 
 
@@ -276,7 +283,7 @@ def test_interval_with_period_of_whole_trace_blinks_once():
 
 def test_interval_period_below_one_tick_is_rejected():
     frames, truth = hand_trace([[]] * 3)
-    with pytest.raises(ConfigError, match="period"):
+    with pytest.raises(InvalidConfig, match="period"):
         run_pipeline(frames, truth, "interval",
                      replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, period=0.5)))
 
@@ -291,7 +298,7 @@ def test_random_with_p_zero_never_blinks_after_warmup():
 
 def test_random_p_out_of_range_is_rejected():
     frames, truth = hand_trace([[]] * 3)
-    with pytest.raises(ConfigError, match="probability"):
+    with pytest.raises(InvalidConfig, match="probability"):
         run_pipeline(frames, truth, "random",
                      replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, p=1.5)))
 
@@ -377,17 +384,17 @@ def two_quick_scenarios():
 
 
 def test_empty_suite_is_a_config_error():
-    with pytest.raises(ConfigError, match="scenario"):
+    with pytest.raises(InvalidConfig, match="scenario"):
         compare([], ["everyframe"], NO_WARMUP)
 
 
 def test_empty_sampler_list_is_a_config_error():
-    with pytest.raises(ConfigError, match="sampler"):
+    with pytest.raises(InvalidConfig, match="sampler"):
         compare(two_quick_scenarios(), [], NO_WARMUP)
 
 
 def test_unknown_sampler_in_compare_is_a_config_error():
-    with pytest.raises(ConfigError, match="radar"):
+    with pytest.raises(InvalidConfig, match="radar"):
         compare(two_quick_scenarios(), ["everyframe", "radar"], NO_WARMUP)
 
 
@@ -407,7 +414,7 @@ def test_duplicates_in_compare_are_config_errors(names, kinds, seeds, message):
     # kind or seed would run and count every one of its cells twice; an
     # empty seed list would quietly fall back to each scenario's own seed
     suite = [(name, scen) for name, (_, scen) in zip(names, two_quick_scenarios())]
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         compare(suite, kinds, NO_WARMUP, seeds=seeds)
 
 

@@ -684,6 +684,37 @@ def _dense_scenario(seed=6, vehicles=30, duration=20.0):
     )
 
 
+def test_step_projects_each_live_track_once_per_blink(monkeypatch):
+    """match projects every live track once, and the update reuses those
+    triples: a blink costs one project_observation per live track,
+    whether the track is matched or not."""
+    scen = _dense_scenario()
+    frames, _ = scenario.generate(scen)
+    project, assign = tracking.geometry.project_observation, tracking.match
+    calls, pairs = [], []
+
+    def counted_project(*args, **kwargs):
+        calls.append(args)
+        return project(*args, **kwargs)
+
+    def counted_match(*args, **kwargs):
+        result = assign(*args, **kwargs)
+        pairs.extend(result.pairs)
+        return result
+
+    monkeypatch.setattr(tracking.geometry, "project_observation", counted_project)
+    monkeypatch.setattr(tracking, "match", counted_match)
+    cfg = TrackerConfig()
+    state = TrackerState()
+    live = []
+    for frame in frames:
+        live.append(len(state.tracks))
+        before = len(calls)
+        state, _ = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
+        assert len(calls) - before == live[-1]
+    assert max(live) >= 5 and len(pairs) > len(frames)
+
+
 def test_dense_tracker_bytes_pinned():
     """Every-frame tracking over a crowded scenario reproduces the
     recorded per-tick track bytes: ids, state, covariance, misses and
