@@ -17,6 +17,11 @@ ground truth, never on the sampler, so denominators line up across a
 comparison.  For the same reason `label_truth` labels a scenario once
 and `compare` scores every sampler and seed against those labels.
 
+Scenarios are independent of each other: budget matching stays inside
+one scenario, runs are sorted and means are summed exactly.  So
+`compare` can run them in forked worker processes, the calling process
+among them, and still give the same report bytes as one process does.
+
 Metrics are accumulated after a warm-up segment (learning stays on
 throughout; warm-up only excludes the cold start from the counters).
 Tick-level FPR/FNR use the number of scored post-warm-up assessments as
@@ -34,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 
@@ -389,12 +395,126 @@ def _per_kind(runs, kinds) -> dict:
     return {kind: _aggregate([r for r in runs if r.sampler_kind == kind]) for kind in kinds}
 
 
+def _scenario_runs(name, scen, ordered, config, budget_match, seeds) -> list:
+    """One scenario's cells: generate and label once, then every seed
+    with the samplers in `ordered`, sarsa first so that it sets the
+    budget of the others."""
+    frames, truth = generate(scen)
+    labels = label_truth(truth, scen.camera, scen.detector.fov, config)
+    runs = []
+    for seed in seeds or [scen.seed]:
+        anchor = None
+        for kind in ordered:
+            cfg_k = config
+            if budget_match and anchor is not None:
+                if kind == "interval":
+                    cfg_k = replace(config, sampler=replace(
+                        config.sampler, period=max(1.0, 1.0 / max(anchor, 1e-9))))
+                elif kind == "random":
+                    cfg_k = replace(config, sampler=replace(
+                        config.sampler, p=min(1.0, max(0.0, anchor))))
+            report = run_pipeline(
+                frames, labels, kind, cfg_k,
+                seed=seed, camera=scen.camera, fov=scen.detector.fov,
+                scenario_label=name,
+            )
+            if kind == "sarsa":
+                anchor = report.blink_fraction
+            runs.append(report)
+    return runs
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where there is no fork to use them."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_forked(work, n: int, workers: int) -> list:
+    """`[work(i) for i in range(n)]` over `workers` processes, this one
+    among them.
+
+    The other `workers - 1` are forked, so they share this process's
+    modules, patches included, and `work` need not pickle.  Every process
+    claims the next index from one shared counter and keeps its results
+    until the counter runs out; the children then pickle theirs back over
+    a pipe.  A failed index stops the claiming; every lower index was
+    already claimed, so the lowest failed index is always run, and its
+    exception is raised here as the serial loop would raise it (a child's
+    traceback stays in the child; `workers=1` shows it).  The children
+    are terminated and joined on every way out.
+    """
+    # imported here, not at the top: it costs 10-20 ms, which every
+    # in-process caller of the package would pay
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    next_index = ctx.Value("l", 0)
+
+    def claim(done: list) -> None:
+        while True:
+            with next_index.get_lock():
+                i = next_index.value
+                next_index.value = min(i + 1, n)
+            if i >= n:
+                return
+            try:
+                done.append((i, work(i), None))
+            except Exception as exc:
+                done.append((i, None, exc))
+                with next_index.get_lock():
+                    next_index.value = n
+                return
+
+    def child(conn) -> None:
+        done = []
+        claim(done)
+        conn.send(done)
+        conn.close()
+
+    procs, conns = [], []
+    try:
+        for _ in range(workers - 1):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send_end,), daemon=True)
+            proc.start()
+            send_end.close()
+            procs.append(proc)
+            conns.append(recv_end)
+        done = []
+        claim(done)
+        for proc, conn in zip(procs, conns):
+            try:
+                done += conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a compare worker exited with code {proc.exitcode}"
+                                   " before it returned its results") from None
+            proc.join()
+    finally:
+        for proc in procs:
+            proc.terminate()   # a no-op for a child already joined
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+    done.sort(key=lambda item: item[0])
+    for _, _, exc in done:
+        if exc is not None:
+            raise exc
+    return [result for _, result, _ in done]
+
+
 def compare(
     scenarios,
     samplers,
     config: PipelineConfig = PipelineConfig(),
     budget_match: bool = True,
     seeds=None,
+    workers: int | None = None,
 ) -> ComparisonReport:
     """Run every sampler over every scenario and aggregate.
 
@@ -408,6 +528,17 @@ def compare(
     Default is one run per scenario using the scenario's own seed; given
     seeds are a non-empty list of distinct non-negative integers.
     Scenario names and sampler kinds must be unique.
+
+    `workers` is the number of processes that run scenarios: a positive
+    integer, or None for every usable CPU; either is capped at the number
+    of scenarios.  At 1 the scenarios run one after another in this
+    process.  Above 1 this process runs scenarios too, beside
+    `workers - 1` children made with the `fork` start method, each
+    scenario whole in one process.  The report is the same, byte for
+    byte, for every value: the runs are sorted and the means are exact.
+    An error in any scenario is raised here with the type and message
+    the serial loop gives; if several scenarios fail, the first in
+    `scenarios` wins.
     """
     scenarios = list(scenarios)
     samplers = list(samplers)
@@ -431,33 +562,23 @@ def compare(
                 "seeds: expected a list of non-negative integers, at least one and none repeated,"
                 f" got {seeds!r}" + (f"; seed {repeated[0]} repeats" if repeated else ""))
 
-    runs = []
-    axes = {}
-    ordered = sorted(samplers, key=lambda k: k != "sarsa")
-    for name, scen in scenarios:
-        frames, truth = generate(scen)
-        labels = label_truth(truth, scen.camera, scen.detector.fov, config)
-        axes[name] = _scenario_axes(scen)
-        for seed in seeds or [scen.seed]:
-            anchor = None
-            for kind in ordered:
-                cfg_k = config
-                if budget_match and anchor is not None:
-                    if kind == "interval":
-                        cfg_k = replace(config, sampler=replace(
-                            config.sampler, period=max(1.0, 1.0 / max(anchor, 1e-9))))
-                    elif kind == "random":
-                        cfg_k = replace(config, sampler=replace(
-                            config.sampler, p=min(1.0, max(0.0, anchor))))
-                report = run_pipeline(
-                    frames, labels, kind, cfg_k,
-                    seed=seed, camera=scen.camera, fov=scen.detector.fov,
-                    scenario_label=name,
-                )
-                if kind == "sarsa":
-                    anchor = report.blink_fraction
-                runs.append(report)
+    if workers is not None and not (isinstance(workers, int) and is_number(workers)
+                                    and workers >= 1):
+        raise InvalidConfig(f"workers: expected a positive integer, got {workers!r}")
 
+    ordered = sorted(samplers, key=lambda k: k != "sarsa")
+
+    def scenario_runs(i):
+        name, scen = scenarios[i]
+        return _scenario_runs(name, scen, ordered, config, budget_match, seeds)
+
+    workers = min(_usable_cpus() if workers is None else workers, len(scenarios))
+    if workers == 1:
+        per_scenario = [scenario_runs(i) for i in range(len(scenarios))]
+    else:
+        per_scenario = _map_forked(scenario_runs, len(scenarios), workers)
+    runs = [r for reports in per_scenario for r in reports]
+    axes = {name: _scenario_axes(scen) for name, scen in scenarios}
     runs.sort(key=lambda r: (r.scenario, r.sampler_kind, r.seed))
     kinds = sorted(samplers)
     breakdowns = {

@@ -5,8 +5,14 @@ suite) live in the acceptance tests.  Here the counting rules are pinned
 on traces small enough to verify every flag by hand.
 """
 
+import json
 import math
+import multiprocessing
+import os
+import signal
+import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -430,7 +436,8 @@ def test_compare_runs_equal_lone_pipeline_runs(monkeypatch):
         return lone_pipeline(frames, truth, kind, config, **kw)
 
     monkeypatch.setattr(evaluation, "run_pipeline", recording)
-    rep = compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2])
+    # in process: a forked worker's calls would not reach `cells`
+    rep = compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=1)
     monkeypatch.undo()
 
     assert len(cells) == len(rep.runs) == 2 * 2 * len(SAMPLER_KINDS)
@@ -460,13 +467,123 @@ def test_compare_labels_each_scenario_once(monkeypatch):
         monkeypatch.setattr(evaluation, name, counted)
     suite = two_quick_scenarios()
 
-    compare(suite, ["everyframe"], NO_WARMUP, seeds=[1])
+    # in process: a forked worker's calls would not reach `counts`
+    compare(suite, ["everyframe"], NO_WARMUP, seeds=[1], workers=1)
     once = dict(counts)
     counts.clear()
-    compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2])
+    compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=1)
 
     assert once["ground_truth_danger"] > 0 and once["in_sensing_footprint"] > 0
     assert dict(counts) == once
+
+
+def _count_calls_to_file(monkeypatch, path, names):
+    """Patch each `evaluation` function in `names` to append its name to
+    `path` on every call, so that forked workers' calls are counted too."""
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+            with open(path, "a") as fh:
+                fh.write(_name + "\n")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    return lambda: Counter(path.read_text().split()) if path.exists() else Counter()
+
+
+def test_parallel_compare_labels_each_scenario_once(monkeypatch, tmp_path):
+    names = ("ground_truth_danger", "in_sensing_footprint")
+    totals = []
+    for workers in (1, 2):
+        calls = _count_calls_to_file(monkeypatch, tmp_path / f"calls-{workers}", names)
+        compare(two_quick_scenarios(), SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=workers)
+        totals.append(calls())
+        monkeypatch.undo()
+    assert totals[0]["ground_truth_danger"] > 0 and totals[0]["in_sensing_footprint"] > 0
+    assert totals[1] == totals[0]
+
+
+def _comparison_bytes(rep) -> bytes:
+    return json.dumps(comparison_to_dict(rep), sort_keys=True, indent=2).encode()
+
+
+def test_compare_bytes_do_not_depend_on_workers():
+    suite = two_quick_scenarios()
+    serial, *parallel = (
+        _comparison_bytes(compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2],
+                                  budget_match=True, workers=workers))
+        for workers in (1, 2, 3)
+    )
+    assert parallel == [serial, serial]
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_more_workers_than_cores_run_every_scenario_once():
+    # six scenarios over six processes on any core count: a lost update of
+    # the shared claim counter would run a scenario twice or never
+    suite = [(f"s{i}", quick_scenario(seed=40 + i, duration=8.0, vehicles=[
+        VehicleConfig(cls="car", spawn_time=1.0, x0=0.9, z0=-20.0 - i, speed=2.4)]))
+        for i in range(6)]
+    with _time_limit(120):
+        rep = compare(suite, ["everyframe", "interval"], NO_WARMUP, workers=6)
+    assert [(r.scenario, r.sampler_kind) for r in rep.runs] == [
+        (name, kind) for name, _ in suite for kind in ("everyframe", "interval")]
+    assert _comparison_bytes(rep) == _comparison_bytes(
+        compare(suite, ["everyframe", "interval"], NO_WARMUP, workers=1))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_scenario_raises_as_in_the_serial_loop(workers):
+    # builds, then fails in generate's validate_config; a later scenario
+    # fails too, and the earlier one must win
+    suite = [two_quick_scenarios()[0],
+             ("broken", ScenarioConfig(seed=5, duration=-1)),
+             two_quick_scenarios()[1],
+             ("worse", ScenarioConfig(seed=6, duration=10.0, tick_rate=0))]
+    with pytest.raises(InvalidConfig, match="^duration: must be positive$"):
+        compare(suite, ["everyframe"], NO_WARMUP, workers=workers)
+    assert multiprocessing.active_children() == []
+
+
+class _Abort(BaseException):
+    pass
+
+
+def test_workers_are_stopped_when_the_caller_raises(monkeypatch):
+    # the calling process aborts on its first scenario while its workers
+    # sleep on theirs: compare must end them rather than wait
+    caller, lone_generate = os.getpid(), evaluation.generate
+
+    def generate(scen):
+        if os.getpid() == caller:
+            raise _Abort
+        time.sleep(60)
+        return lone_generate(scen)
+
+    monkeypatch.setattr(evaluation, "generate", generate)
+    start = time.monotonic()
+    with pytest.raises(_Abort):
+        compare(two_quick_scenarios() + [("charlie", quick_scenario(seed=23))],
+                ["everyframe"], NO_WARMUP, workers=3)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(InvalidConfig, match="^workers: expected a positive integer, got "):
+        compare(two_quick_scenarios(), ["everyframe"], NO_WARMUP, workers=workers)
 
 
 def test_single_scenario_single_sampler_yields_one_row():
