@@ -288,8 +288,7 @@ def cmd_compare(args) -> int:
 
     suite = _resolve_suite(cfg)
     config = _pipeline_config(cfg)
-    rep = compare(suite, cfg.samplers, config, budget_match=cfg.budget_match, seeds=cfg.seeds,
-                  workers=args.jobs)
+    rep = compare(suite, cfg.samplers, config, budget_match=cfg.budget_match, seeds=cfg.seeds)
 
     digest = config_digest({**raw, "samplers": list(cfg.samplers), "seeds": cfg.seeds,
                             "warmup_s": config.warmup_s})
@@ -337,9 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--out", default=None, help="output directory")
     cmp_.add_argument("--warmup-s", type=float, default=None, dest="warmup_s",
                       help="metrics warm-up in seconds")
-    cmp_.add_argument("--jobs", type=int, default=None,
-                      help="processes running scenarios, this one included (default: every "
-                           "usable CPU); the outputs are the same for any value")
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

@@ -40,6 +40,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 
@@ -425,12 +426,24 @@ def _scenario_runs(name, scen, ordered, config, budget_match, seeds) -> list:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where there is no fork to use them."""
-    if not hasattr(os, "fork"):
-        return 1
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _default_workers() -> int:
+    """Every usable CPU, or 1 where this process may not fork workers:
+    on a platform without `fork`, and in a daemonic multiprocessing
+    process (a `Pool` task, say), which may not start children."""
+    if not hasattr(os, "fork"):
+        return 1
+    # only a process that has imported multiprocessing can be one of its
+    # daemons, so this looks the module up rather than importing it
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return _usable_cpus()
 
 
 def _map_forked(work, n: int, workers: int) -> list:
@@ -530,8 +543,9 @@ def compare(
     Scenario names and sampler kinds must be unique.
 
     `workers` is the number of processes that run scenarios: a positive
-    integer, or None for every usable CPU; either is capped at the number
-    of scenarios.  At 1 the scenarios run one after another in this
+    integer, or None for every usable CPU (1 in a daemonic
+    multiprocessing worker, which may not have children); either is
+    capped at the number of scenarios.  At 1 the scenarios run one after another in this
     process.  Above 1 this process runs scenarios too, beside
     `workers - 1` children made with the `fork` start method, each
     scenario whole in one process.  The report is the same, byte for
@@ -572,7 +586,7 @@ def compare(
         name, scen = scenarios[i]
         return _scenario_runs(name, scen, ordered, config, budget_match, seeds)
 
-    workers = min(_usable_cpus() if workers is None else workers, len(scenarios))
+    workers = min(_default_workers() if workers is None else workers, len(scenarios))
     if workers == 1:
         per_scenario = [scenario_runs(i) for i in range(len(scenarios))]
     else:

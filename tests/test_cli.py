@@ -526,16 +526,6 @@ def test_compare_writes_reports_with_digest(tmp_path):
     assert "everyframe" in summary
 
 
-def test_compare_jobs_flag_leaves_every_output_byte(tmp_path):
-    cfg = compare_config(tmp_path, seeds=[1, 2])
-    outputs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs-{jobs}"
-        assert main(["compare", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == EXIT_OK
-        outputs.append([(out / name).read_bytes() for name in ("comparison.json", "summary.txt")])
-    assert outputs[0] == outputs[1]
-
-
 def test_compare_sampler_flag_restricts_the_grid(tmp_path):
     cfg = compare_config(tmp_path)
     out = tmp_path / "c"
@@ -600,17 +590,10 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
                  "sampler: period must be at least one tick, got 0.5", id="period-below-one-tick"),
     pytest.param({"budget_match": True, "sampler": {"p": 1.5}},
                  "sampler: p must be a blink probability in [0, 1], got 1.5", id="p-above-one"),
-    # keys that start with -- are command-line flags, not file keys
-    pytest.param({"--jobs": "0"}, "workers: expected a positive integer, got 0", id="jobs-zero"),
-    pytest.param({"--jobs": "-1"}, "workers: expected a positive integer, got -1",
-                 id="jobs-negative"),
 ])
 def test_compare_exit_code_table(tmp_path, capsys, change, text):
-    flags = [part for key, value in change.items() if key.startswith("--")
-             for part in (key, value)]
-    cfg = compare_config(tmp_path, **{k: v for k, v in change.items() if not k.startswith("--")})
-    assert main(["compare", "--config", cfg, *flags,
-                 "--out", str(tmp_path / "c")]) == EXIT_CONFIG
+    cfg = compare_config(tmp_path, **change)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
     assert text in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 

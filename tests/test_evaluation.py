@@ -580,6 +580,20 @@ def test_workers_are_stopped_when_the_caller_raises(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _default_compare_bytes() -> bytes:
+    return _comparison_bytes(compare(two_quick_scenarios(), ["everyframe"], NO_WARMUP))
+
+
+def test_default_workers_run_in_process_inside_a_pool_task(monkeypatch):
+    # a Pool's processes are daemonic and may not have children, so the
+    # default must not fork there, whatever the CPU count
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 3)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_task = pool.apply(_default_compare_bytes)
+    assert in_task == _comparison_bytes(
+        compare(two_quick_scenarios(), ["everyframe"], NO_WARMUP, workers=1))
+
+
 @pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
 def test_workers_must_be_a_positive_integer(workers):
     with pytest.raises(InvalidConfig, match="^workers: expected a positive integer, got "):
