@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,15 +37,16 @@ from .evaluation import (
     run_pipeline,
     standard_suite,
 )
+from .risk import RiskConfig
 from .sampler import SAMPLER_KINDS, QTable, SamplerConfig, check_kind, load_qtable, save_qtable
 from .scenario import (
     DEFAULT_FOV,
-    CameraConfig,
     InvalidConfig,
     ParseError,
     VersionMismatch,
     build_config,
     check_aligned,
+    check_fov,
     config_from_dict,
     generate,
     read_trace,
@@ -76,16 +76,6 @@ class RunSamplerBlock(SamplerConfig):
 
 
 @dataclass(frozen=True)
-class RiskBlock:
-    reaction_time: float = PipelineConfig.reaction_time
-    alert_threshold: float = PipelineConfig.alert_threshold
-
-    def __post_init__(self):
-        if not (math.isfinite(self.reaction_time) and self.reaction_time > 0):
-            raise InvalidConfig(f"reaction_time must be a positive finite number, got {self.reaction_time!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """A run file.  The trace comes from `trace` and `truth` files (whose header
     lacks the detector `fov`) or from a `scenario` mapping or scenario file path."""
@@ -99,7 +89,7 @@ class RunConfig:
     scenario: dict | str | None = None
     sampler: RunSamplerBlock = RunSamplerBlock()
     tracker: TrackerConfig = TrackerConfig()
-    risk: RiskBlock = RiskBlock()
+    risk: RiskConfig = RiskConfig()
 
     def __post_init__(self):
         if self.seed < 0:
@@ -112,8 +102,8 @@ class RunConfig:
         if self.scenario is not None and self.fov is not None:
             raise InvalidConfig("fov: not allowed beside an inline scenario; "
                                 "the scenario's detector.fov sets it")
-        if self.fov is not None and not (math.isfinite(self.fov) and self.fov > 0):
-            raise InvalidConfig(f"fov: must be a positive finite number, got {self.fov!r}")
+        if self.fov is not None:
+            check_fov(self.fov)
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ class CompareConfig:
     out: str | None = None
     sampler: SamplerConfig = SamplerConfig()
     tracker: TrackerConfig = TrackerConfig()
-    risk: RiskBlock = RiskBlock()
+    risk: RiskConfig = RiskConfig()
 
     def __post_init__(self):
         if self.suite not in (None, "standard"):
@@ -160,13 +150,8 @@ def _load(cls, path, **flags):
 
 
 def _pipeline_config(cfg: RunConfig | CompareConfig) -> PipelineConfig:
-    return PipelineConfig(
-        tracker=cfg.tracker,
-        sampler=cfg.sampler,
-        reaction_time=cfg.risk.reaction_time,
-        alert_threshold=cfg.risk.alert_threshold,
-        warmup_s=float(cfg.warmup_s),
-    )
+    return PipelineConfig(**dataclasses.asdict(cfg.risk), tracker=cfg.tracker,
+                          sampler=cfg.sampler, warmup_s=float(cfg.warmup_s))
 
 
 def _scenario_from(entry: dict | str):
@@ -191,9 +176,9 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     file_out = raw.pop("out", None)
-    out = _out_dir(args.out or file_out)
     scen = config_from_dict(raw)
     frames, truth = generate(scen)
+    out = _out_dir(args.out or file_out)
 
     trace_path = out / "trace.jsonl"
     truth_path = out / "truth.jsonl"
@@ -216,12 +201,7 @@ def _resolve_run_inputs(cfg: RunConfig):
         raise ParseError(f"{cfg.truth}: line 1: trace and truth headers disagree; "
                          "not the same run")
     check_aligned(frames, truth, cfg.truth)
-    camera = CameraConfig(
-        intrinsics=header.intrinsics,
-        image_size=tuple(header.image_size),
-        camera_height=header.camera_height,
-    )
-    return frames, truth, camera, DEFAULT_FOV if cfg.fov is None else cfg.fov
+    return frames, truth, header.camera, DEFAULT_FOV if cfg.fov is None else cfg.fov
 
 
 def cmd_run(args) -> int:

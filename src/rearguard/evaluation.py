@@ -47,7 +47,7 @@ from itertools import groupby
 import numpy as np
 
 from .geometry import is_number
-from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, assess
+from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, RiskConfig, assess
 from .sampler import BASELINES, QTable, SamplerConfig, SarsaSampler, check_kind
 from .sampler import SAMPLER_KINDS  # noqa: F401  callers read evaluation.SAMPLER_KINDS
 from .scenario import (
@@ -66,20 +66,16 @@ from .tracking import TrackerConfig, TrackerState, advance, snapshots, step
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(RiskConfig):
+    """The risk terms, and what else a run needs: tracker, sampler, warm-up."""
     tracker: TrackerConfig = TrackerConfig()
     sampler: SamplerConfig = SamplerConfig()
-    reaction_time: float = DEFAULT_REACTION_TIME_S
-    alert_threshold: float = DEFAULT_ALERT_THRESHOLD
     warmup_s: float = 60.0
 
     def __post_init__(self):
-        for name in ("warmup_s", "reaction_time", "alert_threshold"):
-            value = getattr(self, name)
-            if not (is_number(value) and math.isfinite(value)):
-                raise InvalidConfig(f"{name} must be a finite number, got {value!r}")
-        if not self.reaction_time > 0:
-            raise InvalidConfig(f"reaction_time must be positive, got {self.reaction_time!r}")
+        super().__post_init__()
+        if not (is_number(self.warmup_s) and math.isfinite(self.warmup_s)):
+            raise InvalidConfig(f"warmup_s must be a finite number, got {self.warmup_s!r}")
 
 
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):

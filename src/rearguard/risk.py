@@ -21,10 +21,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .geometry import is_number
+from .scenario import InvalidConfig
+
 RADIAL_EPS = 1e-9
 
 DEFAULT_REACTION_TIME_S = 3.3
 DEFAULT_ALERT_THRESHOLD = 0.01
+
+
+@dataclass(frozen=True)
+class RiskConfig:
+    """The rule's terms: the reaction-time budget t_r (s) and the alert level."""
+    reaction_time: float = DEFAULT_REACTION_TIME_S
+    alert_threshold: float = DEFAULT_ALERT_THRESHOLD
+
+    def __post_init__(self):
+        t_r, threshold = self.reaction_time, self.alert_threshold
+        if not (is_number(t_r) and math.isfinite(t_r) and t_r > 0):
+            raise InvalidConfig(f"reaction_time must be a positive finite number, got {t_r!r}")
+        if not (is_number(threshold) and math.isfinite(threshold)):
+            raise InvalidConfig(f"alert_threshold must be a finite number, got {threshold!r}")
 
 
 class DegeneratePosition(ValueError):

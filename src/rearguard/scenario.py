@@ -18,6 +18,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -80,6 +81,21 @@ class VersionMismatch(ValueError):
 
 
 # ------------------------------------------------------------------ config
+# Each class checks its own fields; a message starts with the field's path.
+
+def _require(cond: bool, fieldname: str, message: str):
+    if not cond:
+        raise InvalidConfig(f"{fieldname}: {message}")
+
+
+def _positive(value) -> bool:
+    return is_number(value) and value > 0
+
+
+def check_fov(fov) -> None:
+    """The one rule for a scenario's `detector.fov` and a run file's `fov`."""
+    _require(is_number(fov) and 0 < fov < math.pi, "fov", f"must be in (0, pi), got {fov!r}")
+
 
 @dataclass(frozen=True)
 class CameraConfig:
@@ -88,12 +104,21 @@ class CameraConfig:
     camera_height: float = 1.55
     margin_px: float = 80.0
 
+    def __post_init__(self):
+        _require(_positive(self.camera_height), "camera_height", "must be positive")
+        _require(len(self.image_size) == 2 and all(map(_positive, self.image_size)),
+                 "image_size", "must be two positive numbers")
+
 
 @dataclass(frozen=True)
 class UserConfig:
     mode: str = "walking"
     speed: float | None = None     # default depends on mode
     height: float = 1.75
+
+    def __post_init__(self):
+        _require(self.mode in USER_MODES, "mode", f"must be one of {USER_MODES}")
+        _require(self.resolved_speed() >= 0, "speed", "must be non-negative")
 
     def resolved_speed(self) -> float:
         return DEFAULT_USER_SPEED[self.mode] if self.speed is None else self.speed
@@ -107,21 +132,34 @@ class HeadMotionConfig:
     pitch_period: float
     jitter_std: float
 
-    @classmethod
-    def for_mode(cls, mode: str) -> "HeadMotionConfig":
-        return cls(*DEFAULT_HEAD_MOTION[mode])
+    def __post_init__(self):
+        _require(self.yaw_period > 0, "yaw_period", "must be positive")
+        _require(self.pitch_period > 0, "pitch_period", "must be positive")
+        _require(self.jitter_std >= 0, "jitter_std", "must be non-negative")
+        _require(abs(self.pitch_amplitude) + 6 * self.jitter_std < math.pi / 2, "pitch_amplitude",
+                 "plus 6 jitter_std must stay below pi/2, the pitch limit")
 
 
 @dataclass(frozen=True)
 class VehicleConfig:
     cls: str
-    spawn_time: float
+    spawn_time: float   # checked against the duration by ScenarioConfig
     x0: float           # user-frame lateral offset at spawn
     z0: float           # user-frame forward offset at spawn (behind is negative)
     speed: float        # world speed along its heading
     heading: float = 0.0   # world heading, 0 points along +z (user's forward)
     profile: str = "constant"
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _require(self.cls in VEHICLE_CLASSES, "cls", f"must be one of {VEHICLE_CLASSES}")
+        _require(self.speed >= 0, "speed", "must be non-negative")
+        _require(self.profile in VEHICLE_PROFILES, "profile", f"must be one of {VEHICLE_PROFILES}")
+        for name in PROFILE_PARAMS.get(self.profile, ()):
+            value = self.params.get(name)
+            _require(is_number(value), f"params.{name}", f"a number is required for {self.profile}")
+            if name == PROFILE_PARAMS[self.profile][-1]:
+                _require(value > 0, f"params.{name}", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,6 +170,17 @@ class DetectorConfig:
     spread_m: dict = field(default_factory=lambda: {"car": 1.2, "cycle": 0.8})
     night_factor: float = 0.6               # < 1 shrinks effective visibility
     occlusion_sector: float = math.radians(3.0)
+
+    def __post_init__(self):
+        check_fov(self.fov)
+        _require(0 < self.night_factor <= 1, "night_factor", "must be in (0, 1]")
+        _require(self.box_noise_px >= 0, "box_noise_px", "must be non-negative")
+        for cls in VEHICLE_CLASSES:
+            # the calibration approach starts at REF_APPROACH_START
+            median = self.first_detect_m.get(cls)
+            _require(_positive(median) and median <= REF_APPROACH_START,
+                     f"first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
+            _require(_positive(self.spread_m.get(cls)), f"spread_m.{cls}", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,8 +196,20 @@ class ScenarioConfig:
     detector: DetectorConfig = DetectorConfig()
     camera: CameraConfig = CameraConfig()
 
+    def __post_init__(self):
+        _require(isinstance(self.seed, int) and self.seed >= 0, "seed", "must be a non-negative integer")
+        _require(self.duration > 0, "duration", "must be positive")
+        _require(self.tick_rate > 0, "tick_rate", "must be positive")
+        _require(math.isfinite(self.duration * self.tick_rate), "duration",
+                 "times tick_rate must give a finite tick count")
+        _require(self.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
+        _require(self.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
+        for i, v in enumerate(self.vehicles):
+            _require(0 <= v.spawn_time < self.duration, f"vehicles[{i}].spawn_time",
+                     "must lie within the scenario duration")
+
     def resolved_head_motion(self) -> HeadMotionConfig:
-        return self.head_motion or HeadMotionConfig.for_mode(self.user.mode)
+        return self.head_motion or HeadMotionConfig(*DEFAULT_HEAD_MOTION[self.user.mode])
 
 
 @dataclass(frozen=True)
@@ -180,57 +241,6 @@ class GroundTruthTick:
     objects: tuple
 
 
-def _require(cond: bool, fieldname: str, message: str):
-    if not cond:
-        raise InvalidConfig(f"{fieldname}: {message}")
-
-
-def _positive(value) -> bool:
-    return is_number(value) and value > 0
-
-
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed", "must be a non-negative integer")
-    _require(cfg.duration > 0, "duration", "must be positive")
-    _require(cfg.tick_rate > 0, "tick_rate", "must be positive")
-    _require(cfg.user.mode in USER_MODES, "user.mode", f"must be one of {USER_MODES}")
-    _require(cfg.user.resolved_speed() >= 0, "user.speed", "must be non-negative")
-    _require(cfg.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
-    _require(cfg.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
-    det = cfg.detector
-    _require(0 < det.fov < math.pi, "detector.fov", "must be in (0, pi)")
-    _require(0 < det.night_factor <= 1, "detector.night_factor", "must be in (0, 1]")
-    _require(det.box_noise_px >= 0, "detector.box_noise_px", "must be non-negative")
-    for cls in VEHICLE_CLASSES:
-        # the calibration approach starts at REF_APPROACH_START
-        median = det.first_detect_m.get(cls)
-        _require(_positive(median) and median <= REF_APPROACH_START,
-                 f"detector.first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
-        _require(_positive(det.spread_m.get(cls)), f"detector.spread_m.{cls}", "must be positive")
-    hm = cfg.resolved_head_motion()
-    _require(hm.yaw_period > 0, "head_motion.yaw_period", "must be positive")
-    _require(hm.pitch_period > 0, "head_motion.pitch_period", "must be positive")
-    _require(hm.jitter_std >= 0, "head_motion.jitter_std", "must be non-negative")
-    _require(abs(hm.pitch_amplitude) + 6 * hm.jitter_std < math.pi / 2, "head_motion.pitch_amplitude",
-             "plus 6 jitter_std must stay below pi/2, the pitch limit")
-    _require(cfg.camera.camera_height > 0, "camera.camera_height", "must be positive")
-    _require(len(cfg.camera.image_size) == 2 and all(map(_positive, cfg.camera.image_size)),
-             "camera.image_size", "must be two positive numbers")
-    for i, v in enumerate(cfg.vehicles):
-        tag = f"vehicles[{i}]"
-        _require(v.cls in VEHICLE_CLASSES, f"{tag}.cls", f"must be one of {VEHICLE_CLASSES}")
-        _require(0 <= v.spawn_time < cfg.duration, f"{tag}.spawn_time", "must lie within the scenario duration")
-        _require(v.speed >= 0, f"{tag}.speed", "must be non-negative")
-        _require(v.profile in VEHICLE_PROFILES, f"{tag}.profile", f"must be one of {VEHICLE_PROFILES}")
-        for name in PROFILE_PARAMS.get(v.profile, ()):
-            value = v.params.get(name)
-            _require(is_number(value), f"{tag}.params.{name}",
-                     f"a number is required for {v.profile}")
-            if name == PROFILE_PARAMS[v.profile][-1]:
-                _require(value > 0, f"{tag}.params.{name}", "must be positive")
-    return cfg
-
-
 @lru_cache(maxsize=None)
 def _schema(cls) -> dict:
     """Each field of a config dataclass as (type without `| None`, may be
@@ -254,9 +264,10 @@ def build_config(cls, raw, label: str):
     other lists become tuples, and an empty or null nested block means the
     field's default.  A plain field takes a value of its type or of any type
     in its union; an int passes for a float, a bool for neither.  Unknown and
-    missing keys are named by dotted path (`vehicles[1].foo`); constructor
-    errors are re-raised naming the block, or as they are for the top level,
-    whose constructor names its own keys."""
+    missing keys are named by dotted path (`vehicles[1].foo`).  A constructor
+    error that starts with one of the block's fields gets the block's path in
+    front (`detector.fov: ...`), another one the block's name (`tracker: q_car
+    ...`); the top level's are raised as they are."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -274,7 +285,9 @@ def build_config(cls, raw, label: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{label}: {exc}" if label else str(exc)) from exc
+        lead = re.match(r"(\w+)[.:[]", str(exc))
+        sep = "." if lead and lead.group(1) in schema else ": "
+        raise InvalidConfig(f"{label}{sep}{exc}" if label else str(exc)) from exc
 
 
 def _build_value(hint, nullable: bool, value, label: str):
@@ -301,8 +314,8 @@ def _build_value(hint, nullable: bool, value, label: str):
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from plain dict/YAML data."""
-    return validate_config(build_config(ScenarioConfig, raw, ""))
+    """Build a ScenarioConfig from plain dict/YAML data."""
+    return build_config(ScenarioConfig, raw, "")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -360,7 +373,10 @@ def detector_model(range_m: float, cls: str, light: str, det: DetectorConfig,
         raise ValueError("range must be non-negative")
     effective = range_m / det.night_factor if light == "night" else range_m
     r0 = _calibrated_midpoint(det.first_detect_m[cls], det.spread_m[cls], tick_rate)
-    return 1.0 / (1.0 + math.exp((effective - r0) / det.spread_m[cls]))
+    try:
+        return 1.0 / (1.0 + math.exp((effective - r0) / det.spread_m[cls]))
+    except OverflowError:   # some 700 spreads past the midpoint: 1 / (1 + inf)
+        return 0.0
 
 
 class _CleanBox(NamedTuple):
@@ -447,8 +463,7 @@ class _VehicleSim:
 
 
 def generate(config: ScenarioConfig):
-    """Produce (frames, truth) for a validated scenario config."""
-    validate_config(config)
+    """Produce (frames, truth) for a scenario config."""
     rng = np.random.default_rng(config.seed)
     dt = 1.0 / config.tick_rate
     n_ticks = int(round(config.duration * config.tick_rate))
@@ -553,9 +568,7 @@ def generate(config: ScenarioConfig):
 
 @dataclass(frozen=True)
 class TraceHeader:
-    intrinsics: CameraIntrinsics
-    image_size: tuple
-    camera_height: float
+    camera: CameraConfig   # margin_px is not recorded and keeps its default
     tick_rate: float
     seed: int
     duration: float
@@ -617,19 +630,11 @@ def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
         if not isinstance(intr, dict) or sub not in intr:
             raise ParseError(f"{where}: header missing field intrinsics.{sub!r}")
     try:
-        header = TraceHeader(
-            intrinsics=CameraIntrinsics(**intr),
-            image_size=tuple(raw.get("image_size", (640, 640))),
-            camera_height=raw["camera_height"],
-            tick_rate=raw["tick_rate"],
-            seed=raw["seed"],
-            duration=raw["duration"],
-        )
-        _check_numbers((*dataclasses.astuple(header.intrinsics), header.camera_height,
-                        header.tick_rate, header.duration, *header.image_size), "header")
-        if not (header.camera_height > 0 and len(header.image_size) == 2
-                and min(header.image_size) > 0):
-            raise ValueError("camera_height and image_size must be positive")
+        camera = CameraConfig(intrinsics=CameraIntrinsics(**intr), camera_height=raw["camera_height"],
+                              image_size=tuple(raw.get("image_size", (640, 640))))
+        header = TraceHeader(camera, raw["tick_rate"], raw["seed"], raw["duration"])
+        _check_numbers((*dataclasses.astuple(camera.intrinsics), camera.camera_height,
+                        header.tick_rate, header.duration, *camera.image_size), "header")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     return header

@@ -12,7 +12,16 @@ import yaml
 from rearguard import cli
 from rearguard.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
 from rearguard.sampler import load_qtable
-from rearguard.scenario import InvalidConfig
+from rearguard.risk import RiskConfig
+from rearguard.scenario import (
+    CameraConfig,
+    DetectorConfig,
+    HeadMotionConfig,
+    InvalidConfig,
+    ScenarioConfig,
+    UserConfig,
+    VehicleConfig,
+)
 from rearguard.tracking import TrackerConfig
 
 SCENARIO = {
@@ -86,6 +95,7 @@ def test_generate_invalid_config_names_the_field(tmp_path, capsys):
     code = main(["generate", "--config", cfg, "--out", str(tmp_path / "g")])
     assert code == EXIT_CONFIG
     assert "user.mode" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 # ------------------------------------------------------------------- run
@@ -294,12 +304,19 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
     pytest.param({"risk": {"reaction_time": float("inf")}}, EXIT_CONFIG,
                  "risk: reaction_time must be a positive finite number, got inf",
                  id="reaction-time-inf"),
-    # fov is checked before the trace files are opened, so none are needed here
+    # fov is checked before the trace files are opened, so none are needed here;
+    # the rule is the scenario's detector.fov rule
     pytest.param({"scenario": None, "trace": "trace.jsonl", "truth": "truth.jsonl",
                   "fov": float("nan")},
-                 EXIT_CONFIG, "fov: must be a positive finite number, got nan", id="fov-nan"),
+                 EXIT_CONFIG, "fov: must be in (0, pi), got nan", id="fov-nan"),
     pytest.param({"scenario": None, "trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 0.0},
-                 EXIT_CONFIG, "fov: must be a positive finite number, got 0.0", id="fov-zero"),
+                 EXIT_CONFIG, "fov: must be in (0, pi), got 0.0", id="fov-zero"),
+    pytest.param({"scenario": None, "trace": "trace.jsonl", "truth": "truth.jsonl", "fov": 3.5},
+                 EXIT_CONFIG, "fov: must be in (0, pi), got 3.5", id="fov-above-pi"),
+    # an infinite tick count used to exit 4 (OverflowError) inside generate
+    pytest.param({"scenario": {**SCENARIO, "duration": 1e308}}, EXIT_CONFIG,
+                 "duration: times tick_rate must give a finite tick count",
+                 id="scenario-tick-count-overflows"),
     pytest.param({"fov": 0.05}, EXIT_CONFIG,
                  "fov: not allowed beside an inline scenario; the scenario's detector.fov sets it",
                  id="fov-beside-inline-scenario"),
@@ -615,11 +632,20 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: TrackerConfig(q_car=-1.0), "^q_car must be non-negative$"),
-    (lambda: cli.RiskBlock(reaction_time=0),
+    (lambda: RiskConfig(reaction_time=0),
      "^reaction_time must be a positive finite number, got 0$"),
     (lambda: cli.RunConfig(seed=-1, scenario={}), "^seed: must be non-negative, got -1$"),
     (lambda: cli.CompareConfig(suite="mini"), "^suite: must be 'standard', got 'mini'$"),
-], ids=["tracker", "risk", "run", "compare"])
+    (lambda: ScenarioConfig(seed=-1), "^seed: must be a non-negative integer$"),
+    (lambda: UserConfig(mode="flying"), r"^mode: must be one of \('standing', "),
+    (lambda: DetectorConfig(fov=4.0), r"^fov: must be in \(0, pi\), got 4\.0$"),
+    (lambda: CameraConfig(camera_height=0), "^camera_height: must be positive$"),
+    (lambda: VehicleConfig(cls="bus", spawn_time=0.0, x0=0.0, z0=-20.0, speed=5.0),
+     r"^cls: must be one of \('car', 'cycle'\)$"),
+    (lambda: HeadMotionConfig(0.1, 4.0, 1.6, 3.5, 0.0),
+     "^pitch_amplitude: plus 6 jitter_std must stay below pi/2, the pitch limit$"),
+], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
+        "vehicle", "head-motion"])
 def test_config_blocks_built_in_python_raise_invalid_config(build, message):
     with pytest.raises(InvalidConfig, match=message):
         build()

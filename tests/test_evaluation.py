@@ -204,11 +204,15 @@ def test_misaligned_truth_is_rejected():
         run_pipeline(frames, truth[:-1], "everyframe", NO_WARMUP)
 
 
+# reaction_time has one rule, risk.RiskConfig's, and one message
 BAD_PIPELINE_VALUES = [
-    (field, value, f"{field} must be a finite number")
-    for field in ("warmup_s", "reaction_time", "alert_threshold")
+    (field, value, message)
+    for field, message in (("warmup_s", "warmup_s must be a finite number"),
+                           ("reaction_time", "reaction_time must be a positive finite number"),
+                           ("alert_threshold", "alert_threshold must be a finite number"))
     for value in (math.nan, math.inf, -math.inf, True, False)   # a bool is no number
-] + [("reaction_time", value, "reaction_time must be positive") for value in (0.0, -1.0)]
+] + [("reaction_time", value, "reaction_time must be a positive finite number")
+     for value in (0.0, -1.0)]
 
 
 @pytest.mark.parametrize("field, value, message", BAD_PIPELINE_VALUES,
@@ -544,14 +548,22 @@ def test_more_workers_than_cores_run_every_scenario_once():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_first_failing_scenario_raises_as_in_the_serial_loop(workers):
-    # builds, then fails in generate's validate_config; a later scenario
-    # fails too, and the earlier one must win
+def test_first_failing_scenario_raises_as_in_the_serial_loop(monkeypatch, workers):
+    # two scenarios fail in generate, in whichever process claims them
+    # (forked workers inherit the patch); the earlier one must win
+    failing, lone_generate = {5: "broken", 6: "worse"}, evaluation.generate
+
+    def generate(scen):
+        if scen.seed in failing:
+            raise InvalidConfig(f"{failing[scen.seed]}: cannot be generated")
+        return lone_generate(scen)
+
+    monkeypatch.setattr(evaluation, "generate", generate)
     suite = [two_quick_scenarios()[0],
-             ("broken", ScenarioConfig(seed=5, duration=-1)),
+             ("broken", quick_scenario(seed=5)),
              two_quick_scenarios()[1],
-             ("worse", ScenarioConfig(seed=6, duration=10.0, tick_rate=0))]
-    with pytest.raises(InvalidConfig, match="^duration: must be positive$"):
+             ("worse", quick_scenario(seed=6))]
+    with pytest.raises(InvalidConfig, match="^broken: cannot be generated$"):
         compare(suite, ["everyframe"], NO_WARMUP, workers=workers)
     assert multiprocessing.active_children() == []
 

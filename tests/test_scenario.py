@@ -88,8 +88,15 @@ CAR = {"cls": "car", "spawn_time": 0.0, "x0": 0.0, "z0": -20.0, "speed": 5.0}
     ({"vehicles": [{**CAR, "profile": "lane-change-at",
                     "params": {"at": 1.0, "to_x": 2.0, "duration": 0}}]},
      "vehicles[0].params.duration: must be positive"),
+    ({"detector": {"fov": 3.5}}, "detector.fov: must be in (0, pi), got 3.5"),
+    # the tick count is an int: an infinite duration x tick_rate used to exit 4
+    ({"duration": 1e308}, "duration: times tick_rate must give a finite tick count"),
+    ({"tick_rate": 1e308}, "duration: times tick_rate must give a finite tick count"),
+    ({"duration": 1e308, "vehicles": [{**CAR, "spawn_time": 1e307}]},
+     "duration: times tick_rate must give a finite tick count"),
 ], ids=["seed-negative", "vehicle-fields-missing", "detect-median-missing", "spread-zero",
-        "image-size-short", "pitch-jitter-too-big", "param-not-a-number", "param-not-positive"])
+        "image-size-short", "pitch-jitter-too-big", "param-not-a-number", "param-not-positive",
+        "fov-above-pi", "tick-count-overflows", "tick-rate-overflows", "spawn-time-huge"])
 def test_invalid_value_is_named(change, message):
     with pytest.raises(InvalidConfig) as err:
         config_from_dict({"seed": 1, **change})
@@ -337,6 +344,16 @@ def test_night_is_harder():
     assert detector_model(10.0, "car", "night", det) < detector_model(10.0, "car", "day", det)
 
 
+def test_detector_far_past_its_midpoint_never_detects():
+    # a cycle 60 m back at night_factor 0.1 sits some 740 spreads past the
+    # midpoint, where math.exp overflows; generate used to raise OverflowError
+    det = DetectorConfig(night_factor=0.1)
+    assert detector_model(60.0, "cycle", "night", det) == 0.0
+    cfg = one_car(z0=-60.0, speed=0.0, cls="cycle", duration=1.0, light="night", detector=det)
+    frames, _ = generate(cfg)
+    assert not any(frame.detections for frame in frames)
+
+
 def _first_detection_range(seed: int, cls: str, det: DetectorConfig) -> float:
     rng = np.random.default_rng(seed)
     r = 40.0
@@ -365,7 +382,7 @@ def test_trace_roundtrip(tmp_path):
     write_truth(tmp_path / "t.truth", cfg, truth)
     header, frames2 = read_trace(tmp_path / "t.trace")
     _, truth2 = read_truth(tmp_path / "t.truth")
-    assert header.camera_height == cfg.camera.camera_height
+    assert header.camera == cfg.camera
     assert header.seed == cfg.seed
     assert list(frames2) == list(frames)
     assert list(truth2) == list(truth)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
 from rearguard import scenario, tracking
+from rearguard.risk import assess
 from rearguard.tracking import (
     SingularInnovation,
     Track,
@@ -37,6 +38,7 @@ from rearguard.tracking import (
     step,
     update,
 )
+from test_scenario import _floats, _params
 
 INTR = CameraIntrinsics(600.0, 600.0, 320.0, 320.0)
 H_E = 1.55
@@ -733,3 +735,58 @@ def test_dense_tracker_bytes_pinned():
             digest.update(tr.vec.tobytes())
             digest.update(tr.P.tobytes())
     assert digest.hexdigest() == DENSE_TRACKER_DIGEST
+
+
+@st.composite
+def busy_scenarios(draw):
+    """A trimmed copy of test_scenario.scenario_configs: a few seconds of
+    one to five vehicles close behind the user and mostly closing, seen
+    by a camera near the default, so that most examples hold tracks; the
+    head may swing far (yaw up to 1.5 rad, pitch up to 0.5 rad)."""
+    duration = draw(_floats(2, 8))
+    vehicles = []
+    for _ in range(draw(st.integers(1, 5))):
+        profile = draw(st.sampled_from(scenario.VEHICLE_PROFILES))
+        vehicles.append(scenario.VehicleConfig(
+            cls=draw(st.sampled_from(scenario.VEHICLE_CLASSES)),
+            spawn_time=draw(_floats(0, duration / 2)),
+            x0=draw(_floats(-6, 6)), z0=draw(_floats(-30, -3)), speed=draw(_floats(0, 12)),
+            heading=draw(_floats(-0.6, 0.6)), profile=profile, params=draw(_params(profile)),
+        ))
+    focal = draw(_floats(300, 900))
+    return scenario.ScenarioConfig(
+        seed=draw(st.integers(0, 2**31)),
+        duration=duration,
+        tick_rate=draw(st.sampled_from((5.0, 10.0, 20.0))),
+        user=scenario.UserConfig(mode=draw(st.sampled_from(scenario.USER_MODES))),
+        head_motion=draw(st.none() | st.builds(
+            scenario.HeadMotionConfig, _floats(0, 1.5), _floats(1, 6), _floats(0, 0.5),
+            _floats(1, 6), _floats(0, 0.1))),
+        vehicles=tuple(vehicles),
+        light=draw(st.sampled_from(scenario.LIGHT_CONDITIONS)),
+        detector=scenario.DetectorConfig(
+            fov=draw(_floats(0.8, 2.5)), box_noise_px=draw(_floats(0, 5)),
+            first_detect_m={"car": draw(_floats(10, 40)), "cycle": draw(_floats(6, 40))}),
+        camera=scenario.CameraConfig(
+            intrinsics=CameraIntrinsics(focal, focal, 320.0, 320.0),
+            camera_height=draw(_floats(1.0, 2.0))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(busy_scenarios())
+def test_every_frame_loop_keeps_the_filter_invariants(scen):
+    """The headset loop on generated scenarios, every frame a blink: after
+    each predict and each update, every track keeps the filter invariants
+    (finite state, exactly symmetric PSD covariance)."""
+    frames, _ = scenario.generate(scen)
+    cfg, cam = TrackerConfig(), scen.camera
+    state = TrackerState()
+    for frame in frames:
+        state = advance(state, frame.t, cfg)
+        for tr in state.tracks:
+            _assert_filter_invariants(tr, cfg.gamma)
+        state, tracks = step(state, frame, cfg, cam.intrinsics, cam.camera_height)
+        for tr in tracks:
+            _assert_filter_invariants(tr, cfg.gamma)
+        assert 0.0 <= assess(tracks, now=frame.t).gamma_overall <= 1.0
