@@ -16,6 +16,11 @@ charged to every sampler as misses.  The exclusion depends only on the
 ground truth, never on the sampler, so denominators line up across a
 comparison.  For the same reason `label_truth` labels a scenario once
 and `compare` scores every sampler and seed against those labels.
+Labelling projects and risk-scores each true object once per tick.
+
+Per-tick records (`TickRecord`, `TruthLabel`) are NamedTuples; the
+reports (`RunReport`, `AlertEvent`, `TruthLabels`, `ComparisonReport`)
+are frozen dataclasses, serialised with `asdict`.
 
 Scenarios are independent of each other: budget matching stays inside
 one scenario, runs are sorted and means are summed exactly.  So
@@ -43,11 +48,19 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import is_number
-from .risk import DEFAULT_ALERT_THRESHOLD, DEFAULT_REACTION_TIME_S, RiskConfig, assess
+from .risk import (
+    DEFAULT_ALERT_THRESHOLD,
+    DEFAULT_REACTION_TIME_S,
+    RiskConfig,
+    assess,
+    check_reaction_time,
+    object_risk,
+)
 from .sampler import BASELINES, QTable, SamplerConfig, SarsaSampler, check_kind
 from .sampler import SAMPLER_KINDS  # noqa: F401  callers read evaluation.SAMPLER_KINDS
 from .scenario import (
@@ -60,7 +73,7 @@ from .scenario import (
     VehicleConfig,
     check_aligned,
     generate,
-    in_sensing_footprint,
+    sensing_footprint,
 )
 from .tracking import TrackerConfig, TrackerState, advance, snapshots, step
 
@@ -100,16 +113,7 @@ def ground_truth_danger(
     return assess(truth_tick.objects, t_r, alert_threshold, now=truth_tick.t).alert
 
 
-def _sensed(truth_tick, camera: CameraConfig, fov: float) -> list:
-    """The tick's objects inside the sensing footprint."""
-    return [
-        o for o in truth_tick.objects
-        if in_sensing_footprint(o.x, o.z, o.cls, truth_tick.pose, camera, fov)
-    ]
-
-
-@dataclass(frozen=True)
-class TruthLabel:
+class TruthLabel(NamedTuple):
     """What the ground truth says about one tick, whatever the sampler."""
 
     t: float
@@ -145,25 +149,39 @@ def label_truth(
 
     The labels read only the true states, the sensing footprint and the
     risk rule, never the sampler, so every sampler and seed replaying
-    the same scenario shares them.
+    the same scenario shares them.  Each object is projected and scored
+    once per tick: `danger` is `assess` over the tick's objects inside
+    `in_sensing_footprint`, and `excluded` is `ground_truth_danger` of
+    the tick when `danger` is not, both as levels folded here.
     """
     t_r, threshold = config.reaction_time, config.alert_threshold
+    check_reaction_time(t_r)
     d_max = config.tracker.d_max
     labels = []
     for tick in truth:
-        sensed = _sensed(tick, camera, fov)
-        danger = assess(sensed, t_r, threshold, now=tick.t).alert
+        sensed = sensing_footprint(tick.pose, camera, fov)
+        # assess's overall level, of every object and of the sensed ones
+        gamma = gamma_sensed = 0.0
+        visible = []
+        for o in tick.objects:
+            kappa = object_risk(o, t_r).kappa
+            if kappa > gamma:
+                gamma = kappa
+            if sensed(o.x, o.z, o.cls):
+                if kappa > gamma_sensed:
+                    gamma_sensed = kappa
+                if o.range <= d_max:
+                    visible.append(o)
+        danger = gamma_sensed >= threshold
         # excluded is true danger the sensor cannot see: raw and not observable
-        excluded = not danger and ground_truth_danger(tick, t_r, threshold)
-        visible = tuple(o for o in sensed if o.range <= d_max)
-        labels.append(TruthLabel(tick.t, danger, excluded, visible))
+        excluded = not danger and gamma >= threshold
+        labels.append(TruthLabel(tick.t, danger, excluded, tuple(visible)))
     return TruthLabels(tuple(labels), **_label_settings(camera, fov, config))
 
 
 # -------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(NamedTuple):
     t: float
     blink: bool
     alert: bool

@@ -19,7 +19,8 @@ when it reaches the configured threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import is_number
 from .scenario import InvalidConfig
@@ -37,11 +38,17 @@ class RiskConfig:
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD
 
     def __post_init__(self):
-        t_r, threshold = self.reaction_time, self.alert_threshold
-        if not (is_number(t_r) and math.isfinite(t_r) and t_r > 0):
-            raise InvalidConfig(f"reaction_time must be a positive finite number, got {t_r!r}")
+        check_reaction_time(self.reaction_time)
+        threshold = self.alert_threshold
         if not (is_number(threshold) and math.isfinite(threshold)):
             raise InvalidConfig(f"alert_threshold must be a finite number, got {threshold!r}")
+
+
+def check_reaction_time(t_r) -> None:
+    """The one reaction-time rule, for a config and for every function that
+    takes t_r: a positive finite number."""
+    if not (is_number(t_r) and math.isfinite(t_r) and t_r > 0):
+        raise InvalidConfig(f"reaction_time must be a positive finite number, got {t_r!r}")
 
 
 class DegeneratePosition(ValueError):
@@ -59,28 +66,43 @@ def ttc(x: float, z: float, vx: float, vz: float) -> float | None:
     return -r2 / radial
 
 
-def risk_level(ttc_value: float | None, t_r: float = DEFAULT_REACTION_TIME_S) -> float:
-    """Map a TTC to [0, 1]; receding and non-approaching objects score 0."""
-    if t_r <= 0:
-        raise ValueError("t_r must be positive")
+def _level(ttc_value: float | None, t_r: float) -> float:
     if ttc_value is None or ttc_value < 0:
         return 0.0
     return max(0.0, 1.0 - ttc_value / t_r)
 
 
-@dataclass(frozen=True)
-class ObjectRisk:
+def risk_level(ttc_value: float | None, t_r: float = DEFAULT_REACTION_TIME_S) -> float:
+    """Map a TTC to [0, 1]; receding and non-approaching objects score 0."""
+    check_reaction_time(t_r)
+    return _level(ttc_value, t_r)
+
+
+class ObjectRisk(NamedTuple):
     track_id: int
     ttc: float | None
     kappa: float
 
 
-@dataclass(frozen=True)
-class RiskAssessment:
+class RiskAssessment(NamedTuple):
     timestamp: float
-    per_object: tuple[ObjectRisk, ...] = field(default_factory=tuple)
+    per_object: tuple = ()   # of ObjectRisk
     gamma_overall: float = 0.0
     alert: bool = False
+
+
+def object_risk(obj, t_r: float) -> ObjectRisk:
+    """One object's TTC and level, for a t_r the caller has checked.
+
+    An object sitting exactly on the user is treated as maximal risk
+    rather than an error; the degenerate position only occurs on
+    estimated states passing through the origin.
+    """
+    try:
+        t = ttc(obj.x, obj.z, obj.vx, obj.vz)
+    except DegeneratePosition:
+        return ObjectRisk(obj.id, None, 1.0)
+    return ObjectRisk(obj.id, t, _level(t, t_r))
 
 
 def assess(
@@ -89,24 +111,14 @@ def assess(
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
     now: float = 0.0,
 ) -> RiskAssessment:
-    """Score every track and fold into the overall alert decision.
-
-    A track sitting exactly on the user is treated as maximal risk rather
-    than an error; the degenerate position only occurs on estimated
-    states passing through the origin.
-    """
-    per = []
-    for tr in tracks:
-        try:
-            t = ttc(tr.x, tr.z, tr.vx, tr.vz)
-            kappa = risk_level(t, t_r)
-        except DegeneratePosition:
-            t, kappa = None, 1.0
-        per.append(ObjectRisk(track_id=tr.id, ttc=t, kappa=kappa))
-    gamma = max((o.kappa for o in per), default=0.0)
+    """Score every track with object_risk and fold into the overall alert
+    decision."""
+    check_reaction_time(t_r)
+    per = tuple([object_risk(tr, t_r) for tr in tracks])
+    gamma = max([o.kappa for o in per], default=0.0)
     return RiskAssessment(
         timestamp=now,
-        per_object=tuple(per),
+        per_object=per,
         gamma_overall=gamma,
         alert=gamma >= alert_threshold,
     )

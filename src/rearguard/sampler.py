@@ -97,7 +97,7 @@ class SamplerConfig:
 
 def bin_index(value: float, edges) -> int:
     """Index of the bin for value; a value on an edge goes to the higher bin."""
-    return bisect_right(list(edges), value)
+    return bisect_right(edges, value)
 
 
 def observe_state(tracks, now: float, last_blink: float, config: SamplerConfig) -> SamplerState:

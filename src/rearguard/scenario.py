@@ -23,6 +23,8 @@ import types
 import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +36,6 @@ from .geometry import (
     horizon_line,
     is_number,
     normalize_angle,
-    user_to_camera_planar,
 )
 
 log = logging.getLogger(__name__)
@@ -212,15 +213,13 @@ class ScenarioConfig:
         return self.head_motion or HeadMotionConfig(*DEFAULT_HEAD_MOTION[self.user.mode])
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     t: float
     pose: ImuPose
-    detections: tuple
+    detections: tuple   # of BoundingBox2D
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
+class GroundTruthObject(NamedTuple):
     id: int
     cls: str
     x: float
@@ -234,11 +233,10 @@ class GroundTruthObject:
         return math.hypot(self.x, self.z)
 
 
-@dataclass(frozen=True)
-class GroundTruthTick:
+class GroundTruthTick(NamedTuple):
     t: float
     pose: ImuPose
-    objects: tuple
+    objects: tuple   # of GroundTruthObject
 
 
 @lru_cache(maxsize=None)
@@ -388,28 +386,37 @@ class _CleanBox(NamedTuple):
     bearing: float
 
 
-def _project_clean_box(x: float, z: float, cls: str, pose: ImuPose,
-                       cam: CameraConfig) -> _CleanBox | None:
-    """Noise-free image box for an object at user coordinates (x, z).
+def _pose_projector(pose: ImuPose, cam: CameraConfig):
+    """The noise-free image box of an object for one pose, as a function
+    (x, z, cls) -> _CleanBox of its user coordinates and class; the pose's
+    trigonometry is done once, here.
 
-    None when the object is at or behind the camera plane (closer than
-    half a metre counts as behind; a box that close is degenerate).
+    The function returns None when the object is at or behind the camera
+    plane (closer than half a metre counts as behind; a box that close is
+    degenerate).
     """
-    n, d = user_to_camera_planar(x, z, pose.yaw)
-    if d <= 0.5:
-        return None
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    cos_pitch = math.cos(pose.pitch)
     intr = cam.intrinsics
-    w_obj, h_obj = CLASS_DIMENSIONS[cls]
-    u = intr.c_x + intr.f_x * (n / d) * math.cos(pose.pitch)
-    v_bottom = horizon_line(intr, pose.pitch) + intr.f_y * cam.camera_height / d
-    h_px = intr.f_y * h_obj / d
-    w_px = intr.f_x * w_obj / d
-    return _CleanBox(u, v_bottom, w_px, h_px, d, math.atan2(n, d))
+    f_x, f_y, c_x = intr.f_x, intr.f_y, intr.c_x
+    y_h = horizon_line(intr, pose.pitch)
+    contact = f_y * cam.camera_height
+
+    def project(x: float, z: float, cls: str) -> _CleanBox | None:
+        # user_to_camera_planar, with the pose's cosine and sine
+        n, d = c * x + s * z, -s * x + c * z
+        if d <= 0.5:
+            return None
+        w_obj, h_obj = CLASS_DIMENSIONS[cls]
+        return _CleanBox(c_x + f_x * (n / d) * cos_pitch, y_h + contact / d,
+                         f_x * w_obj / d, f_y * h_obj / d, d, math.atan2(n, d))
+
+    return project
 
 
-def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
-                         cam: CameraConfig, fov: float = DEFAULT_FOV) -> bool:
-    """Whether an object could in principle appear in a frame taken now.
+def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV):
+    """Whether an object could in principle appear in a frame taken now,
+    as a predicate (x, z, cls) -> bool for one pose.
 
     Applies the deterministic gates only (behind the camera plane, view
     cone, padded image bounds), not the detection trial or occlusion.
@@ -417,16 +424,26 @@ def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
     below the frame and are invisible to this sensor regardless of the
     detector.
     """
-    proj = _project_clean_box(x, z, cls, pose, cam)
-    if proj is None or abs(proj.bearing) > fov / 2:
-        return False
+    project = _pose_projector(pose, cam)
+    half_fov = fov / 2
     img_w, img_h = cam.image_size
     margin = cam.margin_px
-    if not (-margin <= proj.u - proj.w_px / 2 and proj.u + proj.w_px / 2 <= img_w + margin):
-        return False
-    if not (-margin <= proj.v_bottom - proj.h_px and proj.v_bottom <= img_h + margin):
-        return False
-    return True
+
+    def sensed(x: float, z: float, cls: str) -> bool:
+        proj = project(x, z, cls)
+        if proj is None or abs(proj.bearing) > half_fov:
+            return False
+        if not (-margin <= proj.u - proj.w_px / 2 and proj.u + proj.w_px / 2 <= img_w + margin):
+            return False
+        return -margin <= proj.v_bottom - proj.h_px and proj.v_bottom <= img_h + margin
+
+    return sensed
+
+
+def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
+                         cam: CameraConfig, fov: float = DEFAULT_FOV) -> bool:
+    """One object's sensing_footprint."""
+    return sensing_footprint(pose, cam, fov)(x, z, cls)
 
 
 # -------------------------------------------------------------- generation
@@ -473,6 +490,7 @@ def generate(config: ScenarioConfig):
     intr = cam.intrinsics
     img_w, img_h = cam.image_size
     margin = cam.margin_px
+    half_fov = config.detector.fov / 2
 
     yaw_phase = rng.uniform(0.0, 2.0 * math.pi)
     pitch_phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -520,12 +538,11 @@ def generate(config: ScenarioConfig):
         truth.append(GroundTruthTick(t=t, pose=pose, objects=tuple(objects)))
 
         # geometric visibility first, then the detection trial
+        project = _pose_projector(pose, cam)
         visible = []
         for obj in objects:
-            proj = _project_clean_box(obj.x, obj.z, obj.cls, pose, cam)
-            if proj is None:
-                continue
-            if abs(proj.bearing) > config.detector.fov / 2:
+            proj = project(obj.x, obj.z, obj.cls)
+            if proj is None or abs(proj.bearing) > half_fov:
                 continue
             visible.append((obj, proj))
         detections = []
@@ -640,8 +657,13 @@ def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
     return header
 
 
+# one encoder writes every line, as one decoder reads them; json.dumps
+# with these options would build a new encoder per record
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def _write_records(path, config: ScenarioConfig, header_kind: str, rows) -> None:
@@ -735,9 +757,33 @@ def _truth_object(o) -> GroundTruthObject:
     return GroundTruthObject(id=oid, cls=cls, x=x, z=z, vx=vx, vz=vz, height=height)
 
 
+_OBJECT_CLASSES = frozenset(VEHICLE_CLASSES)
+_OBJECT_NUMBERS = itemgetter(2, 3, 4, 5, 6)   # x, z, vx, vz, height
+
+
+def _truth_objects(rows) -> tuple:
+    """A record's objects, checked as _truth_object checks each one.
+
+    One finite sum over the magnitudes of every object's numbers stands for
+    the per-object sums: each of those is at most this one, so they are all
+    finite when it is (a plain sum could cancel an overflow they report).
+    Only when it fails, or a row or class is bad, are the objects checked
+    one by one, for the first bad object's own error.
+    """
+    try:
+        objects = tuple(map(GroundTruthObject._make, rows))
+        numbers = chain.from_iterable(map(_OBJECT_NUMBERS, objects))
+        if (_OBJECT_CLASSES.issuperset([o.cls for o in objects])
+                and math.isfinite(sum(map(abs, numbers), 0.0))):
+            return objects
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return tuple(map(_truth_object, rows))
+
+
 def _truth_tick(raw: dict) -> GroundTruthTick:
     t, pose = _pose_record(raw)
-    return GroundTruthTick(t=t, pose=pose, objects=tuple(map(_truth_object, raw["objects"])))
+    return GroundTruthTick(t=t, pose=pose, objects=_truth_objects(raw["objects"]))
 
 
 def read_truth(path):

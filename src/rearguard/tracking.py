@@ -13,9 +13,11 @@ and only a component with a conflict (a track or detection with two
 gated pairs) runs Kuhn-Munkres and the row-by-row tie-break, on its own
 submatrix.
 
-Each object is one frozen Track: the filter state (vec, P), its
-confidence and what association needs.  Risk, the samplers and scoring
-read these tracks directly; there is no separate per-tick view.
+Each object is one Track, an immutable NamedTuple: the filter state
+(vec, P), its confidence and what association needs.  Risk, the
+samplers and scoring read these tracks directly; there is no separate
+per-tick view.  A new track starts from the cached, read-only P0 of its
+config.
 
 The filter algebra works on stacks: advance() predicts every live
 track, and step() updates every matched pair, with one set of numpy
@@ -24,9 +26,10 @@ of the same code.  Every stacked operation gives each member the same
 bytes as the 2-D call on that member alone.  Transition, process-noise
 and measurement-noise matrices are cached and read-only.
 
-The tracker is a value (TrackerState); step() and advance() return new
-states and never mutate their inputs, which keeps replays and
-comparisons trivially reproducible.
+The tracker is a value (TrackerState, a NamedTuple like Track and
+Assignment); step() and advance() return new states and never mutate
+their inputs, which keeps replays and comparisons trivially
+reproducible.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -94,11 +98,15 @@ class TrackerConfig:
         return _diagonal(tuple(self.r_diag))
 
     def p0_matrix(self) -> np.ndarray:
-        return np.diag(self.p0_diag).astype(float)
+        """diag(p0_diag), cached and read-only."""
+        return _diagonal(tuple(self.p0_diag))
+
+    def p0_confidence(self) -> float:
+        """confidence() of p0_matrix(), cached."""
+        return _initial_confidence(tuple(self.p0_diag), self.gamma)
 
 
-@dataclass(frozen=True)
-class Track:
+class Track(NamedTuple):
     """One tracked object: the filter state and what association needs."""
 
     id: int
@@ -131,16 +139,14 @@ class Track:
         return math.hypot(self.x, self.z)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     pairs: tuple            # ((track_id, det_index), ...)
     unmatched_tracks: tuple
     unmatched_detections: tuple
     predicted: dict         # track_id -> predicted observation triple, per projected track
 
 
-@dataclass(frozen=True)
-class TrackerState:
+class TrackerState(NamedTuple):
     tracks: tuple = ()
     next_id: int = 1
     last_t: float | None = None
@@ -189,6 +195,11 @@ def confidence(P: np.ndarray, gamma: float = 1e-6) -> float:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     return 1.0 / (float(P.trace()) + gamma)
+
+
+@functools.lru_cache(maxsize=256)
+def _initial_confidence(p0_diag: tuple, gamma: float) -> float:
+    return confidence(_diagonal(p0_diag), gamma)
 
 
 def observation_jacobian(
@@ -530,14 +541,13 @@ def _spawn(
     p_user = geometry.camera_to_user(p_cam, pose.yaw)
     if math.hypot(p_user.x, p_user.z) > config.d_max:
         return None  # out of tracking range; do not burn an id on it
-    P0 = config.p0_matrix()
     return Track(
         id=track_id,
         cls=box.cls,
         vec=np.array([p_user.x, p_user.z, 0.0, 0.0]),
-        P=P0,
+        P=config.p0_matrix(),
         obj_height=box.h * depth / intr.f_y,
-        confidence=confidence(P0, config.gamma),
+        confidence=config.p0_confidence(),
         last_box=box,
     )
 

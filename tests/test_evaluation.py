@@ -15,13 +15,18 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rearguard import evaluation
 from rearguard.evaluation import (
     SAMPLER_KINDS,
     ComparisonReport,
     PipelineConfig,
+    TickRecord,
+    TruthLabel,
     TruthLabels,
     compare,
     comparison_to_dict,
@@ -47,9 +52,11 @@ from rearguard.scenario import (
     UserConfig,
     VehicleConfig,
     generate,
+    in_sensing_footprint,
 )
-from rearguard.geometry import ImuPose
-from rearguard.tracking import TrackerConfig
+from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
+from rearguard.risk import ObjectRisk, RiskAssessment, assess
+from rearguard.tracking import Assignment, Track, TrackerConfig, TrackerState
 
 REAR = ImuPose(pitch=0.0, yaw=math.pi)
 NO_WARMUP = PipelineConfig(warmup_s=0.0)
@@ -115,6 +122,126 @@ def test_observable_danger_drops_objects_below_the_frame():
     assert ground_truth_danger(close)
     (label,) = label_truth([close], CameraConfig()).ticks
     assert (label.danger, label.excluded, label.visible) == (False, True, ())
+
+
+def _labels_by_definition(truth, camera, fov, config):
+    """label_truth object by object: in_sensing_footprint, then assess on
+    the sensed objects, then ground_truth_danger."""
+    t_r, threshold = config.reaction_time, config.alert_threshold
+    labels = []
+    for tick in truth:
+        sensed = [o for o in tick.objects
+                  if in_sensing_footprint(o.x, o.z, o.cls, tick.pose, camera, fov)]
+        danger = assess(sensed, t_r, threshold, now=tick.t).alert
+        excluded = not danger and ground_truth_danger(tick, t_r, threshold)
+        visible = tuple(o for o in sensed if o.range <= config.tracker.d_max)
+        labels.append(TruthLabel(tick.t, danger, excluded, visible))
+    return tuple(labels)
+
+
+@st.composite
+def _labelled_truth(draw):
+    """Truth ticks under one random camera, fov and risk config, with
+    objects on the view-cone edge, on the image margins, beyond d_max and
+    at the user origin beside ordinary ones."""
+    fov = draw(st.floats(0.2, 3.0))
+    size = (draw(st.integers(100, 1000)), draw(st.integers(100, 1000)))
+    camera = CameraConfig(
+        intrinsics=CameraIntrinsics(draw(st.floats(200.0, 900.0)), draw(st.floats(200.0, 900.0)),
+                                    size[0] * draw(st.floats(0.3, 0.7)),
+                                    size[1] * draw(st.floats(0.3, 0.7))),
+        image_size=size,
+        camera_height=draw(st.floats(0.5, 2.5)),
+        margin_px=draw(st.floats(0.0, 200.0)))
+    config = PipelineConfig(reaction_time=draw(st.floats(0.5, 6.0)),
+                            alert_threshold=draw(st.floats(-0.1, 1.1)),
+                            tracker=TrackerConfig(d_max=draw(st.floats(2.0, 40.0))))
+    intr, (img_w, img_h) = camera.intrinsics, camera.image_size
+    truth = []
+    for k in range(draw(st.integers(1, 4))):
+        pose = ImuPose(draw(st.floats(-0.5, 0.5)), draw(st.floats(-math.pi, math.pi)))
+        objects = []
+        for oid in range(1, draw(st.integers(0, 6)) + 1):
+            cls = draw(st.sampled_from(["car", "cycle"]))
+            where = draw(st.sampled_from(["anywhere", "cone-edge", "side-margin",
+                                          "bottom-margin", "beyond-d-max", "origin"]))
+            depth = draw(st.floats(0.3, 45.0))
+            if where == "cone-edge":
+                bearing = draw(st.sampled_from([-1, 1])) * fov / 2 + draw(st.floats(-1e-9, 1e-9))
+            elif where == "side-margin":
+                # the box edge on the padded image edge, give or take a pixel
+                w_px = intr.f_x * {"car": 1.8, "cycle": 0.6}[cls] / depth
+                u = draw(st.sampled_from([-camera.margin_px + w_px / 2,
+                                          img_w + camera.margin_px - w_px / 2]))
+                u += draw(st.floats(-1.0, 1.0))
+                bearing = math.atan((u - intr.c_x) / (intr.f_x * math.cos(pose.pitch)))
+            elif where == "bottom-margin":
+                # the ground contact on the padded image bottom
+                v_bottom = img_h + camera.margin_px + draw(st.floats(-1.0, 1.0))
+                dy = v_bottom - (intr.c_y - intr.f_y * math.tan(pose.pitch))
+                depth = intr.f_y * camera.camera_height / dy if dy > 1.0 else depth
+                bearing = draw(st.floats(-fov / 2, fov / 2))
+            else:
+                bearing = draw(st.floats(-1.5, 1.5))
+            if where == "beyond-d-max":
+                depth = config.tracker.d_max * draw(st.floats(1.0, 1.5))
+            # camera frame: n lateral, d forward (behind the camera for some)
+            if where == "anywhere":
+                n, d = draw(st.floats(-40.0, 40.0)), draw(st.floats(-10.0, 45.0))
+            else:
+                n, d = depth * math.tan(bearing), depth
+            c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+            x, z = (0.0, 0.0) if where == "origin" else (c * n - s * d, s * n + c * d)
+            # mostly closing on the user, at up to 15 m/s
+            speed = draw(st.floats(0.0, 15.0))
+            r = math.hypot(x, z) or 1.0
+            vx = -x / r * speed + draw(st.floats(-2.0, 2.0))
+            vz = -z / r * speed + draw(st.floats(-2.0, 2.0))
+            objects.append(GroundTruthObject(oid, cls, x, z, vx, vz, 1.5))
+        truth.append(GroundTruthTick(round(0.1 * k, 3), pose, tuple(objects)))
+    return truth, camera, fov, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_labelled_truth())
+def test_label_truth_equals_the_per_object_definition(case):
+    truth, camera, fov, config = case
+    labels = label_truth(truth, camera, fov, config)
+    assert labels.ticks == _labels_by_definition(truth, camera, fov, config)
+    assert all(type(label) is TruthLabel for label in labels.ticks)
+
+
+# ------------------------------------------------------ records are values
+
+_SENTINEL = object()
+RECORDS = {
+    "Track": lambda: Track(1, "car", np.zeros(4), np.eye(4), 1.5, 0.2),
+    "TrackerState": lambda: TrackerState(),
+    "Assignment": lambda: Assignment(((1, 0),), (), (), {}),
+    "ObjectRisk": lambda: ObjectRisk(1, 2.0, 0.4),
+    "RiskAssessment": lambda: RiskAssessment(0.5, (ObjectRisk(1, 2.0, 0.4),), 0.4, True),
+    "TickRecord": lambda: TickRecord(0.5, True, False, False, False, True, 0.0),
+    "TruthLabel": lambda: TruthLabel(0.5, True, False, ()),
+    "Frame": lambda: Frame(0.5, REAR, (BoundingBox2D(1.0, 2.0, 3.0, 4.0),)),
+    "GroundTruthObject": lambda: car(0.0, -5.0),
+    "GroundTruthTick": lambda: tick_at([car(0.0, -5.0)]),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_per_tick_records_stay_values(name):
+    record = RECORDS[name]()
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, _SENTINEL)
+    with pytest.raises(AttributeError):
+        record.note = _SENTINEL
+    first, *_ = record._fields
+    before = record[0]
+    changed = record._replace(**{first: _SENTINEL})
+    assert type(changed) is type(record) and changed is not record
+    assert changed[0] is _SENTINEL and record[0] is before
+    assert changed[1:] == record[1:]
 
 
 # ------------------------------------------------- hand-counted scoring
@@ -463,22 +590,19 @@ def test_compare_runs_equal_lone_pipeline_runs(monkeypatch):
 
 
 def test_compare_labels_each_scenario_once(monkeypatch):
-    counts = Counter()
-    for name in ("ground_truth_danger", "in_sensing_footprint"):
-        def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(evaluation, name, counted)
+    calls = []
+
+    def counted(*args, _fn=evaluation.label_truth, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "label_truth", counted)
     suite = two_quick_scenarios()
-
-    # in process: a forked worker's calls would not reach `counts`
-    compare(suite, ["everyframe"], NO_WARMUP, seeds=[1], workers=1)
-    once = dict(counts)
-    counts.clear()
-    compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=1)
-
-    assert once["ground_truth_danger"] > 0 and once["in_sensing_footprint"] > 0
-    assert dict(counts) == once
+    # in process: a forked worker's calls would not reach `calls`
+    for samplers, seeds in ((["everyframe"], [1]), (SAMPLER_KINDS, [1, 2])):
+        calls.clear()
+        compare(suite, samplers, NO_WARMUP, seeds=seeds, workers=1)
+        assert len(calls) == len(suite)
 
 
 def _count_calls_to_file(monkeypatch, path, names):
@@ -494,15 +618,12 @@ def _count_calls_to_file(monkeypatch, path, names):
 
 
 def test_parallel_compare_labels_each_scenario_once(monkeypatch, tmp_path):
-    names = ("ground_truth_danger", "in_sensing_footprint")
-    totals = []
+    suite = two_quick_scenarios()
     for workers in (1, 2):
-        calls = _count_calls_to_file(monkeypatch, tmp_path / f"calls-{workers}", names)
-        compare(two_quick_scenarios(), SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=workers)
-        totals.append(calls())
+        calls = _count_calls_to_file(monkeypatch, tmp_path / f"calls-{workers}", ["label_truth"])
+        compare(suite, SAMPLER_KINDS, NO_WARMUP, seeds=[1, 2], workers=workers)
+        assert calls() == {"label_truth": len(suite)}
         monkeypatch.undo()
-    assert totals[0]["ground_truth_danger"] > 0 and totals[0]["in_sensing_footprint"] > 0
-    assert totals[1] == totals[0]
 
 
 def _comparison_bytes(rep) -> bytes:

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.risk import DegeneratePosition, assess, risk_level, ttc
+from rearguard import evaluation, risk
+from rearguard.evaluation import ground_truth_danger, label_truth
+from rearguard.geometry import ImuPose
+from rearguard.risk import DegeneratePosition, RiskConfig, assess, risk_level, ttc
+from rearguard.scenario import GroundTruthObject, GroundTruthTick, InvalidConfig
+from rearguard.tracking import TrackerConfig
 
 
 @dataclass
@@ -134,3 +141,52 @@ def test_assess_origin_track_is_max_risk():
     r = assess([FakeTrack(1, 0.0, 0.0, 0.0, 1.0)], alert_threshold=0.99)
     assert r.gamma_overall == 1.0
     assert r.alert
+
+
+# ------------------------------------------------------- the reaction time
+
+def _tick(n_objects, t=0.0):
+    objects = tuple(GroundTruthObject(i, "car", 0.0, -2.0 - i, 0.0, 2.0, 1.5)
+                    for i in range(1, n_objects + 1))
+    return GroundTruthTick(t, ImuPose(0.0, math.pi), objects)
+
+
+def _label_config(t_r):
+    # label_truth reads a PipelineConfig, which refuses such a t_r itself
+    return SimpleNamespace(reaction_time=t_r, alert_threshold=0.01, tracker=TrackerConfig())
+
+
+BAD_REACTION_TIMES = [float("nan"), float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("t_r", BAD_REACTION_TIMES, ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda t_r: risk_level(1.0, t_r),
+    lambda t_r: assess([FakeTrack(1, 0.0, -2.0, 0.0, 2.0)], t_r),
+    lambda t_r: assess([], t_r),
+    lambda t_r: ground_truth_danger(_tick(2), t_r),
+    lambda t_r: label_truth([_tick(2)], config=_label_config(t_r)),
+    lambda t_r: RiskConfig(reaction_time=t_r),
+], ids=["risk_level", "assess", "assess-empty", "ground_truth_danger", "label_truth", "RiskConfig"])
+def test_one_reaction_time_rule(call, t_r):
+    # risk_level(1.0, nan) returned 0.0 and risk_level(1.0, inf) 1.0
+    message = f"reaction_time must be a positive finite number, got {t_r!r}"
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        call(t_r)
+
+
+def test_reaction_time_is_checked_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(t_r, _check=risk.check_reaction_time):
+        calls.append(t_r)
+        _check(t_r)
+
+    monkeypatch.setattr(risk, "check_reaction_time", counted)
+    monkeypatch.setattr(evaluation, "check_reaction_time", counted)
+    tracks = [FakeTrack(i, 0.0, -2.0 - i, 0.0, 2.0) for i in range(5)]
+    assess(tracks, 3.3)
+    assert calls == [3.3]
+    calls.clear()
+    label_truth([_tick(3, t=0.0), _tick(4, t=0.1)], config=_label_config(2.0))
+    assert calls == [2.0]

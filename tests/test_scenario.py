@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, user_to_camera_planar
+from rearguard import scenario
 from rearguard.risk import ttc
 from rearguard.scenario import (
     LIGHT_CONDITIONS,
@@ -445,6 +446,48 @@ def test_non_finite_number_reports_line(tmp_path, literal):
     path.write_text("\n".join(content) + "\n")
     with pytest.raises(ParseError, match="line 5: non-finite number"):
         read_trace(path)
+
+
+_GOOD = [1, "car", 0.5, -10.0, 0.0, 2.0, 1.5]
+
+
+@pytest.mark.parametrize("objects", [
+    [_GOOD, [2, "cycle", 1.0, -5.0, 0.0, 1.0, 1.7]],
+    [],
+    [[1, "car", 0.0, -1e308, 0.0, 0.0, 1.5], [2, "car", 1e308, 1e308, 0.0, 0.0, 1.5]],
+    [[1, "car", 1e308, 1e308, 0.0, 0.0, 1.5], _GOOD],
+    [[1, "car", -1e308, -0.5e308, 0.0, 0.0, 1.5], [2, "car", 1e308, 1e308, 0.0, 0.0, 1.5]],
+    [[1, "car", 10**400, 0.0, 0.0, 0.0, 1.5]],
+    [_GOOD, [2, "bus", "1.0", 0.0, 0.0, 0.0, 1.5]],
+    [[2, "car", "1.0", 0.0, 0.0, 0.0, 1.5], [3, "car", 0.0]],
+    [_GOOD, [3, "car", 0.0]],
+    [_GOOD, _GOOD + [9]],
+    [_GOOD, 7],
+    [_GOOD, "abcdefg"],
+    [_GOOD, [4, "car", "1.0", 0.0, 0.0, 0.0, 1.5]],
+    [_GOOD, [4, ["car"], 1.0, 0.0, 0.0, 0.0, 1.5]],
+    [[4, "car", True, 0.0, 0.0, 0.0, None]],
+], ids=["valid", "none", "large-finite", "overflow-first", "overflow-cancelled-in-total",
+        "int-beyond-float", "class-before-number", "number-before-length", "too-short",
+        "too-long", "not-a-row", "string-row", "string-number", "list-class", "null-number"])
+def test_truth_objects_read_as_each_object_is_checked(tmp_path, objects):
+    """read_truth checks a record's objects with one sum; it accepts and
+    rejects, with the same error, what the per-object check does."""
+    record = {"kind": "truth", "t": 0.0, "pitch": 0.0, "yaw": 3.0, "objects": objects}
+    path = tmp_path / "t.truth"
+    path.write_text(json.dumps(scenario._header_record(one_car(), "truth-header")) + "\n"
+                    + json.dumps(record) + "\n")
+    try:
+        expected = tuple(map(scenario._truth_object, objects))
+    except (ValueError, TypeError, OverflowError) as exc:
+        error = ParseError(f"{path}: line 2: {exc}") if not isinstance(exc, OverflowError) else exc
+        with pytest.raises(type(error)) as raised:
+            read_truth(path)
+        assert str(raised.value) == str(error)
+    else:
+        (tick,) = read_truth(path)[1]
+        assert tick.objects == expected
+        assert repr(tick.objects) == repr(expected)
 
 
 def test_header_missing_field_named(tmp_path):

@@ -567,7 +567,7 @@ def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
 
 def test_match_single_obvious_pair():
     tr = make_track(0.0, -10.0, 0.0, 2.0)
-    tr = tracking.Track(**{**tr.__dict__, "last_box": _det_box_for(0.0, -10.0, REAR)})
+    tr = tr._replace(last_box=_det_box_for(0.0, -10.0, REAR))
     det = _det_box_for(0.0, -10.2, REAR)
     a = match([tr], [det], REAR, INTR, H_E, iou_gate=0.1)
     assert a.pairs == ((1, 0),)
