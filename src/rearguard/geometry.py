@@ -61,7 +61,11 @@ class BehindCamera(ValueError):
 
 def is_number(value) -> bool:
     """A real number; a bool is not one, though Python (and so YAML's
-    true and false) counts it an int."""
+    true and false) counts it an int.  A plain float or int, the common
+    case, is answered before the slower abstract-class check."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return True
     return isinstance(value, Real) and not isinstance(value, bool)
 
 

@@ -66,6 +66,9 @@ class SamplerConfig:
                           # suite blink fraction lands next to the adaptive sampler's
 
     def __post_init__(self):
+        for name in ("sample_cost", "epsilon0", "eta", "beta"):
+            if not is_number(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.epsilon0 <= 1:
             raise InvalidConfig("epsilon0 must be in (0, 1]")
         if not self.eta > 0:

@@ -618,11 +618,12 @@ def _check_numbers(values, what: str) -> None:
     """Raise ValueError unless every value is a finite number.  One float sum
     per record costs far less than a check per field; a literal too large
     for a double decodes to inf and fails it, and so do values whose sum
-    overflows, all near the float limit."""
+    overflows, all near the float limit; an int too large for a double
+    fails it too, as the sum cannot convert it."""
     try:
         if math.isfinite(sum(values, 0.0)):
             return
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     raise ValueError(f"non-finite number or non-number in {what} {list(values)!r}")
 

@@ -7,11 +7,18 @@ to blink association maximises the total IoU between detections and
 the tracks' predicted boxes; it projects each track once per blink,
 and the update reuses that predicted triple for its residual.  Among
 the assignments whose math.fsum total is optimal it returns the
-lexicographically smallest sorted pair list.  Association splits the graph of gated (track, detection) pairs
-into connected components: a component of one pair is taken as it is,
-and only a component with a conflict (a track or detection with two
-gated pairs) runs Kuhn-Munkres and the row-by-row tie-break, on its own
-submatrix.
+lexicographically smallest sorted pair list.
+
+Association works on Python lists, since a blink holds a few tracks
+and detections and numpy's fixed cost per call would exceed the work:
+each track's gated IoU row is a list, computed from its predicted box
+geometry (bottom centre from the triple, size from the already-checked
+last box, one horizon row per blink).  The rows are split into the
+connected components of the graph of gated (track, detection) pairs: a
+component of one pair is taken as it is, and only a component with a
+conflict (a track or detection with two gated pairs) becomes numpy
+submatrices for Kuhn-Munkres and the row-by-row tie-break.
+max_weight_assignment takes numpy matrices and runs the same split.
 
 Each object is one Track, an immutable NamedTuple: the filter state
 (vec, P), its confidence and what association needs.  Risk, the
@@ -20,11 +27,13 @@ per-tick view.  A new track starts from the cached, read-only P0 of its
 config.
 
 The filter algebra works on stacks: advance() predicts every live
-track, and step() updates every matched pair, with one set of numpy
-calls; predict(), update() and kalman_update() are the one-member case
-of the same code.  Every stacked operation gives each member the same
-bytes as the 2-D call on that member alone.  Transition, process-noise
-and measurement-noise matrices are cached and read-only.
+track, and step() linearizes and updates every matched pair, with one
+set of calls; predict(), update(), kalman_update() and
+observation_jacobian() are the one-member case of the same code.  Every
+stacked operation gives each member the same bytes as the 2-D call on
+that member alone.  Transition, process-noise (per track and stacked)
+and measurement-noise matrices are cached and read-only.  A blink with
+no track and no detection returns at once.
 
 The tracker is a value (TrackerState, a NamedTuple like Track and
 Assignment); step() and advance() return new states and never mutate
@@ -72,6 +81,9 @@ class TrackerConfig:
     d_max: float = 30.0
 
     def __post_init__(self):
+        for name in ("q_car", "q_cycle", "miss_max", "gamma", "d_max", "iou_gate"):
+            if not geometry.is_number(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("q_car", "q_cycle", "miss_max"):
             if not getattr(self, name) >= 0:
                 raise InvalidConfig(f"{name} must be non-negative")
@@ -202,6 +214,31 @@ def _initial_confidence(p0_diag: tuple, gamma: float) -> float:
     return confidence(_diagonal(p0_diag), gamma)
 
 
+def _jacobian_stack(points, pose: ImuPose, intr: CameraIntrinsics,
+                    camera_height: float) -> np.ndarray:
+    """Stacked 3x4 Jacobians of project_observation w.r.t. [x, z, vx, vz],
+    one per (x, z, obj_height) in points, from one set of pose
+    trigonometry.
+
+    The observation does not depend on velocity, so the last two columns
+    are zero.
+    """
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    cp = math.cos(pose.pitch)
+    f_x, f_y = intr.f_x, intr.f_y
+    flat = []
+    for x, z, obj_height in points:
+        # geometry.user_to_camera_planar, on the trigonometry above
+        n, d = c * x + s * z, -s * x + c * z
+        if d <= 0:
+            raise BehindCamera("jacobian undefined behind the camera")
+        d2 = d * d
+        flat += (f_x * cp * (c * d + s * n) / d2, f_x * cp * (s * d - c * n) / d2, 0.0, 0.0,
+                 f_y * obj_height * s / d2, -f_y * obj_height * c / d2, 0.0, 0.0,
+                 f_y * camera_height * s / d2, -f_y * camera_height * c / d2, 0.0, 0.0)
+    return np.array(flat, dtype=float).reshape(-1, 3, 4)
+
+
 def observation_jacobian(
     x: float,
     z: float,
@@ -210,25 +247,9 @@ def observation_jacobian(
     intr: CameraIntrinsics,
     camera_height: float,
 ) -> np.ndarray:
-    """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz].
-
-    The observation does not depend on velocity, so the last two columns
-    are zero.
-    """
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    n, d = geometry.user_to_camera_planar(x, z, pose.yaw)
-    if d <= 0:
-        raise BehindCamera("jacobian undefined behind the camera")
-    d2 = d * d
-    cp = math.cos(pose.pitch)
-    H = np.zeros((3, 4))
-    H[0, 0] = intr.f_x * cp * (c * d + s * n) / d2
-    H[0, 1] = intr.f_x * cp * (s * d - c * n) / d2
-    H[1, 0] = intr.f_y * obj_height * s / d2
-    H[1, 1] = -intr.f_y * obj_height * c / d2
-    H[2, 0] = intr.f_y * camera_height * s / d2
-    H[2, 1] = -intr.f_y * camera_height * c / d2
-    return H
+    """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]: the
+    one-member case of _jacobian_stack."""
+    return _jacobian_stack([(x, z, obj_height)], pose, intr, camera_height)[0]
 
 
 def _condition(S: np.ndarray) -> np.ndarray:
@@ -238,14 +259,28 @@ def _condition(S: np.ndarray) -> np.ndarray:
     Singular values of a symmetric matrix are its absolute eigenvalues,
     so each is np.linalg.cond(S[i]) without the SVD.  Like
     np.linalg.cond it is inf for a singular member or one with an
-    infinite entry, and a NaN entry raises LinAlgError.
+    infinite entry, and a NaN entry raises LinAlgError.  A stack whose
+    every eigenvalue is nonzero (and not NaN) folds its magnitudes as
+    Python floats, which give the same quotients as numpy's reductions
+    at a fraction of their fixed cost; any other stack takes the numpy
+    path.
     """
     try:
-        mags = np.abs(np.linalg.eigvalsh(S))
+        eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
         if len(S) > 1:  # find the member that failed, and keep the others
             return np.concatenate([_condition(S[i:i + 1]) for i in range(len(S))])
         mags = np.zeros(S.shape[:-1])
+    else:
+        conds = []
+        for row in eigs.tolist():
+            row_mags = [abs(v) for v in row]
+            if not all(m > 0.0 for m in row_mags):  # singular, or a NaN
+                break
+            conds.append(max(row_mags) / min(row_mags))
+        else:
+            return np.array(conds, dtype=float)
+        mags = np.abs(eigs)
     lo, hi = mags.min(-1), mags.max(-1)
     regular = lo > 0.0  # also false for a NaN
     if not regular.all():
@@ -304,10 +339,16 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=256)
+def _process_noise_stack(dt: float, qs: tuple) -> np.ndarray:
+    """process_noise(dt, q) for each q in qs, stacked, cached and read-only."""
+    return _read_only(np.array([process_noise(dt, q) for q in qs]))
+
+
 def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
     """predict() for each track, with the process noise density in qs."""
     F = transition_matrix(dt)
-    Q = np.array([process_noise(dt, q) for q in qs])
+    Q = _process_noise_stack(dt, tuple(qs))
     vec = (F @ np.array([tr.vec for tr in tracks])[..., None])[..., 0]
     P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))
@@ -340,31 +381,24 @@ def update(
 
 # ------------------------------------------------------------ association
 
+def _iou_row(x: float, y: float, w: float, h: float, boxes) -> list:
+    """IoU of the box with top-left (x, y) and size (w, h) against each of
+    boxes, as a list of floats."""
+    x2, y2, area = x + w, y + h, w * h
+    row = []
+    for b in boxes:
+        # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
+        bx, by = b.x, b.y
+        bx2, by2 = bx + b.w, by + b.h
+        ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
+        iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
+        inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
+        row.append(0.0 if inter == 0.0 else inter / (area + b.w * b.h - inter))
+    return row
+
+
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
-    ax, bx, ay, by = a.x, b.x, a.y, b.y
-    ax2, bx2, ay2, by2 = ax + a.w, bx + b.w, ay + a.h, by + b.h
-    ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
-    iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
-    inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
-    if inter == 0.0:
-        return 0.0
-    return inter / (a.w * a.h + b.w * b.h - inter)
-
-
-def predicted_box(
-    track: Track, obs: np.ndarray, pose: ImuPose, intr: CameraIntrinsics
-) -> BoundingBox2D:
-    """The image box of the track's predicted observation triple, for IoU gating.
-
-    Bottom-center comes from the observation triple; width and height are
-    carried over from the last observed box (there is no better prior
-    between blinks).
-    """
-    u = intr.c_x + obs[0]
-    v_bottom = geometry.horizon_line(intr, pose.pitch) + obs[2]
-    w, h = track.last_box.w, track.last_box.h
-    return BoundingBox2D(x=u - w / 2.0, y=v_bottom - h, w=w, h=h, cls=track.cls)
+    return _iou_row(a.x, a.y, a.w, a.h, (b,))[0]
 
 
 def _solve_rect(weights: np.ndarray, eligible: np.ndarray):
@@ -376,11 +410,12 @@ def _solve_rect(weights: np.ndarray, eligible: np.ndarray):
     return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if eligible[r, c]]
 
 
-def _components(eligible: np.ndarray):
-    """Connected components of the bipartite graph of eligible cells, as
-    (rows, cols) pairs of sorted index lists."""
+def _components(eligible):
+    """Connected components of the bipartite graph of eligible cells, given
+    as rows of truthy (eligible) and falsy values, as (rows, cols) pairs of
+    sorted index lists."""
     groups: list[tuple[list, set]] = []
-    for r, line in enumerate(eligible.tolist()):
+    for r, line in enumerate(eligible):
         cols = {c for c, ok in enumerate(line) if ok}
         if not cols:
             continue
@@ -431,6 +466,23 @@ def _tie_break(weights: np.ndarray, eligible: np.ndarray):
     return fixed
 
 
+def _assign(weights, eligible) -> list:
+    """max_weight_assignment's sorted pairs, on weights and eligibility
+    given as lists of rows.  A component of one pair is taken as it is;
+    only a component with a conflict becomes numpy submatrices, for the
+    tie-break."""
+    pairs: list[tuple[int, int]] = []
+    for rows, cols in _components(eligible):
+        if len(rows) == len(cols) == 1:
+            pairs.append((rows[0], cols[0]))
+            continue
+        local = _tie_break(np.array([[weights[r][c] for c in cols] for r in rows], dtype=float),
+                           np.array([[eligible[r][c] for c in cols] for r in rows], dtype=bool))
+        pairs.extend((rows[r], cols[c]) for r, c in local)
+    pairs.sort()
+    return pairs
+
+
 def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     """Maximum-total assignment with a deterministic tie-break.
 
@@ -444,15 +496,7 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     component's submatrix.  Cells outside eligible must weigh zero, as
     match makes them.
     """
-    pairs: list[tuple[int, int]] = []
-    for rows, cols in _components(eligible):
-        if len(rows) == len(cols) == 1:
-            pairs.append((rows[0], cols[0]))
-            continue
-        local = _tie_break(weights.take(rows, 0).take(cols, 1),
-                           eligible.take(rows, 0).take(cols, 1))
-        pairs.extend((rows[r], cols[c]) for r, c in local)
-    pairs.sort()
+    pairs = _assign(weights.tolist(), eligible.tolist())
     return pairs, math.fsum(weights[r, c] for r, c in pairs)
 
 
@@ -467,17 +511,20 @@ def match(
     """Associate detections to tracks by maximum total IoU.
 
     Each track with a last box is projected once; the triples come back
-    in the Assignment's `predicted`, for the update to reuse.  Pairs
-    below the gate (or with zero overlap) are never matched.  Tracks
-    whose predicted state is behind the camera this blink are unmatched
-    by construction.
+    in the Assignment's `predicted`, for the update to reuse.  The
+    predicted box takes its bottom centre from the triple and its size
+    from the last box.  Pairs below the gate (or with zero overlap) are
+    never matched.  Tracks whose predicted state is behind the camera
+    this blink are unmatched by construction.
     """
     ordered = sorted(tracks, key=lambda t: t.id)
     nd = len(detections)
     predicted, rows = {}, []
+    y_h = None
     for track in ordered:
-        ious = [0.0] * nd
-        if track.last_box is not None:
+        row = [0.0] * nd
+        last = track.last_box
+        if last is not None:
             try:
                 obs = geometry.project_observation(
                     track.x, track.z, track.obj_height, pose, intr, camera_height
@@ -486,12 +533,16 @@ def match(
                 pass
             else:
                 predicted[track.id] = obs
-                box = predicted_box(track, obs, pose, intr)
-                ious = [iou(box, det) for det in detections]
-        rows.append([v if v > 0.0 and v >= iou_gate else 0.0 for v in ious])
-    weights = np.array(rows, dtype=float).reshape(len(ordered), nd)
-    pairs_rc, _ = max_weight_assignment(weights, weights > 0.0)
-    pairs = tuple((ordered[r].id, c) for r, c in pairs_rc)
+                if y_h is None:
+                    y_h = geometry.horizon_line(intr, pose.pitch)
+                u_offset, _, deviation = obs.tolist()
+                w, h = last.w, last.h
+                ious = _iou_row(intr.c_x + u_offset - w / 2.0, y_h + deviation - h, w, h,
+                                detections)
+                row = [v if v > 0.0 and v >= iou_gate else 0.0 for v in ious]
+        rows.append(row)
+    # a gated weight is positive exactly when its cell is eligible
+    pairs = tuple((ordered[r].id, c) for r, c in _assign(rows, rows))
     matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
     return Assignment(
@@ -570,31 +621,33 @@ def step(
     tracker = advance(tracker, frame.t, config)
     pose = frame.pose
     detections = frame.detections
+    if not tracker.tracks and not detections:
+        # nothing to associate, update or spawn: the full path's state
+        out = TrackerState((), tracker.next_id, frame.t, frame.t)
+        return out, out.tracks
 
     assignment = match(
         tracker.tracks, detections, pose, intr, camera_height, config.iou_gate
     )
-    by_id = {t.id: t for t in tracker.tracks}
-    y_h = geometry.horizon_line(intr, pose.pitch)
-
-    matched, observed, predicted, jacobians = [], [], [], []
-    for tid, j in assignment.pairs:
-        track = by_id[tid]
-        det = detections[j]
-        # measurement triple straight from the detection box
-        u, v_bottom = det.bottom_center
-        observed.append([u - intr.c_x, det.h, v_bottom - y_h])
-        matched.append((track, det))
-        predicted.append(assignment.predicted[tid])
-        jacobians.append(observation_jacobian(track.x, track.z, track.obj_height,
-                                              pose, intr, camera_height))
 
     updated: dict[int, Track] = {}
-    if matched:
+    if assignment.pairs:
+        by_id = {t.id: t for t in tracker.tracks}
+        y_h = geometry.horizon_line(intr, pose.pitch)
+        matched, observed, predicted = [], [], []
+        for tid, j in assignment.pairs:
+            det = detections[j]
+            # measurement triple straight from the detection box
+            u, v_bottom = det.bottom_center
+            observed.append([u - intr.c_x, det.h, v_bottom - y_h])
+            matched.append((by_id[tid], det))
+            predicted.append(assignment.predicted[tid])
+        H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched],
+                            pose, intr, camera_height)
         _, keep, vec, P = _kalman_stack(np.array([tr.vec for tr, _ in matched]),
                                         np.array([tr.P for tr, _ in matched]),
                                         np.array(observed) - np.array(predicted),
-                                        np.array(jacobians), config.r_matrix())
+                                        H, config.r_matrix())
         # a singular innovation drops its pair, as a miss
         kept = list(itertools.compress(matched, keep.tolist()))
         for tr in _refiltered([tr for tr, _ in kept], vec, P, config.gamma,

@@ -186,6 +186,28 @@ def test_run_corrupt_trace_exits_3(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_run_trace_with_an_int_too_large_for_a_double_exits_3(tmp_path, capsys):
+    scen_cfg = write_yaml(tmp_path / "scen.yaml", SCENARIO)
+    gen_out = tmp_path / "g"
+    assert main(["generate", "--config", scen_cfg, "--out", str(gen_out)]) == EXIT_OK
+    trace = gen_out / "trace.jsonl"
+    lines = trace.read_text().splitlines()
+    record = json.loads(lines[3])
+    record["pitch"] = "<pitch>"
+    lines[3] = json.dumps(record).replace('"<pitch>"', "1" + "0" * 400)
+    trace.write_text("\n".join(lines) + "\n")
+
+    cfg = write_yaml(tmp_path / "run.yaml", {
+        "seed": 5,
+        "trace": str(trace),
+        "truth": str(gen_out / "truth.jsonl"),
+    })
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO
+    assert "line 4: non-finite number or non-number" in err and "internal error" not in err
+
+
 def test_run_without_seed_is_a_config_error(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "run.yaml", {"scenario": dict(SCENARIO)})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import enum
 import math
+from decimal import Decimal
+from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rearguard.geometry import (
     AboveHorizon,
@@ -18,12 +24,37 @@ from rearguard.geometry import (
     camera_to_user,
     estimate_depth,
     horizon_line,
+    is_number,
     normalize_angle,
     project_observation,
     user_to_camera_planar,
 )
 
 INTR = CameraIntrinsics(f_x=600.0, f_y=600.0, c_x=320.0, c_y=320.0)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-3, True), (1.5, True), (math.nan, True), (math.inf, True),
+    (True, False), (False, False), (np.bool_(True), False),
+    (np.float64(2.5), True), (np.int64(7), True), (Fraction(1, 3), True),
+    (Decimal("0.1"), False), (_Level.LOW, True), ("1.0", False), (None, False),
+], ids=["int", "negative-int", "float", "nan", "inf", "true", "false", "np-bool",
+        "np-float64", "np-int64", "fraction", "decimal", "int-enum", "str", "none"])
+def test_is_number_truth_table(value, expected):
+    """A real number that is not a bool; the plain float and int shortcut
+    answers as the abstract-class check does."""
+    assert is_number(value) is expected
+    assert expected is (isinstance(value, Real) and not isinstance(value, bool))
+
+
+@given(st.one_of(st.integers(), st.floats(), st.booleans(), st.fractions(), st.decimals(),
+                 st.text(max_size=3), st.none(), st.complex_numbers()))
+def test_is_number_agrees_with_the_abstract_class_check(value):
+    assert is_number(value) is (isinstance(value, Real) and not isinstance(value, bool))
 
 
 def box_with_bottom(v_bottom: float, u_center: float = 320.0, w: float = 60.0, h: float = 80.0) -> BoundingBox2D:

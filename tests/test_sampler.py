@@ -65,6 +65,13 @@ def test_baseline_knobs_out_of_range_are_config_errors(field, value, message):
         SamplerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["sample_cost", "epsilon0", "eta", "beta"])
+@pytest.mark.parametrize("value", ["0.1", None, True], ids=["str", "none", "bool"])
+def test_non_number_learning_field_is_a_config_error(field, value):
+    with pytest.raises(InvalidConfig, match=re.escape(f"{field} must be a number, got {value!r}")):
+        SamplerConfig(**{field: value})
+
+
 def test_baseline_knobs_at_their_edges_are_accepted():
     cfg = SamplerConfig(period=1.0, p=0.0, c_min=-1e9)
     assert (cfg.period, cfg.p, cfg.c_min) == (1.0, 0.0, -1e9)

@@ -1,9 +1,10 @@
 """Tracking tests.
 
 The reference implementations the EKF and matcher are checked against
-live at the top of this file: a central-difference Jacobian, a textbook
-linear Kalman update, and a permutation-enumeration assignment solver
-with the same lexicographic tie-break contract.
+live at the top of this file: a central-difference Jacobian, the
+closed-form Jacobian of one track, a textbook linear Kalman update, a
+permutation-enumeration assignment solver with the same lexicographic
+tie-break contract, and association on a full numpy weight matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
 from rearguard import scenario, tracking
 from rearguard.risk import assess
+from rearguard.scenario import InvalidConfig
 from rearguard.tracking import (
     SingularInnovation,
     Track,
@@ -61,6 +63,22 @@ def fd_jacobian(x, z, h_obj, pose, intr, h_e, eps=1e-5):
         plus = project_observation(x + dx, z + dz, h_obj, pose, intr, h_e)
         minus = project_observation(x - dx, z - dz, h_obj, pose, intr, h_e)
         H[:, col] = (plus - minus) / (2 * eps)
+    return H
+
+
+def closed_form_jacobian(x, z, h_obj, pose, intr, h_e):
+    """The 3x4 observation Jacobian of one track, element by element."""
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    n, d = user_to_camera_planar(x, z, pose.yaw)
+    d2 = d * d
+    cp = math.cos(pose.pitch)
+    H = np.zeros((3, 4))
+    H[0, 0] = intr.f_x * cp * (c * d + s * n) / d2
+    H[0, 1] = intr.f_x * cp * (s * d - c * n) / d2
+    H[1, 0] = intr.f_y * h_obj * s / d2
+    H[1, 1] = -intr.f_y * h_obj * c / d2
+    H[2, 0] = intr.f_y * h_e * s / d2
+    H[2, 1] = -intr.f_y * h_e * c / d2
     return H
 
 
@@ -112,6 +130,37 @@ def brute_force_assignment(weights, eligible):
         if best_key is None or key < best_key:
             best_key = key
     return list(best_key[1]), -best_key[0]
+
+
+def reference_predicted_box(track, obs, pose, intr):
+    """The checked image box of a track's predicted triple: bottom centre
+    from the triple, size from the last box."""
+    u = intr.c_x + obs[0]
+    v_bottom = horizon_line(intr, pose.pitch) + obs[2]
+    w, h = track.last_box.w, track.last_box.h
+    return BoundingBox2D(x=u - w / 2.0, y=v_bottom - h, w=w, h=h, cls=track.cls)
+
+
+def full_matrix_match(tracks, detections, pose, intr, h_e, iou_gate):
+    """Association on a numpy weight matrix over every (track, detection)
+    cell: (pairs, predicted) as match gives them."""
+    ordered = sorted(tracks, key=lambda t: t.id)
+    predicted, W = {}, np.zeros((len(ordered), len(detections)))
+    for r, track in enumerate(ordered):
+        if track.last_box is None:
+            continue
+        try:
+            obs = project_observation(track.x, track.z, track.obj_height, pose, intr, h_e)
+        except BehindCamera:
+            continue
+        predicted[track.id] = obs
+        box = reference_predicted_box(track, obs, pose, intr)
+        for c, det in enumerate(detections):
+            v = iou(box, det)
+            if v > 0.0 and v >= iou_gate:
+                W[r, c] = v
+    pairs, _ = max_weight_assignment(W, W > 0.0)
+    return tuple((ordered[r].id, c) for r, c in pairs), predicted
 
 
 def random_spd(rng, n=4, scale=4.0):
@@ -220,6 +269,30 @@ def test_jacobian_matches_finite_differences():
 def test_jacobian_velocity_columns_zero():
     H = observation_jacobian(0.0, -10.0, 1.5, REAR, INTR, H_E)
     assert np.all(H[:, 2:] == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(_floats(-8, 8), _floats(-30, -1), _floats(0.8, 2.2)), max_size=6),
+    pitch=_floats(-0.4, 0.4),
+    yaw=_floats(1.6, 4.7),
+)
+def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
+    """One set of pose trigonometry gives every member the bytes of its
+    own observation_jacobian call and of the closed form; a member behind
+    the camera raises for the whole stack, as it does alone."""
+    pose = ImuPose(pitch, yaw)
+    behind = [user_to_camera_planar(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
+    if any(behind):
+        with pytest.raises(BehindCamera):
+            tracking._jacobian_stack(points, pose, INTR, H_E)
+        points = [p for p, b in zip(points, behind) if not b]
+    H = tracking._jacobian_stack(points, pose, INTR, H_E)
+    assert H.shape == (len(points), 3, 4)
+    for member, (x, z, h_obj) in zip(H, points):
+        alone = observation_jacobian(x, z, h_obj, pose, INTR, H_E)
+        assert member.tobytes() == alone.tobytes()
+        assert member.tobytes() == closed_form_jacobian(x, z, h_obj, pose, INTR, H_E).tobytes()
 
 
 # ------------------------------------------------------------------ update
@@ -476,6 +549,32 @@ def test_cached_filter_matrices_are_read_only():
     assert np.array_equal(TrackerConfig().r_matrix(), np.diag([16.0, 9.0, 9.0]))
 
 
+def test_stacked_process_noise_is_cached_per_dt_and_densities():
+    """advance reads one cached, read-only Q stack per (dt, densities)."""
+    Q = tracking._process_noise_stack(0.1, (2.0, 1.0, 2.0))
+    assert Q is tracking._process_noise_stack(0.1, (2.0, 1.0, 2.0))
+    assert not Q.flags.writeable
+    for member, q in zip(Q, (2.0, 1.0, 2.0)):
+        assert member.tobytes() == process_noise(0.1, q).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 6), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_condition_of_a_regular_stack_equals_the_numpy_fold(n, m, seed, scale):
+    """Folding a regular stack's eigenvalue magnitudes in Python floats
+    gives numpy's max / min quotient, byte for byte."""
+    rng = np.random.default_rng(seed)
+    S = np.array([random_spd(rng, m, scale) for _ in range(n)]).reshape(n, m, m)
+    mags = np.abs(np.linalg.eigvalsh(S))
+    assert tracking._condition(S).tobytes() == (mags.max(-1) / mags.min(-1)).tobytes()
+
+
+def test_condition_of_a_singular_member_is_inf_beside_regular_ones():
+    S = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([4.0, 1.0])])
+    assert tracking._condition(S).tolist() == [1.0, math.inf, 4.0]
+
+
 # ------------------------------------------------------------- association
 
 def test_iou_basic_cases():
@@ -583,6 +682,67 @@ def test_match_empty_inputs():
     assert b.unmatched_detections == (0,)
 
 
+# Few distinct positions, so tracks share predicted boxes and detections
+# overlap several of them: lone pairs, conflicts and exact ties.
+_SPOTS = st.tuples(st.sampled_from([-1.5, -0.6, 0.0, 0.4, 2.0]),
+                   st.sampled_from([-5.0, -7.0, -7.5, -12.0, -25.0]))
+
+
+@st.composite
+def association_problems(draw):
+    """Tracks (some without a last box, some behind the camera when the
+    head turns far) and detections placed on or near their predicted
+    boxes, plus strays; the tracks come in no particular id order."""
+    pose = ImuPose(draw(st.sampled_from([-0.1, 0.0, 0.05])),
+                   draw(st.sampled_from([math.pi, 2.9, -2.9, 1.7])))
+    n = draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(1, 13)))[:n]
+    tracks = []
+    for tid in ids:
+        x, z = draw(_SPOTS)
+        size = draw(st.sampled_from([(40.0, 30.0), (60.0, 45.0), (25.0, 60.0)]))
+        box = None if draw(st.integers(0, 5)) == 0 else BoundingBox2D(0.0, 0.0, *size)
+        tr = make_track(x, z, 0.0, 1.0, cls=draw(st.sampled_from(["car", "cycle"])),
+                        obj_height=draw(st.sampled_from([1.2, 1.5])), tid=tid)
+        tracks.append(tr._replace(last_box=box))
+    detections = []
+    for tr in tracks:
+        if tr.last_box is None or draw(st.integers(0, 3)) == 0:
+            continue
+        try:
+            obs = project_observation(tr.x, tr.z, tr.obj_height, pose, INTR, H_E)
+        except BehindCamera:
+            continue
+        box = reference_predicted_box(tr, obs, pose, INTR)
+        dx, dy = draw(st.sampled_from([0.0, 3.0, -12.0, 35.0])), draw(st.sampled_from([0.0, 6.0]))
+        grow = draw(st.sampled_from([1.0, 1.25, 0.5]))
+        detections.append(BoundingBox2D(box.x + dx, box.y + dy, box.w * grow, box.h * grow))
+    for _ in range(draw(st.integers(0, 2))):
+        detections.append(BoundingBox2D(draw(_floats(0, 600)), draw(_floats(200, 600)),
+                                        draw(_floats(5, 120)), draw(_floats(5, 120))))
+    order = draw(st.permutations(range(len(detections))))
+    gate = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    return tracks, [detections[i] for i in order], pose, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_problems())
+def test_match_equals_the_full_matrix_reference(problem):
+    """The list-based match gives the pairs and predicted triples of
+    association on the full numpy weight matrix."""
+    tracks, detections, pose, gate = problem
+    got = match(tracks, detections, pose, INTR, H_E, gate)
+    want_pairs, want_predicted = full_matrix_match(tracks, detections, pose, INTR, H_E, gate)
+    assert got.pairs == want_pairs
+    assert got.predicted.keys() == want_predicted.keys()
+    for tid, obs in want_predicted.items():
+        assert got.predicted[tid].tobytes() == obs.tobytes()
+    paired_tracks, paired_dets = {t for t, _ in want_pairs}, {d for _, d in want_pairs}
+    assert got.unmatched_tracks == tuple(t.id for t in tracks if t.id not in paired_tracks)
+    assert got.unmatched_detections == tuple(
+        j for j in range(len(detections)) if j not in paired_dets)
+
+
 # --------------------------------------------------------------- lifecycle
 
 def test_step_spawns_tracks_with_ids_from_one():
@@ -637,6 +797,39 @@ def test_step_rejects_non_increasing_frame_times():
     state, _ = step(TrackerState(), FakeFrame(1.0, REAR, []), cfg, INTR, H_E)
     with pytest.raises(ValueError):
         step(state, FakeFrame(1.0, REAR, []), cfg, INTR, H_E)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    next_id=st.integers(1, 50),
+    last_t=st.none() | _floats(0, 5),
+    lag=st.none() | _floats(0, 1),
+    gap=_floats(0.01, 2),
+    pitch=_floats(-0.3, 0.3),
+    yaw=_floats(2.6, 3.7),
+)
+def test_empty_blink_gives_the_full_path_state(next_id, last_t, lag, gap, pitch, yaw):
+    """A blink with no track and no detection returns at once with the
+    state of the full path: the same blink with a detection above the
+    horizon goes through association and spawning, and spawns nothing."""
+    last_frame_t = None if last_t is None or lag is None else last_t - lag
+    state = TrackerState((), next_id, last_t, last_frame_t)
+    pose = ImuPose(pitch, yaw)
+    t = (0.0 if last_t is None else last_t) + gap
+    cfg = TrackerConfig()
+    empty = step(state, FakeFrame(t, pose, []), cfg, INTR, H_E)
+    above = BoundingBox2D(300.0, horizon_line(INTR, pose.pitch) - 50.0, 40.0, 30.0)
+    full = step(state, FakeFrame(t, pose, [above]), cfg, INTR, H_E)
+    assert empty == full and repr(empty) == repr(full)
+    assert empty[0] == TrackerState((), next_id, t, t)
+
+
+def test_empty_blink_skips_association(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tracking, "match", lambda *args: calls.append(args))
+    state, tracks = step(TrackerState((), 4, 1.0, 0.5), FakeFrame(1.1, REAR, []),
+                         TrackerConfig(), INTR, H_E)
+    assert (state, tracks, calls) == (TrackerState((), 4, 1.1, 1.1), (), [])
 
 
 def test_straight_approach_converges():
@@ -790,3 +983,12 @@ def test_every_frame_loop_keeps_the_filter_invariants(scen):
         for tr in tracks:
             _assert_filter_invariants(tr, cfg.gamma)
         assert 0.0 <= assess(tracks, now=frame.t).gamma_overall <= 1.0
+
+
+# ------------------------------------------------------------------ config
+
+@pytest.mark.parametrize("field", ["q_car", "q_cycle", "miss_max", "gamma", "d_max", "iou_gate"])
+@pytest.mark.parametrize("value", ["2", None, True], ids=["str", "none", "bool"])
+def test_non_number_tracker_field_is_a_config_error(field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be a number, got {value!r}$"):
+        TrackerConfig(**{field: value})
