@@ -259,35 +259,26 @@ def _condition(S: np.ndarray) -> np.ndarray:
     Singular values of a symmetric matrix are its absolute eigenvalues,
     so each is np.linalg.cond(S[i]) without the SVD.  Like
     np.linalg.cond it is inf for a singular member or one with an
-    infinite entry, and a NaN entry raises LinAlgError.  A stack whose
-    every eigenvalue is nonzero (and not NaN) folds its magnitudes as
-    Python floats, which give the same quotients as numpy's reductions
-    at a fraction of their fixed cost; any other stack takes the numpy
-    path.
+    infinite entry, and a NaN entry raises LinAlgError.  The magnitudes
+    are folded as Python floats, which give the same quotients as
+    numpy's reductions at a fraction of their fixed cost.
     """
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
         if len(S) > 1:  # find the member that failed, and keep the others
             return np.concatenate([_condition(S[i:i + 1]) for i in range(len(S))])
-        mags = np.zeros(S.shape[:-1])
-    else:
-        conds = []
-        for row in eigs.tolist():
-            row_mags = [abs(v) for v in row]
-            if not all(m > 0.0 for m in row_mags):  # singular, or a NaN
-                break
-            conds.append(max(row_mags) / min(row_mags))
-        else:
-            return np.array(conds, dtype=float)
-        mags = np.abs(eigs)
-    lo, hi = mags.min(-1), mags.max(-1)
-    regular = lo > 0.0  # also false for a NaN
-    if not regular.all():
-        if np.isnan(S[~regular]).any():
+        eigs = np.zeros(S.shape[:-1])
+    conds = []
+    for i, row in enumerate(eigs.tolist()):
+        mags = [abs(v) for v in row]
+        if all(m > 0.0 for m in mags):  # false for a zero or a NaN
+            conds.append(max(mags) / min(mags))
+        elif np.isnan(S[i]).any():
             raise np.linalg.LinAlgError("innovation covariance has a NaN entry")
-        lo, hi = np.where(regular, lo, 1.0), np.where(regular, hi, math.inf)
-    return hi / lo
+        else:
+            conds.append(math.inf)
+    return np.array(conds, dtype=float)
 
 
 def _kalman_stack(vec, P, residual, H, R):
@@ -339,16 +330,10 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     ]
 
 
-@functools.lru_cache(maxsize=256)
-def _process_noise_stack(dt: float, qs: tuple) -> np.ndarray:
-    """process_noise(dt, q) for each q in qs, stacked, cached and read-only."""
-    return _read_only(np.array([process_noise(dt, q) for q in qs]))
-
-
 def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
     """predict() for each track, with the process noise density in qs."""
     F = transition_matrix(dt)
-    Q = _process_noise_stack(dt, tuple(qs))
+    Q = np.array([process_noise(dt, q) for q in qs])
     vec = (F @ np.array([tr.vec for tr in tracks])[..., None])[..., 0]
     P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))

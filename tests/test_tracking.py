@@ -549,15 +549,6 @@ def test_cached_filter_matrices_are_read_only():
     assert np.array_equal(TrackerConfig().r_matrix(), np.diag([16.0, 9.0, 9.0]))
 
 
-def test_stacked_process_noise_is_cached_per_dt_and_densities():
-    """advance reads one cached, read-only Q stack per (dt, densities)."""
-    Q = tracking._process_noise_stack(0.1, (2.0, 1.0, 2.0))
-    assert Q is tracking._process_noise_stack(0.1, (2.0, 1.0, 2.0))
-    assert not Q.flags.writeable
-    for member, q in zip(Q, (2.0, 1.0, 2.0)):
-        assert member.tobytes() == process_noise(0.1, q).tobytes()
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 6), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 1e6]))
