@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, user_to_camera_planar
 from rearguard import scenario
+from rearguard.evaluation import standard_suite
 from rearguard.risk import ttc
 from rearguard.scenario import (
     LIGHT_CONDITIONS,
@@ -241,6 +243,33 @@ def test_same_seed_same_bytes(tmp_path):
         write_truth(tmp_path / f"{name}.truth", cfg, truth)
     assert (tmp_path / "a.trace").read_bytes() == (tmp_path / "b.trace").read_bytes()
     assert (tmp_path / "a.truth").read_bytes() == (tmp_path / "b.truth").read_bytes()
+
+
+# sha256 of write_trace and write_truth output, recorded before the forward
+# model moved behind geometry.pose_model; any drift in the generator, the
+# projection, the detector draws or the codec moves them
+GENERATED_BYTES = {
+    "s04-jogging-along-day": (
+        "57bc1c7a9c4d1d4070ad589437cb33aa6280c5d347551eca3e2cee855aa86138",
+        "638ace0c3be3fdb0acbeba624505b196c443771b9b6180313e702cc60753fc13"),
+    "s05-standing-intersection-day": (
+        "a4a51e0e819d9270b42b65fff12309bdac61c9767a087891a3fce5dc67ac8177",
+        "b9fa0ae9a64b754697f9bee5fac4052e0476b3f6dadd7649b7e0b1bf0fee538c"),
+    "s10-walking-along-night": (
+        "ae05d93064b4c581e12c4f66eb3e1b8ef50b07748d2954796b6db3cd2c063264",
+        "b003cd72fc23d8c4a63d009310cde0046da3c8f944b6867778ccc278c335dc37"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_BYTES))
+def test_standard_scenario_bytes_pinned(tmp_path, name):
+    cfg = dict(standard_suite())[name]
+    frames, truth = generate(cfg)
+    write_trace(tmp_path / "trace.jsonl", cfg, frames)
+    write_truth(tmp_path / "truth.jsonl", cfg, truth)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("trace.jsonl", "truth.jsonl"))
+    assert got == GENERATED_BYTES[name]
 
 
 def test_different_seed_differs(tmp_path):
