@@ -35,6 +35,11 @@ triple used by the EKF measurement model:
 
 The third component is exactly the ``dy`` that ``estimate_depth``
 inverts, so projection and depth estimation agree by construction.
+
+This model has one home, ``pose_model``, which binds a pose once; the
+generator's boxes, the labels' sensing footprint and the tracker all
+project through it.  ``project_observation`` and
+``observation_jacobian`` are its one-object cases.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -198,27 +204,57 @@ def user_to_camera_planar(x: float, z: float, yaw: float) -> tuple[float, float]
     return (c * x + s * z, -s * x + c * z)
 
 
-def project_observation(
-    x_u: float,
-    z_u: float,
-    obj_height: float,
-    pose: ImuPose,
-    intr: CameraIntrinsics,
-    camera_height: float,
-) -> np.ndarray:
-    """Forward observation of a user-frame object.
+class PoseModel(NamedTuple):
+    """The forward model bound to one pose; see pose_model."""
 
-    Returns the 3-vector (u_offset, pixel_height, horizon_deviation); see
-    the module docstring for definitions.  Raises BehindCamera when the
-    camera-frame forward coordinate is non-positive.
+    observe: Callable    # (x, z, obj_height) -> (n, d, u_offset, pixel_height, deviation) | None
+    jacobian: Callable   # (x, z, obj_height) -> the 3x4 Jacobian's 12 entries, row by row
+
+
+def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float) -> PoseModel:
+    """The forward model for one pose, its trigonometry done once.
+
+    ``observe`` gives a user-frame object's camera-frame ``n, d`` and its
+    observation triple as Python floats, or None when ``d <= 0``.
+    ``jacobian`` gives the triple's Jacobian w.r.t. [x, z, vx, vz] (zero in
+    the velocity columns) and raises BehindCamera when ``d <= 0``.
     """
-    n, d = user_to_camera_planar(x_u, z_u, pose.yaw)
-    if d <= 0:
-        raise BehindCamera(f"forward coordinate d={d:.3f} m not positive")
-    return np.array(
-        [
-            intr.f_x * (n / d) * math.cos(pose.pitch),
-            intr.f_y * obj_height / d,
-            intr.f_y * camera_height / d,
-        ]
-    )
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    cos_pitch = math.cos(pose.pitch)
+    f_x, f_y = intr.f_x, intr.f_y
+    contact = f_y * camera_height
+
+    def observe(x: float, z: float, obj_height: float):
+        n, d = c * x + s * z, -s * x + c * z
+        if d <= 0:
+            return None
+        return n, d, f_x * (n / d) * cos_pitch, f_y * obj_height / d, contact / d
+
+    def jacobian(x: float, z: float, obj_height: float) -> tuple:
+        n, d = c * x + s * z, -s * x + c * z
+        if d <= 0:
+            raise BehindCamera("jacobian undefined behind the camera")
+        d2 = d * d
+        return (f_x * cos_pitch * (c * d + s * n) / d2,
+                f_x * cos_pitch * (s * d - c * n) / d2, 0.0, 0.0,
+                f_y * obj_height * s / d2, -f_y * obj_height * c / d2, 0.0, 0.0,
+                contact * s / d2, -contact * c / d2, 0.0, 0.0)
+
+    return PoseModel(observe, jacobian)
+
+
+def project_observation(x_u: float, z_u: float, obj_height: float, pose: ImuPose,
+                        intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
+    """The observation triple of a user-frame object as a 3-vector, the
+    one-object case of pose_model; raises BehindCamera when d <= 0."""
+    obs = pose_model(pose, intr, camera_height).observe(x_u, z_u, obj_height)
+    if obs is None:
+        raise BehindCamera("forward coordinate d not positive")
+    return np.array(obs[2:])
+
+
+def observation_jacobian(x: float, z: float, obj_height: float, pose: ImuPose,
+                         intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
+    """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]:
+    pose_model's one-object case."""
+    return np.array(pose_model(pose, intr, camera_height).jacobian(x, z, obj_height)).reshape(3, 4)

@@ -3,10 +3,10 @@ and line-delimited trace files.
 
 The generator produces exactly what the live system would see per tick:
 an IMU pose and a list of detection boxes, alongside the ground truth
-the evaluation harness scores against.  Detection boxes are built with
-the same forward model the tracker inverts (contact row offset from the
-horizon), so a noise-free trace round-trips through depth estimation to
-the true range.
+the evaluation harness scores against.  Detection boxes come from
+geometry.pose_model, the forward model the tracker projects through and
+inverts, plus a box's width, bearing and 0.5 m cutoff; the labels'
+sensing footprint uses the same boxes and padded-frame test.
 
 Everything is driven by one seeded generator in a fixed order, so a
 given config produces byte-identical traces every time.
@@ -36,6 +36,7 @@ from .geometry import (
     horizon_line,
     is_number,
     normalize_angle,
+    pose_model,
 )
 
 log = logging.getLogger(__name__)
@@ -382,36 +383,39 @@ class _CleanBox(NamedTuple):
     v_bottom: float   # ground-contact row
     w_px: float
     h_px: float
-    d: float          # camera-forward depth
     bearing: float
 
 
 def _pose_projector(pose: ImuPose, cam: CameraConfig):
     """The noise-free image box of an object for one pose, as a function
-    (x, z, cls) -> _CleanBox of its user coordinates and class; the pose's
-    trigonometry is done once, here.
+    (x, z, cls) -> _CleanBox of its user coordinates and class, on one
+    geometry.pose_model.
 
     The function returns None when the object is at or behind the camera
     plane (closer than half a metre counts as behind; a box that close is
     degenerate).
     """
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    cos_pitch = math.cos(pose.pitch)
-    intr = cam.intrinsics
-    f_x, f_y, c_x = intr.f_x, intr.f_y, intr.c_x
-    y_h = horizon_line(intr, pose.pitch)
-    contact = f_y * cam.camera_height
+    observe = pose_model(pose, cam.intrinsics, cam.camera_height).observe
+    f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
+    y_h = horizon_line(cam.intrinsics, pose.pitch)
 
     def project(x: float, z: float, cls: str) -> _CleanBox | None:
-        # user_to_camera_planar, with the pose's cosine and sine
-        n, d = c * x + s * z, -s * x + c * z
-        if d <= 0.5:
-            return None
         w_obj, h_obj = CLASS_DIMENSIONS[cls]
-        return _CleanBox(c_x + f_x * (n / d) * cos_pitch, y_h + contact / d,
-                         f_x * w_obj / d, f_y * h_obj / d, d, math.atan2(n, d))
+        obs = observe(x, z, h_obj)
+        if obs is None or obs[1] <= 0.5:
+            return None
+        n, d, u_offset, h_px, deviation = obs
+        return _CleanBox(c_x + u_offset, y_h + deviation, f_x * w_obj / d, h_px, math.atan2(n, d))
 
     return project
+
+
+def _in_padded_frame(cam: CameraConfig, u: float, v_bottom: float, w_px: float, h_px: float):
+    """Whether a box (centre column, contact row, size) lies inside the
+    image grown by margin_px on every side."""
+    (img_w, img_h), margin = cam.image_size, cam.margin_px
+    return (-margin <= u - w_px / 2 and u + w_px / 2 <= img_w + margin
+            and -margin <= v_bottom - h_px and v_bottom <= img_h + margin)
 
 
 def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV):
@@ -426,16 +430,12 @@ def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV
     """
     project = _pose_projector(pose, cam)
     half_fov = fov / 2
-    img_w, img_h = cam.image_size
-    margin = cam.margin_px
 
     def sensed(x: float, z: float, cls: str) -> bool:
         proj = project(x, z, cls)
         if proj is None or abs(proj.bearing) > half_fov:
             return False
-        if not (-margin <= proj.u - proj.w_px / 2 and proj.u + proj.w_px / 2 <= img_w + margin):
-            return False
-        return -margin <= proj.v_bottom - proj.h_px and proj.v_bottom <= img_h + margin
+        return _in_padded_frame(cam, proj.u, proj.v_bottom, proj.w_px, proj.h_px)
 
     return sensed
 
@@ -487,9 +487,6 @@ def generate(config: ScenarioConfig):
     hm = config.resolved_head_motion()
     user_speed = config.user.resolved_speed()
     cam = config.camera
-    intr = cam.intrinsics
-    img_w, img_h = cam.image_size
-    margin = cam.margin_px
     half_fov = config.detector.fov / 2
 
     yaw_phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -565,9 +562,7 @@ def generate(config: ScenarioConfig):
                 u, v_bottom = u + noise[0], v_bottom + noise[1]
                 w_px = max(2.0, w_px + noise[2])
                 h_px = max(2.0, h_px + noise[3])
-            if not (-margin <= u - w_px / 2 and u + w_px / 2 <= img_w + margin):
-                continue
-            if not (-margin <= v_bottom - h_px and v_bottom <= img_h + margin):
+            if not _in_padded_frame(cam, u, v_bottom, w_px, h_px):
                 continue
             detections.append(
                 BoundingBox2D(

@@ -2,12 +2,12 @@
 
 State per track is [x, z, vx, vz] in the user frame with a constant
 velocity model; the measurement is the pixel-space observation triple
-from geometry.project_observation, linearized on the fly (EKF).  Blink
-to blink association maximises the total IoU between detections and
-the tracks' predicted boxes; it projects each track once per blink,
-and the update reuses that predicted triple for its residual.  Among
-the assignments whose math.fsum total is optimal it returns the
-lexicographically smallest sorted pair list.
+of geometry.pose_model, linearized on the fly (EKF).  Blink to blink
+association maximises the total IoU between detections and the tracks'
+predicted boxes; it binds the pose model once per blink and projects
+each track once, and the update reuses that predicted triple for its
+residual.  Among the assignments whose math.fsum total is optimal it
+returns the lexicographically smallest sorted pair list.
 
 Association works on Python lists, since a blink holds a few tracks
 and detections and numpy's fixed cost per call would exceed the work:
@@ -28,12 +28,11 @@ config.
 
 The filter algebra works on stacks: advance() predicts every live
 track, and step() linearizes and updates every matched pair, with one
-set of calls; predict(), update(), kalman_update() and
-observation_jacobian() are the one-member case of the same code.  Every
-stacked operation gives each member the same bytes as the 2-D call on
-that member alone.  Transition, process-noise (per track and stacked)
-and measurement-noise matrices are cached and read-only.  A blink with
-no track and no detection returns at once.
+set of calls; predict(), update() and kalman_update() are the
+one-member case of the same code.  Every stacked operation gives each
+member the same bytes as the 2-D call on that member alone.
+Transition, process-noise and measurement-noise matrices are cached and
+read-only.  A blink with no track and no detection returns at once.
 
 The tracker is a value (TrackerState, a NamedTuple like Track and
 Assignment); step() and advance() return new states and never mutate
@@ -55,10 +54,10 @@ from scipy.optimize import linear_sum_assignment
 from . import geometry
 from .geometry import (
     AboveHorizon,
-    BehindCamera,
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
+    observation_jacobian,  # re-exported: update's linearization, one member
 )
 from .scenario import InvalidConfig
 
@@ -155,7 +154,7 @@ class Assignment(NamedTuple):
     pairs: tuple            # ((track_id, det_index), ...)
     unmatched_tracks: tuple
     unmatched_detections: tuple
-    predicted: dict         # track_id -> predicted observation triple, per projected track
+    predicted: dict         # track_id -> predicted observation triple (floats), per projected track
 
 
 class TrackerState(NamedTuple):
@@ -216,40 +215,13 @@ def _initial_confidence(p0_diag: tuple, gamma: float) -> float:
 
 def _jacobian_stack(points, pose: ImuPose, intr: CameraIntrinsics,
                     camera_height: float) -> np.ndarray:
-    """Stacked 3x4 Jacobians of project_observation w.r.t. [x, z, vx, vz],
-    one per (x, z, obj_height) in points, from one set of pose
-    trigonometry.
-
-    The observation does not depend on velocity, so the last two columns
-    are zero.
-    """
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    cp = math.cos(pose.pitch)
-    f_x, f_y = intr.f_x, intr.f_y
+    """Stacked 3x4 Jacobians of the observation w.r.t. [x, z, vx, vz], one
+    per (x, z, obj_height) in points, from one geometry.pose_model."""
+    jacobian = geometry.pose_model(pose, intr, camera_height).jacobian
     flat = []
     for x, z, obj_height in points:
-        # geometry.user_to_camera_planar, on the trigonometry above
-        n, d = c * x + s * z, -s * x + c * z
-        if d <= 0:
-            raise BehindCamera("jacobian undefined behind the camera")
-        d2 = d * d
-        flat += (f_x * cp * (c * d + s * n) / d2, f_x * cp * (s * d - c * n) / d2, 0.0, 0.0,
-                 f_y * obj_height * s / d2, -f_y * obj_height * c / d2, 0.0, 0.0,
-                 f_y * camera_height * s / d2, -f_y * camera_height * c / d2, 0.0, 0.0)
+        flat += jacobian(x, z, obj_height)
     return np.array(flat, dtype=float).reshape(-1, 3, 4)
-
-
-def observation_jacobian(
-    x: float,
-    z: float,
-    obj_height: float,
-    pose: ImuPose,
-    intr: CameraIntrinsics,
-    camera_height: float,
-) -> np.ndarray:
-    """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]: the
-    one-member case of _jacobian_stack."""
-    return _jacobian_stack([(x, z, obj_height)], pose, intr, camera_height)[0]
 
 
 def _condition(S: np.ndarray) -> np.ndarray:
@@ -357,10 +329,11 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    x, z = track.x, track.z
-    predicted = geometry.project_observation(x, z, track.obj_height, pose, intr, camera_height)
-    H = observation_jacobian(x, z, track.obj_height, pose, intr, camera_height)
-    vec, P = kalman_update(track.vec, track.P, np.asarray(obs, float) - predicted, H, r)
+    model = geometry.pose_model(pose, intr, camera_height)
+    point = (track.x, track.z, track.obj_height)
+    H = np.array(model.jacobian(*point)).reshape(3, 4)   # raises BehindCamera behind the camera
+    residual = np.asarray(obs, float) - model.observe(*point)[2:]
+    vec, P = kalman_update(track.vec, track.P, residual, H, r)
     return _refiltered([track], vec[None], P[None], gamma)[0]
 
 
@@ -495,9 +468,9 @@ def match(
 ) -> Assignment:
     """Associate detections to tracks by maximum total IoU.
 
-    Each track with a last box is projected once; the triples come back
-    in the Assignment's `predicted`, for the update to reuse.  The
-    predicted box takes its bottom centre from the triple and its size
+    One pose model projects each track with a last box once; the triples
+    come back in the Assignment's `predicted`, for the update to reuse.
+    The predicted box takes its bottom centre from the triple and its size
     from the last box.  Pairs below the gate (or with zero overlap) are
     never matched.  Tracks whose predicted state is behind the camera
     this blink are unmatched by construction.
@@ -505,22 +478,18 @@ def match(
     ordered = sorted(tracks, key=lambda t: t.id)
     nd = len(detections)
     predicted, rows = {}, []
-    y_h = None
+    observe = y_h = None
     for track in ordered:
         row = [0.0] * nd
         last = track.last_box
         if last is not None:
-            try:
-                obs = geometry.project_observation(
-                    track.x, track.z, track.obj_height, pose, intr, camera_height
-                )
-            except BehindCamera:
-                pass
-            else:
-                predicted[track.id] = obs
-                if y_h is None:
-                    y_h = geometry.horizon_line(intr, pose.pitch)
-                u_offset, _, deviation = obs.tolist()
+            if observe is None:
+                observe = geometry.pose_model(pose, intr, camera_height).observe
+                y_h = geometry.horizon_line(intr, pose.pitch)
+            obs = observe(track.x, track.z, track.obj_height)
+            if obs is not None:
+                _, _, u_offset, _, deviation = obs
+                predicted[track.id] = obs[2:]
                 w, h = last.w, last.h
                 ious = _iou_row(intr.c_x + u_offset - w / 2.0, y_h + deviation - h, w, h,
                                 detections)

@@ -727,7 +727,8 @@ def test_match_equals_the_full_matrix_reference(problem):
     assert got.pairs == want_pairs
     assert got.predicted.keys() == want_predicted.keys()
     for tid, obs in want_predicted.items():
-        assert got.predicted[tid].tobytes() == obs.tobytes()
+        # match keeps the pose model's floats; they hold the reference's bytes
+        assert np.array(got.predicted[tid]).tobytes() == obs.tobytes()
     paired_tracks, paired_dets = {t for t, _ in want_pairs}, {d for _, d in want_pairs}
     assert got.unmatched_tracks == tuple(t.id for t in tracks if t.id not in paired_tracks)
     assert got.unmatched_detections == tuple(
@@ -872,23 +873,28 @@ def _dense_scenario(seed=6, vehicles=30, duration=20.0):
 
 def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     """match projects every live track once, and the update reuses those
-    triples: a blink costs one project_observation per live track,
+    triples: a blink costs one pose-model observe call per live track,
     whether the track is matched or not."""
     scen = _dense_scenario()
     frames, _ = scenario.generate(scen)
-    project, assign = tracking.geometry.project_observation, tracking.match
+    bind, assign = tracking.geometry.pose_model, tracking.match
     calls, pairs = [], []
 
-    def counted_project(*args, **kwargs):
-        calls.append(args)
-        return project(*args, **kwargs)
+    def counted_model(*args, **kwargs):
+        model = bind(*args, **kwargs)
+
+        def observe(*point):
+            calls.append(point)
+            return model.observe(*point)
+
+        return model._replace(observe=observe)
 
     def counted_match(*args, **kwargs):
         result = assign(*args, **kwargs)
         pairs.extend(result.pairs)
         return result
 
-    monkeypatch.setattr(tracking.geometry, "project_observation", counted_project)
+    monkeypatch.setattr(tracking.geometry, "pose_model", counted_model)
     monkeypatch.setattr(tracking, "match", counted_match)
     cfg = TrackerConfig()
     state = TrackerState()
