@@ -75,6 +75,14 @@ def is_number(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def is_finite_number(value) -> bool:
+    """A finite real number; an int too large for a double is not one."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels."""
@@ -85,6 +93,9 @@ class CameraIntrinsics:
     c_y: float
 
     def __post_init__(self):
+        for name in ("f_x", "f_y", "c_x", "c_y"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name}: must be a finite number, got {getattr(self, name)!r}")
         if self.f_x <= 0 or self.f_y <= 0:
             raise ValueError("focal lengths must be positive")
 

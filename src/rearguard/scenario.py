@@ -34,6 +34,7 @@ from .geometry import (
     CameraIntrinsics,
     ImuPose,
     horizon_line,
+    is_finite_number,
     is_number,
     normalize_angle,
     pose_model,
@@ -90,8 +91,22 @@ def _require(cond: bool, fieldname: str, message: str):
         raise InvalidConfig(f"{fieldname}: {message}")
 
 
+def _finite(obj, *names):
+    """Each named field of obj is a finite number; checked before its range,
+    so a value of the wrong type built from Python is named too."""
+    for name in names:
+        value = getattr(obj, name)
+        _require(is_finite_number(value), name, f"must be a finite number, got {value!r}")
+
+
+def _mapping(obj, *names):
+    for name in names:
+        value = getattr(obj, name)
+        _require(isinstance(value, dict), name, f"must be a mapping, got {value!r}")
+
+
 def _positive(value) -> bool:
-    return is_number(value) and value > 0
+    return is_finite_number(value) and value > 0
 
 
 def check_fov(fov) -> None:
@@ -107,8 +122,10 @@ class CameraConfig:
     margin_px: float = 80.0
 
     def __post_init__(self):
-        _require(_positive(self.camera_height), "camera_height", "must be positive")
-        _require(len(self.image_size) == 2 and all(map(_positive, self.image_size)),
+        _finite(self, "camera_height", "margin_px")
+        _require(self.camera_height > 0, "camera_height", "must be positive")
+        _require(isinstance(self.image_size, (tuple, list)) and len(self.image_size) == 2
+                 and all(map(_positive, self.image_size)),
                  "image_size", "must be two positive numbers")
 
 
@@ -116,10 +133,11 @@ class CameraConfig:
 class UserConfig:
     mode: str = "walking"
     speed: float | None = None     # default depends on mode
-    height: float = 1.75
 
     def __post_init__(self):
         _require(self.mode in USER_MODES, "mode", f"must be one of {USER_MODES}")
+        if self.speed is not None:
+            _finite(self, "speed")
         _require(self.resolved_speed() >= 0, "speed", "must be non-negative")
 
     def resolved_speed(self) -> float:
@@ -135,6 +153,7 @@ class HeadMotionConfig:
     jitter_std: float
 
     def __post_init__(self):
+        _finite(self, "yaw_amplitude", "yaw_period", "pitch_amplitude", "pitch_period", "jitter_std")
         _require(self.yaw_period > 0, "yaw_period", "must be positive")
         _require(self.pitch_period > 0, "pitch_period", "must be positive")
         _require(self.jitter_std >= 0, "jitter_std", "must be non-negative")
@@ -155,11 +174,14 @@ class VehicleConfig:
 
     def __post_init__(self):
         _require(self.cls in VEHICLE_CLASSES, "cls", f"must be one of {VEHICLE_CLASSES}")
+        _finite(self, "spawn_time", "x0", "z0", "speed", "heading")
         _require(self.speed >= 0, "speed", "must be non-negative")
         _require(self.profile in VEHICLE_PROFILES, "profile", f"must be one of {VEHICLE_PROFILES}")
+        _mapping(self, "params")
         for name in PROFILE_PARAMS.get(self.profile, ()):
             value = self.params.get(name)
             _require(is_number(value), f"params.{name}", f"a number is required for {self.profile}")
+            _require(is_finite_number(value), f"params.{name}", f"must be finite, got {value!r}")
             if name == PROFILE_PARAMS[self.profile][-1]:
                 _require(value > 0, f"params.{name}", "must be positive")
 
@@ -175,14 +197,16 @@ class DetectorConfig:
 
     def __post_init__(self):
         check_fov(self.fov)
+        _finite(self, "box_noise_px", "night_factor", "occlusion_sector")
         _require(0 < self.night_factor <= 1, "night_factor", "must be in (0, 1]")
         _require(self.box_noise_px >= 0, "box_noise_px", "must be non-negative")
+        _mapping(self, "first_detect_m", "spread_m")
         for cls in VEHICLE_CLASSES:
             # the calibration approach starts at REF_APPROACH_START
             median = self.first_detect_m.get(cls)
             _require(_positive(median) and median <= REF_APPROACH_START,
                      f"first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
-            _require(_positive(self.spread_m.get(cls)), f"spread_m.{cls}", "must be positive")
+            _require(_positive(self.spread_m.get(cls)), f"spread_m.{cls}", "must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -200,6 +224,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _require(isinstance(self.seed, int) and self.seed >= 0, "seed", "must be a non-negative integer")
+        _finite(self, "duration", "tick_rate")
         _require(self.duration > 0, "duration", "must be positive")
         _require(self.tick_rate > 0, "tick_rate", "must be positive")
         _require(math.isfinite(self.duration * self.tick_rate), "duration",
@@ -642,12 +667,13 @@ def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
     for sub in ("f_x", "f_y", "c_x", "c_y"):
         if not isinstance(intr, dict) or sub not in intr:
             raise ParseError(f"{where}: header missing field intrinsics.{sub!r}")
+    image_size = raw.get("image_size", (640, 640))
     try:
+        _check_numbers((*(intr[sub] for sub in ("f_x", "f_y", "c_x", "c_y")), raw["camera_height"],
+                        raw["tick_rate"], raw["duration"], *image_size), "header")
         camera = CameraConfig(intrinsics=CameraIntrinsics(**intr), camera_height=raw["camera_height"],
-                              image_size=tuple(raw.get("image_size", (640, 640))))
+                              image_size=tuple(image_size))
         header = TraceHeader(camera, raw["tick_rate"], raw["seed"], raw["duration"])
-        _check_numbers((*dataclasses.astuple(camera.intrinsics), camera.camera_height,
-                        header.tick_rate, header.duration, *camera.image_size), "header")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
     return header

@@ -180,7 +180,7 @@ def scenario_configs(draw):
         duration=duration,
         tick_rate=draw(st.sampled_from((5.0, 10.0, 20.0))),
         user=UserConfig(mode=draw(st.sampled_from(USER_MODES)),
-                        speed=draw(st.none() | _floats(0, 4)), height=draw(_floats(1, 2.2))),
+                        speed=draw(st.none() | _floats(0, 4))),
         head_motion=draw(st.none() | st.builds(
             HeadMotionConfig, _floats(0, 0.3), positive, _floats(0, 0.1), positive,
             _floats(0, 0.01))),
@@ -198,6 +198,11 @@ def scenario_configs(draw):
             image_size=st.tuples(st.integers(16, 2048), st.integers(16, 2048)),
             camera_height=positive, margin_px=_floats(0, 200))),
     )
+
+
+def test_config_dict_has_no_user_height():
+    """The camera height is camera.camera_height; a user height was never read."""
+    assert config_to_dict(one_car())["user"] == {"mode": "standing", "speed": 0.0}
 
 
 @settings(max_examples=60, deadline=None)
