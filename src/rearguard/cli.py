@@ -154,9 +154,18 @@ def _pipeline_config(cfg: RunConfig | CompareConfig) -> PipelineConfig:
                           sampler=cfg.sampler, warmup_s=float(cfg.warmup_s))
 
 
-def _scenario_from(entry: dict | str):
-    """A scenario is either an inline mapping or a path to a YAML file."""
-    return config_from_dict(_load_yaml(entry) if isinstance(entry, str) else entry)
+def _read_scenario(entry: dict | str, seed: int | None = None):
+    """The one scenario reader: an inline mapping or a YAML file path, with
+    `seed` in place of its key when given, as (ScenarioConfig, out).  A
+    scenario's `out` only sets where `generate` writes; run and compare
+    read the same files and ignore it."""
+    raw = dict(_load_yaml(entry) if isinstance(entry, str) else entry)
+    if seed is not None:
+        raw["seed"] = seed
+    out = raw.pop("out", None)
+    if out is not None and not isinstance(out, str):
+        raise InvalidConfig(f"out: expected str, got {out!r}")
+    return config_from_dict(raw), out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -172,11 +181,7 @@ def _out_dir(out) -> Path:
 # ------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
-    raw = _load_yaml(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    file_out = raw.pop("out", None)
-    scen = config_from_dict(raw)
+    scen, file_out = _read_scenario(args.config, args.seed)
     frames, truth = generate(scen)
     out = _out_dir(args.out or file_out)
 
@@ -192,7 +197,7 @@ def cmd_generate(args) -> int:
 def _resolve_run_inputs(cfg: RunConfig):
     """Returns (frames, truth, camera, fov) from files or an inline scenario."""
     if cfg.scenario is not None:
-        scen = _scenario_from(cfg.scenario)
+        scen, _ = _read_scenario(cfg.scenario)
         frames, truth = generate(scen)
         return frames, truth, scen.camera, scen.detector.fov
     header, frames = read_trace(cfg.trace)
@@ -256,7 +261,7 @@ def _resolve_suite(cfg: CompareConfig):
     if cfg.suite:
         return list(standard_suite())
     return [(f"scenario-{i + 1:02d}" if entry.name is None else entry.name,
-             _scenario_from(entry.scenario))
+             _read_scenario(entry.scenario)[0])
             for i, entry in enumerate(cfg.scenarios)]
 
 

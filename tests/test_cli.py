@@ -98,6 +98,62 @@ def test_generate_invalid_config_names_the_field(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+# each used to pass: a NaN x0 wrote a truth file that `run` refused (exit 3),
+# a NaN margin dropped every detection, an infinite amplitude exited 4
+@pytest.mark.parametrize("text, message", [
+    ("vehicles:\n  - {cls: car, spawn_time: 0.0, x0: .nan, z0: -20.0, speed: 2.0}\n",
+     "vehicles[0].x0: must be a finite number, got nan"),
+    ("camera: {margin_px: .nan}\n", "camera.margin_px: must be a finite number, got nan"),
+    ("head_motion: {yaw_amplitude: .inf, yaw_period: 4.0, pitch_amplitude: 0.04,\n"
+     "              pitch_period: 3.5, jitter_std: 0.004}\n",
+     "head_motion.yaw_amplitude: must be a finite number, got inf"),
+    ("camera:\n  intrinsics: {f_x: 600.0, f_y: 600.0, c_x: .nan, c_y: 320.0}\n",
+     "camera.intrinsics.c_x: must be a finite number, got nan"),
+    ("vehicles:\n  - {cls: car, spawn_time: 0.0, x0: 0.0, z0: -20.0, speed: 2.0,\n"
+     "     profile: decelerate-at, params: {at: .inf, rate: 1.0}}\n",
+     "vehicles[0].params.at: must be finite, got inf"),
+    ("detector: {occlusion_sector: .nan}\n",
+     "detector.occlusion_sector: must be a finite number, got nan"),
+], ids=["vehicle-x0-nan", "margin-nan", "yaw-amplitude-inf", "intrinsics-nan", "param-inf",
+        "occlusion-nan"])
+def test_generate_rejects_a_non_finite_number_by_its_path(tmp_path, capsys, text, message):
+    cfg = tmp_path / "scen.yaml"
+    cfg.write_text("seed: 3\nduration: 5.0\n" + text)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g").exists()
+
+
+def test_user_height_is_an_unknown_field(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "scen.yaml", {**SCENARIO, "user": {"mode": "standing", "height": 1.9}})
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert "user.height: unknown field" in capsys.readouterr().err
+
+
+def test_one_scenario_file_with_out_serves_generate_run_and_compare(tmp_path):
+    """A scenario's `out` sets only where `generate` writes; a run's
+    `scenario` and a compare entry read the same file and ignore it."""
+    scen = write_yaml(tmp_path / "scen.yaml", {**SCENARIO, "out": str(tmp_path / "gen")})
+    assert main(["generate", "--config", scen]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "gen").iterdir()) == ["trace.jsonl", "truth.jsonl"]
+    reports = []
+    for name, entry in (("file", scen), ("inline", dict(SCENARIO))):
+        run = write_yaml(tmp_path / f"{name}.yaml", {"seed": 5, "warmup_s": 0.0, "scenario": entry})
+        assert main(["run", "--config", run, "--out", str(tmp_path / name)]) == EXIT_OK
+        reports.append(json.loads((tmp_path / name / "report.json").read_text())["report"])
+    assert reports[0] == reports[1]
+    cmp_ = write_yaml(tmp_path / "cmp.yaml", {"scenarios": [{"scenario": scen}],
+                                              "samplers": ["everyframe"], "warmup_s": 0.0})
+    assert main(["compare", "--config", cmp_, "--out", str(tmp_path / "c")]) == EXIT_OK
+    assert (tmp_path / "c" / "comparison.json").exists()
+
+
+def test_scenario_out_must_be_a_path(tmp_path, capsys):
+    scen = write_yaml(tmp_path / "scen.yaml", {**SCENARIO, "out": 5})
+    assert main(["generate", "--config", scen]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: out: expected str, got 5\n"
+
+
 # ------------------------------------------------------------------- run
 
 def test_run_writes_report_events_and_qtable(tmp_path):
@@ -669,6 +725,23 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
 ], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
         "vehicle", "head-motion"])
 def test_config_blocks_built_in_python_raise_invalid_config(build, message):
+    with pytest.raises(InvalidConfig, match=message):
+        build()
+
+
+# a loader checks a file's types first; from Python these used to raise
+# TypeError or AttributeError
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScenarioConfig(seed=1, duration="60"), "^duration: must be a finite number, got '60'$"),
+    (lambda: CameraConfig(image_size=5), "^image_size: must be two positive numbers$"),
+    (lambda: VehicleConfig("car", 0, 0, -5, 1, profile="decelerate-at", params=None),
+     "^params: must be a mapping, got None$"),
+    (lambda: UserConfig(speed="fast"), "^speed: must be a finite number, got 'fast'$"),
+    (lambda: HeadMotionConfig(0.1, "4", 0.04, 3.5, 0.004),
+     "^yaw_period: must be a finite number, got '4'$"),
+], ids=["scenario-duration", "camera-image-size", "vehicle-params", "user-speed",
+        "head-motion-period"])
+def test_scenario_config_of_the_wrong_type_built_in_python_is_invalid(build, message):
     with pytest.raises(InvalidConfig, match=message):
         build()
 
