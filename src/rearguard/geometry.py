@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -215,20 +214,16 @@ def user_to_camera_planar(x: float, z: float, yaw: float) -> tuple[float, float]
     return (c * x + s * z, -s * x + c * z)
 
 
-class PoseModel(NamedTuple):
-    """The forward model bound to one pose; see pose_model."""
-
-    observe: Callable    # (x, z, obj_height) -> (n, d, u_offset, pixel_height, deviation) | None
-    jacobian: Callable   # (x, z, obj_height) -> the 3x4 Jacobian's 12 entries, row by row
-
-
-def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float) -> PoseModel:
-    """The forward model for one pose, its trigonometry done once.
+def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
+    """The forward model for one pose, its trigonometry done once, as the
+    pair of functions (observe, jacobian) of (x, z, obj_height).
 
     ``observe`` gives a user-frame object's camera-frame ``n, d`` and its
-    observation triple as Python floats, or None when ``d <= 0``.
-    ``jacobian`` gives the triple's Jacobian w.r.t. [x, z, vx, vz] (zero in
-    the velocity columns) and raises BehindCamera when ``d <= 0``.
+    observation triple, five Python floats, or None when ``d <= 0``.
+    ``jacobian`` gives the triple's 3x4 Jacobian w.r.t. [x, z, vx, vz] as
+    12 floats, row by row (zero in the velocity columns), and raises
+    BehindCamera when ``d <= 0``.  A plain pair: binding runs once per
+    frame on every path, and a named tuple would double its cost.
     """
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     cos_pitch = math.cos(pose.pitch)
@@ -251,14 +246,15 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float) -> P
                 f_y * obj_height * s / d2, -f_y * obj_height * c / d2, 0.0, 0.0,
                 contact * s / d2, -contact * c / d2, 0.0, 0.0)
 
-    return PoseModel(observe, jacobian)
+    return observe, jacobian
 
 
 def project_observation(x_u: float, z_u: float, obj_height: float, pose: ImuPose,
                         intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
     """The observation triple of a user-frame object as a 3-vector, the
     one-object case of pose_model; raises BehindCamera when d <= 0."""
-    obs = pose_model(pose, intr, camera_height).observe(x_u, z_u, obj_height)
+    observe, _ = pose_model(pose, intr, camera_height)
+    obs = observe(x_u, z_u, obj_height)
     if obs is None:
         raise BehindCamera("forward coordinate d not positive")
     return np.array(obs[2:])
@@ -268,4 +264,5 @@ def observation_jacobian(x: float, z: float, obj_height: float, pose: ImuPose,
                          intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
     """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]:
     pose_model's one-object case."""
-    return np.array(pose_model(pose, intr, camera_height).jacobian(x, z, obj_height)).reshape(3, 4)
+    _, jacobian = pose_model(pose, intr, camera_height)
+    return np.array(jacobian(x, z, obj_height)).reshape(3, 4)

@@ -420,7 +420,7 @@ def _pose_projector(pose: ImuPose, cam: CameraConfig):
     plane (closer than half a metre counts as behind; a box that close is
     degenerate).
     """
-    observe = pose_model(pose, cam.intrinsics, cam.camera_height).observe
+    observe, _ = pose_model(pose, cam.intrinsics, cam.camera_height)
     f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
     y_h = horizon_line(cam.intrinsics, pose.pitch)
 

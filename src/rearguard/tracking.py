@@ -217,7 +217,7 @@ def _jacobian_stack(points, pose: ImuPose, intr: CameraIntrinsics,
                     camera_height: float) -> np.ndarray:
     """Stacked 3x4 Jacobians of the observation w.r.t. [x, z, vx, vz], one
     per (x, z, obj_height) in points, from one geometry.pose_model."""
-    jacobian = geometry.pose_model(pose, intr, camera_height).jacobian
+    _, jacobian = geometry.pose_model(pose, intr, camera_height)
     flat = []
     for x, z, obj_height in points:
         flat += jacobian(x, z, obj_height)
@@ -329,10 +329,10 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    model = geometry.pose_model(pose, intr, camera_height)
+    observe, jacobian = geometry.pose_model(pose, intr, camera_height)
     point = (track.x, track.z, track.obj_height)
-    H = np.array(model.jacobian(*point)).reshape(3, 4)   # raises BehindCamera behind the camera
-    residual = np.asarray(obs, float) - model.observe(*point)[2:]
+    H = np.array(jacobian(*point)).reshape(3, 4)   # raises BehindCamera behind the camera
+    residual = np.asarray(obs, float) - observe(*point)[2:]
     vec, P = kalman_update(track.vec, track.P, residual, H, r)
     return _refiltered([track], vec[None], P[None], gamma)[0]
 
@@ -484,7 +484,7 @@ def match(
         last = track.last_box
         if last is not None:
             if observe is None:
-                observe = geometry.pose_model(pose, intr, camera_height).observe
+                observe, _ = geometry.pose_model(pose, intr, camera_height)
                 y_h = geometry.horizon_line(intr, pose.pitch)
             obs = observe(track.x, track.z, track.obj_height)
             if obs is not None:

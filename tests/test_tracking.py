@@ -881,13 +881,13 @@ def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     calls, pairs = [], []
 
     def counted_model(*args, **kwargs):
-        model = bind(*args, **kwargs)
+        observe, jacobian = bind(*args, **kwargs)
 
-        def observe(*point):
+        def counted_observe(*point):
             calls.append(point)
-            return model.observe(*point)
+            return observe(*point)
 
-        return model._replace(observe=observe)
+        return counted_observe, jacobian
 
     def counted_match(*args, **kwargs):
         result = assign(*args, **kwargs)
