@@ -223,7 +223,8 @@ class ScenarioConfig:
     camera: CameraConfig = CameraConfig()
 
     def __post_init__(self):
-        _require(isinstance(self.seed, int) and self.seed >= 0, "seed", "must be a non-negative integer")
+        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0,
+                 "seed", "must be a non-negative integer")
         _finite(self, "duration", "tick_rate")
         _require(self.duration > 0, "duration", "must be positive")
         _require(self.tick_rate > 0, "tick_rate", "must be positive")
@@ -403,18 +404,13 @@ def detector_model(range_m: float, cls: str, light: str, det: DetectorConfig,
         return 0.0
 
 
-class _CleanBox(NamedTuple):
-    u: float          # box centre column
-    v_bottom: float   # ground-contact row
-    w_px: float
-    h_px: float
-    bearing: float
-
-
 def _pose_projector(pose: ImuPose, cam: CameraConfig):
-    """The noise-free image box of an object for one pose, as a function
-    (x, z, cls) -> _CleanBox of its user coordinates and class, on one
-    geometry.pose_model.
+    """The noise-free image box of an object for one pose, on one
+    geometry.pose_model, as a function (x, z, cls) -> (u, v_bottom, w_px,
+    h_px, bearing) of its user coordinates and class: box centre column,
+    ground-contact row, size in pixels and bearing.  It runs per object
+    and tick in generate and label_truth, so the box is a plain tuple:
+    building a named tuple cost more than the projection.
 
     The function returns None when the object is at or behind the camera
     plane (closer than half a metre counts as behind; a box that close is
@@ -424,13 +420,13 @@ def _pose_projector(pose: ImuPose, cam: CameraConfig):
     f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
     y_h = horizon_line(cam.intrinsics, pose.pitch)
 
-    def project(x: float, z: float, cls: str) -> _CleanBox | None:
+    def project(x: float, z: float, cls: str) -> tuple | None:
         w_obj, h_obj = CLASS_DIMENSIONS[cls]
         obs = observe(x, z, h_obj)
         if obs is None or obs[1] <= 0.5:
             return None
         n, d, u_offset, h_px, deviation = obs
-        return _CleanBox(c_x + u_offset, y_h + deviation, f_x * w_obj / d, h_px, math.atan2(n, d))
+        return c_x + u_offset, y_h + deviation, f_x * w_obj / d, h_px, math.atan2(n, d)
 
     return project
 
@@ -457,10 +453,10 @@ def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV
     half_fov = fov / 2
 
     def sensed(x: float, z: float, cls: str) -> bool:
-        proj = project(x, z, cls)
-        if proj is None or abs(proj.bearing) > half_fov:
+        box = project(x, z, cls)
+        if box is None or abs(box[4]) > half_fov:
             return False
-        return _in_padded_frame(cam, proj.u, proj.v_bottom, proj.w_px, proj.h_px)
+        return _in_padded_frame(cam, *box[:4])
 
     return sensed
 
@@ -563,16 +559,16 @@ def generate(config: ScenarioConfig):
         project = _pose_projector(pose, cam)
         visible = []
         for obj in objects:
-            proj = project(obj.x, obj.z, obj.cls)
-            if proj is None or abs(proj.bearing) > half_fov:
+            box = project(obj.x, obj.z, obj.cls)
+            if box is None or abs(box[4]) > half_fov:
                 continue
-            visible.append((obj, proj))
+            visible.append((obj, box))
         detections = []
-        for obj, proj in visible:
+        for obj, (u, v_bottom, w_px, h_px, bearing) in visible:
             occluded = any(
                 other.range < obj.range
-                and abs(other_proj.bearing - proj.bearing) < config.detector.occlusion_sector
-                for other, other_proj in visible
+                and abs(other_bearing - bearing) < config.detector.occlusion_sector
+                for other, (*_, other_bearing) in visible
                 if other.id != obj.id
             )
             if occluded:
@@ -580,8 +576,6 @@ def generate(config: ScenarioConfig):
             p_det = detector_model(obj.range, obj.cls, config.light, config.detector, config.tick_rate)
             if rng.random() >= p_det:
                 continue
-            u, v_bottom = proj.u, proj.v_bottom
-            w_px, h_px = proj.w_px, proj.h_px
             if config.detector.box_noise_px > 0:
                 noise = rng.normal(0.0, config.detector.box_noise_px, size=4)
                 u, v_bottom = u + noise[0], v_bottom + noise[1]

@@ -124,12 +124,6 @@ def test_generate_rejects_a_non_finite_number_by_its_path(tmp_path, capsys, text
     assert not (tmp_path / "g").exists()
 
 
-def test_user_height_is_an_unknown_field(tmp_path, capsys):
-    cfg = write_yaml(tmp_path / "scen.yaml", {**SCENARIO, "user": {"mode": "standing", "height": 1.9}})
-    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_CONFIG
-    assert "user.height: unknown field" in capsys.readouterr().err
-
-
 def test_one_scenario_file_with_out_serves_generate_run_and_compare(tmp_path):
     """A scenario's `out` sets only where `generate` writes; a run's
     `scenario` and a compare entry read the same file and ignore it."""
@@ -462,6 +456,8 @@ def test_run_exit_code_table(tmp_path, monkeypatch, capsys, change, code, text):
 @pytest.mark.parametrize("change, path", [
     ({"scenario": {**SCENARIO, "durration": 5.0}}, "durration"),
     ({"scenario": {**SCENARIO, "user": {"mode": "standing", "hieght": 1.8}}}, "user.hieght"),
+    # nothing read it: the camera height is camera.camera_height
+    ({"scenario": {**SCENARIO, "user": {"mode": "standing", "height": 1.9}}}, "user.height"),
     ({"scenario": {**SCENARIO, "detector": {"fvo": 1.0}}}, "detector.fvo"),
     ({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "skew": 0.0}}}},
      "camera.intrinsics.skew"),
@@ -722,16 +718,8 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
      r"^cls: must be one of \('car', 'cycle'\)$"),
     (lambda: HeadMotionConfig(0.1, 4.0, 1.6, 3.5, 0.0),
      "^pitch_amplitude: plus 6 jitter_std must stay below pi/2, the pitch limit$"),
-], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
-        "vehicle", "head-motion"])
-def test_config_blocks_built_in_python_raise_invalid_config(build, message):
-    with pytest.raises(InvalidConfig, match=message):
-        build()
-
-
-# a loader checks a file's types first; from Python these used to raise
-# TypeError or AttributeError
-@pytest.mark.parametrize("build, message", [
+    # a file's loader checks types first; from Python these five used to
+    # raise TypeError or AttributeError
     (lambda: ScenarioConfig(seed=1, duration="60"), "^duration: must be a finite number, got '60'$"),
     (lambda: CameraConfig(image_size=5), "^image_size: must be two positive numbers$"),
     (lambda: VehicleConfig("car", 0, 0, -5, 1, profile="decelerate-at", params=None),
@@ -739,9 +727,12 @@ def test_config_blocks_built_in_python_raise_invalid_config(build, message):
     (lambda: UserConfig(speed="fast"), "^speed: must be a finite number, got 'fast'$"),
     (lambda: HeadMotionConfig(0.1, "4", 0.04, 3.5, 0.004),
      "^yaw_period: must be a finite number, got '4'$"),
-], ids=["scenario-duration", "camera-image-size", "vehicle-params", "user-speed",
-        "head-motion-period"])
-def test_scenario_config_of_the_wrong_type_built_in_python_is_invalid(build, message):
+    # a bool is not a seed, as a file's loader already said; this one passed
+    (lambda: ScenarioConfig(seed=True), "^seed: must be a non-negative integer$"),
+], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
+        "vehicle", "head-motion", "scenario-duration-type", "camera-image-size-type",
+        "vehicle-params-type", "user-speed-type", "head-motion-period-type", "scenario-seed-bool"])
+def test_config_blocks_built_in_python_raise_invalid_config(build, message):
     with pytest.raises(InvalidConfig, match=message):
         build()
 
