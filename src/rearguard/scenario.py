@@ -423,9 +423,11 @@ def _pose_projector(pose: ImuPose, cam: CameraConfig):
     def project(x: float, z: float, cls: str) -> tuple | None:
         w_obj, h_obj = CLASS_DIMENSIONS[cls]
         obs = observe(x, z, h_obj)
-        if obs is None or obs[1] <= 0.5:
+        if obs is None:
             return None
         n, d, u_offset, h_px, deviation = obs
+        if d <= 0.5:
+            return None
         return c_x + u_offset, y_h + deviation, f_x * w_obj / d, h_px, math.atan2(n, d)
 
     return project
