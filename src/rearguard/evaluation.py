@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import is_number
+from .geometry import is_finite_number, is_number
 from .risk import (
     DEFAULT_ALERT_THRESHOLD,
     DEFAULT_REACTION_TIME_S,
@@ -87,7 +87,7 @@ class PipelineConfig(RiskConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (is_number(self.warmup_s) and math.isfinite(self.warmup_s)):
+        if not is_finite_number(self.warmup_s):
             raise InvalidConfig(f"warmup_s must be a finite number, got {self.warmup_s!r}")
 
 

@@ -1,5 +1,7 @@
-"""Camera geometry: ground-plane depth from the horizon line, back-projection,
-frame transforms, and the forward observation model used by the tracker.
+"""Camera geometry: the one pose model, forward (a user-frame object to
+its observation triple) and inverse (a detection box to a user-frame
+point, its height and its depth), used by the generator, the labels and
+the tracker.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -33,13 +35,16 @@ triple used by the EKF measurement model:
     pixel_height      = f_y * h   / d                  pixels
     horizon_deviation = f_y * h_e / d                  pixels below y_h
 
-The third component is exactly the ``dy`` that ``estimate_depth``
-inverts, so projection and depth estimation agree by construction.
+The third component is exactly the ``dy`` that the inverse reads as
+depth, so projection and depth estimation agree by construction.  The
+inverse takes the box's bottom-centre column as n = (u - c_x) * d / f_x,
+without the forward model's cos(theta_p).
 
-This model has one home, ``pose_model``, which binds a pose once; the
-generator's boxes, the labels' sensing footprint and the tracker all
-project through it.  ``project_observation`` and
-``observation_jacobian`` are its one-object cases.
+This model has one home, ``pose_model``, which binds a pose once and
+returns three functions: ``observe`` and ``jacobian`` of a user-frame
+object, and ``locate`` of a detection box.  ``project_observation``,
+``observation_jacobian`` and ``estimate_depth`` are their one-object
+cases.
 """
 
 from __future__ import annotations
@@ -135,20 +140,6 @@ class BoundingBox2D:
         return (self.x + self.w / 2.0, self.y + self.h)
 
 
-@dataclass(frozen=True)
-class PointCamera3D:
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
-class PointUser3D:
-    x: float
-    y: float
-    z: float
-
-
 def normalize_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     a = math.fmod(a, 2.0 * math.pi)
@@ -168,66 +159,24 @@ def horizon_line(intr: CameraIntrinsics, pitch: float) -> float:
     return intr.c_y - intr.f_y * math.tan(pitch)
 
 
-def estimate_depth(
-    box: BoundingBox2D,
-    intr: CameraIntrinsics,
-    pitch: float,
-    camera_height: float,
-) -> float:
-    """Depth of the box's ground contact from its offset below the horizon.
-
-    Raises AboveHorizon when the bottom edge is less than
-    ``DEFAULT_MIN_DY_PX`` pixels below the horizon row (contact at or
-    above the horizon carries no usable depth).  Results are clamped to
-    ``DEFAULT_MAX_DEPTH_M``.
-    """
-    if camera_height <= 0:
-        raise ValueError("camera_height must be positive")
-    y_h = horizon_line(intr, pitch)
-    dy = box.y + box.h - y_h
-    if dy <= DEFAULT_MIN_DY_PX:
-        raise AboveHorizon(f"contact point {dy:.2f} px below horizon (min {DEFAULT_MIN_DY_PX})")
-    return min(intr.f_y * camera_height / dy, DEFAULT_MAX_DEPTH_M)
-
-
-def backproject(box: BoundingBox2D, depth: float, intr: CameraIntrinsics) -> PointCamera3D:
-    """Lift the box's bottom-center pixel to camera coordinates at ``depth``."""
-    if depth <= 0:
-        raise ValueError("depth must be positive")
-    u, v = box.bottom_center
-    return PointCamera3D(
-        x=(u - intr.c_x) * depth / intr.f_x,
-        y=(v - intr.c_y) * depth / intr.f_y,
-        z=depth,
-    )
-
-
-def camera_to_user(p: PointCamera3D, yaw: float) -> PointUser3D:
-    """Rotate a camera-frame point into the user frame (planar, about vertical)."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    return PointUser3D(x=c * p.x - s * p.z, y=p.y, z=s * p.x + c * p.z)
-
-
-def user_to_camera_planar(x: float, z: float, yaw: float) -> tuple[float, float]:
-    """Inverse planar rotation: user-frame (x, z) to camera-frame (n, d)."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    return (c * x + s * z, -s * x + c * z)
-
-
 def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
-    """The forward model for one pose, its trigonometry done once, as the
-    pair of functions (observe, jacobian) of (x, z, obj_height).
+    """The camera model for one pose, its trigonometry done once, as the
+    three functions (observe, jacobian, locate).
 
-    ``observe`` gives a user-frame object's camera-frame ``n, d`` and its
-    observation triple, five Python floats, or None when ``d <= 0``.
-    ``jacobian`` gives the triple's 3x4 Jacobian w.r.t. [x, z, vx, vz] as
-    12 floats, row by row (zero in the velocity columns), and raises
-    BehindCamera when ``d <= 0``.  A plain pair: binding runs once per
-    frame on every path, and a named tuple would double its cost.
+    ``observe(x, z, obj_height)`` gives a user-frame object's camera-frame
+    ``n, d`` and its observation triple, five Python floats, or None when
+    ``d <= 0``.  ``jacobian(x, z, obj_height)`` gives the triple's 3x4
+    Jacobian w.r.t. [x, z, vx, vz] as 12 floats, row by row (zero in the
+    velocity columns), and raises BehindCamera when ``d <= 0``.
+    ``locate(box)`` gives the user-frame ``x, z`` of a box's bottom centre,
+    the object height and the depth, four Python floats, or None when the
+    contact row is ``DEFAULT_MIN_DY_PX`` or less below the horizon; depth
+    is clamped to ``DEFAULT_MAX_DEPTH_M``.  A plain triple: binding runs
+    once per frame on every path, and a named tuple would double its cost.
     """
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     cos_pitch = math.cos(pose.pitch)
-    f_x, f_y = intr.f_x, intr.f_y
+    f_x, f_y, c_x = intr.f_x, intr.f_y, intr.c_x
     contact = f_y * camera_height
 
     def observe(x: float, z: float, obj_height: float):
@@ -246,14 +195,23 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
                 f_y * obj_height * s / d2, -f_y * obj_height * c / d2, 0.0, 0.0,
                 contact * s / d2, -contact * c / d2, 0.0, 0.0)
 
-    return observe, jacobian
+    def locate(box: BoundingBox2D):
+        # the horizon row here, not at binding: most binds never locate
+        dy = box.y + box.h - horizon_line(intr, pose.pitch)
+        if dy <= DEFAULT_MIN_DY_PX:
+            return None
+        depth = min(contact / dy, DEFAULT_MAX_DEPTH_M)
+        n = (box.x + box.w / 2.0 - c_x) * depth / f_x
+        return c * n - s * depth, s * n + c * depth, box.h * depth / f_y, depth
+
+    return observe, jacobian, locate
 
 
 def project_observation(x_u: float, z_u: float, obj_height: float, pose: ImuPose,
                         intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
     """The observation triple of a user-frame object as a 3-vector, the
     one-object case of pose_model; raises BehindCamera when d <= 0."""
-    observe, _ = pose_model(pose, intr, camera_height)
+    observe, _, _ = pose_model(pose, intr, camera_height)
     obs = observe(x_u, z_u, obj_height)
     if obs is None:
         raise BehindCamera("forward coordinate d not positive")
@@ -264,5 +222,19 @@ def observation_jacobian(x: float, z: float, obj_height: float, pose: ImuPose,
                          intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
     """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]:
     pose_model's one-object case."""
-    _, jacobian = pose_model(pose, intr, camera_height)
+    _, jacobian, _ = pose_model(pose, intr, camera_height)
     return np.array(jacobian(x, z, obj_height)).reshape(3, 4)
+
+
+def estimate_depth(box: BoundingBox2D, intr: CameraIntrinsics, pitch: float,
+                   camera_height: float) -> float:
+    """Depth of the box's ground contact from its offset below the horizon,
+    pose_model's one-box case.  Raises AboveHorizon when ``locate`` finds
+    no usable depth (contact at or above the horizon)."""
+    if camera_height <= 0:
+        raise ValueError("camera_height must be positive")
+    _, _, locate = pose_model(ImuPose(pitch, 0.0), intr, camera_height)
+    located = locate(box)
+    if located is None:
+        raise AboveHorizon(f"contact point {DEFAULT_MIN_DY_PX} px or less below the horizon")
+    return located[3]

@@ -18,11 +18,10 @@ when it reaches the configured threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import is_number
+from .geometry import is_finite_number
 from .scenario import InvalidConfig
 
 RADIAL_EPS = 1e-9
@@ -40,14 +39,14 @@ class RiskConfig:
     def __post_init__(self):
         check_reaction_time(self.reaction_time)
         threshold = self.alert_threshold
-        if not (is_number(threshold) and math.isfinite(threshold)):
+        if not is_finite_number(threshold):
             raise InvalidConfig(f"alert_threshold must be a finite number, got {threshold!r}")
 
 
 def check_reaction_time(t_r) -> None:
     """The one reaction-time rule, for a config and for every function that
     takes t_r: a positive finite number."""
-    if not (is_number(t_r) and math.isfinite(t_r) and t_r > 0):
+    if not (is_finite_number(t_r) and t_r > 0):
         raise InvalidConfig(f"reaction_time must be a positive finite number, got {t_r!r}")
 
 

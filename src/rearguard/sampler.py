@@ -26,12 +26,11 @@ config block describes whichever sampler a run uses.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import is_number
+from .geometry import is_finite_number, is_number
 from .scenario import InvalidConfig, ParseError, VersionMismatch
 
 SKIP, BLINK = 0, 1
@@ -44,10 +43,6 @@ class SamplerState(NamedTuple):
     conf_bin: int
     dist_bin: int
     dt_bin: int
-
-
-def _is_finite_number(value) -> bool:
-    return is_number(value) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -73,20 +68,22 @@ class SamplerConfig:
             raise InvalidConfig("epsilon0 must be in (0, 1]")
         if not self.eta > 0:
             raise InvalidConfig("eta must be positive")
+        if not is_finite_number(self.eta):
+            raise InvalidConfig(f"eta must be finite, got {self.eta!r}")
         if not 0 <= self.beta < 1:
             raise InvalidConfig("beta must be in [0, 1)")
         if not self.sample_cost <= 0:
             raise InvalidConfig("sample_cost is a cost; it must be zero or negative")
-        if not (_is_finite_number(self.dt_max) and self.dt_max > 0):
+        if not (is_finite_number(self.dt_max) and self.dt_max > 0):
             raise InvalidConfig(f"dt_max must be a positive finite number, got {self.dt_max!r}")
         for name in ("conf_edges", "dist_edges", "dt_edges"):
             edges = getattr(self, name)
-            if not (isinstance(edges, tuple) and all(map(_is_finite_number, edges))
+            if not (isinstance(edges, tuple) and all(map(is_finite_number, edges))
                     and all(a < b for a, b in zip(edges, edges[1:]))):
                 raise InvalidConfig(
                     f"{name} must be a strictly increasing tuple of finite numbers, got {edges!r}")
         for name in ("period", "c_min"):
-            if not _is_finite_number(getattr(self, name)):
+            if not is_finite_number(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.period < 1.0:
             raise InvalidConfig(f"period must be at least one tick, got {self.period!r}")

@@ -124,6 +124,7 @@ class CameraConfig:
     def __post_init__(self):
         _finite(self, "camera_height", "margin_px")
         _require(self.camera_height > 0, "camera_height", "must be positive")
+        _require(self.margin_px >= 0, "margin_px", "must be non-negative")
         _require(isinstance(self.image_size, (tuple, list)) and len(self.image_size) == 2
                  and all(map(_positive, self.image_size)),
                  "image_size", "must be two positive numbers")
@@ -416,7 +417,7 @@ def _pose_projector(pose: ImuPose, cam: CameraConfig):
     plane (closer than half a metre counts as behind; a box that close is
     degenerate).
     """
-    observe, _ = pose_model(pose, cam.intrinsics, cam.camera_height)
+    observe, _, _ = pose_model(pose, cam.intrinsics, cam.camera_height)
     f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
     y_h = horizon_line(cam.intrinsics, pose.pitch)
 

@@ -23,8 +23,8 @@ max_weight_assignment takes numpy matrices and runs the same split.
 Each object is one Track, an immutable NamedTuple: the filter state
 (vec, P), its confidence and what association needs.  Risk, the
 samplers and scoring read these tracks directly; there is no separate
-per-tick view.  A new track starts from the cached, read-only P0 of its
-config.
+per-tick view.  A new track is placed by the blink's pose-model locate
+and starts from the cached, read-only P0 of its config.
 
 The filter algebra works on stacks: advance() predicts every live
 track, and step() linearizes and updates every matched pair, with one
@@ -53,7 +53,6 @@ from scipy.optimize import linear_sum_assignment
 
 from . import geometry
 from .geometry import (
-    AboveHorizon,
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
@@ -90,7 +89,7 @@ class TrackerConfig:
             if not getattr(self, name) > 0:
                 raise InvalidConfig(f"{name} must be positive")
         for name in ("q_car", "q_cycle", "gamma", "d_max"):
-            if not math.isfinite(getattr(self, name)):
+            if not geometry.is_finite_number(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 <= self.iou_gate <= 1:
             raise InvalidConfig("iou_gate must be in [0, 1]")
@@ -98,7 +97,7 @@ class TrackerConfig:
             diag = getattr(self, name)
             if len(diag) != n or not all(geometry.is_number(v) and v > 0 for v in diag):
                 raise InvalidConfig(f"{name} must hold {n} positive numbers")
-            if not all(math.isfinite(v) for v in diag):
+            if not all(map(geometry.is_finite_number, diag)):
                 raise InvalidConfig(f"{name} must hold finite numbers, got {list(diag)!r}")
 
     def q_for(self, cls: str) -> float:
@@ -213,11 +212,10 @@ def _initial_confidence(p0_diag: tuple, gamma: float) -> float:
     return confidence(_diagonal(p0_diag), gamma)
 
 
-def _jacobian_stack(points, pose: ImuPose, intr: CameraIntrinsics,
-                    camera_height: float) -> np.ndarray:
+def _jacobian_stack(points, jacobian) -> np.ndarray:
     """Stacked 3x4 Jacobians of the observation w.r.t. [x, z, vx, vz], one
-    per (x, z, obj_height) in points, from one geometry.pose_model."""
-    _, jacobian = geometry.pose_model(pose, intr, camera_height)
+    per (x, z, obj_height) in points, from one bound geometry.pose_model
+    jacobian."""
     flat = []
     for x, z, obj_height in points:
         flat += jacobian(x, z, obj_height)
@@ -329,7 +327,7 @@ def update(
     gamma: float = 1e-6,
 ) -> Track:
     """EKF measurement update against the pixel-space observation triple."""
-    observe, jacobian = geometry.pose_model(pose, intr, camera_height)
+    observe, jacobian, _ = geometry.pose_model(pose, intr, camera_height)
     point = (track.x, track.z, track.obj_height)
     H = np.array(jacobian(*point)).reshape(3, 4)   # raises BehindCamera behind the camera
     residual = np.asarray(obs, float) - observe(*point)[2:]
@@ -484,7 +482,7 @@ def match(
         last = track.last_box
         if last is not None:
             if observe is None:
-                observe, _ = geometry.pose_model(pose, intr, camera_height)
+                observe, _, _ = geometry.pose_model(pose, intr, camera_height)
                 y_h = geometry.horizon_line(intr, pose.pitch)
             obs = observe(track.x, track.z, track.obj_height)
             if obs is not None:
@@ -530,28 +528,21 @@ def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerSt
     return TrackerState(tuple(moved), tracker.next_id, t, tracker.last_frame_t)
 
 
-def _spawn(
-    box: BoundingBox2D,
-    track_id: int,
-    pose: ImuPose,
-    intr: CameraIntrinsics,
-    camera_height: float,
-    config: TrackerConfig,
-) -> Track | None:
-    try:
-        depth = geometry.estimate_depth(box, intr, pose.pitch, camera_height)
-    except AboveHorizon:
+def _spawn(box: BoundingBox2D, track_id: int, locate, config: TrackerConfig) -> Track | None:
+    """A new track at the box, placed by the blink's bound pose-model
+    locate; None above the horizon or beyond d_max."""
+    located = locate(box)
+    if located is None:
         return None
-    p_cam = geometry.backproject(box, depth, intr)
-    p_user = geometry.camera_to_user(p_cam, pose.yaw)
-    if math.hypot(p_user.x, p_user.z) > config.d_max:
+    x, z, obj_height, _ = located
+    if math.hypot(x, z) > config.d_max:
         return None  # out of tracking range; do not burn an id on it
     return Track(
         id=track_id,
         cls=box.cls,
-        vec=np.array([p_user.x, p_user.z, 0.0, 0.0]),
+        vec=np.array([x, z, 0.0, 0.0]),
         P=config.p0_matrix(),
-        obj_height=box.h * depth / intr.f_y,
+        obj_height=obj_height,
         confidence=config.p0_confidence(),
         last_box=box,
     )
@@ -583,6 +574,8 @@ def step(
     assignment = match(
         tracker.tracks, detections, pose, intr, camera_height, config.iou_gate
     )
+    # match binds its own model, since its signature is public
+    _, jacobian, locate = geometry.pose_model(pose, intr, camera_height)
 
     updated: dict[int, Track] = {}
     if assignment.pairs:
@@ -596,8 +589,7 @@ def step(
             observed.append([u - intr.c_x, det.h, v_bottom - y_h])
             matched.append((by_id[tid], det))
             predicted.append(assignment.predicted[tid])
-        H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched],
-                            pose, intr, camera_height)
+        H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched], jacobian)
         _, keep, vec, P = _kalman_stack(np.array([tr.vec for tr, _ in matched]),
                                         np.array([tr.P for tr, _ in matched]),
                                         np.array(observed) - np.array(predicted),
@@ -624,7 +616,7 @@ def step(
 
     next_id = tracker.next_id
     for j in assignment.unmatched_detections:
-        spawned = _spawn(detections[j], next_id, pose, intr, camera_height, config)
+        spawned = _spawn(detections[j], next_id, locate, config)
         if spawned is None:
             continue
         survivors.append(spawned)

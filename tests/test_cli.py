@@ -311,6 +311,10 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "sampler: dt_max must be a positive finite number", id="sampler-dt-max-negative"),
     pytest.param({"sampler": {"kind": "confidence", "dt_max": float("nan")}}, EXIT_CONFIG,
                  "sampler: dt_max must be a positive finite number", id="sampler-dt-max-nan"),
+    # an int too large for a double used to exit 4 with an OverflowError
+    pytest.param({"sampler": {"kind": "sarsa", "dt_max": 10**400}}, EXIT_CONFIG,
+                 "sampler: dt_max must be a positive finite number, got 1000",
+                 id="sampler-dt-max-401-digits"),
     pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [0.5, 0.1, 0.02]}}, EXIT_CONFIG,
                  "sampler: conf_edges must be a strictly increasing tuple of finite numbers",
                  id="sampler-edges-unsorted"),
@@ -326,6 +330,9 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "risk.alert_threshold:", id="alert-threshold-null"),
     pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "f_x": -1.0}}}},
                  EXIT_CONFIG, "camera.intrinsics: focal lengths", id="intrinsics-invalid"),
+    # a negative margin used to drop every detection without an error
+    pytest.param({"scenario": {**SCENARIO, "camera": {"margin_px": -1}}}, EXIT_CONFIG,
+                 "camera.margin_px: must be non-negative", id="margin-negative"),
     pytest.param({"scenario": {**SCENARIO, "vehicles": [{"cls": "car", "spawn_time": 1.0}]}},
                  EXIT_CONFIG, "vehicles[0].x0, vehicles[0].z0, vehicles[0].speed: missing",
                  id="vehicle-field-missing"),

@@ -55,7 +55,8 @@ from rearguard.scenario import (
     in_sensing_footprint,
 )
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
-from rearguard.risk import ObjectRisk, RiskAssessment, assess
+from rearguard.risk import ObjectRisk, RiskAssessment, RiskConfig, assess
+from rearguard.sampler import SamplerConfig
 from rearguard.tracking import Assignment, Track, TrackerConfig, TrackerState
 
 REAR = ImuPose(pitch=0.0, yaw=math.pi)
@@ -347,6 +348,30 @@ BAD_PIPELINE_VALUES = [
 def test_non_finite_pipeline_values_are_config_errors(field, value, message):
     with pytest.raises(InvalidConfig, match=message):
         PipelineConfig(**{field: value})
+
+
+# an int too large for a double: math.isfinite raises OverflowError on it,
+# which used to escape these checks instead of a config error
+HUGE = 10**400
+HUGE_VALUES = [
+    *((TrackerConfig, name, HUGE) for name in ("q_car", "q_cycle", "gamma", "d_max", "iou_gate")),
+    (TrackerConfig, "r_diag", (HUGE, 9.0, 9.0)),
+    (TrackerConfig, "p0_diag", (4.0, 4.0, HUGE, 16.0)),
+    *((SamplerConfig, name, HUGE) for name in ("sample_cost", "epsilon0", "eta", "beta",
+                                               "dt_max", "period", "p", "c_min")),
+    *((SamplerConfig, name, (0.02, 0.1, HUGE)) for name in ("conf_edges", "dist_edges",
+                                                           "dt_edges")),
+    (RiskConfig, "reaction_time", HUGE),
+    (RiskConfig, "alert_threshold", HUGE),
+    (PipelineConfig, "warmup_s", HUGE),
+]
+
+
+@pytest.mark.parametrize("cls, field, value", HUGE_VALUES,
+                         ids=[f"{cls.__name__}.{field}" for cls, field, _ in HUGE_VALUES])
+def test_a_401_digit_int_is_a_config_error_naming_its_field(cls, field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} "):
+        cls(**{field: value})
 
 
 # ------------------------------------------------------------- truth labels

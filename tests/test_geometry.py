@@ -10,7 +10,7 @@ from numbers import Real
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rearguard.geometry import (
@@ -19,15 +19,12 @@ from rearguard.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
-    PointCamera3D,
-    backproject,
-    camera_to_user,
     estimate_depth,
     horizon_line,
     is_number,
     normalize_angle,
+    pose_model,
     project_observation,
-    user_to_camera_planar,
 )
 
 INTR = CameraIntrinsics(f_x=600.0, f_y=600.0, c_x=320.0, c_y=320.0)
@@ -59,6 +56,16 @@ def test_is_number_agrees_with_the_abstract_class_check(value):
 
 def box_with_bottom(v_bottom: float, u_center: float = 320.0, w: float = 60.0, h: float = 80.0) -> BoundingBox2D:
     return BoundingBox2D(x=u_center - w / 2.0, y=v_bottom - h, w=w, h=h)
+
+
+def camera_nd(x: float, z: float, yaw: float) -> tuple[float, float]:
+    """Camera-frame (n, d) of a user-frame point: the planar rotation, written out."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return c * x + s * z, -s * x + c * z
+
+
+def locate(box: BoundingBox2D, yaw: float = 0.0, pitch: float = 0.0, camera_height: float = 1.5):
+    return pose_model(ImuPose(pitch, yaw), INTR, camera_height)[2](box)
 
 
 # ---------------------------------------------------------------- horizon
@@ -106,56 +113,72 @@ def test_depth_rejects_bad_camera_height():
         estimate_depth(box_with_bottom(380.0), INTR, 0.0, 0.0)
 
 
-# ------------------------------------------------------------ backproject
+# ----------------------------------------------------------------- locate
 
-def test_backproject_principal_ray():
-    p = backproject(box_with_bottom(320.0), 10.0, INTR)
-    assert (p.x, p.y, p.z) == (0.0, 0.0, 10.0)
-
-
-def test_backproject_hand_values():
-    p = backproject(box_with_bottom(320.0, u_center=620.0), 10.0, INTR)
-    assert p.x == pytest.approx(5.0)
-    assert p.z == 10.0
-    q = backproject(box_with_bottom(320.0, u_center=170.0), 20.0, INTR)
-    assert q.x == pytest.approx(-5.0)
-    assert q.z == 20.0
+def test_locate_principal_ray():
+    # dy = 60 px -> 15 m straight ahead; h = 80 px * 15 m / 600 px = 2 m
+    assert locate(box_with_bottom(380.0)) == (0.0, 15.0, 2.0, 15.0)
 
 
-# ------------------------------------------------------------- transforms
+def test_locate_hand_values():
+    # dy = 90 px -> 10 m, 300 px right of c_x -> n = 300 * 10 / 600 = 5 m
+    x, z, _, depth = locate(box_with_bottom(410.0, u_center=620.0))
+    assert (x, z, depth) == (pytest.approx(5.0), 10.0, 10.0)
+    # dy = 45 px -> 20 m, 150 px left of c_x -> n = -5 m
+    x, z, _, depth = locate(box_with_bottom(365.0, u_center=170.0))
+    assert (x, z, depth) == (pytest.approx(-5.0), pytest.approx(20.0), pytest.approx(20.0))
 
-def test_camera_to_user_identity():
-    p = camera_to_user(PointCamera3D(1.0, 0.0, 5.0), 0.0)
-    assert (p.x, p.y, p.z) == (1.0, 0.0, 5.0)
 
-
-def test_camera_to_user_quarter_and_half_turn():
-    p = camera_to_user(PointCamera3D(1.0, 0.0, 0.0), math.pi / 2)
-    assert p.x == pytest.approx(0.0, abs=1e-12)
-    assert p.z == pytest.approx(1.0)
-    q = camera_to_user(PointCamera3D(3.0, 0.0, 4.0), math.pi)
-    assert q.x == pytest.approx(-3.0)
-    assert q.z == pytest.approx(-4.0)
+def test_locate_under_yaw():
+    box = box_with_bottom(410.0, u_center=620.0)   # n = 5 m, d = 10 m, h = 80 px -> 4/3 m
+    assert locate(box) == pytest.approx((5.0, 10.0, 80.0 / 60.0, 10.0))
+    x, z, _, _ = locate(box, yaw=math.pi / 2)
+    assert (x, z) == (pytest.approx(-10.0), pytest.approx(5.0))
+    x, z, _, _ = locate(box, yaw=math.pi)
+    assert (x, z) == (pytest.approx(-5.0), pytest.approx(-10.0))
 
 
 def test_rotation_preserves_norm():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        x, z = rng.uniform(-30, 30, size=2)
+        v_bottom, u_center = rng.uniform(330, 640), rng.uniform(0, 640)
         yaw = rng.uniform(-math.pi, math.pi)
-        p = camera_to_user(PointCamera3D(x, 0.0, z), yaw)
-        assert math.hypot(p.x, p.z) == pytest.approx(math.hypot(x, z), abs=1e-12)
+        x0, z0, _, _ = locate(box_with_bottom(v_bottom, u_center))
+        x, z, _, _ = locate(box_with_bottom(v_bottom, u_center), yaw=yaw)
+        assert math.hypot(x, z) == pytest.approx(math.hypot(x0, z0), abs=1e-12)
 
 
-def test_user_to_camera_inverts_camera_to_user():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        x, z = rng.uniform(-30, 30, size=2)
-        yaw = rng.uniform(-math.pi, math.pi)
-        p = camera_to_user(PointCamera3D(x, 0.0, z), yaw)
-        n, d = user_to_camera_planar(p.x, p.z, yaw)
-        assert n == pytest.approx(x, abs=1e-9)
-        assert d == pytest.approx(z, abs=1e-9)
+@given(x=st.floats(-30.0, 30.0), z=st.floats(-90.0, 90.0), yaw=st.floats(-math.pi, math.pi),
+       obj_height=st.floats(0.5, 3.0), w=st.floats(1.0, 200.0))
+def test_locate_inverts_observe_at_zero_pitch(x, z, yaw, obj_height, w):
+    """At pitch 0 the forward model has no cos(pitch) for locate to drop:
+    the box observe places is located back at its user-frame point."""
+    h_e = 1.55
+    observe, _, locate_box = pose_model(ImuPose(0.0, yaw), INTR, h_e)
+    obs = observe(x, z, obj_height)
+    assume(obs is not None and 1.0 <= obs[1] <= 90.0)
+    _, _, u_offset, h_px, deviation = obs
+    v_bottom = horizon_line(INTR, 0.0) + deviation
+    box = BoundingBox2D(INTR.c_x + u_offset - w / 2.0, v_bottom - h_px, w, h_px)
+    got_x, got_z, got_h, depth = locate_box(box)
+    assert got_x == pytest.approx(x, abs=1e-9)
+    assert got_z == pytest.approx(z, abs=1e-9)
+    assert got_h == pytest.approx(obj_height, abs=1e-9)
+    assert depth == estimate_depth(box, INTR, 0.0, h_e)
+
+
+@given(dy=st.floats(-5.0, 5.0), pitch=st.floats(-0.2, 0.2), yaw=st.floats(-math.pi, math.pi))
+def test_locate_none_exactly_at_the_horizon_rule(dy, pitch, yaw):
+    """None exactly when the contact row is 1 px or less below the
+    horizon, where estimate_depth raises AboveHorizon."""
+    box = box_with_bottom(horizon_line(INTR, pitch) + dy)
+    above = box.y + box.h - horizon_line(INTR, pitch) <= 1.0
+    assert (locate(box, yaw=yaw, pitch=pitch) is None) is above
+    if above:
+        with pytest.raises(AboveHorizon):
+            estimate_depth(box, INTR, pitch, 1.5)
+    else:
+        assert estimate_depth(box, INTR, pitch, 1.5) == locate(box, yaw=yaw, pitch=pitch)[3]
 
 
 def test_normalize_angle_range():
@@ -219,5 +242,5 @@ def test_observation_third_component_matches_depth_inversion():
         yaw = rng.uniform(-0.3, 0.3)
         pitch = rng.uniform(-0.2, 0.2)
         obs = project_observation(x, z, 1.5, ImuPose(pitch, yaw), INTR, h_e)
-        _, d = user_to_camera_planar(x, z, yaw)
+        _, d = camera_nd(x, z, yaw)
         assert INTR.f_y * h_e / obs[2] == pytest.approx(d, rel=1e-12)

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, user_to_camera_planar
+from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
 from rearguard import scenario
 from rearguard.evaluation import standard_suite
 from rearguard.risk import ttc
@@ -45,6 +45,7 @@ from rearguard.scenario import (
     write_trace,
     write_truth,
 )
+from test_geometry import camera_nd
 
 QUIET_HEAD = HeadMotionConfig(0.0, 4.0, 0.0, 3.5, 0.0)
 
@@ -314,7 +315,7 @@ def test_noise_free_detections_invert_to_true_range():
         if not frame.detections:
             continue
         obj = tick.objects[0]
-        _, d_true = user_to_camera_planar(obj.x, obj.z, frame.pose.yaw)
+        _, d_true = camera_nd(obj.x, obj.z, frame.pose.yaw)
         est = estimate_depth(frame.detections[0], cfg.camera.intrinsics,
                              frame.pose.pitch, cfg.camera.camera_height)
         assert abs(est - d_true) / d_true <= 0.01
@@ -330,7 +331,7 @@ def test_fov_rule_no_detection_outside_cone():
     saw_outside = 0
     for frame, tick in zip(frames, truth):
         obj = tick.objects[0]
-        n, d = user_to_camera_planar(obj.x, obj.z, frame.pose.yaw)
+        n, d = camera_nd(obj.x, obj.z, frame.pose.yaw)
         outside = d <= 0.5 or abs(math.atan2(n, d)) > half
         if outside:
             saw_outside += 1

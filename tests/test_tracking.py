@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation, user_to_camera_planar
+from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation
 from rearguard import scenario, tracking
 from rearguard.risk import assess
 from rearguard.scenario import InvalidConfig
@@ -40,6 +40,7 @@ from rearguard.tracking import (
     step,
     update,
 )
+from test_geometry import camera_nd
 from test_scenario import _floats, _params
 
 INTR = CameraIntrinsics(600.0, 600.0, 320.0, 320.0)
@@ -69,7 +70,7 @@ def fd_jacobian(x, z, h_obj, pose, intr, h_e, eps=1e-5):
 def closed_form_jacobian(x, z, h_obj, pose, intr, h_e):
     """The 3x4 observation Jacobian of one track, element by element."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    n, d = user_to_camera_planar(x, z, pose.yaw)
+    n, d = camera_nd(x, z, pose.yaw)
     d2 = d * d
     cp = math.cos(pose.pitch)
     H = np.zeros((3, 4))
@@ -248,7 +249,7 @@ def _random_observable_state(rng):
         pose = ImuPose(rng.uniform(-0.2, 0.2), yaw)
         x = rng.uniform(-10, 10)
         z = rng.uniform(3, 40) * (-1.0 if facing_rear else 1.0)
-        _, d = user_to_camera_planar(x, z, pose.yaw)
+        _, d = camera_nd(x, z, pose.yaw)
         if d > 2.0:
             return x, z, pose
 
@@ -282,12 +283,13 @@ def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
     own observation_jacobian call and of the closed form; a member behind
     the camera raises for the whole stack, as it does alone."""
     pose = ImuPose(pitch, yaw)
-    behind = [user_to_camera_planar(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
+    _, jacobian, _ = tracking.geometry.pose_model(pose, INTR, H_E)
+    behind = [camera_nd(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
     if any(behind):
         with pytest.raises(BehindCamera):
-            tracking._jacobian_stack(points, pose, INTR, H_E)
+            tracking._jacobian_stack(points, jacobian)
         points = [p for p, b in zip(points, behind) if not b]
-    H = tracking._jacobian_stack(points, pose, INTR, H_E)
+    H = tracking._jacobian_stack(points, jacobian)
     assert H.shape == (len(points), 3, 4)
     for member, (x, z, h_obj) in zip(H, points):
         alone = observation_jacobian(x, z, h_obj, pose, INTR, H_E)
@@ -650,7 +652,7 @@ def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
     obs = project_observation(x, z, h_obj, pose, INTR, H_E)
     u = INTR.c_x + obs[0]
     v_bottom = horizon_line(INTR, pose.pitch) + obs[2]
-    _, d = user_to_camera_planar(x, z, pose.yaw)
+    _, d = camera_nd(x, z, pose.yaw)
     w = INTR.f_x * w_obj / d
     return BoundingBox2D(u - w / 2, v_bottom - obs[1], w, obs[1], cls=cls)
 
@@ -874,20 +876,22 @@ def _dense_scenario(seed=6, vehicles=30, duration=20.0):
 def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     """match projects every live track once, and the update reuses those
     triples: a blink costs one pose-model observe call per live track,
-    whether the track is matched or not."""
+    whether the track is matched or not, and at most two binds of the
+    model (match's, and step's for the update and the spawns)."""
     scen = _dense_scenario()
     frames, _ = scenario.generate(scen)
     bind, assign = tracking.geometry.pose_model, tracking.match
-    calls, pairs = [], []
+    calls, pairs, binds = [], [], []
 
     def counted_model(*args, **kwargs):
-        observe, jacobian = bind(*args, **kwargs)
+        binds.append(args)
+        observe, jacobian, locate = bind(*args, **kwargs)
 
         def counted_observe(*point):
             calls.append(point)
             return observe(*point)
 
-        return counted_observe, jacobian
+        return counted_observe, jacobian, locate
 
     def counted_match(*args, **kwargs):
         result = assign(*args, **kwargs)
@@ -901,9 +905,10 @@ def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     live = []
     for frame in frames:
         live.append(len(state.tracks))
-        before = len(calls)
+        before, binds_before = len(calls), len(binds)
         state, _ = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
         assert len(calls) - before == live[-1]
+        assert len(binds) - binds_before <= 2
     assert max(live) >= 5 and len(pairs) > len(frames)
 
 
