@@ -129,9 +129,14 @@ def test_locate_hand_values():
     assert (x, z, depth) == (pytest.approx(-5.0), pytest.approx(20.0), pytest.approx(20.0))
 
 
-def test_locate_under_yaw():
+def test_camera_to_user_identity():
+    # zero yaw: the user frame is the camera frame
     box = box_with_bottom(410.0, u_center=620.0)   # n = 5 m, d = 10 m, h = 80 px -> 4/3 m
     assert locate(box) == pytest.approx((5.0, 10.0, 80.0 / 60.0, 10.0))
+
+
+def test_camera_to_user_quarter_and_half_turn():
+    box = box_with_bottom(410.0, u_center=620.0)   # n = 5 m, d = 10 m
     x, z, _, _ = locate(box, yaw=math.pi / 2)
     assert (x, z) == (pytest.approx(-10.0), pytest.approx(5.0))
     x, z, _, _ = locate(box, yaw=math.pi)
