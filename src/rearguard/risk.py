@@ -41,6 +41,10 @@ class RiskConfig:
         threshold = self.alert_threshold
         if not is_finite_number(threshold):
             raise InvalidConfig(f"alert_threshold must be a finite number, got {threshold!r}")
+        # kappa lies in [0, 1]: a threshold of 0 or less alerts on every tick,
+        # one above 1 never
+        if not 0 < threshold <= 1:
+            raise InvalidConfig(f"alert_threshold must be in (0, 1], got {threshold!r}")
 
 
 def check_reaction_time(t_r) -> None:
@@ -113,6 +117,8 @@ def assess(
     """Score every track with object_risk and fold into the overall alert
     decision."""
     check_reaction_time(t_r)
+    if not tracks:
+        return RiskAssessment(now, (), 0.0, 0.0 >= alert_threshold)
     per = tuple([object_risk(tr, t_r) for tr in tracks])
     gamma = max([o.kappa for o in per], default=0.0)
     return RiskAssessment(

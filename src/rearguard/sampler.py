@@ -72,8 +72,9 @@ class SamplerConfig:
             raise InvalidConfig(f"eta must be finite, got {self.eta!r}")
         if not 0 <= self.beta < 1:
             raise InvalidConfig("beta must be in [0, 1)")
-        if not self.sample_cost <= 0:
-            raise InvalidConfig("sample_cost is a cost; it must be zero or negative")
+        if not (is_finite_number(self.sample_cost) and self.sample_cost <= 0):
+            raise InvalidConfig("sample_cost is a cost; it must be zero or negative and finite, "
+                                f"got {self.sample_cost!r}")
         if not (is_finite_number(self.dt_max) and self.dt_max > 0):
             raise InvalidConfig(f"dt_max must be a positive finite number, got {self.dt_max!r}")
         for name in ("conf_edges", "dist_edges", "dt_edges"):
@@ -132,7 +133,8 @@ def epsilon(config: SamplerConfig, tick: int) -> float:
 def greedy_action(q: QTable, s: SamplerState) -> int:
     """Argmax over the two actions; a tie prefers blinking (fresh states
     default to sampling until the table says otherwise)."""
-    return BLINK if q.get(s, BLINK) >= q.get(s, SKIP) else SKIP
+    values = q.values
+    return BLINK if values.get((s, BLINK), 0.0) >= values.get((s, SKIP), 0.0) else SKIP
 
 
 def choose_action(q: QTable, s: SamplerState, rng, config: SamplerConfig) -> int:
@@ -159,10 +161,11 @@ def sarsa_update(
     The visit count is incremented first, so the very first update of a
     pair uses alpha = 1 and adopts its target outright.
     """
-    n = q.visits.get((s, a), 0) + 1
-    q.visits[(s, a)] = n
-    old = q.get(s, a)
-    q.values[(s, a)] = old + (r + beta * q.get(s_next, a_next) - old) / n
+    key, values = (s, a), q.values
+    n = q.visits.get(key, 0) + 1
+    q.visits[key] = n
+    old = values.get(key, 0.0)
+    values[key] = old + (r + beta * values.get((s_next, a_next), 0.0) - old) / n
     q.tick += 1
     return q
 
@@ -182,7 +185,9 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
-    """Read a table written by save_qtable; a malformed file is a
+    """Read a table written by save_qtable; a malformed file, or one that
+    save_qtable could not have written (a negative tick, bin or visit
+    count, an action other than skip or blink, a non-finite value), is a
     ParseError naming the path and line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -194,13 +199,24 @@ def load_qtable(path) -> QTable:
     i = 2
     try:
         q = QTable(tick=int(lines[1].split()[1]))
+        if q.tick < 0:
+            raise ValueError(f"tick must be non-negative, got {q.tick}")
         for i, line in enumerate(lines[2:], start=3):
             if not line:
                 continue
             cb, db, tb, a, value, visits = line.split()
-            key = (SamplerState(int(cb), int(db), int(tb)), int(a))
-            q.values[key] = float(value)
-            q.visits[key] = int(visits)
+            s = SamplerState(int(cb), int(db), int(tb))
+            a, value, visits = int(a), float(value), int(visits)
+            if min(s) < 0:
+                raise ValueError(f"state bins must be non-negative, got {tuple(s)}")
+            if a not in (SKIP, BLINK):
+                raise ValueError(f"action must be {SKIP} or {BLINK}, got {a}")
+            if not is_finite_number(value):
+                raise ValueError(f"value must be finite, got {value!r}")
+            if visits < 0:
+                raise ValueError(f"visit count must be non-negative, got {visits}")
+            q.values[(s, a)] = value
+            q.visits[(s, a)] = visits
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: line {i}: {exc}") from exc
     return q
@@ -223,14 +239,24 @@ class SarsaSampler:
         self.q = qtable if qtable is not None else QTable()
         self.last_blink = 0.0
         self._pending = None   # (state, action, min confidence or None)
+        # observe_state's no-tracks states, one per dt bin: most ticks see none
+        self._empty_states = [
+            SamplerState(config.no_tracks_bin, len(config.dist_edges), dt_bin)
+            for dt_bin in range(len(config.dt_edges) + 1)]
 
     def decide(self, tracks, now: float) -> bool:
         cfg = self.config
-        s = observe_state(tracks, now, self.last_blink, cfg)
-        c_min = min(t.confidence for t in tracks) if tracks else None
+        since = now - self.last_blink
+        if tracks:
+            s = observe_state(tracks, now, self.last_blink, cfg)
+            c_min = min(t.confidence for t in tracks)
+        elif since < 0:
+            raise ValueError("now precedes last_blink")
+        else:
+            s, c_min = self._empty_states[bin_index(since, cfg.dt_edges)], None
 
         a = choose_action(self.q, s, self.rng, cfg)
-        if now - self.last_blink >= cfg.dt_max:
+        if since >= cfg.dt_max:
             a = BLINK   # safety valve, recorded as the executed action
 
         if self._pending is not None:

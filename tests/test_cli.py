@@ -294,6 +294,18 @@ def test_warmup_flag_overrides_config(tmp_path):
 INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
 
 
+# Q-table bodies after the format line, for the exit-code table
+QTABLE_FILES = {
+    "bad.qtable": "tick 3\n0 1 2 blink\n",
+    "tick.qtable": "tick -10\n",
+    "nan.qtable": "tick 3\n0 1 2 1 -0.5 4\n0 1 3 1 nan 4\n",
+    "inf.qtable": "tick 3\n0 1 2 1 inf 4\n",
+    "visits.qtable": "tick 3\n0 1 2 1 -0.5 -1\n",
+    "action.qtable": "tick 3\n0 1 2 2 -0.5 4\n",
+    "bin.qtable": "tick 3\n0 -1 2 1 -0.5 4\n",
+}
+
+
 @pytest.mark.parametrize("change, code, text", [
     pytest.param({"sampler": {"kind": "interval", "period": "often"}}, EXIT_CONFIG,
                  "sampler.period: expected float, got 'often'", id="period-not-a-number"),
@@ -322,6 +334,14 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "sampler: eta must be positive", id="sampler-eta-nan"),
     pytest.param({"sampler": {"kind": "sarsa", "sample_cost": float("nan")}}, EXIT_CONFIG,
                  "sampler: sample_cost is a cost", id="sampler-cost-nan"),
+    # a -inf cost used to exit 0 with an all-nan Q-table, a 401-digit one
+    # to exit 4 with an OverflowError
+    pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -float("inf")}}, EXIT_CONFIG,
+                 "sampler: sample_cost is a cost; it must be zero or negative and finite, got -inf",
+                 id="sampler-cost-minus-inf"),
+    pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -10**400}}, EXIT_CONFIG,
+                 "sampler: sample_cost is a cost; it must be zero or negative and finite, got -1000",
+                 id="sampler-cost-401-digits"),
     pytest.param({"seed": "five"}, EXIT_CONFIG, "seed:", id="seed-not-a-number"),
     pytest.param({"warmup_s": "soon"}, EXIT_CONFIG, "warmup_s:", id="warmup-not-a-number"),
     pytest.param({"risk": {"reaction_time": "slow"}}, EXIT_CONFIG,
@@ -380,6 +400,11 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "c_min must be a finite number, got nan", id="c-min-nan"),
     pytest.param({"risk": {"alert_threshold": float("nan")}}, EXIT_CONFIG,
                  "alert_threshold must be a finite number, got nan", id="alert-threshold-nan"),
+    # kappa lies in [0, 1]: 0 used to alert on every tick, 1.5 never
+    pytest.param({"risk": {"alert_threshold": 0.0}}, EXIT_CONFIG,
+                 "risk: alert_threshold must be in (0, 1], got 0.0", id="alert-threshold-zero"),
+    pytest.param({"risk": {"alert_threshold": 1.5}}, EXIT_CONFIG,
+                 "risk: alert_threshold must be in (0, 1], got 1.5", id="alert-threshold-above-one"),
     pytest.param({"risk": {"reaction_time": float("inf")}}, EXIT_CONFIG,
                  "risk: reaction_time must be a positive finite number, got inf",
                  id="reaction-time-inf"),
@@ -437,6 +462,22 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
                  "seed: expected int, got True", id="scenario-seed-true"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bad.qtable"}}, EXIT_IO,
                  "bad.qtable: line 3", id="qtable-malformed"),
+    # values save_qtable never writes; tick -10 used to exit 4 (a zero
+    # division in the exploration schedule), a nan value to exit 0 and spread
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "tick.qtable"}}, EXIT_IO,
+                 "tick.qtable: line 2: tick must be non-negative, got -10", id="qtable-tick-negative"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "nan.qtable"}}, EXIT_IO,
+                 "nan.qtable: line 4: value must be finite, got nan", id="qtable-value-nan"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "inf.qtable"}}, EXIT_IO,
+                 "inf.qtable: line 3: value must be finite, got inf", id="qtable-value-inf"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "visits.qtable"}}, EXIT_IO,
+                 "visits.qtable: line 3: visit count must be non-negative, got -1",
+                 id="qtable-visits-negative"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "action.qtable"}}, EXIT_IO,
+                 "action.qtable: line 3: action must be 0 or 1, got 2", id="qtable-action-two"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "bin.qtable"}}, EXIT_IO,
+                 "bin.qtable: line 3: state bins must be non-negative, got (0, -1, 2)",
+                 id="qtable-bin-negative"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": ""}}, EXIT_CONFIG,
@@ -452,7 +493,8 @@ INTRINSICS = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0}
 ])
 def test_run_exit_code_table(tmp_path, monkeypatch, capsys, change, code, text):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.qtable").write_text("rearguard-qtable v1\ntick 3\n0 1 2 blink\n")
+    for name, body in QTABLE_FILES.items():
+        (tmp_path / name).write_text(f"rearguard-qtable v1\n{body}")
     change = dict(change)
     flags = change.pop("flags", [])   # command-line flags, kept out of the file
     cfg = run_config(tmp_path, **change)

@@ -155,7 +155,7 @@ def _labelled_truth(draw):
         camera_height=draw(st.floats(0.5, 2.5)),
         margin_px=draw(st.floats(0.0, 200.0)))
     config = PipelineConfig(reaction_time=draw(st.floats(0.5, 6.0)),
-                            alert_threshold=draw(st.floats(-0.1, 1.1)),
+                            alert_threshold=draw(st.floats(0.0, 1.0, exclude_min=True)),
                             tracker=TrackerConfig(d_max=draw(st.floats(2.0, 40.0))))
     intr, (img_w, img_h) = camera.intrinsics, camera.image_size
     truth = []
@@ -365,10 +365,18 @@ HUGE_VALUES = [
     (RiskConfig, "alert_threshold", HUGE),
     (PipelineConfig, "warmup_s", HUGE),
 ]
+# a cost only has to be zero or negative: -HUGE used to exit 4 from a run
+# (an OverflowError in the reward), and -inf beside it to learn an all-nan table
+NEGATIVE_COSTS = [
+    pytest.param(SamplerConfig, "sample_cost", -HUGE, id="SamplerConfig.sample_cost-401-digits"),
+    pytest.param(SamplerConfig, "sample_cost", -math.inf, id="SamplerConfig.sample_cost-inf"),
+]
 
 
-@pytest.mark.parametrize("cls, field, value", HUGE_VALUES,
-                         ids=[f"{cls.__name__}.{field}" for cls, field, _ in HUGE_VALUES])
+@pytest.mark.parametrize("cls, field, value", [
+    *(pytest.param(cls, field, value, id=f"{cls.__name__}.{field}")
+      for cls, field, value in HUGE_VALUES),
+    *NEGATIVE_COSTS])
 def test_a_401_digit_int_is_a_config_error_naming_its_field(cls, field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} "):
         cls(**{field: value})

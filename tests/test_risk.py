@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from rearguard import evaluation, risk
 from rearguard.evaluation import ground_truth_danger, label_truth
 from rearguard.geometry import ImuPose
-from rearguard.risk import DegeneratePosition, RiskConfig, assess, risk_level, ttc
+from rearguard.risk import (
+    DegeneratePosition,
+    RiskAssessment,
+    RiskConfig,
+    assess,
+    object_risk,
+    risk_level,
+    ttc,
+)
 from rearguard.scenario import GroundTruthObject, GroundTruthTick, InvalidConfig
 from rearguard.tracking import TrackerConfig
 
@@ -105,6 +113,22 @@ def test_assess_empty():
     assert not r.alert
 
 
+def _assess_by_definition(tracks, t_r, alert_threshold, now):
+    """assess without its no-tracks exit: score every track, fold the max."""
+    per = tuple([object_risk(tr, t_r) for tr in tracks])
+    gamma = max([o.kappa for o in per], default=0.0)
+    return RiskAssessment(now, per, gamma, gamma >= alert_threshold)
+
+
+@pytest.mark.parametrize("alert_threshold", [0.5, -1.0])
+def test_assess_empty_equals_the_full_path(alert_threshold):
+    # assess takes any threshold; below 0 an empty tick alerts
+    got = assess([], 3.3, alert_threshold, now=1.5)
+    assert got == _assess_by_definition([], 3.3, alert_threshold, 1.5)
+    assert type(got) is RiskAssessment
+    assert got.alert is (alert_threshold <= 0.0)
+
+
 def test_assess_takes_max_and_alerts():
     # kappa 0.9 -> ttc 0.33; kappa 0.2 -> ttc 2.64
     tracks = [
@@ -190,3 +214,18 @@ def test_reaction_time_is_checked_once_per_call(monkeypatch):
     calls.clear()
     label_truth([_tick(3, t=0.0), _tick(4, t=0.1)], config=_label_config(2.0))
     assert calls == [2.0]
+
+
+# ------------------------------------------------------ the alert threshold
+
+@pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5], ids=["zero", "negative", "above-one"])
+def test_alert_threshold_outside_kappas_range_is_a_config_error(threshold):
+    # kappa lies in [0, 1]: 0 alerted on every tick of a run, 1.5 never
+    message = f"alert_threshold must be in (0, 1], got {threshold!r}"
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        RiskConfig(alert_threshold=threshold)
+
+
+def test_alert_threshold_edges_inside_the_range_are_accepted():
+    assert RiskConfig(alert_threshold=1.0).alert_threshold == 1.0
+    assert RiskConfig(alert_threshold=5e-324).alert_threshold == 5e-324

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toy_mdp
 from rearguard.sampler import (
@@ -28,7 +30,7 @@ from rearguard.sampler import (
     sarsa_update,
     save_qtable,
 )
-from rearguard.scenario import InvalidConfig
+from rearguard.scenario import InvalidConfig, ParseError
 
 CFG = SamplerConfig()
 
@@ -229,6 +231,31 @@ def test_qtable_load_rejects_foreign_file(tmp_path):
         load_qtable(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("tick -10\n", "line 2: tick must be non-negative, got -10"),
+    ("tick 3\n0 1 2 1 -0.5 4\n0 1 2 0 nan 4\n", "line 4: value must be finite, got nan"),
+    ("tick 3\n0 1 2 1 -inf 4\n", "line 3: value must be finite, got -inf"),
+    ("tick 3\n0 1 2 1 -0.5 -1\n", "line 3: visit count must be non-negative, got -1"),
+    ("tick 3\n0 1 2 2 -0.5 4\n", "line 3: action must be 0 or 1, got 2"),
+    ("tick 3\n0 1 2 -1 -0.5 4\n", "line 3: action must be 0 or 1, got -1"),
+    ("tick 3\n-1 1 2 1 -0.5 4\n", "line 3: state bins must be non-negative, got (-1, 1, 2)"),
+], ids=["tick-negative", "value-nan", "value-inf", "visits-negative", "action-two",
+        "action-negative", "bin-negative"])
+def test_qtable_load_rejects_what_save_never_writes(tmp_path, body, message):
+    path = tmp_path / "q.txt"
+    path.write_text(f"rearguard-qtable v1\n{body}")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+        load_qtable(path)
+
+
+def test_qtable_load_keeps_an_unvisited_pair(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_text("rearguard-qtable v1\ntick 0\n0 1 2 1 0.0 0\n")
+    q = load_qtable(path)
+    assert (q.tick, q.values, q.visits) == (
+        0, {(SamplerState(0, 1, 2), BLINK): 0.0}, {(SamplerState(0, 1, 2), BLINK): 0})
+
+
 # ----------------------------------------------------------- agent loop
 
 def _scripted_snaps(i):
@@ -265,6 +292,67 @@ def test_forced_blink_valve():
             last = now
     assert gaps, "valve never fired"
     assert max(gaps) <= cfg.dt_max + 0.1001
+
+
+@pytest.mark.parametrize("tracks", [[], [Snap(0.3, 6.0)]], ids=["empty", "tracked"])
+def test_decide_rejects_a_time_before_the_last_blink(tracks):
+    agent = SarsaSampler(CFG, np.random.default_rng(0))
+    assert agent.decide([], 5.0)   # past dt_max: the valve blinks
+    with pytest.raises(ValueError, match="now precedes last_blink"):
+        agent.decide(tracks, 4.9)
+
+
+class _ReferenceSarsa(SarsaSampler):
+    """SarsaSampler.decide as it read before the no-tracks states were
+    built once: observe_state, choose_action, reward and sarsa_update on
+    every tick."""
+
+    def decide(self, tracks, now: float) -> bool:
+        cfg = self.config
+        s = observe_state(tracks, now, self.last_blink, cfg)
+        c_min = min(t.confidence for t in tracks) if tracks else None
+
+        a = choose_action(self.q, s, self.rng, cfg)
+        if now - self.last_blink >= cfg.dt_max:
+            a = BLINK
+
+        if self._pending is not None:
+            s_prev, a_prev, c_prev = self._pending
+            delta = 0.0 if (c_prev is None or c_min is None) else c_min - c_prev
+            r = reward(a_prev, delta, cfg.sample_cost)
+            sarsa_update(self.q, s_prev, a_prev, r, s, a, cfg.beta)
+
+        self._pending = (s, a, c_min)
+        if a == BLINK:
+            self.last_blink = now
+        return a == BLINK
+
+
+_snap = st.builds(Snap, st.floats(0.0, 1.0), st.floats(0.5, 40.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       start_tick=st.sampled_from([0, 10, 10**4, 10**9]),
+       dt_max=st.floats(0.15, 2.5),
+       steps=st.lists(st.tuples(
+           # mostly one tick apart, sometimes a gap past any dt_max
+           st.one_of(st.just(0.1), st.floats(0.0, 3.0)),
+           st.one_of(st.just([]), st.lists(_snap, max_size=4))), max_size=80))
+def test_decide_equals_the_reference_loop(tmp_path_factory, seed, start_tick, dt_max, steps):
+    cfg = SamplerConfig(dt_max=dt_max)
+    agent = SarsaSampler(cfg, np.random.default_rng(seed), QTable(tick=start_tick))
+    ref = _ReferenceSarsa(cfg, np.random.default_rng(seed), QTable(tick=start_tick))
+    now = 0.0
+    for gap, tracks in steps:
+        now += gap
+        assert agent.decide(tracks, now) == ref.decide(tracks, now)
+    assert (agent.q.values, agent.q.visits, agent.q.tick) == (ref.q.values, ref.q.visits, ref.q.tick)
+    assert agent.rng.random() == ref.rng.random()   # the same draws were taken
+    out = tmp_path_factory.mktemp("q")
+    save_qtable(agent.q, out / "agent.txt")
+    save_qtable(ref.q, out / "ref.txt")
+    assert (out / "agent.txt").read_bytes() == (out / "ref.txt").read_bytes()
 
 
 # ----------------------------------------------------------- convergence
