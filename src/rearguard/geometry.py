@@ -42,9 +42,8 @@ without the forward model's cos(theta_p).
 
 This model has one home, ``pose_model``, which binds a pose once and
 returns three functions: ``observe`` and ``jacobian`` of a user-frame
-object, and ``locate`` of a detection box.  ``project_observation``,
-``observation_jacobian`` and ``estimate_depth`` are their one-object
-cases.
+object, and ``locate`` of a detection box.  Callers bind the model for
+the frame's pose and call these directly, one object or many.
 """
 
 from __future__ import annotations
@@ -53,16 +52,10 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-import numpy as np
-
 # Depth beyond this is reported as the clamp value rather than trusted;
 # a 1 px horizon deviation at f_y=600, h_e=1.5 would already mean 900 m.
 DEFAULT_MAX_DEPTH_M = 100.0
 DEFAULT_MIN_DY_PX = 1.0
-
-
-class AboveHorizon(ValueError):
-    """Ground-contact pixel at or above the horizon; no finite depth."""
 
 
 class BehindCamera(ValueError):
@@ -206,35 +199,3 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
 
     return observe, jacobian, locate
 
-
-def project_observation(x_u: float, z_u: float, obj_height: float, pose: ImuPose,
-                        intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
-    """The observation triple of a user-frame object as a 3-vector, the
-    one-object case of pose_model; raises BehindCamera when d <= 0."""
-    observe, _, _ = pose_model(pose, intr, camera_height)
-    obs = observe(x_u, z_u, obj_height)
-    if obs is None:
-        raise BehindCamera("forward coordinate d not positive")
-    return np.array(obs[2:])
-
-
-def observation_jacobian(x: float, z: float, obj_height: float, pose: ImuPose,
-                         intr: CameraIntrinsics, camera_height: float) -> np.ndarray:
-    """3x4 Jacobian of project_observation w.r.t. [x, z, vx, vz]:
-    pose_model's one-object case."""
-    _, jacobian, _ = pose_model(pose, intr, camera_height)
-    return np.array(jacobian(x, z, obj_height)).reshape(3, 4)
-
-
-def estimate_depth(box: BoundingBox2D, intr: CameraIntrinsics, pitch: float,
-                   camera_height: float) -> float:
-    """Depth of the box's ground contact from its offset below the horizon,
-    pose_model's one-box case.  Raises AboveHorizon when ``locate`` finds
-    no usable depth (contact at or above the horizon)."""
-    if camera_height <= 0:
-        raise ValueError("camera_height must be positive")
-    _, _, locate = pose_model(ImuPose(pitch, 0.0), intr, camera_height)
-    located = locate(box)
-    if located is None:
-        raise AboveHorizon(f"contact point {DEFAULT_MIN_DY_PX} px or less below the horizon")
-    return located[3]

@@ -186,9 +186,10 @@ def save_qtable(q: QTable, path) -> None:
 
 def load_qtable(path) -> QTable:
     """Read a table written by save_qtable; a malformed file, or one that
-    save_qtable could not have written (a negative tick, bin or visit
-    count, an action other than skip or blink, a non-finite value), is a
-    ParseError naming the path and line."""
+    save_qtable could not have written (a second line other than
+    ``tick <count>``, a negative tick, bin or visit count, an action other
+    than skip or blink, a non-finite value, a repeated (state, action)
+    row), is a ParseError naming the path and line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(QTABLE_FORMAT):
@@ -198,7 +199,10 @@ def load_qtable(path) -> QTable:
         raise VersionMismatch(f"{path}: unsupported qtable version {version}")
     i = 2
     try:
-        q = QTable(tick=int(lines[1].split()[1]))
+        label, tick = lines[1].split()
+        if label != "tick":
+            raise ValueError(f"expected 'tick <count>', got {lines[1]!r}")
+        q = QTable(tick=int(tick))
         if q.tick < 0:
             raise ValueError(f"tick must be non-negative, got {q.tick}")
         for i, line in enumerate(lines[2:], start=3):
@@ -215,6 +219,8 @@ def load_qtable(path) -> QTable:
                 raise ValueError(f"value must be finite, got {value!r}")
             if visits < 0:
                 raise ValueError(f"visit count must be non-negative, got {visits}")
+            if (s, a) in q.values:
+                raise ValueError(f"repeated row for state {tuple(s)} and action {a}")
             q.values[(s, a)] = value
             q.visits[(s, a)] = visits
     except (ValueError, IndexError) as exc:

@@ -28,11 +28,11 @@ and starts from the cached, read-only P0 of its config.
 
 The filter algebra works on stacks: advance() predicts every live
 track, and step() linearizes and updates every matched pair, with one
-set of calls; predict(), update() and kalman_update() are the
-one-member case of the same code.  Every stacked operation gives each
-member the same bytes as the 2-D call on that member alone.
-Transition, process-noise and measurement-noise matrices are cached and
-read-only.  A blink with no track and no detection returns at once.
+set of calls; there is no separate one-track form, since a lone track
+is a stack of one.  Every stacked operation gives each member the same
+bytes as the 2-D algebra on that member alone.  Transition,
+process-noise and measurement-noise matrices are cached and read-only.
+A blink with no track and no detection returns at once.
 
 The tracker is a value (TrackerState, a NamedTuple like Track and
 Assignment); step() and advance() return new states and never mutate
@@ -52,19 +52,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import geometry
-from .geometry import (
-    BoundingBox2D,
-    CameraIntrinsics,
-    ImuPose,
-    observation_jacobian,  # re-exported: update's linearization, one member
-)
+from .geometry import BoundingBox2D, CameraIntrinsics, ImuPose
 from .scenario import InvalidConfig
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
-
-
-class SingularInnovation(RuntimeError):
-    """Innovation covariance numerically singular; update not applied."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +76,8 @@ class TrackerConfig:
         for name in ("q_car", "q_cycle", "miss_max"):
             if not getattr(self, name) >= 0:
                 raise InvalidConfig(f"{name} must be non-negative")
+        if not isinstance(self.miss_max, int):  # a bool failed is_number above
+            raise InvalidConfig(f"miss_max must be an integer, got {self.miss_max!r}")
         for name in ("gamma", "d_max"):
             if not getattr(self, name) > 0:
                 raise InvalidConfig(f"{name} must be positive")
@@ -273,20 +266,6 @@ def _kalman_stack(vec, P, residual, H, R):
     return cond, keep, vec_post, P_post
 
 
-def kalman_update(vec, P, residual, H, R):
-    """Shared measurement-update algebra (Joseph form, symmetrized).
-
-    Works for the EKF (residual against the nonlinear prediction) and
-    for a plain linear model alike.  Raises SingularInnovation when the
-    innovation covariance is not invertible to working precision.
-    """
-    cond, keep, vec_post, P_post = _kalman_stack(np.asarray(vec)[None], P[None],
-                                                 np.asarray(residual)[None], H[None], R)
-    if not keep[0]:
-        raise SingularInnovation(f"cond(S) = {cond[0]:.3e}")
-    return vec_post[0], P_post[0]
-
-
 def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     """The tracks with new filter states (stacked on the first axis) and
     their confidence().  Tracks measured by detections also clear their
@@ -301,38 +280,14 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
 
 
 def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
-    """predict() for each track, with the process noise density in qs."""
+    """Each track advanced by dt under the constant-velocity model, with
+    the process noise density in qs."""
     F = transition_matrix(dt)
     Q = np.array([process_noise(dt, q) for q in qs])
     vec = (F @ np.array([tr.vec for tr in tracks])[..., None])[..., 0]
     P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))
     return _refiltered(tracks, vec, P, gamma)
-
-
-def predict(track: Track, dt: float, q: float, gamma: float = 1e-6) -> Track:
-    """Advance a track by dt under the constant-velocity model."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    return _predict_stack([track], dt, [q], gamma)[0]
-
-
-def update(
-    track: Track,
-    obs: np.ndarray,
-    pose: ImuPose,
-    intr: CameraIntrinsics,
-    camera_height: float,
-    r: np.ndarray,
-    gamma: float = 1e-6,
-) -> Track:
-    """EKF measurement update against the pixel-space observation triple."""
-    observe, jacobian, _ = geometry.pose_model(pose, intr, camera_height)
-    point = (track.x, track.z, track.obj_height)
-    H = np.array(jacobian(*point)).reshape(3, 4)   # raises BehindCamera behind the camera
-    residual = np.asarray(obs, float) - observe(*point)[2:]
-    vec, P = kalman_update(track.vec, track.P, residual, H, r)
-    return _refiltered([track], vec[None], P[None], gamma)[0]
 
 
 # ------------------------------------------------------------ association

@@ -27,6 +27,7 @@ from test_tracking import (
     _random_observable_state,
     brute_force_assignment,
     fd_jacobian,
+    kalman_alone,
     random_spd,
     textbook_linear_kf,
 )
@@ -41,17 +42,11 @@ from rearguard.evaluation import (
     format_comparison,
     standard_suite,
 )
-from rearguard.geometry import (
-    CameraIntrinsics,
-    ImuPose,
-    estimate_depth,
-    horizon_line,
-    project_observation,
-)
+from rearguard.geometry import CameraIntrinsics, ImuPose, horizon_line, pose_model
 from rearguard.risk import assess, risk_level, ttc
 from rearguard.sampler import BLINK, SKIP
 from rearguard.scenario import DetectorConfig
-from rearguard.tracking import kalman_update, max_weight_assignment, observation_jacobian
+from rearguard.tracking import max_weight_assignment
 
 INTR = CameraIntrinsics(f_x=600.0, f_y=600.0, c_x=320.0, c_y=320.0)
 H_E = 1.55
@@ -66,10 +61,11 @@ def test_criterion_01_ground_depth_roundtrip():
     for _ in range(10_000):
         depth = rng.uniform(2.0, 60.0)
         pitch = rng.uniform(-math.radians(15), math.radians(15))
-        obs = project_observation(0.0, depth, 1.5, ImuPose(pitch, 0.0), INTR, H_E)
-        box = box_with_bottom(horizon_line(INTR, pitch) + obs[2])
-        est = estimate_depth(box, INTR, pitch, H_E)
-        worst = max(worst, abs(est - depth) / depth)
+        observe, _, locate = pose_model(ImuPose(pitch, 0.0), INTR, H_E)
+        box = box_with_bottom(horizon_line(INTR, pitch) + observe(0.0, depth, 1.5)[4])
+        located = locate(box)
+        assert located is not None
+        worst = max(worst, abs(located[3] - depth) / depth)
     elapsed = time.perf_counter() - start
     assert worst <= 0.01, f"worst relative error {worst:.4%}"
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -81,7 +77,7 @@ def test_criterion_02_jacobian_vs_finite_differences():
     for _ in range(1_000):
         x, z, pose = _random_observable_state(rng)
         h_obj = rng.uniform(0.8, 2.0)
-        H = observation_jacobian(x, z, h_obj, pose, INTR, H_E)
+        H = np.array(pose_model(pose, INTR, H_E)[1](x, z, h_obj)).reshape(3, 4)
         H_fd = fd_jacobian(x, z, h_obj, pose, INTR, H_E)
         rel = np.max(np.abs(H - H_fd)) / max(np.max(np.abs(H_fd)), 1e-12)
         worst = max(worst, rel)
@@ -113,10 +109,11 @@ def test_criterion_04_linear_measurement_matches_textbook_kf():
         vec = rng.normal(0, 10, 4)
         P = random_spd(rng)
         meas = H @ vec + rng.normal(0, 0.5, 2)
-        got_vec, got_P = kalman_update(vec, P, meas - H @ vec, H, R)
+        _, keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
         want_vec, want_P = textbook_linear_kf(vec, P, meas, H, R)
-        assert np.max(np.abs(got_vec - want_vec)) <= 1e-9
-        assert np.max(np.abs(got_P - want_P)) <= 1e-9
+        assert keep[0]
+        assert np.max(np.abs(got_vec[0] - want_vec)) <= 1e-9
+        assert np.max(np.abs(got_P[0] - want_P)) <= 1e-9
 
 
 def test_criterion_05_sarsa_converges_on_the_toy_mdp():

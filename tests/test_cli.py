@@ -303,6 +303,8 @@ QTABLE_FILES = {
     "visits.qtable": "tick 3\n0 1 2 1 -0.5 -1\n",
     "action.qtable": "tick 3\n0 1 2 2 -0.5 4\n",
     "bin.qtable": "tick 3\n0 -1 2 1 -0.5 4\n",
+    "repeat.qtable": "tick 3\n0 1 2 1 0.5 4\n0 1 3 1 0.5 4\n0 1 2 1 0.7 4\n",
+    "label.qtable": "foo 3\n0 1 2 1 -0.5 4\n",
 }
 
 
@@ -478,6 +480,13 @@ QTABLE_FILES = {
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bin.qtable"}}, EXIT_IO,
                  "bin.qtable: line 3: state bins must be non-negative, got (0, -1, 2)",
                  id="qtable-bin-negative"),
+    # both used to load: the later repeated row won, and foo 3 read as tick 3
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "repeat.qtable"}}, EXIT_IO,
+                 "repeat.qtable: line 5: repeated row for state (0, 1, 2) and action 1",
+                 id="qtable-row-repeated"),
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "label.qtable"}}, EXIT_IO,
+                 "label.qtable: line 2: expected 'tick <count>', got 'foo 3'",
+                 id="qtable-tick-mislabelled"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": ""}}, EXIT_CONFIG,
@@ -778,9 +787,14 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
      "^yaw_period: must be a finite number, got '4'$"),
     # a bool is not a seed, as a file's loader already said; this one passed
     (lambda: ScenarioConfig(seed=True), "^seed: must be a non-negative integer$"),
+    # a file's loader said "expected int"; with inf no track retired on misses
+    (lambda: TrackerConfig(miss_max=float("inf")), "^miss_max must be an integer, got inf$"),
+    (lambda: TrackerConfig(miss_max=2.5), "^miss_max must be an integer, got 2.5$"),
+    (lambda: TrackerConfig(miss_max=-1), "^miss_max must be non-negative$"),
 ], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
         "vehicle", "head-motion", "scenario-duration-type", "camera-image-size-type",
-        "vehicle-params-type", "user-speed-type", "head-motion-period-type", "scenario-seed-bool"])
+        "vehicle-params-type", "user-speed-type", "head-motion-period-type", "scenario-seed-bool",
+        "tracker-miss-max-inf", "tracker-miss-max-float", "tracker-miss-max-negative"])
 def test_config_blocks_built_in_python_raise_invalid_config(build, message):
     with pytest.raises(InvalidConfig, match=message):
         build()

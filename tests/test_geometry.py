@@ -14,17 +14,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rearguard.geometry import (
-    AboveHorizon,
-    BehindCamera,
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
-    estimate_depth,
     horizon_line,
     is_number,
     normalize_angle,
     pose_model,
-    project_observation,
 )
 
 INTR = CameraIntrinsics(f_x=600.0, f_y=600.0, c_x=320.0, c_y=320.0)
@@ -68,6 +64,13 @@ def locate(box: BoundingBox2D, yaw: float = 0.0, pitch: float = 0.0, camera_heig
     return pose_model(ImuPose(pitch, yaw), INTR, camera_height)[2](box)
 
 
+def observe(x, z, obj_height, pose, intr, camera_height):
+    """The pose model's observation triple of a user-frame object as a
+    3-vector, or None behind the camera."""
+    obs = pose_model(pose, intr, camera_height)[0](x, z, obj_height)
+    return None if obs is None else np.array(obs[2:])
+
+
 # ---------------------------------------------------------------- horizon
 
 def test_horizon_at_zero_pitch_is_principal_row():
@@ -90,27 +93,19 @@ def test_horizon_strictly_decreasing_in_pitch():
 
 def test_depth_hand_values():
     # dy = 60 px -> 600*1.5/60 = 15 m; dy = 90 px -> 10 m
-    assert estimate_depth(box_with_bottom(380.0), INTR, 0.0, 1.5) == pytest.approx(15.0)
-    assert estimate_depth(box_with_bottom(410.0), INTR, 0.0, 1.5) == pytest.approx(10.0)
+    assert locate(box_with_bottom(380.0))[3] == pytest.approx(15.0)
+    assert locate(box_with_bottom(410.0))[3] == pytest.approx(10.0)
 
 
-def test_depth_above_horizon_raises():
-    with pytest.raises(AboveHorizon):
-        estimate_depth(box_with_bottom(320.0), INTR, 0.0, 1.5)
+def test_depth_above_horizon_is_none():
+    assert locate(box_with_bottom(320.0)) is None
     # exactly at the 1 px guard is still rejected
-    with pytest.raises(AboveHorizon):
-        estimate_depth(box_with_bottom(321.0), INTR, 0.0, 1.5)
+    assert locate(box_with_bottom(321.0)) is None
 
 
 def test_depth_clamped_at_max():
     # dy = 2 px -> raw depth 450 m, clamped
-    d = estimate_depth(box_with_bottom(322.0), INTR, 0.0, 1.5)
-    assert d == 100.0
-
-
-def test_depth_rejects_bad_camera_height():
-    with pytest.raises(ValueError):
-        estimate_depth(box_with_bottom(380.0), INTR, 0.0, 0.0)
+    assert locate(box_with_bottom(322.0))[3] == 100.0
 
 
 # ----------------------------------------------------------------- locate
@@ -169,21 +164,18 @@ def test_locate_inverts_observe_at_zero_pitch(x, z, yaw, obj_height, w):
     assert got_x == pytest.approx(x, abs=1e-9)
     assert got_z == pytest.approx(z, abs=1e-9)
     assert got_h == pytest.approx(obj_height, abs=1e-9)
-    assert depth == estimate_depth(box, INTR, 0.0, h_e)
+    assert depth == pytest.approx(obs[1], rel=1e-12)
 
 
 @given(dy=st.floats(-5.0, 5.0), pitch=st.floats(-0.2, 0.2), yaw=st.floats(-math.pi, math.pi))
 def test_locate_none_exactly_at_the_horizon_rule(dy, pitch, yaw):
     """None exactly when the contact row is 1 px or less below the
-    horizon, where estimate_depth raises AboveHorizon."""
+    horizon; otherwise the depth does not depend on the yaw."""
     box = box_with_bottom(horizon_line(INTR, pitch) + dy)
     above = box.y + box.h - horizon_line(INTR, pitch) <= 1.0
     assert (locate(box, yaw=yaw, pitch=pitch) is None) is above
-    if above:
-        with pytest.raises(AboveHorizon):
-            estimate_depth(box, INTR, pitch, 1.5)
-    else:
-        assert estimate_depth(box, INTR, pitch, 1.5) == locate(box, yaw=yaw, pitch=pitch)[3]
+    if not above:
+        assert locate(box, pitch=pitch)[3] == locate(box, yaw=yaw, pitch=pitch)[3]
 
 
 def test_normalize_angle_range():
@@ -197,27 +189,25 @@ def test_normalize_angle_range():
 # ------------------------------------------------------------ observation
 
 def test_observation_dead_ahead():
-    obs = project_observation(0.0, 10.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5)
+    obs = observe(0.0, 10.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5)
     assert obs == pytest.approx([0.0, 90.0, 90.0])
 
 
 def test_observation_lateral_offset():
-    obs = project_observation(5.0, 10.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5)
+    obs = observe(5.0, 10.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5)
     assert obs == pytest.approx([300.0, 90.0, 90.0])
 
 
 def test_observation_behind_camera():
-    with pytest.raises(BehindCamera):
-        project_observation(10.0, 0.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5)
+    assert observe(10.0, 0.0, 1.5, ImuPose(0.0, 0.0), INTR, 1.5) is None
 
 
 def test_observation_rear_camera_sees_negative_z():
     # rear-facing camera (yaw pi): an object behind the user is in front
     # of the camera, d = -z
-    obs = project_observation(0.0, -12.0, 1.5, ImuPose(0.0, math.pi), INTR, 1.55)
+    obs = observe(0.0, -12.0, 1.5, ImuPose(0.0, math.pi), INTR, 1.55)
     assert obs[2] == pytest.approx(600.0 * 1.55 / 12.0)
-    with pytest.raises(BehindCamera):
-        project_observation(0.0, 12.0, 1.5, ImuPose(0.0, math.pi), INTR, 1.55)
+    assert observe(0.0, 12.0, 1.5, ImuPose(0.0, math.pi), INTR, 1.55) is None
 
 
 # ------------------------------------------------------------- properties
@@ -231,9 +221,9 @@ def test_depth_roundtrip_under_pitch():
     for _ in range(2000):
         depth = rng.uniform(2.0, 60.0)
         pitch = rng.uniform(-math.radians(15), math.radians(15))
-        obs = project_observation(0.0, depth, 1.5, ImuPose(pitch, 0.0), INTR, h_e)
+        obs = observe(0.0, depth, 1.5, ImuPose(pitch, 0.0), INTR, h_e)
         v_bottom = horizon_line(INTR, pitch) + obs[2]
-        est = estimate_depth(box_with_bottom(v_bottom), INTR, pitch, h_e)
+        est = locate(box_with_bottom(v_bottom), pitch=pitch, camera_height=h_e)[3]
         worst = max(worst, abs(est - depth) / depth)
     assert worst <= 0.01
 
@@ -246,6 +236,6 @@ def test_observation_third_component_matches_depth_inversion():
         z = rng.uniform(3, 50)
         yaw = rng.uniform(-0.3, 0.3)
         pitch = rng.uniform(-0.2, 0.2)
-        obs = project_observation(x, z, 1.5, ImuPose(pitch, yaw), INTR, h_e)
+        obs = observe(x, z, 1.5, ImuPose(pitch, yaw), INTR, h_e)
         _, d = camera_nd(x, z, yaw)
         assert INTR.f_y * h_e / obs[2] == pytest.approx(d, rel=1e-12)

@@ -239,8 +239,12 @@ def test_qtable_load_rejects_foreign_file(tmp_path):
     ("tick 3\n0 1 2 2 -0.5 4\n", "line 3: action must be 0 or 1, got 2"),
     ("tick 3\n0 1 2 -1 -0.5 4\n", "line 3: action must be 0 or 1, got -1"),
     ("tick 3\n-1 1 2 1 -0.5 4\n", "line 3: state bins must be non-negative, got (-1, 1, 2)"),
+    ("tick 3\n0 1 2 1 0.5 4\n0 1 2 1 0.7 4\n",
+     "line 4: repeated row for state (0, 1, 2) and action 1"),
+    ("foo 3\n", "line 2: expected 'tick <count>', got 'foo 3'"),
+    ("tick 3 4\n", "line 2: too many values to unpack"),
 ], ids=["tick-negative", "value-nan", "value-inf", "visits-negative", "action-two",
-        "action-negative", "bin-negative"])
+        "action-negative", "bin-negative", "row-repeated", "tick-mislabelled", "tick-extra-field"])
 def test_qtable_load_rejects_what_save_never_writes(tmp_path, body, message):
     path = tmp_path / "q.txt"
     path.write_text(f"rearguard-qtable v1\n{body}")

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
+from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, pose_model
 from rearguard import scenario
 from rearguard.evaluation import standard_suite
 from rearguard.risk import ttc
@@ -309,15 +309,14 @@ def test_noise_free_detections_invert_to_true_range():
     cfg = one_car(speed=5.0, z0=-28.0, duration=5.0,
                   detector=DetectorConfig(box_noise_px=0.0))
     frames, truth = generate(cfg)
-    from rearguard.geometry import estimate_depth
     checked = 0
     for frame, tick in zip(frames, truth):
         if not frame.detections:
             continue
         obj = tick.objects[0]
         _, d_true = camera_nd(obj.x, obj.z, frame.pose.yaw)
-        est = estimate_depth(frame.detections[0], cfg.camera.intrinsics,
-                             frame.pose.pitch, cfg.camera.camera_height)
+        _, _, locate = pose_model(frame.pose, cfg.camera.intrinsics, cfg.camera.camera_height)
+        est = locate(frame.detections[0])[3]
         assert abs(est - d_true) / d_true <= 0.01
         checked += 1
     assert checked > 5

@@ -19,28 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, project_observation
+from rearguard.geometry import BehindCamera, BoundingBox2D, CameraIntrinsics, ImuPose, horizon_line, pose_model
 from rearguard import scenario, tracking
 from rearguard.risk import assess
 from rearguard.scenario import InvalidConfig
 from rearguard.tracking import (
-    SingularInnovation,
     Track,
     TrackerConfig,
     TrackerState,
     advance,
     confidence,
     iou,
-    kalman_update,
     match,
     max_weight_assignment,
-    observation_jacobian,
-    predict,
     process_noise,
     step,
-    update,
 )
-from test_geometry import camera_nd
+from test_geometry import camera_nd, observe
 from test_scenario import _floats, _params
 
 INTR = CameraIntrinsics(600.0, 600.0, 320.0, 320.0)
@@ -61,8 +56,8 @@ def fd_jacobian(x, z, h_obj, pose, intr, h_e, eps=1e-5):
     """Central finite differences of the observation in x and z."""
     H = np.zeros((3, 4))
     for col, (dx, dz) in enumerate([(eps, 0.0), (0.0, eps)]):
-        plus = project_observation(x + dx, z + dz, h_obj, pose, intr, h_e)
-        minus = project_observation(x - dx, z - dz, h_obj, pose, intr, h_e)
+        plus = observe(x + dx, z + dz, h_obj, pose, intr, h_e)
+        minus = observe(x - dx, z - dz, h_obj, pose, intr, h_e)
         H[:, col] = (plus - minus) / (2 * eps)
     return H
 
@@ -150,9 +145,8 @@ def full_matrix_match(tracks, detections, pose, intr, h_e, iou_gate):
     for r, track in enumerate(ordered):
         if track.last_box is None:
             continue
-        try:
-            obs = project_observation(track.x, track.z, track.obj_height, pose, intr, h_e)
-        except BehindCamera:
+        obs = observe(track.x, track.z, track.obj_height, pose, intr, h_e)
+        if obs is None:
             continue
         predicted[track.id] = obs
         box = reference_predicted_box(track, obs, pose, intr)
@@ -182,20 +176,37 @@ def make_track(x, z, vx, vz, P=None, cls="car", obj_height=1.5, tid=1):
     )
 
 
+def advance_one(track, dt, cfg=TrackerConfig(q_car=2.0)):
+    """A tracker holding only track, advanced by dt: the predict as the
+    pipeline runs it."""
+    return advance(TrackerState((track,), track.id + 1, 0.0), dt, cfg).tracks[0]
+
+
+def step_one(track, det, pose, cfg=TrackerConfig()):
+    """A tracker holding only track, given one blink with det at the
+    track's own time (so no predict): the update as the pipeline runs it.
+    The pair must match and update."""
+    state, _ = step(TrackerState((track,), track.id + 1, 0.0), FakeFrame(0.0, pose, [det]),
+                    cfg, INTR, H_E)
+    (out,) = state.tracks
+    assert (out.id, out.miss_count, out.last_box) == (track.id, 0, det)
+    return out
+
+
 # ----------------------------------------------------------------- predict
 
 def test_predict_hand_values():
-    t = predict(make_track(0.0, -10.0, 0.0, 2.0), 0.1, q=2.0)
+    t = advance_one(make_track(0.0, -10.0, 0.0, 2.0), 0.1)
     assert (t.x, t.z) == (0.0, -9.8)
     assert (t.vx, t.vz) == (0.0, 2.0)
 
-    t2 = predict(make_track(1.0, 5.0, -1.0, -1.0), 2.0, q=2.0)
+    t2 = advance_one(make_track(1.0, 5.0, -1.0, -1.0), 2.0)
     assert (t2.x, t2.z) == (-1.0, 3.0)
 
 
 def test_predict_zero_dt_is_identity():
     tr = make_track(3.0, -8.0, 0.5, 1.5)
-    out = predict(tr, 0.0, q=2.0)
+    out = advance_one(tr, 0.0)
     assert np.array_equal(out.vec, tr.vec)
     assert np.array_equal(out.P, tr.P)
 
@@ -205,7 +216,7 @@ def test_predict_trace_never_decreases():
     tr = make_track(0.0, -10.0, 0.0, 2.0)
     for _ in range(50):
         dt = rng.uniform(0.0, 1.0)
-        out = predict(tr, dt, q=2.0)
+        out = advance_one(tr, dt)
         assert np.trace(out.P) >= np.trace(tr.P) - 1e-12
         tr = out
 
@@ -213,8 +224,8 @@ def test_predict_trace_never_decreases():
 def test_process_noise_composes_over_splits():
     # predicting 0.1 then 0.1 must equal predicting 0.2 in one go
     tr = make_track(0.0, -10.0, 0.3, 2.0, P=random_spd(np.random.default_rng(4)))
-    one = predict(tr, 0.2, q=2.0)
-    two = predict(predict(tr, 0.1, q=2.0), 0.1, q=2.0)
+    one = advance_one(tr, 0.2)
+    two = advance_one(advance_one(tr, 0.1), 0.1)
     assert np.allclose(one.vec, two.vec, atol=1e-12)
     assert np.allclose(one.P, two.P, atol=1e-12)
 
@@ -260,7 +271,7 @@ def test_jacobian_matches_finite_differences():
     for _ in range(300):
         x, z, pose = _random_observable_state(rng)
         h_obj = rng.uniform(0.8, 2.0)
-        H = observation_jacobian(x, z, h_obj, pose, INTR, H_E)
+        H = np.array(pose_model(pose, INTR, H_E)[1](x, z, h_obj)).reshape(3, 4)
         H_fd = fd_jacobian(x, z, h_obj, pose, INTR, H_E)
         rel = np.max(np.abs(H - H_fd)) / max(np.max(np.abs(H_fd)), 1e-12)
         worst = max(worst, rel)
@@ -268,7 +279,7 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_velocity_columns_zero():
-    H = observation_jacobian(0.0, -10.0, 1.5, REAR, INTR, H_E)
+    H = np.array(pose_model(REAR, INTR, H_E)[1](0.0, -10.0, 1.5)).reshape(3, 4)
     assert np.all(H[:, 2:] == 0.0)
 
 
@@ -279,11 +290,11 @@ def test_jacobian_velocity_columns_zero():
     yaw=_floats(1.6, 4.7),
 )
 def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
-    """One set of pose trigonometry gives every member the bytes of its
-    own observation_jacobian call and of the closed form; a member behind
-    the camera raises for the whole stack, as it does alone."""
+    """One set of pose trigonometry gives every member the bytes of the
+    closed form; a member behind the camera raises for the whole stack,
+    as it does alone."""
     pose = ImuPose(pitch, yaw)
-    _, jacobian, _ = tracking.geometry.pose_model(pose, INTR, H_E)
+    _, jacobian, _ = pose_model(pose, INTR, H_E)
     behind = [camera_nd(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
     if any(behind):
         with pytest.raises(BehindCamera):
@@ -292,56 +303,56 @@ def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
     H = tracking._jacobian_stack(points, jacobian)
     assert H.shape == (len(points), 3, 4)
     for member, (x, z, h_obj) in zip(H, points):
-        alone = observation_jacobian(x, z, h_obj, pose, INTR, H_E)
-        assert member.tobytes() == alone.tobytes()
         assert member.tobytes() == closed_form_jacobian(x, z, h_obj, pose, INTR, H_E).tobytes()
 
 
 # ------------------------------------------------------------------ update
 
 def test_update_zero_innovation_keeps_state():
-    tr = make_track(0.5, -11.0, 0.1, 2.0)
-    obs = project_observation(0.5, -11.0, tr.obj_height, REAR, INTR, H_E)
-    out = update(tr, obs, REAR, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
+    det = _det_box_for(0.5, -11.0, REAR)
+    tr = make_track(0.5, -11.0, 0.1, 2.0)._replace(last_box=det)
+    out = step_one(tr, det, REAR)
     assert np.allclose(out.vec, tr.vec, atol=1e-9)
     assert np.trace(out.P) <= np.trace(tr.P) + 1e-9
 
 
 def test_update_pulls_position_toward_measurement():
-    tr = make_track(0.0, -10.0, 0.0, 2.0)
-    obs = project_observation(0.0, -12.0, tr.obj_height, REAR, INTR, H_E)
-    out = update(tr, obs, REAR, INTR, H_E, np.diag([1e-4, 1e-4, 1e-4]))
+    det = _det_box_for(0.0, -12.0, REAR)
+    tr = make_track(0.0, -10.0, 0.0, 2.0)._replace(last_box=det)
+    out = step_one(tr, det, REAR, TrackerConfig(r_diag=(1e-4, 1e-4, 1e-4)))
     assert abs(out.z - (-12.0)) < 0.5
 
 
 def test_update_trace_never_increases():
     rng = np.random.default_rng(13)
+    cfg = TrackerConfig(d_max=100.0)
     for _ in range(50):
         x, z, pose = _random_observable_state(rng)
         tr = make_track(x, z, rng.normal(), rng.normal(), P=random_spd(rng))
-        obs = project_observation(x, z, tr.obj_height, pose, INTR, H_E) + rng.normal(0, 2, 3)
-        out = update(tr, obs, pose, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
+        tr = tr._replace(last_box=_det_box_for(x, z, pose))
+        out = step_one(tr, _noisy_box(x, z, rng, pose), pose, cfg)
         assert np.trace(out.P) <= np.trace(tr.P) + 1e-9
 
 
 def test_covariance_stays_symmetric_over_long_sequences():
     rng = np.random.default_rng(14)
-    tr = make_track(0.0, -20.0, 0.0, 2.0)
-    for i in range(1000):
-        tr = predict(tr, 0.1, q=2.0)
-        P = tr.P
-        assert np.max(np.abs(P - P.T)) <= 1e-9
-        assert np.all(np.diag(P) >= 0)
-        if i % 3 == 0 and -29 < tr.z < -2:
-            obs = project_observation(
-                tr.x, tr.z, tr.obj_height, REAR, INTR, H_E
-            ) + rng.normal(0, 2, 3)
-            tr = update(tr, obs, REAR, INTR, H_E, np.diag([16.0, 9.0, 9.0]))
+    cfg = TrackerConfig()
+    state = TrackerState((make_track(0.0, -20.0, 0.0, 2.0),), 2, 0.0)
+    for i in range(1, 1001):
+        t = i / 10
+        state = advance(state, t, cfg)
+        lead = state.tracks[0]
+        if i % 3 == 0 and -29 < lead.z < -2:
+            det = _noisy_box(lead.x, lead.z, rng)
+            state, _ = step(state, FakeFrame(t, REAR, [det]), cfg, INTR, H_E)
+        for tr in state.tracks:
             P = tr.P
             assert np.max(np.abs(P - P.T)) <= 1e-9
             assert np.all(np.diag(P) >= 0)
-        if tr.z > -3:
-            tr = make_track(0.0, -20.0, 0.0, 2.0, P=tr.P)
+        if not state.tracks or state.tracks[0].z > -3:
+            P = state.tracks[0].P if state.tracks else None
+            restart = make_track(0.0, -20.0, 0.0, 2.0, P=P, tid=state.next_id)
+            state = state._replace(tracks=(restart,), next_id=state.next_id + 1)
 
 
 def _assert_filter_invariants(track, gamma):
@@ -352,8 +363,8 @@ def _assert_filter_invariants(track, gamma):
     assert track.confidence == 1.0 / (float(np.trace(P)) + gamma)
 
 
-def _noisy_box(x, z, rng):
-    box = _det_box_for(x, z, REAR)
+def _noisy_box(x, z, rng, pose=REAR):
+    box = _det_box_for(x, z, pose)
     return BoundingBox2D(box.x + rng.normal(0, 3), box.y + rng.normal(0, 3),
                          box.w * math.exp(rng.normal(0, 0.1)),
                          box.h * math.exp(rng.normal(0, 0.1)), cls="car")
@@ -371,31 +382,28 @@ def _noisy_box(x, z, rng):
 def test_filter_invariants_under_random_blink_schedules(ticks, z0, vz, two, noise_seed):
     """Whatever the tick spacing and the blink/detection schedule, every
     covariance stays symmetric, PSD and finite, and confidence is
-    1 / (trace P + gamma): through step and advance on the tracker, and
-    through predict and update on a lone track."""
+    1 / (trace P + gamma), through step and advance."""
     cfg = TrackerConfig()
     rng = np.random.default_rng(noise_seed)
-    state, lone = TrackerState(), make_track(0.5, z0, 0.0, vz, P=cfg.p0_matrix())
+    state = TrackerState()
     t, z, lanes = 0.0, z0, ((0.5, 3.5) if two else (0.5,))
     for dt, blink, seen in ticks:
         t += dt
         z += vz * dt
-        lone = predict(lone, dt, cfg.q_car, cfg.gamma)
         visible = seen and -30.0 < z < -2.0
         if blink:
             dets = [_noisy_box(x, z, rng) for x in lanes] if visible else []
             state, _ = step(state, FakeFrame(t, REAR, dets), cfg, INTR, H_E)
-            if visible:
-                obs = project_observation(0.5, z, lone.obj_height, REAR, INTR, H_E)
-                try:
-                    lone = update(lone, obs + rng.normal(0, 2, 3), REAR, INTR, H_E,
-                                  cfg.r_matrix(), cfg.gamma)
-                except (SingularInnovation, BehindCamera):
-                    pass
         else:
             state = advance(state, t, cfg)
-        for tr in (*state.tracks, lone):
+        for tr in state.tracks:
             _assert_filter_invariants(tr, cfg.gamma)
+
+
+def kalman_alone(vec, P, residual, H, R):
+    """tracking._kalman_stack on a stack of one member: (cond, keep,
+    vec_post, P_post), the posteriors empty when the member is dropped."""
+    return tracking._kalman_stack(vec[None], P[None], residual[None], H[None], R)
 
 
 def test_linear_model_reduces_to_textbook_kf():
@@ -406,22 +414,26 @@ def test_linear_model_reduces_to_textbook_kf():
         vec = rng.normal(0, 10, 4)
         P = random_spd(rng)
         meas = H @ vec + rng.normal(0, 0.5, 2)
-        got_vec, got_P = kalman_update(vec, P, meas - H @ vec, H, R)
+        _, keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
         want_vec, want_P = textbook_linear_kf(vec, P, meas, H, R)
-        assert np.max(np.abs(got_vec - want_vec)) <= 1e-9
-        assert np.max(np.abs(got_P - want_P)) <= 1e-9
-
-
-def test_singular_innovation_raises():
-    vec = np.zeros(4)
-    P = np.zeros((4, 4))
-    H = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-    with pytest.raises(tracking.SingularInnovation):
-        kalman_update(vec, P, np.zeros(2), H, np.zeros((2, 2)))
+        assert keep[0]
+        assert np.max(np.abs(got_vec[0] - want_vec)) <= 1e-9
+        assert np.max(np.abs(got_P[0] - want_P)) <= 1e-9
 
 
 # With P = 0 the innovation covariance S is R itself.
 _H2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+
+
+def _assert_dropped(R):
+    cond, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
+    assert not cond[0] <= tracking.COND_LIMIT
+    assert keep.tolist() == [False]
+    assert (vec.shape, P.shape) == ((0, 4), (0, 4, 4))
+
+
+def test_singular_innovation_drops_the_member():
+    _assert_dropped(np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("R", [
@@ -429,9 +441,8 @@ _H2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
     pytest.param(np.array([[1.0, math.inf], [math.inf, 1.0]]), id="inf-off-diagonal"),
     pytest.param(np.diag([1e13, 1.0]), id="ratio-1e13"),
 ])
-def test_ill_conditioned_innovation_raises(R):
-    with pytest.raises(tracking.SingularInnovation):
-        kalman_update(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
+def test_ill_conditioned_innovation_drops_the_member(R):
+    _assert_dropped(R)
 
 
 @pytest.mark.parametrize("R", [
@@ -440,13 +451,15 @@ def test_ill_conditioned_innovation_raises(R):
 ])
 def test_nan_innovation_is_a_linalg_error(R):
     with pytest.raises(np.linalg.LinAlgError):
-        kalman_update(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
+        kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
 
 
 def test_innovation_below_the_condition_limit_updates():
-    vec, P = kalman_update(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2, np.diag([1e11, 1.0]))
-    assert np.array_equal(vec, np.zeros(4))
-    assert np.array_equal(P, np.zeros((4, 4)))
+    _, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2,
+                                   np.diag([1e11, 1.0]))
+    assert keep.tolist() == [True]
+    assert np.array_equal(vec, np.zeros((1, 4)))
+    assert np.array_equal(P, np.zeros((1, 4, 4)))
 
 
 # ---------------------------------------------------------- stacked filter
@@ -461,7 +474,7 @@ def test_innovation_below_the_condition_limit_updates():
 )
 def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
     """The stacked update gives each member the bytes of its own
-    kalman_update call and of the 2-D algebra, and drops exactly the
+    one-member stack and of the 2-D algebra, and drops exactly the
     members whose innovation covariance is singular: with a zero row of
     R, those whose Jacobian has that row zeroed; with an infinite row,
     every member."""
@@ -482,10 +495,9 @@ def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
 
     separate = []
     for i in range(n):
-        try:
-            separate.append((i, *kalman_update(vecs[i], Ps[i], residuals[i], Hs[i], R)))
-        except SingularInnovation:
-            pass
+        _, alone, vec, P = kalman_alone(vecs[i], Ps[i], residuals[i], Hs[i], R)
+        if alone[0]:
+            separate.append((i, vec[0], P[0]))
     kept = [i for i, k in enumerate(keep.tolist()) if k]
     assert kept == [i for i, c in enumerate(cond.tolist()) if c <= tracking.COND_LIMIT]
     assert kept == [i for i, _, _ in separate]
@@ -521,7 +533,7 @@ def test_stacked_update_with_a_nan_member_is_a_linalg_error():
 )
 def test_advance_equals_separate_predicts(classes, dt, seed):
     """advance over mixed car and cycle tracks gives every track the
-    bytes of its own predict call and of the 2-D algebra."""
+    bytes of its own advance and of the 2-D algebra."""
     rng = np.random.default_rng(seed)
     cfg = TrackerConfig()
     tracks = tuple(
@@ -532,7 +544,7 @@ def test_advance_equals_separate_predicts(classes, dt, seed):
     assert [tr.id for tr in moved] == [tr.id for tr in tracks]
     for before, after in zip(tracks, moved):
         q = cfg.q_for(before.cls)
-        alone = predict(before, (5.0 + dt) - 5.0, q, cfg.gamma)
+        alone = advance(TrackerState((before,), before.id + 1, 5.0), 5.0 + dt, cfg).tracks[0]
         want_vec, want_P = per_track_predict(before.vec, before.P, (5.0 + dt) - 5.0, q)
         assert after.vec.tobytes() == alone.vec.tobytes() == want_vec.tobytes()
         assert after.P.tobytes() == alone.P.tobytes() == want_P.tobytes()
@@ -649,7 +661,7 @@ def test_assignment_matches_brute_force_on_independent_blocks(problem):
 
 def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
     """Noise-free detection box via the forward model."""
-    obs = project_observation(x, z, h_obj, pose, INTR, H_E)
+    obs = observe(x, z, h_obj, pose, INTR, H_E)
     u = INTR.c_x + obs[0]
     v_bottom = horizon_line(INTR, pose.pitch) + obs[2]
     _, d = camera_nd(x, z, pose.yaw)
@@ -702,9 +714,8 @@ def association_problems(draw):
     for tr in tracks:
         if tr.last_box is None or draw(st.integers(0, 3)) == 0:
             continue
-        try:
-            obs = project_observation(tr.x, tr.z, tr.obj_height, pose, INTR, H_E)
-        except BehindCamera:
+        obs = observe(tr.x, tr.z, tr.obj_height, pose, INTR, H_E)
+        if obs is None:
             continue
         box = reference_predicted_box(tr, obs, pose, INTR)
         dx, dy = draw(st.sampled_from([0.0, 3.0, -12.0, 35.0])), draw(st.sampled_from([0.0, 6.0]))
