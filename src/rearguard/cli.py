@@ -37,13 +37,11 @@ from .evaluation import (
     run_pipeline,
     standard_suite,
 )
+from .geometry import InvalidConfig, ParseError, VersionMismatch, require
 from .risk import RiskConfig
 from .sampler import SAMPLER_KINDS, QTable, SamplerConfig, check_kind, load_qtable, save_qtable
 from .scenario import (
     DEFAULT_FOV,
-    InvalidConfig,
-    ParseError,
-    VersionMismatch,
     build_config,
     check_aligned,
     check_fov,
@@ -73,6 +71,9 @@ class RunSamplerBlock(SamplerConfig):
     def __post_init__(self):
         super().__post_init__()
         check_kind(self.kind)
+        require(self.qtable is None or self.kind == "sarsa", "qtable",
+                f"only the sarsa sampler reads a Q-table; the run's sampler is {self.kind!r}")
+        require(self.qtable != "", "qtable", "must name a Q-table file, got ''")
 
 
 @dataclass(frozen=True)
@@ -92,16 +93,13 @@ class RunConfig:
     risk: RiskConfig = RiskConfig()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidConfig(f"seed: must be non-negative, got {self.seed}")
-        if (self.trace is None) != (self.truth is None):
-            raise InvalidConfig("trace and truth paths must be given together")
-        if (self.trace is None) == (self.scenario is None):
-            raise InvalidConfig("trace, truth, scenario: a run config needs exactly one of "
-                                "trace+truth paths or a scenario")
-        if self.scenario is not None and self.fov is not None:
-            raise InvalidConfig("fov: not allowed beside an inline scenario; "
-                                "the scenario's detector.fov sets it")
+        require(self.seed >= 0, "seed", f"must be non-negative, got {self.seed}")
+        require((self.trace is None) == (self.truth is None), "trace, truth",
+                "must be given together")
+        require((self.trace is None) != (self.scenario is None), "trace, truth, scenario",
+                "a run config needs exactly one of trace+truth paths or a scenario")
+        require(self.scenario is None or self.fov is None, "fov",
+                "not allowed beside an inline scenario; the scenario's detector.fov sets it")
         if self.fov is not None:
             check_fov(self.fov)
 
@@ -127,11 +125,10 @@ class CompareConfig:
     risk: RiskConfig = RiskConfig()
 
     def __post_init__(self):
-        if self.suite not in (None, "standard"):
-            raise InvalidConfig(f"suite: must be 'standard', got {self.suite!r}")
-        if (self.suite is None) == (self.scenarios is None):
-            raise InvalidConfig("suite, scenarios: a compare config needs exactly one of "
-                                "suite: standard or a scenarios list")
+        require(self.suite in (None, "standard"), "suite",
+                f"must be 'standard', got {self.suite!r}")
+        require((self.suite is None) != (self.scenarios is None), "suite, scenarios",
+                "a compare config needs exactly one of suite: standard or a scenarios list")
 
 
 def _load_yaml(path) -> dict:
@@ -143,9 +140,14 @@ def _load_yaml(path) -> dict:
 
 
 def _load(cls, path, **flags):
-    """The file with the given flags in place of its keys, and the `cls` config built from it."""
+    """The file with the given flags in place of its keys, and the `cls` config
+    built from it; a mapping flag sets keys in the block of its name, if that is one."""
     raw = _load_yaml(path)
-    raw.update((k, v) for k, v in flags.items() if v is not None)
+    for key, value in flags.items():
+        if isinstance(value, dict) and raw.get(key) is not None:
+            value = {**raw[key], **value} if isinstance(raw[key], dict) else raw[key]
+        if value is not None:
+            raw[key] = value
     return raw, build_config(cls, raw, "")
 
 
@@ -210,22 +212,17 @@ def _resolve_run_inputs(cfg: RunConfig):
 
 
 def cmd_run(args) -> int:
-    raw, cfg = _load(RunConfig, args.config, seed=args.seed, warmup_s=args.warmup_s)
-    if args.sampler:
-        cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, kind=args.sampler))
+    raw, cfg = _load(RunConfig, args.config, seed=args.seed, warmup_s=args.warmup_s,
+                     sampler=args.sampler and {"kind": args.sampler})
     kind = cfg.sampler.kind
-    if cfg.sampler.qtable is not None and kind != "sarsa":
-        raise InvalidConfig(f"sampler.qtable: only the sarsa sampler reads a Q-table; "
-                            f"the run's sampler is {kind!r}")
-    if cfg.sampler.qtable == "":
-        raise InvalidConfig("sampler.qtable: must name a Q-table file, got ''")
 
     config = _pipeline_config(cfg)
     frames, truth, camera, fov = _resolve_run_inputs(cfg)
 
     qtable = None
     if kind == "sarsa":
-        qtable = QTable() if cfg.sampler.qtable is None else load_qtable(cfg.sampler.qtable)
+        qtable = (QTable() if cfg.sampler.qtable is None
+                  else load_qtable(cfg.sampler.qtable, cfg.sampler))
 
     report = run_pipeline(
         frames, truth, kind, config,

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import is_finite_number, is_number
+from .geometry import InvalidConfig, is_number, require_finite
 from .risk import (
     DEFAULT_ALERT_THRESHOLD,
     DEFAULT_REACTION_TIME_S,
@@ -67,7 +67,6 @@ from .scenario import (
     DEFAULT_FOV,
     DEFAULT_USER_SPEED,
     CameraConfig,
-    InvalidConfig,
     ScenarioConfig,
     UserConfig,
     VehicleConfig,
@@ -87,8 +86,7 @@ class PipelineConfig(RiskConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not is_finite_number(self.warmup_s):
-            raise InvalidConfig(f"warmup_s must be a finite number, got {self.warmup_s!r}")
+        require_finite(self, "warmup_s")
 
 
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):
@@ -575,7 +573,7 @@ def compare(
     if not samplers:
         raise InvalidConfig("at least one sampler is required")
     for kind in samplers:
-        check_kind(kind)
+        check_kind(kind, "samplers")
     for what, values in (("scenario name", [name for name, _ in scenarios]),
                          ("sampler kind", samplers)):
         dups = [v for i, v in enumerate(values) if v in values[:i]]

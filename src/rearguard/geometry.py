@@ -44,6 +44,10 @@ This model has one home, ``pose_model``, which binds a pose once and
 returns three functions: ``observe`` and ``jacobian`` of a user-frame
 object, and ``locate`` of a detection box.  Callers bind the model for
 the frame's pose and call these directly, one object or many.
+
+Every module imports this one and it imports no other, so it also holds
+what they all use to refuse input: the number tests, the error types and
+the config checks ``require`` and ``require_finite`` (``field: reason``).
 """
 
 from __future__ import annotations
@@ -60,6 +64,18 @@ DEFAULT_MIN_DY_PX = 1.0
 
 class BehindCamera(ValueError):
     """Point has non-positive forward coordinate in the camera frame."""
+
+
+class InvalidConfig(ValueError):
+    """Config rejected; the message reads `<dotted path>: <reason>`."""
+
+
+class ParseError(ValueError):
+    """Input file unreadable or invalid; the message carries the line number."""
+
+
+class VersionMismatch(ValueError):
+    """Input file written in a format version this one does not read."""
 
 
 def is_number(value) -> bool:
@@ -80,6 +96,20 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def require(cond: bool, fieldname: str, message: str) -> None:
+    """The one way to refuse a config value: InvalidConfig `fieldname: message`."""
+    if not cond:
+        raise InvalidConfig(f"{fieldname}: {message}")
+
+
+def require_finite(obj, *names) -> None:
+    """Each named field of obj is a finite number; checked before its range,
+    so a value of the wrong type built from Python is named too."""
+    for name in names:
+        value = getattr(obj, name)
+        require(is_finite_number(value), name, f"must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels."""
@@ -90,11 +120,9 @@ class CameraIntrinsics:
     c_y: float
 
     def __post_init__(self):
-        for name in ("f_x", "f_y", "c_x", "c_y"):
-            if not is_finite_number(getattr(self, name)):
-                raise ValueError(f"{name}: must be a finite number, got {getattr(self, name)!r}")
-        if self.f_x <= 0 or self.f_y <= 0:
-            raise ValueError("focal lengths must be positive")
+        require_finite(self, "f_x", "f_y", "c_x", "c_y")
+        require(self.f_x > 0, "f_x", "must be positive")
+        require(self.f_y > 0, "f_y", "must be positive")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import is_finite_number
-from .scenario import InvalidConfig
+from .geometry import InvalidConfig, is_finite_number, require, require_finite
 
 RADIAL_EPS = 1e-9
 
@@ -38,20 +37,19 @@ class RiskConfig:
 
     def __post_init__(self):
         check_reaction_time(self.reaction_time)
-        threshold = self.alert_threshold
-        if not is_finite_number(threshold):
-            raise InvalidConfig(f"alert_threshold must be a finite number, got {threshold!r}")
+        require_finite(self, "alert_threshold")
         # kappa lies in [0, 1]: a threshold of 0 or less alerts on every tick,
         # one above 1 never
-        if not 0 < threshold <= 1:
-            raise InvalidConfig(f"alert_threshold must be in (0, 1], got {threshold!r}")
+        require(0 < self.alert_threshold <= 1, "alert_threshold",
+                f"must be in (0, 1], got {self.alert_threshold!r}")
 
 
 def check_reaction_time(t_r) -> None:
     """The one reaction-time rule, for a config and for every function that
-    takes t_r: a positive finite number."""
+    takes t_r: a positive finite number.  Per tick in assess, so the message
+    is built only on failure, not eagerly as a require call would."""
     if not (is_finite_number(t_r) and t_r > 0):
-        raise InvalidConfig(f"reaction_time must be a positive finite number, got {t_r!r}")
+        raise InvalidConfig(f"reaction_time: must be a positive finite number, got {t_r!r}")
 
 
 class DegeneratePosition(ValueError):

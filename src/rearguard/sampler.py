@@ -30,8 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import is_finite_number, is_number
-from .scenario import InvalidConfig, ParseError, VersionMismatch
+from .geometry import ParseError, VersionMismatch, is_finite_number, require, require_finite
 
 SKIP, BLINK = 0, 1
 
@@ -61,35 +60,20 @@ class SamplerConfig:
                           # suite blink fraction lands next to the adaptive sampler's
 
     def __post_init__(self):
-        for name in ("sample_cost", "epsilon0", "eta", "beta"):
-            if not is_number(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0 < self.epsilon0 <= 1:
-            raise InvalidConfig("epsilon0 must be in (0, 1]")
-        if not self.eta > 0:
-            raise InvalidConfig("eta must be positive")
-        if not is_finite_number(self.eta):
-            raise InvalidConfig(f"eta must be finite, got {self.eta!r}")
-        if not 0 <= self.beta < 1:
-            raise InvalidConfig("beta must be in [0, 1)")
-        if not (is_finite_number(self.sample_cost) and self.sample_cost <= 0):
-            raise InvalidConfig("sample_cost is a cost; it must be zero or negative and finite, "
-                                f"got {self.sample_cost!r}")
-        if not (is_finite_number(self.dt_max) and self.dt_max > 0):
-            raise InvalidConfig(f"dt_max must be a positive finite number, got {self.dt_max!r}")
+        require_finite(self, "sample_cost", "epsilon0", "eta", "beta", "dt_max", "period", "p",
+                       "c_min")
+        require(self.sample_cost <= 0, "sample_cost", "is a cost; it must be zero or negative")
+        require(0 < self.epsilon0 <= 1, "epsilon0", "must be in (0, 1]")
+        require(self.eta > 0, "eta", "must be positive")
+        require(0 <= self.beta < 1, "beta", "must be in [0, 1)")
+        require(self.dt_max > 0, "dt_max", "must be positive")
         for name in ("conf_edges", "dist_edges", "dt_edges"):
             edges = getattr(self, name)
-            if not (isinstance(edges, tuple) and all(map(is_finite_number, edges))
-                    and all(a < b for a, b in zip(edges, edges[1:]))):
-                raise InvalidConfig(
-                    f"{name} must be a strictly increasing tuple of finite numbers, got {edges!r}")
-        for name in ("period", "c_min"):
-            if not is_finite_number(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.period < 1.0:
-            raise InvalidConfig(f"period must be at least one tick, got {self.period!r}")
-        if not (is_number(self.p) and 0.0 <= self.p <= 1.0):
-            raise InvalidConfig(f"p must be a blink probability in [0, 1], got {self.p!r}")
+            require(isinstance(edges, tuple) and all(map(is_finite_number, edges))
+                    and all(a < b for a, b in zip(edges, edges[1:])), name,
+                    f"must be a strictly increasing tuple of finite numbers, got {edges!r}")
+        require(self.period >= 1, "period", f"must be at least one tick, got {self.period!r}")
+        require(0 <= self.p <= 1, "p", f"must be a blink probability in [0, 1], got {self.p!r}")
 
     @property
     def no_tracks_bin(self) -> int:
@@ -184,12 +168,13 @@ def save_qtable(q: QTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_qtable(path) -> QTable:
-    """Read a table written by save_qtable; a malformed file, or one that
-    save_qtable could not have written (a second line other than
-    ``tick <count>``, a negative tick, bin or visit count, an action other
-    than skip or blink, a non-finite value, a repeated (state, action)
-    row), is a ParseError naming the path and line."""
+def load_qtable(path, config: SamplerConfig) -> QTable:
+    """Read a table written by save_qtable for a run with `config`; a
+    malformed file, or one that save_qtable could not have written (a
+    second line other than ``tick <count>``, a negative tick or visit count,
+    a state bin outside the config's bins, an action other than skip or
+    blink, a non-finite value, a repeated (state, action) row), is a
+    ParseError naming the path and line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(QTABLE_FORMAT):
@@ -197,6 +182,7 @@ def load_qtable(path) -> QTable:
     version = lines[0].split("v")[-1]
     if version != str(QTABLE_VERSION):
         raise VersionMismatch(f"{path}: unsupported qtable version {version}")
+    tops = (config.no_tracks_bin, len(config.dist_edges), len(config.dt_edges))
     i = 2
     try:
         label, tick = lines[1].split()
@@ -211,8 +197,9 @@ def load_qtable(path) -> QTable:
             cb, db, tb, a, value, visits = line.split()
             s = SamplerState(int(cb), int(db), int(tb))
             a, value, visits = int(a), float(value), int(visits)
-            if min(s) < 0:
-                raise ValueError(f"state bins must be non-negative, got {tuple(s)}")
+            if not all(0 <= b <= top for b, top in zip(s, tops)):
+                raise ValueError(
+                    f"state bins must be non-negative and at most {tops}, got {tuple(s)}")
             if a not in (SKIP, BLINK):
                 raise ValueError(f"action must be {SKIP} or {BLINK}, got {a}")
             if not is_finite_number(value):
@@ -342,8 +329,7 @@ BASELINES = {
 SAMPLER_KINDS = ("sarsa", *BASELINES)
 
 
-def check_kind(kind) -> str:
-    """The sampler kind, if it names one; the config error otherwise."""
-    if kind not in SAMPLER_KINDS:
-        raise InvalidConfig(f"unknown sampler kind: {kind!r} (expected one of {SAMPLER_KINDS})")
+def check_kind(kind, fieldname: str = "kind") -> str:
+    """The sampler kind, if it names one; the config error for `fieldname` otherwise."""
+    require(kind in SAMPLER_KINDS, fieldname, f"must be one of {SAMPLER_KINDS}, got {kind!r}")
     return kind

@@ -10,6 +10,10 @@ sensing footprint uses the same boxes and padded-frame test.
 
 Everything is driven by one seeded generator in a fixed order, so a
 given config produces byte-identical traces every time.
+
+``build_config`` reads every config class of the package from YAML; the
+classes check themselves with geometry's ``require``, so the headset's
+modules (tracking, sampler, risk) need not import this generator.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import dataclasses
 import json
 import logging
 import math
-import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -33,11 +36,16 @@ from .geometry import (
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
+    InvalidConfig,
+    ParseError,
+    VersionMismatch,
     horizon_line,
     is_finite_number,
     is_number,
     normalize_angle,
     pose_model,
+    require,
+    require_finite,
 )
 
 log = logging.getLogger(__name__)
@@ -61,6 +69,9 @@ REF_APPROACH_START = 40.0   # m
 
 DEFAULT_FOV = 1.2   # detector full view angle, radians
 
+# the most ticks a scenario may hold: 27.8 h at 10 Hz, at some 1.2 KB a tick
+MAX_TICKS = 10**6
+
 DEFAULT_USER_SPEED = {"standing": 0.0, "walking": 1.4, "jogging": 2.6}
 
 # yaw amplitude, yaw period, pitch amplitude, pitch period, jitter std
@@ -71,38 +82,13 @@ DEFAULT_HEAD_MOTION = {
 }
 
 
-class InvalidConfig(ValueError):
-    """Config rejected; the message names the offending field by its dotted path."""
-
-
-class ParseError(ValueError):
-    """Input file unreadable or invalid; the message carries the line number."""
-
-
-class VersionMismatch(ValueError):
-    pass
-
-
 # ------------------------------------------------------------------ config
-# Each class checks its own fields; a message starts with the field's path.
-
-def _require(cond: bool, fieldname: str, message: str):
-    if not cond:
-        raise InvalidConfig(f"{fieldname}: {message}")
-
-
-def _finite(obj, *names):
-    """Each named field of obj is a finite number; checked before its range,
-    so a value of the wrong type built from Python is named too."""
-    for name in names:
-        value = getattr(obj, name)
-        _require(is_finite_number(value), name, f"must be a finite number, got {value!r}")
-
+# Each class checks its own fields with geometry.require and require_finite.
 
 def _mapping(obj, *names):
     for name in names:
         value = getattr(obj, name)
-        _require(isinstance(value, dict), name, f"must be a mapping, got {value!r}")
+        require(isinstance(value, dict), name, f"must be a mapping, got {value!r}")
 
 
 def _positive(value) -> bool:
@@ -111,7 +97,7 @@ def _positive(value) -> bool:
 
 def check_fov(fov) -> None:
     """The one rule for a scenario's `detector.fov` and a run file's `fov`."""
-    _require(is_number(fov) and 0 < fov < math.pi, "fov", f"must be in (0, pi), got {fov!r}")
+    require(is_number(fov) and 0 < fov < math.pi, "fov", f"must be in (0, pi), got {fov!r}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +108,12 @@ class CameraConfig:
     margin_px: float = 80.0
 
     def __post_init__(self):
-        _finite(self, "camera_height", "margin_px")
-        _require(self.camera_height > 0, "camera_height", "must be positive")
-        _require(self.margin_px >= 0, "margin_px", "must be non-negative")
-        _require(isinstance(self.image_size, (tuple, list)) and len(self.image_size) == 2
-                 and all(map(_positive, self.image_size)),
-                 "image_size", "must be two positive numbers")
+        require_finite(self, "camera_height", "margin_px")
+        require(self.camera_height > 0, "camera_height", "must be positive")
+        require(self.margin_px >= 0, "margin_px", "must be non-negative")
+        require(isinstance(self.image_size, (tuple, list)) and len(self.image_size) == 2
+                and all(map(_positive, self.image_size)),
+                "image_size", "must be two positive numbers")
 
 
 @dataclass(frozen=True)
@@ -136,10 +122,10 @@ class UserConfig:
     speed: float | None = None     # default depends on mode
 
     def __post_init__(self):
-        _require(self.mode in USER_MODES, "mode", f"must be one of {USER_MODES}")
+        require(self.mode in USER_MODES, "mode", f"must be one of {USER_MODES}")
         if self.speed is not None:
-            _finite(self, "speed")
-        _require(self.resolved_speed() >= 0, "speed", "must be non-negative")
+            require_finite(self, "speed")
+        require(self.resolved_speed() >= 0, "speed", "must be non-negative")
 
     def resolved_speed(self) -> float:
         return DEFAULT_USER_SPEED[self.mode] if self.speed is None else self.speed
@@ -154,12 +140,13 @@ class HeadMotionConfig:
     jitter_std: float
 
     def __post_init__(self):
-        _finite(self, "yaw_amplitude", "yaw_period", "pitch_amplitude", "pitch_period", "jitter_std")
-        _require(self.yaw_period > 0, "yaw_period", "must be positive")
-        _require(self.pitch_period > 0, "pitch_period", "must be positive")
-        _require(self.jitter_std >= 0, "jitter_std", "must be non-negative")
-        _require(abs(self.pitch_amplitude) + 6 * self.jitter_std < math.pi / 2, "pitch_amplitude",
-                 "plus 6 jitter_std must stay below pi/2, the pitch limit")
+        require_finite(self, "yaw_amplitude", "yaw_period", "pitch_amplitude", "pitch_period",
+                       "jitter_std")
+        require(self.yaw_period > 0, "yaw_period", "must be positive")
+        require(self.pitch_period > 0, "pitch_period", "must be positive")
+        require(self.jitter_std >= 0, "jitter_std", "must be non-negative")
+        require(abs(self.pitch_amplitude) + 6 * self.jitter_std < math.pi / 2, "pitch_amplitude",
+                "plus 6 jitter_std must stay below pi/2, the pitch limit")
 
 
 @dataclass(frozen=True)
@@ -174,17 +161,17 @@ class VehicleConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _require(self.cls in VEHICLE_CLASSES, "cls", f"must be one of {VEHICLE_CLASSES}")
-        _finite(self, "spawn_time", "x0", "z0", "speed", "heading")
-        _require(self.speed >= 0, "speed", "must be non-negative")
-        _require(self.profile in VEHICLE_PROFILES, "profile", f"must be one of {VEHICLE_PROFILES}")
+        require(self.cls in VEHICLE_CLASSES, "cls", f"must be one of {VEHICLE_CLASSES}")
+        require_finite(self, "spawn_time", "x0", "z0", "speed", "heading")
+        require(self.speed >= 0, "speed", "must be non-negative")
+        require(self.profile in VEHICLE_PROFILES, "profile", f"must be one of {VEHICLE_PROFILES}")
         _mapping(self, "params")
         for name in PROFILE_PARAMS.get(self.profile, ()):
             value = self.params.get(name)
-            _require(is_number(value), f"params.{name}", f"a number is required for {self.profile}")
-            _require(is_finite_number(value), f"params.{name}", f"must be finite, got {value!r}")
+            require(is_number(value), f"params.{name}", f"a number is required for {self.profile}")
+            require(is_finite_number(value), f"params.{name}", f"must be finite, got {value!r}")
             if name == PROFILE_PARAMS[self.profile][-1]:
-                _require(value > 0, f"params.{name}", "must be positive")
+                require(value > 0, f"params.{name}", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -198,16 +185,17 @@ class DetectorConfig:
 
     def __post_init__(self):
         check_fov(self.fov)
-        _finite(self, "box_noise_px", "night_factor", "occlusion_sector")
-        _require(0 < self.night_factor <= 1, "night_factor", "must be in (0, 1]")
-        _require(self.box_noise_px >= 0, "box_noise_px", "must be non-negative")
+        require_finite(self, "box_noise_px", "night_factor", "occlusion_sector")
+        require(0 < self.night_factor <= 1, "night_factor", "must be in (0, 1]")
+        require(self.box_noise_px >= 0, "box_noise_px", "must be non-negative")
         _mapping(self, "first_detect_m", "spread_m")
         for cls in VEHICLE_CLASSES:
             # the calibration approach starts at REF_APPROACH_START
             median = self.first_detect_m.get(cls)
-            _require(_positive(median) and median <= REF_APPROACH_START,
-                     f"first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
-            _require(_positive(self.spread_m.get(cls)), f"spread_m.{cls}", "must be positive and finite")
+            require(_positive(median) and median <= REF_APPROACH_START,
+                    f"first_detect_m.{cls}", f"must be in (0, {REF_APPROACH_START:g}]")
+            require(_positive(self.spread_m.get(cls)), f"spread_m.{cls}",
+                    "must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -224,18 +212,19 @@ class ScenarioConfig:
     camera: CameraConfig = CameraConfig()
 
     def __post_init__(self):
-        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0,
-                 "seed", "must be a non-negative integer")
-        _finite(self, "duration", "tick_rate")
-        _require(self.duration > 0, "duration", "must be positive")
-        _require(self.tick_rate > 0, "tick_rate", "must be positive")
-        _require(math.isfinite(self.duration * self.tick_rate), "duration",
-                 "times tick_rate must give a finite tick count")
-        _require(self.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
-        _require(self.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
+        require(isinstance(self.seed, int) and not isinstance(self.seed, bool) and self.seed >= 0,
+                "seed", "must be a non-negative integer")
+        require_finite(self, "duration", "tick_rate")
+        require(self.duration > 0, "duration", "must be positive")
+        require(self.tick_rate > 0, "tick_rate", "must be positive")
+        ticks = self.duration * self.tick_rate
+        require(ticks <= MAX_TICKS, "duration", f"times tick_rate must give at most {MAX_TICKS} "
+                f"ticks, got {ticks:g}")
+        require(self.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
+        require(self.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
         for i, v in enumerate(self.vehicles):
-            _require(0 <= v.spawn_time < self.duration, f"vehicles[{i}].spawn_time",
-                     "must lie within the scenario duration")
+            require(0 <= v.spawn_time < self.duration, f"vehicles[{i}].spawn_time",
+                    "must lie within the scenario duration")
 
     def resolved_head_motion(self) -> HeadMotionConfig:
         return self.head_motion or HeadMotionConfig(*DEFAULT_HEAD_MOTION[self.user.mode])
@@ -291,9 +280,8 @@ def build_config(cls, raw, label: str):
     field's default.  A plain field takes a value of its type or of any type
     in its union; an int passes for a float, a bool for neither.  Unknown and
     missing keys are named by dotted path (`vehicles[1].foo`).  A constructor
-    error that starts with one of the block's fields gets the block's path in
-    front (`detector.fov: ...`), another one the block's name (`tracker: q_car
-    ...`); the top level's are raised as they are."""
+    error starts with its field, so it gets the block's path in front
+    (`detector.fov: ...`)."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -311,9 +299,7 @@ def build_config(cls, raw, label: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        lead = re.match(r"(\w+)[.:[]", str(exc))
-        sep = "." if lead and lead.group(1) in schema else ": "
-        raise InvalidConfig(f"{label}{sep}{exc}" if label else str(exc)) from exc
+        raise InvalidConfig(f"{path}{exc}") from exc
 
 
 def _build_value(hint, nullable: bool, value, label: str):

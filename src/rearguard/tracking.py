@@ -52,8 +52,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import geometry
-from .geometry import BoundingBox2D, CameraIntrinsics, ImuPose
-from .scenario import InvalidConfig
+from .geometry import BoundingBox2D, CameraIntrinsics, ImuPose, require, require_finite
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 
@@ -70,28 +69,19 @@ class TrackerConfig:
     d_max: float = 30.0
 
     def __post_init__(self):
-        for name in ("q_car", "q_cycle", "miss_max", "gamma", "d_max", "iou_gate"):
-            if not geometry.is_number(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("q_car", "q_cycle", "miss_max"):
-            if not getattr(self, name) >= 0:
-                raise InvalidConfig(f"{name} must be non-negative")
-        if not isinstance(self.miss_max, int):  # a bool failed is_number above
-            raise InvalidConfig(f"miss_max must be an integer, got {self.miss_max!r}")
-        for name in ("gamma", "d_max"):
-            if not getattr(self, name) > 0:
-                raise InvalidConfig(f"{name} must be positive")
-        for name in ("q_car", "q_cycle", "gamma", "d_max"):
-            if not geometry.is_finite_number(getattr(self, name)):
-                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 0 <= self.iou_gate <= 1:
-            raise InvalidConfig("iou_gate must be in [0, 1]")
+        require_finite(self, "q_car", "q_cycle", "gamma", "d_max", "iou_gate")
+        require(self.q_car >= 0, "q_car", "must be non-negative")
+        require(self.q_cycle >= 0, "q_cycle", "must be non-negative")
+        require(self.gamma > 0, "gamma", "must be positive")
+        require(self.d_max > 0, "d_max", "must be positive")
+        require(0 <= self.iou_gate <= 1, "iou_gate", "must be in [0, 1]")
+        miss_max = self.miss_max
+        require(isinstance(miss_max, int) and not isinstance(miss_max, bool) and miss_max >= 0,
+                "miss_max", f"must be a non-negative integer, got {miss_max!r}")
         for name, n in (("r_diag", 3), ("p0_diag", 4)):
             diag = getattr(self, name)
-            if len(diag) != n or not all(geometry.is_number(v) and v > 0 for v in diag):
-                raise InvalidConfig(f"{name} must hold {n} positive numbers")
-            if not all(map(geometry.is_finite_number, diag)):
-                raise InvalidConfig(f"{name} must hold finite numbers, got {list(diag)!r}")
+            require(len(diag) == n and all(geometry.is_finite_number(v) and v > 0 for v in diag),
+                    name, f"must hold {n} positive finite numbers, got {list(diag)!r}")
 
     def q_for(self, cls: str) -> float:
         return self.q_cycle if cls == "cycle" else self.q_car

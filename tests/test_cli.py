@@ -11,7 +11,7 @@ import yaml
 
 from rearguard import cli
 from rearguard.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
-from rearguard.sampler import load_qtable
+from rearguard.sampler import SamplerConfig, load_qtable
 from rearguard.risk import RiskConfig
 from rearguard.scenario import (
     CameraConfig,
@@ -183,8 +183,8 @@ def test_run_replay_continues_learning_from_saved_qtable(tmp_path):
     second = tmp_path / "second"
     assert main(["run", "--config", replay_cfg, "--out", str(second)]) == EXIT_OK
 
-    before = load_qtable(saved)
-    after = load_qtable(second / "qtable.txt")
+    before = load_qtable(saved, SamplerConfig())
+    after = load_qtable(second / "qtable.txt", SamplerConfig())
     assert sum(after.visits.values()) > sum(before.visits.values())
 
 
@@ -267,7 +267,8 @@ def test_run_without_seed_is_a_config_error(tmp_path, capsys):
 def test_run_unknown_sampler_kind_in_config(tmp_path, capsys):
     cfg = run_config(tmp_path, sampler={"kind": "telepathy"})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
-    assert "telepathy" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sampler.kind: must be one of ('sarsa', " in err and "got 'telepathy'" in err
 
 
 def test_run_sampler_block_parameters_reach_the_baseline(tmp_path):
@@ -303,6 +304,8 @@ QTABLE_FILES = {
     "visits.qtable": "tick 3\n0 1 2 1 -0.5 -1\n",
     "action.qtable": "tick 3\n0 1 2 2 -0.5 4\n",
     "bin.qtable": "tick 3\n0 -1 2 1 -0.5 4\n",
+    "range.qtable": "tick 3\n99 1 2 1 1.0 1\n",
+    "edges.qtable": "tick 3\n4 1 2 1 1.0 1\n",
     "repeat.qtable": "tick 3\n0 1 2 1 0.5 4\n0 1 3 1 0.5 4\n0 1 2 1 0.7 4\n",
     "label.qtable": "foo 3\n0 1 2 1 -0.5 4\n",
 }
@@ -316,33 +319,33 @@ QTABLE_FILES = {
     pytest.param({"sampler": {"kind": "confidence", "c_min": [1.5]}}, EXIT_CONFIG,
                  "sampler.c_min:", id="c_min-not-a-number"),
     pytest.param({"sampler": {"kind": "interval", "period": 0.5}}, EXIT_CONFIG,
-                 "period must be at least one tick", id="period-below-one-tick"),
+                 "sampler.period: must be at least one tick", id="period-below-one-tick"),
     pytest.param({"sampler": {"kind": "sarsa", "eta": -1.0}}, EXIT_CONFIG,
-                 "sampler: eta must be positive", id="sampler-field-invalid"),
+                 "sampler.eta: must be positive", id="sampler-field-invalid"),
     pytest.param({"sampler": "sarsa"}, EXIT_CONFIG,
                  "sampler: must be a mapping", id="sampler-not-a-mapping"),
     pytest.param({"sampler": {"kind": "sarsa", "dt_max": -1.0}}, EXIT_CONFIG,
-                 "sampler: dt_max must be a positive finite number", id="sampler-dt-max-negative"),
+                 "sampler.dt_max: must be positive", id="sampler-dt-max-negative"),
     pytest.param({"sampler": {"kind": "confidence", "dt_max": float("nan")}}, EXIT_CONFIG,
-                 "sampler: dt_max must be a positive finite number", id="sampler-dt-max-nan"),
+                 "sampler.dt_max: must be a finite number, got nan", id="sampler-dt-max-nan"),
     # an int too large for a double used to exit 4 with an OverflowError
     pytest.param({"sampler": {"kind": "sarsa", "dt_max": 10**400}}, EXIT_CONFIG,
-                 "sampler: dt_max must be a positive finite number, got 1000",
+                 "sampler.dt_max: must be a finite number, got 1000",
                  id="sampler-dt-max-401-digits"),
     pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [0.5, 0.1, 0.02]}}, EXIT_CONFIG,
-                 "sampler: conf_edges must be a strictly increasing tuple of finite numbers",
+                 "sampler.conf_edges: must be a strictly increasing tuple of finite numbers",
                  id="sampler-edges-unsorted"),
     pytest.param({"sampler": {"kind": "sarsa", "eta": float("nan")}}, EXIT_CONFIG,
-                 "sampler: eta must be positive", id="sampler-eta-nan"),
+                 "sampler.eta: must be a finite number, got nan", id="sampler-eta-nan"),
     pytest.param({"sampler": {"kind": "sarsa", "sample_cost": float("nan")}}, EXIT_CONFIG,
-                 "sampler: sample_cost is a cost", id="sampler-cost-nan"),
+                 "sampler.sample_cost: must be a finite number, got nan", id="sampler-cost-nan"),
     # a -inf cost used to exit 0 with an all-nan Q-table, a 401-digit one
     # to exit 4 with an OverflowError
     pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -float("inf")}}, EXIT_CONFIG,
-                 "sampler: sample_cost is a cost; it must be zero or negative and finite, got -inf",
+                 "sampler.sample_cost: must be a finite number, got -inf",
                  id="sampler-cost-minus-inf"),
     pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -10**400}}, EXIT_CONFIG,
-                 "sampler: sample_cost is a cost; it must be zero or negative and finite, got -1000",
+                 "sampler.sample_cost: must be a finite number, got -1000",
                  id="sampler-cost-401-digits"),
     pytest.param({"seed": "five"}, EXIT_CONFIG, "seed:", id="seed-not-a-number"),
     pytest.param({"warmup_s": "soon"}, EXIT_CONFIG, "warmup_s:", id="warmup-not-a-number"),
@@ -351,7 +354,7 @@ QTABLE_FILES = {
     pytest.param({"risk": {"alert_threshold": None}}, EXIT_CONFIG,
                  "risk.alert_threshold:", id="alert-threshold-null"),
     pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "f_x": -1.0}}}},
-                 EXIT_CONFIG, "camera.intrinsics: focal lengths", id="intrinsics-invalid"),
+                 EXIT_CONFIG, "camera.intrinsics.f_x: must be positive", id="intrinsics-invalid"),
     # a negative margin used to drop every detection without an error
     pytest.param({"scenario": {**SCENARIO, "camera": {"margin_px": -1}}}, EXIT_CONFIG,
                  "camera.margin_px: must be non-negative", id="margin-negative"),
@@ -365,12 +368,13 @@ QTABLE_FILES = {
         "jitter_std": 0.0}}}, EXIT_CONFIG, "head_motion.pitch_amplitude:", id="pitch-amplitude-too-big"),
     pytest.param({"seed": -1}, EXIT_CONFIG, "seed: must be non-negative", id="seed-negative"),
     pytest.param({"risk": {"reaction_time": 0}}, EXIT_CONFIG,
-                 "risk: reaction_time must be a positive finite number, got 0",
+                 "risk.reaction_time: must be a positive finite number, got 0",
                  id="reaction-time-zero"),
     pytest.param({"tracker": {"gamma": 0}}, EXIT_CONFIG,
-                 "tracker: gamma must be positive", id="tracker-gamma-zero"),
+                 "tracker.gamma: must be positive", id="tracker-gamma-zero"),
     pytest.param({"tracker": {"r_diag": [16.0, 9.0]}}, EXIT_CONFIG,
-                 "tracker: r_diag must hold 3 positive numbers", id="tracker-r-diag-short"),
+                 "tracker.r_diag: must hold 3 positive finite numbers, got [16.0, 9.0]",
+                 id="tracker-r-diag-short"),
     pytest.param({"scenario": {**SCENARIO, "duration": "long"}}, EXIT_CONFIG,
                  "duration: expected float", id="scenario-field-not-a-number"),
     pytest.param({"tracker": {"miss_max": "three"}}, EXIT_CONFIG,
@@ -379,36 +383,38 @@ QTABLE_FILES = {
     # filter), an inf r_diag entry or gamma to run on with a filter that ignores
     # its measurements
     pytest.param({"tracker": {"q_car": float("inf")}}, EXIT_CONFIG,
-                 "tracker: q_car must be finite, got inf", id="tracker-q-car-inf"),
+                 "tracker.q_car: must be a finite number, got inf", id="tracker-q-car-inf"),
     pytest.param({"tracker": {"q_cycle": float("inf")}}, EXIT_CONFIG,
-                 "tracker: q_cycle must be finite, got inf", id="tracker-q-cycle-inf"),
+                 "tracker.q_cycle: must be a finite number, got inf", id="tracker-q-cycle-inf"),
     pytest.param({"tracker": {"gamma": float("inf")}}, EXIT_CONFIG,
-                 "tracker: gamma must be finite, got inf", id="tracker-gamma-inf"),
+                 "tracker.gamma: must be a finite number, got inf", id="tracker-gamma-inf"),
     pytest.param({"tracker": {"d_max": float("inf")}}, EXIT_CONFIG,
-                 "tracker: d_max must be finite, got inf", id="tracker-d-max-inf"),
+                 "tracker.d_max: must be a finite number, got inf", id="tracker-d-max-inf"),
     pytest.param({"tracker": {"r_diag": [float("inf"), 9.0, 9.0]}}, EXIT_CONFIG,
-                 "tracker: r_diag must hold finite numbers, got [inf, 9.0, 9.0]",
+                 "tracker.r_diag: must hold 3 positive finite numbers, got [inf, 9.0, 9.0]",
                  id="tracker-r-diag-inf"),
     pytest.param({"tracker": {"p0_diag": [4.0, 4.0, float("inf"), 16.0]}}, EXIT_CONFIG,
-                 "tracker: p0_diag must hold finite numbers, got [4.0, 4.0, inf, 16.0]",
+                 "tracker.p0_diag: must hold 4 positive finite numbers, got [4.0, 4.0, inf, 16.0]",
                  id="tracker-p0-diag-inf"),
     pytest.param({"tracker": {"q_car": float("nan")}}, EXIT_CONFIG,
-                 "tracker: q_car must be non-negative", id="tracker-q-car-nan"),
+                 "tracker.q_car: must be a finite number, got nan", id="tracker-q-car-nan"),
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
-                 "warmup_s must be a finite number, got nan", id="warmup-nan"),
+                 "warmup_s: must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
-                 "sampler: period must be a finite number, got inf", id="period-inf"),
+                 "sampler.period: must be a finite number, got inf", id="period-inf"),
     pytest.param({"sampler": {"kind": "confidence", "c_min": float("nan")}}, EXIT_CONFIG,
-                 "c_min must be a finite number, got nan", id="c-min-nan"),
+                 "sampler.c_min: must be a finite number, got nan", id="c-min-nan"),
     pytest.param({"risk": {"alert_threshold": float("nan")}}, EXIT_CONFIG,
-                 "alert_threshold must be a finite number, got nan", id="alert-threshold-nan"),
+                 "risk.alert_threshold: must be a finite number, got nan",
+                 id="alert-threshold-nan"),
     # kappa lies in [0, 1]: 0 used to alert on every tick, 1.5 never
     pytest.param({"risk": {"alert_threshold": 0.0}}, EXIT_CONFIG,
-                 "risk: alert_threshold must be in (0, 1], got 0.0", id="alert-threshold-zero"),
+                 "risk.alert_threshold: must be in (0, 1], got 0.0", id="alert-threshold-zero"),
     pytest.param({"risk": {"alert_threshold": 1.5}}, EXIT_CONFIG,
-                 "risk: alert_threshold must be in (0, 1], got 1.5", id="alert-threshold-above-one"),
+                 "risk.alert_threshold: must be in (0, 1], got 1.5",
+                 id="alert-threshold-above-one"),
     pytest.param({"risk": {"reaction_time": float("inf")}}, EXIT_CONFIG,
-                 "risk: reaction_time must be a positive finite number, got inf",
+                 "risk.reaction_time: must be a positive finite number, got inf",
                  id="reaction-time-inf"),
     # fov is checked before the trace files are opened, so none are needed here;
     # the rule is the scenario's detector.fov rule
@@ -421,7 +427,7 @@ QTABLE_FILES = {
                  EXIT_CONFIG, "fov: must be in (0, pi), got 3.5", id="fov-above-pi"),
     # an infinite tick count used to exit 4 (OverflowError) inside generate
     pytest.param({"scenario": {**SCENARIO, "duration": 1e308}}, EXIT_CONFIG,
-                 "duration: times tick_rate must give a finite tick count",
+                 "duration: times tick_rate must give at most 1000000 ticks, got inf",
                  id="scenario-tick-count-overflows"),
     pytest.param({"fov": 0.05}, EXIT_CONFIG,
                  "fov: not allowed beside an inline scenario; the scenario's detector.fov sets it",
@@ -430,7 +436,7 @@ QTABLE_FILES = {
                  "trace, truth, scenario: a run config needs exactly one of",
                  id="files-beside-inline-scenario"),
     pytest.param({"scenario": None, "trace": "trace.jsonl"}, EXIT_CONFIG,
-                 "trace and truth paths must be given together", id="trace-without-truth"),
+                 "trace, truth: must be given together", id="trace-without-truth"),
     pytest.param({"scenario": None}, EXIT_CONFIG,
                  "trace, truth, scenario: a run config needs exactly one of", id="no-input"),
     pytest.param({"scenario": None, "fov": 1.0}, EXIT_CONFIG,
@@ -454,9 +460,10 @@ QTABLE_FILES = {
     pytest.param({"tracker": {"miss_max": True}}, EXIT_CONFIG,
                  "tracker.miss_max: expected int, got True", id="tracker-miss-max-true"),
     pytest.param({"tracker": {"r_diag": [True, 9.0, 9.0]}}, EXIT_CONFIG,
-                 "tracker: r_diag must hold 3 positive numbers", id="tracker-r-diag-true"),
+                 "tracker.r_diag: must hold 3 positive finite numbers, got [True, 9.0, 9.0]",
+                 id="tracker-r-diag-true"),
     pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [False, 0.1, 0.5]}}, EXIT_CONFIG,
-                 "sampler: conf_edges must be a strictly increasing tuple of finite numbers",
+                 "sampler.conf_edges: must be a strictly increasing tuple of finite numbers",
                  id="sampler-edges-false"),
     pytest.param({"scenario": {**SCENARIO, "duration": True}}, EXIT_CONFIG,
                  "duration: expected float, got True", id="scenario-duration-true"),
@@ -478,8 +485,16 @@ QTABLE_FILES = {
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "action.qtable"}}, EXIT_IO,
                  "action.qtable: line 3: action must be 0 or 1, got 2", id="qtable-action-two"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "bin.qtable"}}, EXIT_IO,
-                 "bin.qtable: line 3: state bins must be non-negative, got (0, -1, 2)",
+                 "bin.qtable: line 3: state bins must be non-negative and at most (4, 3, 3), "
+                 "got (0, -1, 2)",
                  id="qtable-bin-negative"),
+    # a bin the run's sampler config cannot give used to load and be written back out
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "range.qtable"}}, EXIT_IO,
+                 "range.qtable: line 3: state bins must be non-negative and at most (4, 3, 3), "
+                 "got (99, 1, 2)", id="qtable-bin-above-range"),
+    pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [0.1], "qtable": "edges.qtable"}},
+                 EXIT_IO, "edges.qtable: line 3: state bins must be non-negative and at most "
+                 "(2, 3, 3), got (4, 1, 2)", id="qtable-bin-above-run-edges"),
     # both used to load: the later repeated row won, and foo 3 read as tick 3
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "repeat.qtable"}}, EXIT_IO,
                  "repeat.qtable: line 5: repeated row for state (0, 1, 2) and action 1",
@@ -736,9 +751,9 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
                  id="reaction-time-false"),
     # checked on load, though budget matching would replace both
     pytest.param({"budget_match": True, "sampler": {"period": 0.5}},
-                 "sampler: period must be at least one tick, got 0.5", id="period-below-one-tick"),
+                 "sampler.period: must be at least one tick, got 0.5", id="period-below-one-tick"),
     pytest.param({"budget_match": True, "sampler": {"p": 1.5}},
-                 "sampler: p must be a blink probability in [0, 1], got 1.5", id="p-above-one"),
+                 "sampler.p: must be a blink probability in [0, 1], got 1.5", id="p-above-one"),
 ])
 def test_compare_exit_code_table(tmp_path, capsys, change, text):
     cfg = compare_config(tmp_path, **change)
@@ -763,9 +778,9 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: TrackerConfig(q_car=-1.0), "^q_car must be non-negative$"),
+    (lambda: TrackerConfig(q_car=-1.0), "^q_car: must be non-negative$"),
     (lambda: RiskConfig(reaction_time=0),
-     "^reaction_time must be a positive finite number, got 0$"),
+     "^reaction_time: must be a positive finite number, got 0$"),
     (lambda: cli.RunConfig(seed=-1, scenario={}), "^seed: must be non-negative, got -1$"),
     (lambda: cli.CompareConfig(suite="mini"), "^suite: must be 'standard', got 'mini'$"),
     (lambda: ScenarioConfig(seed=-1), "^seed: must be a non-negative integer$"),
@@ -788,9 +803,10 @@ def test_compare_without_scenarios_is_a_config_error(tmp_path, capsys):
     # a bool is not a seed, as a file's loader already said; this one passed
     (lambda: ScenarioConfig(seed=True), "^seed: must be a non-negative integer$"),
     # a file's loader said "expected int"; with inf no track retired on misses
-    (lambda: TrackerConfig(miss_max=float("inf")), "^miss_max must be an integer, got inf$"),
-    (lambda: TrackerConfig(miss_max=2.5), "^miss_max must be an integer, got 2.5$"),
-    (lambda: TrackerConfig(miss_max=-1), "^miss_max must be non-negative$"),
+    (lambda: TrackerConfig(miss_max=float("inf")),
+     "^miss_max: must be a non-negative integer, got inf$"),
+    (lambda: TrackerConfig(miss_max=2.5), "^miss_max: must be a non-negative integer, got 2.5$"),
+    (lambda: TrackerConfig(miss_max=-1), "^miss_max: must be a non-negative integer, got -1$"),
 ], ids=["tracker", "risk", "run", "compare", "scenario", "user", "detector", "camera",
         "vehicle", "head-motion", "scenario-duration-type", "camera-image-size-type",
         "vehicle-params-type", "user-speed-type", "head-motion-period-type", "scenario-seed-bool",

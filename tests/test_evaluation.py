@@ -335,11 +335,11 @@ def test_misaligned_truth_is_rejected():
 # reaction_time has one rule, risk.RiskConfig's, and one message
 BAD_PIPELINE_VALUES = [
     (field, value, message)
-    for field, message in (("warmup_s", "warmup_s must be a finite number"),
-                           ("reaction_time", "reaction_time must be a positive finite number"),
-                           ("alert_threshold", "alert_threshold must be a finite number"))
+    for field, message in (("warmup_s", "warmup_s: must be a finite number"),
+                           ("reaction_time", "reaction_time: must be a positive finite number"),
+                           ("alert_threshold", "alert_threshold: must be a finite number"))
     for value in (math.nan, math.inf, -math.inf, True, False)   # a bool is no number
-] + [("reaction_time", value, "reaction_time must be a positive finite number")
+] + [("reaction_time", value, "reaction_time: must be a positive finite number")
      for value in (0.0, -1.0)]
 
 
@@ -378,7 +378,7 @@ NEGATIVE_COSTS = [
       for cls, field, value in HUGE_VALUES),
     *NEGATIVE_COSTS])
 def test_a_401_digit_int_is_a_config_error_naming_its_field(cls, field, value):
-    with pytest.raises(InvalidConfig, match=f"^{field} "):
+    with pytest.raises(InvalidConfig, match=f"^{field}: "):
         cls(**{field: value})
 
 
@@ -564,7 +564,7 @@ def test_empty_sampler_list_is_a_config_error():
 
 
 def test_unknown_sampler_in_compare_is_a_config_error():
-    with pytest.raises(InvalidConfig, match="radar"):
+    with pytest.raises(InvalidConfig, match=r"^samplers: must be one of \(.*\), got 'radar'$"):
         compare(two_quick_scenarios(), ["everyframe", "radar"], NO_WARMUP)
 
 

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import enum
 import math
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Real
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import rearguard
 from rearguard.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
     ImuPose,
+    InvalidConfig,
     horizon_line,
     is_number,
     normalize_angle,
@@ -48,6 +53,32 @@ def test_is_number_truth_table(value, expected):
                  st.text(max_size=3), st.none(), st.complex_numbers()))
 def test_is_number_agrees_with_the_abstract_class_check(value):
     assert is_number(value) is (isinstance(value, Real) and not isinstance(value, bool))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("f_x", 0.0, "must be positive"),
+    ("f_y", -600.0, "must be positive"),
+    ("c_x", math.nan, "must be a finite number, got nan"),
+    ("c_y", math.inf, "must be a finite number, got inf"),
+], ids=["f-x-zero", "f-y-negative", "c-x-nan", "c-y-inf"])
+def test_bad_intrinsics_are_config_errors_led_by_their_field(field, value, message):
+    # a plain ValueError before, and "focal lengths must be positive" named no field
+    intr = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0, field: value}
+    with pytest.raises(InvalidConfig, match=f"^{field}: {message}$"):
+        CameraIntrinsics(**intr)
+
+
+def test_headset_modules_do_not_load_the_generator():
+    """tracking, sampler and risk take their config errors from geometry, so
+    the loop that would run on the headset never imports the synthetic world
+    or the harness."""
+    src = str(Path(rearguard.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import rearguard.tracking, rearguard.sampler, rearguard.risk; print(*sys.modules)")
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "rearguard.tracking" in loaded
+    assert not {"rearguard.scenario", "rearguard.evaluation", "rearguard.cli"} & set(loaded)
 
 
 def box_with_bottom(v_bottom: float, u_center: float = 320.0, w: float = 60.0, h: float = 80.0) -> BoundingBox2D:

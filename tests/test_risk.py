@@ -194,7 +194,7 @@ BAD_REACTION_TIMES = [float("nan"), float("inf"), 0.0, -1.0]
 ], ids=["risk_level", "assess", "assess-empty", "ground_truth_danger", "label_truth", "RiskConfig"])
 def test_one_reaction_time_rule(call, t_r):
     # risk_level(1.0, nan) returned 0.0 and risk_level(1.0, inf) 1.0
-    message = f"reaction_time must be a positive finite number, got {t_r!r}"
+    message = f"reaction_time: must be a positive finite number, got {t_r!r}"
     with pytest.raises(InvalidConfig, match=re.escape(message)):
         call(t_r)
 
@@ -221,7 +221,7 @@ def test_reaction_time_is_checked_once_per_call(monkeypatch):
 @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5], ids=["zero", "negative", "above-one"])
 def test_alert_threshold_outside_kappas_range_is_a_config_error(threshold):
     # kappa lies in [0, 1]: 0 alerted on every tick of a run, 1.5 never
-    message = f"alert_threshold must be in (0, 1], got {threshold!r}"
+    message = f"alert_threshold: must be in (0, 1], got {threshold!r}"
     with pytest.raises(InvalidConfig, match=re.escape(message)):
         RiskConfig(alert_threshold=threshold)
 

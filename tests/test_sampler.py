@@ -44,9 +44,9 @@ class Snap:
 # ----------------------------------------------------------------- config
 
 KNOB_RULES = {
-    "period": "period must be a finite number",
-    "p": "p must be a blink probability in [0, 1]",
-    "c_min": "c_min must be a finite number",
+    "period": "period: must be a finite number",
+    "p": "p: must be a finite number",
+    "c_min": "c_min: must be a finite number",
 }
 
 
@@ -58,9 +58,9 @@ def test_non_finite_baseline_knobs_are_config_errors(field, value):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("period", 0.5, "period must be at least one tick, got 0.5"),
-    ("p", -0.1, "p must be a blink probability in [0, 1], got -0.1"),
-    ("p", 1.5, "p must be a blink probability in [0, 1], got 1.5"),
+    ("period", 0.5, "period: must be at least one tick, got 0.5"),
+    ("p", -0.1, "p: must be a blink probability in [0, 1], got -0.1"),
+    ("p", 1.5, "p: must be a blink probability in [0, 1], got 1.5"),
 ], ids=["period-below-one-tick", "p-negative", "p-above-one"])
 def test_baseline_knobs_out_of_range_are_config_errors(field, value, message):
     with pytest.raises(InvalidConfig, match=re.escape(message)):
@@ -68,9 +68,10 @@ def test_baseline_knobs_out_of_range_are_config_errors(field, value, message):
 
 
 @pytest.mark.parametrize("field", ["sample_cost", "epsilon0", "eta", "beta"])
-@pytest.mark.parametrize("value", ["0.1", None, True], ids=["str", "none", "bool"])
+# a nan eta used to read "must be positive": finite first, then range
+@pytest.mark.parametrize("value", ["0.1", None, True, math.nan], ids=["str", "none", "bool", "nan"])
 def test_non_number_learning_field_is_a_config_error(field, value):
-    with pytest.raises(InvalidConfig, match=re.escape(f"{field} must be a number, got {value!r}")):
+    with pytest.raises(InvalidConfig, match=re.escape(f"{field}: must be a finite number, got {value!r}")):
         SamplerConfig(**{field: value})
 
 
@@ -214,7 +215,7 @@ def test_qtable_roundtrip_bit_exact(tmp_path):
             q.visits[key] = int(rng.integers(0, 10**6))
     path = tmp_path / "q.txt"
     save_qtable(q, path)
-    q2 = load_qtable(path)
+    q2 = load_qtable(path, CFG)
     assert q2.values == q.values
     assert q2.visits == q.visits
     assert q2.tick == q.tick
@@ -228,7 +229,7 @@ def test_qtable_load_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("something else\n")
     with pytest.raises(ValueError):
-        load_qtable(path)
+        load_qtable(path, CFG)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -238,24 +239,43 @@ def test_qtable_load_rejects_foreign_file(tmp_path):
     ("tick 3\n0 1 2 1 -0.5 -1\n", "line 3: visit count must be non-negative, got -1"),
     ("tick 3\n0 1 2 2 -0.5 4\n", "line 3: action must be 0 or 1, got 2"),
     ("tick 3\n0 1 2 -1 -0.5 4\n", "line 3: action must be 0 or 1, got -1"),
-    ("tick 3\n-1 1 2 1 -0.5 4\n", "line 3: state bins must be non-negative, got (-1, 1, 2)"),
+    ("tick 3\n-1 1 2 1 -0.5 4\n",
+     "line 3: state bins must be non-negative and at most (4, 3, 3), got (-1, 1, 2)"),
+    # bins the run's config cannot give used to load, unread, and be written back out
+    ("tick 3\n99 1 2 1 1.0 1\n",
+     "line 3: state bins must be non-negative and at most (4, 3, 3), got (99, 1, 2)"),
+    ("tick 3\n4 3 3 1 1.0 1\n4 4 3 1 1.0 1\n",
+     "line 4: state bins must be non-negative and at most (4, 3, 3), got (4, 4, 3)"),
+    ("tick 3\n4 3 4 1 1.0 1\n",
+     "line 3: state bins must be non-negative and at most (4, 3, 3), got (4, 3, 4)"),
     ("tick 3\n0 1 2 1 0.5 4\n0 1 2 1 0.7 4\n",
      "line 4: repeated row for state (0, 1, 2) and action 1"),
     ("foo 3\n", "line 2: expected 'tick <count>', got 'foo 3'"),
     ("tick 3 4\n", "line 2: too many values to unpack"),
 ], ids=["tick-negative", "value-nan", "value-inf", "visits-negative", "action-two",
-        "action-negative", "bin-negative", "row-repeated", "tick-mislabelled", "tick-extra-field"])
+        "action-negative", "bin-negative", "conf-bin-above", "dist-bin-above", "dt-bin-above",
+        "row-repeated", "tick-mislabelled", "tick-extra-field"])
 def test_qtable_load_rejects_what_save_never_writes(tmp_path, body, message):
     path = tmp_path / "q.txt"
     path.write_text(f"rearguard-qtable v1\n{body}")
     with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
-        load_qtable(path)
+        load_qtable(path, CFG)
+
+
+def test_qtable_load_checks_bins_against_the_runs_config(tmp_path):
+    """The top bins load under the config that has them, not under one with fewer edges."""
+    path = tmp_path / "q.txt"
+    path.write_text("rearguard-qtable v1\ntick 3\n4 3 3 1 1.0 1\n")
+    assert list(load_qtable(path, CFG).values) == [(SamplerState(4, 3, 3), BLINK)]
+    with pytest.raises(ParseError, match=re.escape("line 3: state bins must be non-negative and "
+                                                   "at most (2, 3, 3), got (4, 3, 3)")):
+        load_qtable(path, SamplerConfig(conf_edges=(0.1,)))
 
 
 def test_qtable_load_keeps_an_unvisited_pair(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("rearguard-qtable v1\ntick 0\n0 1 2 1 0.0 0\n")
-    q = load_qtable(path)
+    q = load_qtable(path, CFG)
     assert (q.tick, q.values, q.visits) == (
         0, {(SamplerState(0, 1, 2), BLINK): 0.0}, {(SamplerState(0, 1, 2), BLINK): 0})
 

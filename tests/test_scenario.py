@@ -21,6 +21,7 @@ from rearguard.evaluation import standard_suite
 from rearguard.risk import ttc
 from rearguard.scenario import (
     LIGHT_CONDITIONS,
+    MAX_TICKS,
     ROAD_TYPES,
     USER_MODES,
     VEHICLE_CLASSES,
@@ -94,17 +95,28 @@ CAR = {"cls": "car", "spawn_time": 0.0, "x0": 0.0, "z0": -20.0, "speed": 5.0}
      "vehicles[0].params.duration: must be positive"),
     ({"detector": {"fov": 3.5}}, "detector.fov: must be in (0, pi), got 3.5"),
     # the tick count is an int: an infinite duration x tick_rate used to exit 4
-    ({"duration": 1e308}, "duration: times tick_rate must give a finite tick count"),
-    ({"tick_rate": 1e308}, "duration: times tick_rate must give a finite tick count"),
+    ({"duration": 1e308}, "duration: times tick_rate must give at most 1000000 ticks, got inf"),
+    ({"tick_rate": 1e308}, "duration: times tick_rate must give at most 1000000 ticks, got inf"),
     ({"duration": 1e308, "vehicles": [{**CAR, "spawn_time": 1e307}]},
-     "duration: times tick_rate must give a finite tick count"),
+     "duration: times tick_rate must give at most 1000000 ticks, got inf"),
+    # a finite but huge count used to pass, for generate to build 1e13 ticks
+    ({"duration": 1e12}, "duration: times tick_rate must give at most 1000000 ticks, got 1e+13"),
+    ({"tick_rate": 1e9}, "duration: times tick_rate must give at most 1000000 ticks, got 6e+10"),
 ], ids=["seed-negative", "vehicle-fields-missing", "detect-median-missing", "spread-zero",
         "image-size-short", "pitch-jitter-too-big", "param-not-a-number", "param-not-positive",
-        "fov-above-pi", "tick-count-overflows", "tick-rate-overflows", "spawn-time-huge"])
+        "fov-above-pi", "tick-count-overflows", "tick-rate-overflows", "spawn-time-huge",
+        "tick-count-huge", "tick-rate-huge"])
 def test_invalid_value_is_named(change, message):
     with pytest.raises(InvalidConfig) as err:
         config_from_dict({"seed": 1, **change})
     assert str(err.value).startswith(message)
+
+
+def test_tick_count_bound_is_inclusive():
+    # built, never generated: a million ticks would take about 1.2 GB
+    assert ScenarioConfig(seed=1, duration=MAX_TICKS / 10.0, tick_rate=10.0).duration == 1e5
+    with pytest.raises(InvalidConfig, match="^duration: times tick_rate must give at most"):
+        ScenarioConfig(seed=1, duration=MAX_TICKS / 10.0, tick_rate=10.5)
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1001,7 +1001,9 @@ def test_every_frame_loop_keeps_the_filter_invariants(scen):
 # ------------------------------------------------------------------ config
 
 @pytest.mark.parametrize("field", ["q_car", "q_cycle", "miss_max", "gamma", "d_max", "iou_gate"])
-@pytest.mark.parametrize("value", ["2", None, True], ids=["str", "none", "bool"])
+# a nan q_car used to read "must be non-negative": finite first, then range
+@pytest.mark.parametrize("value", ["2", None, True, math.nan], ids=["str", "none", "bool", "nan"])
 def test_non_number_tracker_field_is_a_config_error(field, value):
-    with pytest.raises(InvalidConfig, match=f"^{field} must be a number, got {value!r}$"):
+    rule = "must be a non-negative integer" if field == "miss_max" else "must be a finite number"
+    with pytest.raises(InvalidConfig, match=f"^{field}: {rule}, got {value!r}$"):
         TrackerConfig(**{field: value})
