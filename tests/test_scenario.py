@@ -290,6 +290,78 @@ def test_standard_scenario_bytes_pinned(tmp_path, name):
     assert got == GENERATED_BYTES[name]
 
 
+def _crowded_scene(seed=2027, vehicles=80, duration=60.0) -> ScenarioConfig:
+    """Slow traffic bunched behind a standing user, drawn as the benchmark's
+    crowded scenes are: some 14 objects in view per tick, and occlusion
+    hides about 45% of them."""
+    rng = np.random.default_rng(seed)
+    spawns = np.sort(rng.uniform(0.0, duration - 1.0, vehicles))
+    return ScenarioConfig(
+        seed=int(rng.integers(2**31)),
+        duration=duration,
+        user=UserConfig(mode="standing"),
+        vehicles=tuple(
+            VehicleConfig(
+                cls="car" if rng.random() < 0.75 else "cycle",
+                spawn_time=float(t),
+                x0=float(rng.uniform(-8.0, 8.0)),
+                z0=-float(rng.uniform(6.0, 12.0)),
+                speed=float(rng.uniform(0.1, 0.4)),
+            )
+            for t in spawns
+        ),
+    )
+
+
+# listed out of spawn order; vehicles 0 and 2 both spawn on the tick at
+# t = 3.1 s, and vehicle 0 takes the lower id although it spawns later
+MIXED_SCENE = ScenarioConfig(
+    seed=21,
+    duration=12.0,
+    user=UserConfig(mode="walking"),
+    vehicles=(
+        VehicleConfig("car", spawn_time=3.04, x0=0.4, z0=-14.0, speed=3.5),
+        VehicleConfig("cycle", spawn_time=0.0, x0=-0.6, z0=-9.0, speed=2.4,
+                      profile="decelerate-at", params={"at": 4.0, "rate": 0.5}),
+        VehicleConfig("car", spawn_time=3.01, x0=0.5, z0=-20.0, speed=4.0,
+                      profile="lane-change-at", params={"at": 5.0, "to_x": -1.5, "duration": 2.0}),
+        VehicleConfig("car", spawn_time=1.5, x0=2.5, z0=-25.0, speed=4.5, heading=0.05),
+    ),
+)
+
+# sha256 of write_trace and write_truth output, recorded before the
+# occlusion test became a range-sorted sweep and spawns a queue
+DENSE_BYTES = {
+    "crowded": (
+        "86c46a454a4d14329cb3f6acd8f6fc06e762ebeb7be3f6317b4fad4c0034e370",
+        "55632888e1752210425ab3ab48048cecf3c95f0b5d3b736d2cd89679a4e6c1b1"),
+    "mixed": (
+        "73c0974e9f8276d196866047ece080fdd681c9875f7ec2330216cee4d3490fae",
+        "4a4037824de293d31854eb4d78e5b856eea2fb31668b1aeb3d38cfe4aaccc9a0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_BYTES))
+def test_dense_scene_bytes_pinned(tmp_path, name):
+    """Scenes where occlusion fires on most ticks, and where spawns come out
+    of config order, keep their generated bytes."""
+    cfg = _crowded_scene() if name == "crowded" else MIXED_SCENE
+    frames, truth = generate(cfg)
+    write_trace(tmp_path / "trace.jsonl", cfg, frames)
+    write_truth(tmp_path / "truth.jsonl", cfg, truth)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("trace.jsonl", "truth.jsonl"))
+    assert got == DENSE_BYTES[name]
+
+
+def test_same_tick_spawns_take_ids_in_config_order():
+    _, truth = generate(MIXED_SCENE)
+    tick = next(tick for tick in truth if len(tick.objects) == 4)
+    assert tick.t == pytest.approx(3.1)
+    # objects stay in config order; ids follow the spawn tick, then the index
+    assert [o.id for o in tick.objects] == [3, 1, 4, 2]
+
+
 def test_different_seed_differs(tmp_path):
     f1, _ = generate(one_car(seed=1))
     f2, _ = generate(one_car(seed=2))
