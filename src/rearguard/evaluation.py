@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import InvalidConfig, is_number, require_finite
+from .geometry import InvalidConfig, is_number, require, require_finite
 from .risk import (
     DEFAULT_ALERT_THRESHOLD,
     DEFAULT_REACTION_TIME_S,
@@ -568,17 +568,15 @@ def compare(
     """
     scenarios = list(scenarios)
     samplers = list(samplers)
-    if not scenarios:
-        raise InvalidConfig("at least one scenario is required")
-    if not samplers:
-        raise InvalidConfig("at least one sampler is required")
+    require(bool(scenarios), "scenarios", "at least one is required")
+    require(bool(samplers), "samplers", "at least one is required")
     for kind in samplers:
         check_kind(kind, "samplers")
-    for what, values in (("scenario name", [name for name, _ in scenarios]),
-                         ("sampler kind", samplers)):
+    for field, what, values in (("scenarios", "name", [name for name, _ in scenarios]),
+                                ("samplers", "kind", samplers)):
         dups = [v for i, v in enumerate(values) if v in values[:i]]
         if dups:
-            raise InvalidConfig(f"duplicate {what}: {dups[0]!r}")
+            raise InvalidConfig(f"{field}: duplicate {what} {dups[0]!r}")
     if seeds is not None:
         valid = isinstance(seeds, (list, tuple)) and all(
             isinstance(s, int) and is_number(s) and s >= 0 for s in seeds)

@@ -24,6 +24,7 @@ import logging
 import math
 import types
 import typing
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -72,6 +73,19 @@ DEFAULT_FOV = 1.2   # detector full view angle, radians
 # the most ticks a scenario may hold: 27.8 h at 10 Hz, at some 1.2 KB a tick
 MAX_TICKS = 10**6
 
+# Physical bounds on a scene, which keep every number generate simulates
+# finite (see VehicleConfig).
+TICK_RATES = (1.0, 1000.0)                 # Hz, the least and the most
+MAX_SECONDS = MAX_TICKS / TICK_RATES[0]    # the latest time a scenario reaches
+MAX_OFFSET_M = 1000.0        # |x0|, |z0| and |to_x|, meters from the user
+MAX_SPEED = 100.0            # m/s, of a vehicle or the user
+MAX_DECELERATION = 100.0     # m/s^2, a decelerate-at rate
+MIN_LANE_CHANGE_S = 0.1      # s, a lane-change-at duration
+# each profile parameter's closed range and unit
+PARAM_BOUNDS = {"at": (0.0, MAX_SECONDS, "s"), "rate": (0.0, MAX_DECELERATION, "m/s^2"),
+                "to_x": (-MAX_OFFSET_M, MAX_OFFSET_M, "m"),
+                "duration": (MIN_LANE_CHANGE_S, MAX_SECONDS, "s")}
+
 DEFAULT_USER_SPEED = {"standing": 0.0, "walking": 1.4, "jogging": 2.6}
 
 # yaw amplitude, yaw period, pitch amplitude, pitch period, jitter std
@@ -93,6 +107,10 @@ def _mapping(obj, *names):
 
 def _positive(value) -> bool:
     return is_finite_number(value) and value > 0
+
+
+def _within(value, lo: float, hi: float, name: str, unit: str) -> None:
+    require(lo <= value <= hi, name, f"must be in [{lo:g}, {hi:g}] {unit}, got {value!r}")
 
 
 def check_fov(fov) -> None:
@@ -125,7 +143,7 @@ class UserConfig:
         require(self.mode in USER_MODES, "mode", f"must be one of {USER_MODES}")
         if self.speed is not None:
             require_finite(self, "speed")
-        require(self.resolved_speed() >= 0, "speed", "must be non-negative")
+        _within(self.resolved_speed(), 0.0, MAX_SPEED, "speed", "m/s")
 
     def resolved_speed(self) -> float:
         return DEFAULT_USER_SPEED[self.mode] if self.speed is None else self.speed
@@ -151,6 +169,18 @@ class HeadMotionConfig:
 
 @dataclass(frozen=True)
 class VehicleConfig:
+    """One vehicle of a scene.
+
+    Offsets, speed and profile parameters have physical bounds, and the
+    scenario bounds its tick rate and user speed.  Within them every number
+    generate simulates stays finite by a wide margin: a tick lasts at most
+    1 s, a scene ends by MAX_SECONDS, and no vehicle moves faster than
+    MAX_SPEED plus a lane change's peak lateral speed |to_x - x0| * pi /
+    (2 * duration), at most some 3.2e4 m/s, so no position leaves 4e10 m.
+    Finite values alone did not suffice: x0 1e308 changing lane to -1e308
+    wrote NaN into the truth file.
+    """
+
     cls: str
     spawn_time: float   # checked against the duration by ScenarioConfig
     x0: float           # user-frame lateral offset at spawn
@@ -163,7 +193,9 @@ class VehicleConfig:
     def __post_init__(self):
         require(self.cls in VEHICLE_CLASSES, "cls", f"must be one of {VEHICLE_CLASSES}")
         require_finite(self, "spawn_time", "x0", "z0", "speed", "heading")
-        require(self.speed >= 0, "speed", "must be non-negative")
+        _within(self.x0, -MAX_OFFSET_M, MAX_OFFSET_M, "x0", "m")
+        _within(self.z0, -MAX_OFFSET_M, MAX_OFFSET_M, "z0", "m")
+        _within(self.speed, 0.0, MAX_SPEED, "speed", "m/s")
         require(self.profile in VEHICLE_PROFILES, "profile", f"must be one of {VEHICLE_PROFILES}")
         _mapping(self, "params")
         for name in PROFILE_PARAMS.get(self.profile, ()):
@@ -172,6 +204,7 @@ class VehicleConfig:
             require(is_finite_number(value), f"params.{name}", f"must be finite, got {value!r}")
             if name == PROFILE_PARAMS[self.profile][-1]:
                 require(value > 0, f"params.{name}", "must be positive")
+            _within(value, *PARAM_BOUNDS[name][:2], f"params.{name}", PARAM_BOUNDS[name][2])
 
 
 @dataclass(frozen=True)
@@ -220,6 +253,7 @@ class ScenarioConfig:
         ticks = self.duration * self.tick_rate
         require(ticks <= MAX_TICKS, "duration", f"times tick_rate must give at most {MAX_TICKS} "
                 f"ticks, got {ticks:g}")
+        _within(self.tick_rate, *TICK_RATES, "tick_rate", "Hz")
         require(self.road in ROAD_TYPES, "road", f"must be one of {ROAD_TYPES}")
         require(self.light in LIGHT_CONDITIONS, "light", f"must be one of {LIGHT_CONDITIONS}")
         for i, v in enumerate(self.vehicles):
@@ -463,6 +497,8 @@ class _VehicleSim:
 
     def __init__(self, cfg: VehicleConfig, z_user_at_spawn: float, spawn_t: float):
         self.cfg = cfg
+        self.cls = cfg.cls
+        self.height = CLASS_DIMENSIONS[cfg.cls][1]
         self.speed = cfg.speed
         self.x = cfg.x0
         self.z = cfg.z0 + z_user_at_spawn
@@ -482,29 +518,75 @@ class _VehicleSim:
 
     def step(self, t: float, dt: float):
         p = self.cfg
-        if p.profile == "decelerate-at" and t >= p.params["at"]:
-            self.speed = max(0.0, self.speed - p.params["rate"] * dt)
-        self.vx, self.vz = self._velocity(t)
+        # a constant vehicle keeps the velocity it spawned with
+        if p.profile != "constant":
+            if p.profile == "decelerate-at" and t >= p.params["at"]:
+                self.speed = max(0.0, self.speed - p.params["rate"] * dt)
+            self.vx, self.vz = self._velocity(t)
         self.x += self.vx * dt
         self.z += self.vz * dt
 
 
+def _occluded(views, sector: float) -> list:
+    """Which of the (range, bearing) pairs are hidden: an object is hidden
+    when some strictly nearer one lies within `sector` of its bearing,
+    abs(Δbearing) < sector.
+
+    A sweep in order of range keeps the bearings of the objects already
+    passed, sorted; an object is tested only once every strictly nearer
+    one is in, and only against the bearing on each side of its own,
+    since float subtraction is monotone and those two are the nearest.
+    A NaN range compares false both ways, and no difference of a
+    non-finite bearing falls below a sector, so such an object neither
+    hides nor is hidden and stays out of the sweep.
+    """
+    hidden = [False] * len(views)
+    order = sorted((i for i, (r, b) in enumerate(views) if r == r and math.isfinite(b)),
+                   key=lambda i: views[i][0])
+    nearer, tied = [], []   # bearings passed; those at the current range
+    last = None
+    for i in order:
+        r, b = views[i]
+        if r != last:
+            for other in tied:
+                insort(nearer, other)
+            tied, last = [], r
+        j = bisect_left(nearer, b)
+        hidden[i] = ((j < len(nearer) and abs(nearer[j] - b) < sector)
+                     or (j > 0 and abs(nearer[j - 1] - b) < sector))
+        tied.append(b)
+    return hidden
+
+
 def generate(config: ScenarioConfig):
-    """Produce (frames, truth) for a scenario config."""
+    """Produce (frames, truth) for a scenario config.
+
+    Each tick, every spawned vehicle is a truth object, in config order;
+    vehicles that spawn on the same tick take ids in config order.  An
+    object is visible when it is in front of the camera plane and inside
+    the view cone.  A visible object is occluded when some strictly
+    nearer visible object lies within `detector.occlusion_sector` of its
+    bearing; that is decided before its detection trial, so an occluded
+    object draws nothing from the generator.  A detected box gets its
+    noise and must then lie inside the padded image.
+    """
     rng = np.random.default_rng(config.seed)
     dt = 1.0 / config.tick_rate
     n_ticks = int(round(config.duration * config.tick_rate))
     hm = config.resolved_head_motion()
     user_speed = config.user.resolved_speed()
     cam = config.camera
-    half_fov = config.detector.fov / 2
+    det = config.detector
+    half_fov = det.fov / 2
 
     yaw_phase = rng.uniform(0.0, 2.0 * math.pi)
     pitch_phase = rng.uniform(0.0, 2.0 * math.pi)
 
-    sims = [None] * len(config.vehicles)
+    # the vehicles yet to spawn, the next one last; only spawned ones are walked
+    vehicles = config.vehicles
+    queue = sorted(range(len(vehicles)), key=lambda i: (vehicles[i].spawn_time, i), reverse=True)
+    live = []   # (config index, object id, sim), in config order
     next_object_id = 1
-    object_ids = [None] * len(config.vehicles)
 
     frames = []
     truth = []
@@ -520,53 +602,42 @@ def generate(config: ScenarioConfig):
         yaw += rng.normal(0.0, hm.jitter_std)
         pose = ImuPose(pitch=pitch, yaw=normalize_angle(yaw))
 
-        objects = []
-        for i, vcfg in enumerate(config.vehicles):
-            if t < vcfg.spawn_time:
-                continue
-            if sims[i] is None:
-                sims[i] = _VehicleSim(vcfg, z_user, t)
-                object_ids[i] = next_object_id
+        for _, _, sim in live:
+            sim.step(t, dt)
+        born = []
+        while queue and t >= vehicles[queue[-1]].spawn_time:
+            born.append(queue.pop())
+        if born:
+            for i in sorted(born):
+                live.append((i, next_object_id, _VehicleSim(vehicles[i], z_user, t)))
                 next_object_id += 1
-            elif k > 0:
-                sims[i].step(t, dt)
-            sim = sims[i]
-            objects.append(
-                GroundTruthObject(
-                    id=object_ids[i],
-                    cls=vcfg.cls,
-                    x=sim.x,
-                    z=sim.z - z_user,
-                    vx=sim.vx,
-                    vz=sim.vz - user_speed,
-                    height=CLASS_DIMENSIONS[vcfg.cls][1],
-                )
-            )
-        truth.append(GroundTruthTick(t=t, pose=pose, objects=tuple(objects)))
+            live.sort(key=itemgetter(0))
 
-        # geometric visibility first, then the detection trial
+        objects = tuple([
+            GroundTruthObject(oid, sim.cls, sim.x, sim.z - z_user, sim.vx, sim.vz - user_speed,
+                              sim.height)
+            for _, oid, sim in live])
+        truth.append(GroundTruthTick(t=t, pose=pose, objects=objects))
+
+        # geometric visibility first, then occlusion, then the detection trial
         project = _pose_projector(pose, cam)
-        visible = []
+        visible, views = [], []
         for obj in objects:
             box = project(obj.x, obj.z, obj.cls)
             if box is None or abs(box[4]) > half_fov:
                 continue
             visible.append((obj, box))
+            views.append((math.hypot(obj.x, obj.z), box[4]))
         detections = []
-        for obj, (u, v_bottom, w_px, h_px, bearing) in visible:
-            occluded = any(
-                other.range < obj.range
-                and abs(other_bearing - bearing) < config.detector.occlusion_sector
-                for other, (*_, other_bearing) in visible
-                if other.id != obj.id
-            )
-            if occluded:
+        for (obj, (u, v_bottom, w_px, h_px, _)), (range_m, _), hidden in zip(
+                visible, views, _occluded(views, det.occlusion_sector)):
+            if hidden:
                 continue
-            p_det = detector_model(obj.range, obj.cls, config.light, config.detector, config.tick_rate)
+            p_det = detector_model(range_m, obj.cls, config.light, det, config.tick_rate)
             if rng.random() >= p_det:
                 continue
-            if config.detector.box_noise_px > 0:
-                noise = rng.normal(0.0, config.detector.box_noise_px, size=4)
+            if det.box_noise_px > 0:
+                noise = rng.normal(0.0, det.box_noise_px, size=4)
                 u, v_bottom = u + noise[0], v_bottom + noise[1]
                 w_px = max(2.0, w_px + noise[2])
                 h_px = max(2.0, h_px + noise[3])

@@ -124,6 +124,18 @@ def test_generate_rejects_a_non_finite_number_by_its_path(tmp_path, capsys, text
     assert not (tmp_path / "g").exists()
 
 
+def test_generate_refuses_the_lane_change_that_wrote_nan_truth(tmp_path, capsys):
+    """x0 1e308 changing lane to -1e308 used to exit 0 with NaN in 15 truth
+    lines, for `run` to refuse the file (exit 3)."""
+    cfg = tmp_path / "scen.yaml"
+    cfg.write_text("seed: 3\nduration: 2.0\nvehicles:\n"
+                   "  - {cls: car, spawn_time: 0.0, x0: 1.0e+308, z0: -20.0, speed: 3.0,\n"
+                   "     profile: lane-change-at, params: {at: 0.5, to_x: -1.0e+308, duration: 1.0}}\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: vehicles[0].x0: must be in [-1000, 1000] m, got 1e+308\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_one_scenario_file_with_out_serves_generate_run_and_compare(tmp_path):
     """A scenario's `out` sets only where `generate` writes; a run's
     `scenario` and a compare entry read the same file and ignore it."""
@@ -711,7 +723,7 @@ def test_compare_duplicate_scenario_name_is_a_config_error(tmp_path, capsys):
         {"name": "cars", "scenario": {**SCENARIO, "seed": 32}},
     ])
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == EXIT_CONFIG
-    assert "duplicate scenario name: 'cars'" in capsys.readouterr().err
+    assert "scenarios: duplicate name 'cars'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seeds", [[1, "two"], [-1], [1, 1], []],
@@ -743,7 +755,7 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
                  id="suite-unknown"),
     pytest.param({"budget_match": "false"}, "budget_match: expected bool, got 'false'",
                  id="budget-match-quoted"),
-    pytest.param({"samplers": []}, "at least one sampler is required", id="samplers-empty"),
+    pytest.param({"samplers": []}, "samplers: at least one is required", id="samplers-empty"),
     pytest.param({"warmup_s": True}, "warmup_s: expected float, got True", id="warmup-true"),
     pytest.param({"seeds": [True]}, "seeds: expected a list of non-negative integers",
                  id="seeds-true"),

@@ -554,12 +554,12 @@ def two_quick_scenarios():
 
 
 def test_empty_suite_is_a_config_error():
-    with pytest.raises(InvalidConfig, match="scenario"):
+    with pytest.raises(InvalidConfig, match="^scenarios: at least one is required$"):
         compare([], ["everyframe"], NO_WARMUP)
 
 
 def test_empty_sampler_list_is_a_config_error():
-    with pytest.raises(InvalidConfig, match="sampler"):
+    with pytest.raises(InvalidConfig, match="^samplers: at least one is required$"):
         compare(two_quick_scenarios(), [], NO_WARMUP)
 
 
@@ -571,9 +571,9 @@ def test_unknown_sampler_in_compare_is_a_config_error():
 @pytest.mark.parametrize(
     "names, kinds, seeds, message",
     [
-        (("alpha", "alpha"), ["everyframe"], None, "duplicate scenario name: 'alpha'"),
+        (("alpha", "alpha"), ["everyframe"], None, "^scenarios: duplicate name 'alpha'$"),
         (("alpha", "bravo"), ["sarsa", "everyframe", "sarsa"], None,
-         "duplicate sampler kind: 'sarsa'"),
+         "^samplers: duplicate kind 'sarsa'$"),
         (("alpha", "bravo"), ["everyframe"], [1, 1], r"got \[1, 1\]; seed 1 repeats"),
         (("alpha", "bravo"), ["everyframe"], [], r"seeds: .*at least one.*got \[\]"),
     ],

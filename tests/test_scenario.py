@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, pose_model
@@ -110,6 +110,35 @@ def test_invalid_value_is_named(change, message):
     with pytest.raises(InvalidConfig) as err:
         config_from_dict({"seed": 1, **change})
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"vehicles": [{**CAR, "x0": 1e308, "profile": "lane-change-at",
+                    "params": {"at": 0.5, "to_x": -1e308, "duration": 1.0}}]},
+     "vehicles[0].x0: must be in [-1000, 1000] m, got 1e+308"),
+    ({"vehicles": [{**CAR, "z0": -1000.5}]}, "vehicles[0].z0: must be in [-1000, 1000] m, got -1000.5"),
+    ({"vehicles": [{**CAR, "speed": 100.5}]}, "vehicles[0].speed: must be in [0, 100] m/s, got 100.5"),
+    ({"vehicles": [{**CAR, "profile": "lane-change-at",
+                    "params": {"at": 0.5, "to_x": -1e308, "duration": 1.0}}]},
+     "vehicles[0].params.to_x: must be in [-1000, 1000] m, got -1e+308"),
+    ({"vehicles": [{**CAR, "profile": "lane-change-at",
+                    "params": {"at": 0.5, "to_x": 1.0, "duration": 0.05}}]},
+     "vehicles[0].params.duration: must be in [0.1, 1e+06] s, got 0.05"),
+    ({"vehicles": [{**CAR, "profile": "decelerate-at", "params": {"at": -1.0, "rate": 1.0}}]},
+     "vehicles[0].params.at: must be in [0, 1e+06] s, got -1.0"),
+    ({"vehicles": [{**CAR, "profile": "decelerate-at", "params": {"at": 1.0, "rate": 1e300}}]},
+     "vehicles[0].params.rate: must be in [0, 100] m/s^2, got 1e+300"),
+    ({"user": {"speed": 1e308}}, "user.speed: must be in [0, 100] m/s, got 1e+308"),
+    ({"tick_rate": 0.5}, "tick_rate: must be in [1, 1000] Hz, got 0.5"),
+    ({"tick_rate": 2000.0, "duration": 1.0}, "tick_rate: must be in [1, 1000] Hz, got 2000.0"),
+], ids=["lane-change-nan-truth", "z0", "speed", "to-x", "lane-change-too-short", "at-negative",
+        "rate", "user-speed", "tick-rate-low", "tick-rate-high"])
+def test_value_past_its_physical_bound_is_named(change, message):
+    """Finite values used to pass however large; x0 1e308 changing lane to
+    -1e308 wrote NaN into the truth file, for `run` to refuse it."""
+    with pytest.raises(InvalidConfig) as err:
+        config_from_dict({"seed": 1, **change})
+    assert str(err.value) == message
 
 
 def test_tick_count_bound_is_inclusive():
@@ -442,6 +471,96 @@ def test_occlusion_hides_aligned_far_vehicle():
             assert det.h > 90.0
             total += 1
     assert total > 10
+
+
+def _occluded_oracle(views, sector):
+    """The occlusion rule as generate first wrote it, over every pair."""
+    return [any(r_other < r and abs(b_other - b) < sector
+                for j, (r_other, b_other) in enumerate(views) if j != i)
+            for i, (r, b) in enumerate(views)]
+
+
+_SECTOR = 0.0625   # a power of two, so bearing steps of it differ by it exactly
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan)
+_RANGES = st.sampled_from((1.0, 5.0, 12.5) + _SPECIAL) | st.floats()
+_BEARINGS = (st.integers(-4, 4).map(lambda k: k * _SECTOR) | st.sampled_from(_SPECIAL)
+             | st.floats(-1.0, 1.0) | st.floats())
+_SECTORS = st.sampled_from((_SECTOR, 0.05, math.radians(3.0), 0.0, -_SECTOR, math.inf, math.nan))
+
+
+@settings(max_examples=600, deadline=None)
+@given(views=st.lists(st.tuples(_RANGES, _BEARINGS), max_size=12),
+       sector=_SECTORS | st.floats(0.0, 1.0))
+def test_occlusion_sweep_hides_what_every_pair_hides(views, sector):
+    """The range-sorted sweep hides exactly what the all-pairs rule hides,
+    with equal ranges, equal bearings, bearings exactly a sector apart,
+    infinities and NaNs."""
+    assert scenario._occluded(views, sector) == _occluded_oracle(views, sector)
+
+
+def test_occlusion_ignores_a_nan_range():
+    """A NaN range sorts nowhere; a sweep that sorted it in missed that the
+    1 m object hides the 5 m one."""
+    views = [(math.nan, 0.0), (1.0, 0.01), (5.0, 0.0)]
+    assert scenario._occluded(views, 0.05) == _occluded_oracle(views, 0.05) == [False, False, True]
+
+
+def _corners(lo, hi):
+    return st.sampled_from((lo, hi))
+
+
+@st.composite
+def scenes_at_the_bounds(draw):
+    """Scenes whose bounded fields sit at their limits: offsets and a lane
+    change's target at +-1 km, speeds of 0 or 100 m/s, the shortest lane
+    change and the strongest braking, at the least and the most ticks per
+    second, with any finite heading."""
+    tick_rate = draw(_corners(*scenario.TICK_RATES))
+    duration = draw(st.sampled_from((1, 40, 300))) / tick_rate
+    vehicles = []
+    for _ in range(draw(st.integers(1, 3))):
+        profile = draw(st.sampled_from(scenario.VEHICLE_PROFILES))
+        params = {}
+        for name in scenario.PROFILE_PARAMS.get(profile, ()):
+            lo, hi, _ = scenario.PARAM_BOUNDS[name]
+            # 0 is a time on the scene's clock, and a rate must be positive
+            lo = {"at": duration / 2, "rate": 1e-3}.get(name, lo)
+            params[name] = draw(st.sampled_from((lo, hi, 0.0)) if name == "at" else _corners(lo, hi))
+        vehicles.append(VehicleConfig(
+            cls=draw(st.sampled_from(VEHICLE_CLASSES)),
+            spawn_time=draw(_corners(0.0, duration - 1 / tick_rate)),
+            x0=draw(_corners(-scenario.MAX_OFFSET_M, scenario.MAX_OFFSET_M)),
+            z0=draw(_corners(-scenario.MAX_OFFSET_M, scenario.MAX_OFFSET_M)),
+            speed=draw(_corners(0.0, scenario.MAX_SPEED)),
+            heading=draw(st.floats(allow_nan=False, allow_infinity=False)),
+            profile=profile, params=params))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**31)), duration=duration, tick_rate=tick_rate,
+        user=UserConfig(mode=draw(st.sampled_from(USER_MODES)),
+                        speed=draw(_corners(0.0, scenario.MAX_SPEED))),
+        vehicles=tuple(vehicles))
+
+
+# the sharpest lane change, from one bound to the other, as the scene starts
+SHARPEST_LANE_CHANGE = ScenarioConfig(
+    seed=1, duration=3.0, tick_rate=scenario.TICK_RATES[0],
+    vehicles=(VehicleConfig("car", 0.0, x0=scenario.MAX_OFFSET_M, z0=-scenario.MAX_OFFSET_M,
+                            speed=scenario.MAX_SPEED, profile="lane-change-at",
+                            params={"at": 0.0, "to_x": -scenario.MAX_OFFSET_M,
+                                    "duration": scenario.MIN_LANE_CHANGE_S}),))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenes_at_the_bounds())
+@example(SHARPEST_LANE_CHANGE)
+def test_generate_at_the_bounds_writes_only_finite_numbers(cfg):
+    frames, truth = generate(cfg)
+    numbers = [number for tick in truth
+               for number in (tick.t, tick.pose.pitch, tick.pose.yaw,
+                              *(v for o in tick.objects for v in (o.x, o.z, o.vx, o.vz, o.height)))]
+    numbers += [number for frame in frames for d in frame.detections
+                for number in (d.x, d.y, d.w, d.h, d.score)]
+    assert all(map(math.isfinite, numbers))
 
 
 # --------------------------------------------------------------- detector
