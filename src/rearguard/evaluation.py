@@ -87,6 +87,7 @@ class PipelineConfig(RiskConfig):
     def __post_init__(self):
         super().__post_init__()
         require_finite(self, "warmup_s")
+        require(self.warmup_s >= 0, "warmup_s", f"must be non-negative, got {self.warmup_s!r}")
 
 
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):

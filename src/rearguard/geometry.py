@@ -41,9 +41,11 @@ inverse takes the box's bottom-centre column as n = (u - c_x) * d / f_x,
 without the forward model's cos(theta_p).
 
 This model has one home, ``pose_model``, which binds a pose once and
-returns three functions: ``observe`` and ``jacobian`` of a user-frame
-object, and ``locate`` of a detection box.  Callers bind the model for
-the frame's pose and call these directly, one object or many.
+returns three functions and the horizon row: ``observe`` and
+``jacobian`` of a user-frame object, ``locate`` of a detection box, and
+``y_h``.  Callers bind the model once for the frame's pose and call
+these directly, one object or many; ``pose_model`` is the only caller
+of ``horizon_line``.
 
 Every module imports this one and it imports no other, so it also holds
 what they all use to refuse input: the number tests, the error types and
@@ -182,7 +184,7 @@ def horizon_line(intr: CameraIntrinsics, pitch: float) -> float:
 
 def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
     """The camera model for one pose, its trigonometry done once, as the
-    three functions (observe, jacobian, locate).
+    three functions and the horizon row (observe, jacobian, locate, y_h).
 
     ``observe(x, z, obj_height)`` gives a user-frame object's camera-frame
     ``n, d`` and its observation triple, five Python floats, or None when
@@ -192,13 +194,17 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
     ``locate(box)`` gives the user-frame ``x, z`` of a box's bottom centre,
     the object height and the depth, four Python floats, or None when the
     contact row is ``DEFAULT_MIN_DY_PX`` or less below the horizon; depth
-    is clamped to ``DEFAULT_MAX_DEPTH_M``.  A plain triple: binding runs
-    once per frame on every path, and a named tuple would double its cost.
+    is clamped to ``DEFAULT_MAX_DEPTH_M``.  ``y_h`` is ``horizon_line`` for
+    the pose's pitch, the row that ``observe``'s horizon deviation and
+    ``locate``'s contact row are measured from.  A plain tuple: binding
+    runs once per frame on every path, and a named tuple would double its
+    cost.
     """
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     cos_pitch = math.cos(pose.pitch)
     f_x, f_y, c_x = intr.f_x, intr.f_y, intr.c_x
     contact = f_y * camera_height
+    y_h = horizon_line(intr, pose.pitch)
 
     def observe(x: float, z: float, obj_height: float):
         n, d = c * x + s * z, -s * x + c * z
@@ -217,13 +223,12 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
                 contact * s / d2, -contact * c / d2, 0.0, 0.0)
 
     def locate(box: BoundingBox2D):
-        # the horizon row here, not at binding: most binds never locate
-        dy = box.y + box.h - horizon_line(intr, pose.pitch)
+        dy = box.y + box.h - y_h
         if dy <= DEFAULT_MIN_DY_PX:
             return None
         depth = min(contact / dy, DEFAULT_MAX_DEPTH_M)
         n = (box.x + box.w / 2.0 - c_x) * depth / f_x
         return c * n - s * depth, s * n + c * depth, box.h * depth / f_y, depth
 
-    return observe, jacobian, locate
+    return observe, jacobian, locate, y_h
 

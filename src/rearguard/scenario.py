@@ -40,7 +40,6 @@ from .geometry import (
     InvalidConfig,
     ParseError,
     VersionMismatch,
-    horizon_line,
     is_finite_number,
     is_number,
     normalize_angle,
@@ -81,6 +80,7 @@ MAX_OFFSET_M = 1000.0        # |x0|, |z0| and |to_x|, meters from the user
 MAX_SPEED = 100.0            # m/s, of a vehicle or the user
 MAX_DECELERATION = 100.0     # m/s^2, a decelerate-at rate
 MIN_LANE_CHANGE_S = 0.1      # s, a lane-change-at duration
+MIN_HEAD_PERIOD_S = 0.1      # s, a head_motion yaw or pitch period
 # each profile parameter's closed range and unit
 PARAM_BOUNDS = {"at": (0.0, MAX_SECONDS, "s"), "rate": (0.0, MAX_DECELERATION, "m/s^2"),
                 "to_x": (-MAX_OFFSET_M, MAX_OFFSET_M, "m"),
@@ -151,6 +151,15 @@ class UserConfig:
 
 @dataclass(frozen=True)
 class HeadMotionConfig:
+    """Head sway: a sine in yaw and one in pitch, plus per-tick jitter.
+
+    Periods are at least MIN_HEAD_PERIOD_S, a 10 Hz sway no head makes;
+    finite alone did not suffice: a yaw_period of 1e-307 overflowed
+    2 * pi * t / period to inf, and math.sin(inf) raised inside generate.
+    A yaw swing of more than pi each way is more than a half turn of the
+    head, so |yaw_amplitude| is at most pi.
+    """
+
     yaw_amplitude: float
     yaw_period: float
     pitch_amplitude: float
@@ -160,8 +169,12 @@ class HeadMotionConfig:
     def __post_init__(self):
         require_finite(self, "yaw_amplitude", "yaw_period", "pitch_amplitude", "pitch_period",
                        "jitter_std")
-        require(self.yaw_period > 0, "yaw_period", "must be positive")
-        require(self.pitch_period > 0, "pitch_period", "must be positive")
+        for name in ("yaw_period", "pitch_period"):
+            period = getattr(self, name)
+            require(period >= MIN_HEAD_PERIOD_S, name,
+                    f"must be at least {MIN_HEAD_PERIOD_S:g} s, got {period!r}")
+        require(abs(self.yaw_amplitude) <= math.pi, "yaw_amplitude",
+                f"must be at most pi in magnitude, got {self.yaw_amplitude!r}")
         require(self.jitter_std >= 0, "jitter_std", "must be non-negative")
         require(abs(self.pitch_amplitude) + 6 * self.jitter_std < math.pi / 2, "pitch_amplitude",
                 "plus 6 jitter_std must stay below pi/2, the pitch limit")
@@ -221,7 +234,13 @@ class DetectorConfig:
         require_finite(self, "box_noise_px", "night_factor", "occlusion_sector")
         require(0 < self.night_factor <= 1, "night_factor", "must be in (0, 1]")
         require(self.box_noise_px >= 0, "box_noise_px", "must be non-negative")
+        require(0 <= self.occlusion_sector < math.pi, "occlusion_sector",
+                f"must be in [0, pi), got {self.occlusion_sector!r}")
         _mapping(self, "first_detect_m", "spread_m")
+        for name in ("first_detect_m", "spread_m"):
+            for cls in getattr(self, name):
+                require(cls in VEHICLE_CLASSES, f"{name}.{cls}",
+                        f"unknown class, expected one of {VEHICLE_CLASSES}")
         for cls in VEHICLE_CLASSES:
             # the calibration approach starts at REF_APPROACH_START
             median = self.first_detect_m.get(cls)
@@ -437,9 +456,8 @@ def _pose_projector(pose: ImuPose, cam: CameraConfig):
     plane (closer than half a metre counts as behind; a box that close is
     degenerate).
     """
-    observe, _, _ = pose_model(pose, cam.intrinsics, cam.camera_height)
+    observe, _, _, y_h = pose_model(pose, cam.intrinsics, cam.camera_height)
     f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
-    y_h = horizon_line(cam.intrinsics, pose.pitch)
 
     def project(x: float, z: float, cls: str) -> tuple | None:
         w_obj, h_obj = CLASS_DIMENSIONS[cls]
@@ -727,6 +745,8 @@ def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
                         raw["tick_rate"], raw["duration"], *image_size), "header")
         camera = CameraConfig(intrinsics=CameraIntrinsics(**intr), camera_height=raw["camera_height"],
                               image_size=tuple(image_size))
+        # the scenario's own rules for the seed, tick rate and duration it wrote
+        ScenarioConfig(raw["seed"], raw["duration"], raw["tick_rate"], camera=camera)
         header = TraceHeader(camera, raw["tick_rate"], raw["seed"], raw["duration"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc

@@ -2,12 +2,14 @@
 
 State per track is [x, z, vx, vz] in the user frame with a constant
 velocity model; the measurement is the pixel-space observation triple
-of geometry.pose_model, linearized on the fly (EKF).  Blink to blink
-association maximises the total IoU between detections and the tracks'
-predicted boxes; it binds the pose model once per blink and projects
-each track once, and the update reuses that predicted triple for its
-residual.  Among the assignments whose math.fsum total is optimal it
-returns the lexicographically smallest sorted pair list.
+of geometry.pose_model, linearized on the fly (EKF).  step() binds the
+pose model once per blink that holds a track or a detection, and hands
+that one bind to association, the update and the spawns.  Blink to
+blink association maximises the total IoU between detections and the
+tracks' predicted boxes; it projects each track once through the bound
+observe, and the update reuses that predicted triple for its residual.
+Among the assignments whose math.fsum total is optimal it returns the
+lexicographically smallest sorted pair list.
 
 Association works on Python lists, since a blink holds a few tracks
 and detections and numpy's fixed cost per call would exceed the work:
@@ -52,7 +54,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import geometry
-from .geometry import BoundingBox2D, CameraIntrinsics, ImuPose, require, require_finite
+from .geometry import BoundingBox2D, CameraIntrinsics, require, require_finite
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 
@@ -401,41 +403,30 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     return pairs, math.fsum(weights[r, c] for r, c in pairs)
 
 
-def match(
-    tracks,
-    detections,
-    pose: ImuPose,
-    intr: CameraIntrinsics,
-    camera_height: float,
-    iou_gate: float = 0.1,
-) -> Assignment:
+def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) -> Assignment:
     """Associate detections to tracks by maximum total IoU.
 
-    One pose model projects each track with a last box once; the triples
-    come back in the Assignment's `predicted`, for the update to reuse.
-    The predicted box takes its bottom centre from the triple and its size
-    from the last box.  Pairs below the gate (or with zero overlap) are
-    never matched.  Tracks whose predicted state is behind the camera
-    this blink are unmatched by construction.
+    observe and y_h are the blink's bound geometry.pose_model members and
+    c_x the principal column.  observe projects each track with a last
+    box once; the triples come back in the Assignment's `predicted`, for
+    the update to reuse.  The predicted box takes its bottom centre from
+    the triple and its size from the last box.  Pairs below the gate (or
+    with zero overlap) are never matched.  Tracks whose predicted state is
+    behind the camera this blink are unmatched by construction.
     """
     ordered = sorted(tracks, key=lambda t: t.id)
     nd = len(detections)
     predicted, rows = {}, []
-    observe = y_h = None
     for track in ordered:
         row = [0.0] * nd
         last = track.last_box
         if last is not None:
-            if observe is None:
-                observe, _, _ = geometry.pose_model(pose, intr, camera_height)
-                y_h = geometry.horizon_line(intr, pose.pitch)
             obs = observe(track.x, track.z, track.obj_height)
             if obs is not None:
                 _, _, u_offset, _, deviation = obs
                 predicted[track.id] = obs[2:]
                 w, h = last.w, last.h
-                ious = _iou_row(intr.c_x + u_offset - w / 2.0, y_h + deviation - h, w, h,
-                                detections)
+                ious = _iou_row(c_x + u_offset - w / 2.0, y_h + deviation - h, w, h, detections)
                 row = [v if v > 0.0 and v >= iou_gate else 0.0 for v in ious]
         rows.append(row)
     # a gated weight is positive exactly when its cell is eligible
@@ -509,23 +500,18 @@ def step(
     if tracker.last_frame_t is not None and frame.t <= tracker.last_frame_t:
         raise ValueError("frame timestamps must be strictly increasing")
     tracker = advance(tracker, frame.t, config)
-    pose = frame.pose
     detections = frame.detections
     if not tracker.tracks and not detections:
         # nothing to associate, update or spawn: the full path's state
         out = TrackerState((), tracker.next_id, frame.t, frame.t)
         return out, out.tracks
 
-    assignment = match(
-        tracker.tracks, detections, pose, intr, camera_height, config.iou_gate
-    )
-    # match binds its own model, since its signature is public
-    _, jacobian, locate = geometry.pose_model(pose, intr, camera_height)
+    observe, jacobian, locate, y_h = geometry.pose_model(frame.pose, intr, camera_height)
+    assignment = match(tracker.tracks, detections, observe, y_h, intr.c_x, config.iou_gate)
 
     updated: dict[int, Track] = {}
     if assignment.pairs:
         by_id = {t.id: t for t in tracker.tracks}
-        y_h = geometry.horizon_line(intr, pose.pitch)
         matched, observed, predicted = [], [], []
         for tid, j in assignment.pairs:
             det = detections[j]

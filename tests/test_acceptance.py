@@ -61,7 +61,7 @@ def test_criterion_01_ground_depth_roundtrip():
     for _ in range(10_000):
         depth = rng.uniform(2.0, 60.0)
         pitch = rng.uniform(-math.radians(15), math.radians(15))
-        observe, _, locate = pose_model(ImuPose(pitch, 0.0), INTR, H_E)
+        observe, _, locate, _ = pose_model(ImuPose(pitch, 0.0), INTR, H_E)
         box = box_with_bottom(horizon_line(INTR, pitch) + observe(0.0, depth, 1.5)[4])
         located = locate(box)
         assert located is not None

@@ -379,6 +379,36 @@ QTABLE_FILES = {
         "yaw_amplitude": 0.1, "yaw_period": 4.0, "pitch_amplitude": 1.6, "pitch_period": 3.5,
         "jitter_std": 0.0}}}, EXIT_CONFIG, "head_motion.pitch_amplitude:", id="pitch-amplitude-too-big"),
     pytest.param({"seed": -1}, EXIT_CONFIG, "seed: must be non-negative", id="seed-negative"),
+    # each of these used to configure nothing and exit 0
+    pytest.param({"scenario": {**SCENARIO, "detector": {
+        "first_detect_m": {"car": 12.0, "cycle": 6.0, "truck": 3.0}}}}, EXIT_CONFIG,
+                 "detector.first_detect_m.truck: unknown class, expected one of ('car', 'cycle')",
+                 id="first-detect-unknown-class"),
+    pytest.param({"scenario": {**SCENARIO, "detector": {
+        "spread_m": {"car": 1.2, "cycle": 0.8, "truck": 3.0}}}}, EXIT_CONFIG,
+                 "detector.spread_m.truck: unknown class, expected one of ('car', 'cycle')",
+                 id="spread-unknown-class"),
+    pytest.param({"scenario": {**SCENARIO, "detector": {"occlusion_sector": -0.1}}}, EXIT_CONFIG,
+                 "detector.occlusion_sector: must be in [0, pi), got -0.1",
+                 id="occlusion-sector-negative"),
+    pytest.param({"warmup_s": -1.0}, EXIT_CONFIG,
+                 "warmup_s: must be non-negative, got -1.0", id="warmup-negative"),
+    # a 1e-307 period used to exit 4: 2 * pi * t / period overflowed, and sin(inf) raised
+    pytest.param({"scenario": {**SCENARIO, "head_motion": {
+        "yaw_amplitude": 0.1, "yaw_period": 1e-307, "pitch_amplitude": 0.04, "pitch_period": 3.5,
+        "jitter_std": 0.0}}}, EXIT_CONFIG,
+                 "head_motion.yaw_period: must be at least 0.1 s, got 1e-307",
+                 id="yaw-period-tiny"),
+    pytest.param({"scenario": {**SCENARIO, "head_motion": {
+        "yaw_amplitude": 0.1, "yaw_period": 4.0, "pitch_amplitude": 0.04, "pitch_period": 0.05,
+        "jitter_std": 0.0}}}, EXIT_CONFIG,
+                 "head_motion.pitch_period: must be at least 0.1 s, got 0.05",
+                 id="pitch-period-below-bound"),
+    pytest.param({"scenario": {**SCENARIO, "head_motion": {
+        "yaw_amplitude": -4.0, "yaw_period": 4.0, "pitch_amplitude": 0.04, "pitch_period": 3.5,
+        "jitter_std": 0.0}}}, EXIT_CONFIG,
+                 "head_motion.yaw_amplitude: must be at most pi in magnitude, got -4.0",
+                 id="yaw-amplitude-beyond-pi"),
     pytest.param({"risk": {"reaction_time": 0}}, EXIT_CONFIG,
                  "risk.reaction_time: must be a positive finite number, got 0",
                  id="reaction-time-zero"),
@@ -620,18 +650,25 @@ def _bad_header_focal(trace, truth):
     return "trace", 1
 
 
-def _bad_header_camera_height(trace, truth):
-    trace[0]["camera_height"] = 0
-    return "trace", 1
+def _set_header(name, field, value):
+    def mutate(trace, truth):
+        {"trace": trace, "truth": truth}[name][0][field] = value
+        return name, 1
+    return mutate
 
 
+# the seed, tick rate and duration cases used to load and run (exit 0)
 @pytest.mark.parametrize("mutate", [
     _set_box(0, float("nan")), _set_box(1, "top"), _set_box(2, 0.0), _set_box(3, -4.0),
     _set_pitch, _repeat_t, _shift_truth_t, _truncate_truth, _nan_truth_object,
-    _unknown_truth_class, _bad_header_focal, _bad_header_camera_height,
+    _unknown_truth_class, _bad_header_focal, _set_header("trace", "camera_height", 0),
+    _set_header("trace", "seed", "abc"), _set_header("trace", "seed", 3.5),
+    _set_header("trace", "tick_rate", -10), _set_header("truth", "duration", 0),
 ], ids=["nan-box", "box-not-a-number", "zero-width", "negative-height", "pitch-out-of-range",
         "t-not-increasing", "truth-t-disagrees", "truth-truncated", "nan-truth-object",
-        "unknown-truth-class", "header-focal-zero", "header-camera-height-zero"])
+        "unknown-truth-class", "header-focal-zero", "header-camera-height-zero",
+        "header-seed-string", "header-seed-fraction", "header-tick-rate-negative",
+        "header-duration-zero"])
 def test_run_rejects_bad_input_file_with_line_number(tmp_path, capsys, mutate):
     scen_cfg = write_yaml(tmp_path / "scen.yaml", SCENARIO)
     gen_out = tmp_path / "g"
@@ -757,6 +794,9 @@ def test_compare_seeds_must_be_non_negative_integers(tmp_path, capsys, seeds):
                  id="budget-match-quoted"),
     pytest.param({"samplers": []}, "samplers: at least one is required", id="samplers-empty"),
     pytest.param({"warmup_s": True}, "warmup_s: expected float, got True", id="warmup-true"),
+    # used to run, measuring from the first tick
+    pytest.param({"warmup_s": -5.0}, "warmup_s: must be non-negative, got -5.0",
+                 id="warmup-negative"),
     pytest.param({"seeds": [True]}, "seeds: expected a list of non-negative integers",
                  id="seeds-true"),
     pytest.param({"risk": {"reaction_time": False}}, "risk.reaction_time: expected float",

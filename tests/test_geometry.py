@@ -185,7 +185,7 @@ def test_locate_inverts_observe_at_zero_pitch(x, z, yaw, obj_height, w):
     """At pitch 0 the forward model has no cos(pitch) for locate to drop:
     the box observe places is located back at its user-frame point."""
     h_e = 1.55
-    observe, _, locate_box = pose_model(ImuPose(0.0, yaw), INTR, h_e)
+    observe, _, locate_box, _ = pose_model(ImuPose(0.0, yaw), INTR, h_e)
     obs = observe(x, z, obj_height)
     assume(obs is not None and 1.0 <= obs[1] <= 90.0)
     _, _, u_offset, h_px, deviation = obs

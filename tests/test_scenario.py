@@ -428,7 +428,7 @@ def test_noise_free_detections_invert_to_true_range():
             continue
         obj = tick.objects[0]
         _, d_true = camera_nd(obj.x, obj.z, frame.pose.yaw)
-        _, _, locate = pose_model(frame.pose, cfg.camera.intrinsics, cfg.camera.camera_height)
+        _, _, locate, _ = pose_model(frame.pose, cfg.camera.intrinsics, cfg.camera.camera_height)
         est = locate(frame.detections[0])[3]
         assert abs(est - d_true) / d_true <= 0.01
         checked += 1

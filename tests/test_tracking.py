@@ -294,7 +294,7 @@ def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
     closed form; a member behind the camera raises for the whole stack,
     as it does alone."""
     pose = ImuPose(pitch, yaw)
-    _, jacobian, _ = pose_model(pose, INTR, H_E)
+    _, jacobian, _, _ = pose_model(pose, INTR, H_E)
     behind = [camera_nd(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
     if any(behind):
         with pytest.raises(BehindCamera):
@@ -669,21 +669,27 @@ def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
     return BoundingBox2D(u - w / 2, v_bottom - obs[1], w, obs[1], cls=cls)
 
 
+def bound_match(tracks, detections, pose, iou_gate=TrackerConfig.iou_gate):
+    """match with the model bound for the pose, as step binds it."""
+    observe, _, _, y_h = pose_model(pose, INTR, H_E)
+    return match(tracks, detections, observe, y_h, INTR.c_x, iou_gate)
+
+
 def test_match_single_obvious_pair():
     tr = make_track(0.0, -10.0, 0.0, 2.0)
     tr = tr._replace(last_box=_det_box_for(0.0, -10.0, REAR))
     det = _det_box_for(0.0, -10.2, REAR)
-    a = match([tr], [det], REAR, INTR, H_E, iou_gate=0.1)
+    a = bound_match([tr], [det], REAR, iou_gate=0.1)
     assert a.pairs == ((1, 0),)
     assert a.unmatched_tracks == ()
     assert a.unmatched_detections == ()
 
 
 def test_match_empty_inputs():
-    a = match([], [], REAR, INTR, H_E)
+    a = bound_match([], [], REAR)
     assert a.pairs == ()
     det = _det_box_for(0.0, -10.0, REAR)
-    b = match([], [det], REAR, INTR, H_E)
+    b = bound_match([], [det], REAR)
     assert b.unmatched_detections == (0,)
 
 
@@ -735,7 +741,7 @@ def test_match_equals_the_full_matrix_reference(problem):
     """The list-based match gives the pairs and predicted triples of
     association on the full numpy weight matrix."""
     tracks, detections, pose, gate = problem
-    got = match(tracks, detections, pose, INTR, H_E, gate)
+    got = bound_match(tracks, detections, pose, gate)
     want_pairs, want_predicted = full_matrix_match(tracks, detections, pose, INTR, H_E, gate)
     assert got.pairs == want_pairs
     assert got.predicted.keys() == want_predicted.keys()
@@ -795,6 +801,17 @@ def test_step_ignores_detection_beyond_dmax():
     frame = FakeFrame(0.0, REAR, [_det_box_for(0.0, -45.0, REAR)])
     state, _ = step(TrackerState(), frame, cfg, INTR, H_E)
     assert state.tracks == ()
+
+
+@pytest.mark.parametrize("vz, kept", [(0.0, True), (-10.0, False)], ids=["stays", "leaves"])
+def test_step_retires_a_live_track_beyond_dmax(vz, kept):
+    """A track 29.5 m behind, receding at 10 m/s, is estimated 30.5 m away
+    on its next blink and dropped there, past d_max = 30 m; standing
+    still, with the same one miss, it stays."""
+    cfg = TrackerConfig(d_max=30.0, miss_max=3)
+    state = TrackerState((make_track(0.0, -29.5, 0.0, vz),), 2, 0.0, 0.0)
+    state, tracks = step(state, FakeFrame(0.1, REAR, []), cfg, INTR, H_E)
+    assert [tr.id for tr in tracks] == ([1] if kept else [])
 
 
 def test_step_rejects_non_increasing_frame_times():
@@ -887,8 +904,9 @@ def _dense_scenario(seed=6, vehicles=30, duration=20.0):
 def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     """match projects every live track once, and the update reuses those
     triples: a blink costs one pose-model observe call per live track,
-    whether the track is matched or not, and at most two binds of the
-    model (match's, and step's for the update and the spawns)."""
+    whether the track is matched or not.  step binds the model once for a
+    blink with a track or a detection, for association, the update and
+    the spawns, and not at all for an empty blink."""
     scen = _dense_scenario()
     frames, _ = scenario.generate(scen)
     bind, assign = tracking.geometry.pose_model, tracking.match
@@ -896,13 +914,13 @@ def test_step_projects_each_live_track_once_per_blink(monkeypatch):
 
     def counted_model(*args, **kwargs):
         binds.append(args)
-        observe, jacobian, locate = bind(*args, **kwargs)
+        observe, jacobian, locate, y_h = bind(*args, **kwargs)
 
         def counted_observe(*point):
             calls.append(point)
             return observe(*point)
 
-        return counted_observe, jacobian, locate
+        return counted_observe, jacobian, locate, y_h
 
     def counted_match(*args, **kwargs):
         result = assign(*args, **kwargs)
@@ -913,14 +931,16 @@ def test_step_projects_each_live_track_once_per_blink(monkeypatch):
     monkeypatch.setattr(tracking, "match", counted_match)
     cfg = TrackerConfig()
     state = TrackerState()
-    live = []
+    live, empty = [], 0
     for frame in frames:
         live.append(len(state.tracks))
         before, binds_before = len(calls), len(binds)
         state, _ = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
         assert len(calls) - before == live[-1]
-        assert len(binds) - binds_before <= 2
-    assert max(live) >= 5 and len(pairs) > len(frames)
+        busy = bool(live[-1] or frame.detections)
+        assert len(binds) - binds_before == int(busy)
+        empty += not busy
+    assert max(live) >= 5 and len(pairs) > len(frames) and empty > 0
 
 
 def test_dense_tracker_bytes_pinned():
