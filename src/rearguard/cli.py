@@ -204,7 +204,7 @@ def _resolve_run_inputs(cfg: RunConfig):
         return frames, truth, scen.camera, scen.detector.fov
     header, frames = read_trace(cfg.trace)
     theader, truth = read_truth(cfg.truth)
-    if header.seed != theader.seed or header.tick_rate != theader.tick_rate:
+    if header != theader:
         raise ParseError(f"{cfg.truth}: line 1: trace and truth headers disagree; "
                          "not the same run")
     check_aligned(frames, truth, cfg.truth)

@@ -63,6 +63,10 @@ from numbers import Real
 DEFAULT_MAX_DEPTH_M = 100.0
 DEFAULT_MIN_DY_PX = 1.0
 
+# No camera image is 10,000 px wide (an 8K frame is 7,680), so a pixel
+# length or error beyond this describes no view of the scene.
+MAX_PIXELS = 1.0e4
+
 
 class BehindCamera(ValueError):
     """Point has non-positive forward coordinate in the camera frame."""

@@ -36,6 +36,7 @@ import numpy as np
 from .geometry import (
     BoundingBox2D,
     CameraIntrinsics,
+    MAX_PIXELS,
     ImuPose,
     InvalidConfig,
     ParseError,
@@ -120,6 +121,10 @@ def check_fov(fov) -> None:
 
 @dataclass(frozen=True)
 class CameraConfig:
+    """The camera's intrinsics, image and mounting.  A box is in view
+    while it lies inside the image grown by margin_px on every side; a
+    margin beyond geometry.MAX_PIXELS describes no camera."""
+
     intrinsics: CameraIntrinsics = CameraIntrinsics(600.0, 600.0, 320.0, 320.0)
     image_size: tuple = (640, 640)
     camera_height: float = 1.55
@@ -129,6 +134,8 @@ class CameraConfig:
         require_finite(self, "camera_height", "margin_px")
         require(self.camera_height > 0, "camera_height", "must be positive")
         require(self.margin_px >= 0, "margin_px", "must be non-negative")
+        require(self.margin_px <= MAX_PIXELS, "margin_px",
+                f"must be at most {MAX_PIXELS:g} px, got {self.margin_px!r}")
         require(isinstance(self.image_size, (tuple, list)) and len(self.image_size) == 2
                 and all(map(_positive, self.image_size)),
                 "image_size", "must be two positive numbers")
@@ -655,7 +662,7 @@ def generate(config: ScenarioConfig):
             if rng.random() >= p_det:
                 continue
             if det.box_noise_px > 0:
-                noise = rng.normal(0.0, det.box_noise_px, size=4)
+                noise = rng.normal(0.0, det.box_noise_px, size=4).tolist()
                 u, v_bottom = u + noise[0], v_bottom + noise[1]
                 w_px = max(2.0, w_px + noise[2])
                 h_px = max(2.0, h_px + noise[3])

@@ -18,8 +18,11 @@ geometry (bottom centre from the triple, size from the already-checked
 last box, one horizon row per blink).  The rows are split into the
 connected components of the graph of gated (track, detection) pairs: a
 component of one pair is taken as it is, and only a component with a
-conflict (a track or detection with two gated pairs) becomes numpy
-submatrices for Kuhn-Munkres and the row-by-row tie-break.
+conflict (a track or detection with two gated pairs) is solved.  Its
+weights become exact integers over one power-of-two denominator, and
+Kuhn-Munkres on the shorter side gives the exact optimal total, so the
+optimal fsum total is that integer divided once.  The row-by-row
+tie-break then compares exact totals, rounded once, against it.
 max_weight_assignment takes numpy matrices and runs the same split.
 
 Each object is one Track, an immutable NamedTuple: the filter state
@@ -51,16 +54,33 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import geometry
 from .geometry import BoundingBox2D, CameraIntrinsics, require, require_finite
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 
+# Physical upper bounds on the filter's noise terms (see TrackerConfig)
+MAX_Q = 1.0e4                                     # m^2/s^3
+MAX_R_DIAG = ((geometry.MAX_PIXELS ** 2, "px^2"),) * 3
+MAX_P0_DIAG = ((1.0e6, "m^2"),) * 2 + ((1.0e4, "(m/s)^2"),) * 2
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """The EKF's noise terms, the association gate and the track rules.
+
+    The noise terms have physical upper bounds.  q_car and q_cycle are
+    at most MAX_Q: a track's velocity variance grows by q per second, and
+    1e4 m^2/s^3 is a 100 m/s velocity spread after one second, the
+    scene's top speed (scenario.MAX_SPEED) gained or lost within a
+    second, which no road vehicle does.  An r_diag entry is at most
+    MAX_PIXELS^2 px^2: a pixel error wider than any image measures
+    nothing.  p0_diag's positions are at most 1e6 m^2, a 1 km spread
+    (the scene keeps vehicles within 1 km of the user), and its
+    velocities at most 1e4 (m/s)^2, the scene's top speed.
+    """
+
     q_car: float = 2.0          # process noise spectral density, m^2/s^3
     q_cycle: float = 1.0
     r_diag: tuple = (16.0, 9.0, 9.0)        # px^2: u_offset, height, horizon dev
@@ -72,18 +92,22 @@ class TrackerConfig:
 
     def __post_init__(self):
         require_finite(self, "q_car", "q_cycle", "gamma", "d_max", "iou_gate")
-        require(self.q_car >= 0, "q_car", "must be non-negative")
-        require(self.q_cycle >= 0, "q_cycle", "must be non-negative")
+        for name in ("q_car", "q_cycle"):
+            q = getattr(self, name)
+            require(q >= 0, name, "must be non-negative")
+            require(q <= MAX_Q, name, f"must be at most {MAX_Q:g} m^2/s^3, got {q!r}")
         require(self.gamma > 0, "gamma", "must be positive")
         require(self.d_max > 0, "d_max", "must be positive")
         require(0 <= self.iou_gate <= 1, "iou_gate", "must be in [0, 1]")
         miss_max = self.miss_max
         require(isinstance(miss_max, int) and not isinstance(miss_max, bool) and miss_max >= 0,
                 "miss_max", f"must be a non-negative integer, got {miss_max!r}")
-        for name, n in (("r_diag", 3), ("p0_diag", 4)):
-            diag = getattr(self, name)
+        for name, bounds in (("r_diag", MAX_R_DIAG), ("p0_diag", MAX_P0_DIAG)):
+            diag, n = getattr(self, name), len(bounds)
             require(len(diag) == n and all(geometry.is_finite_number(v) and v > 0 for v in diag),
                     name, f"must hold {n} positive finite numbers, got {list(diag)!r}")
+            for i, (v, (hi, unit)) in enumerate(zip(diag, bounds)):
+                require(v <= hi, f"{name}[{i}]", f"must be at most {hi:g} {unit}, got {v!r}")
 
     def q_for(self, cls: str) -> float:
         return self.q_cycle if cls == "cycle" else self.q_car
@@ -304,13 +328,93 @@ def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
     return _iou_row(a.x, a.y, a.w, a.h, (b,))[0]
 
 
-def _solve_rect(weights: np.ndarray, eligible: np.ndarray):
-    """One maximum-total-weight assignment over eligible cells (others
-    count as zero); returns the eligible pairs scipy picked."""
-    if weights.size == 0:
+def _exact_integers(rows):
+    """The float weights in rows as exact integers over one denominator.
+
+    Returns (integer rows, D), each weight exactly its integer over D, a
+    power of two.  A sum of the integers over D, as int / int true
+    division, is correctly rounded, so it equals the math.fsum of those
+    weights.  Scaling by 2**shift is exact for every normal weight when
+    no product overflows; subnormal weights, or weights more than about
+    970 binary orders apart, bring their integer ratios to D instead.
+    """
+    lo = min(filter(None, itertools.chain.from_iterable(rows)), default=0.0)
+    if not lo:
+        return [[0] * len(row) for row in rows], 1
+    lo, hi = math.frexp(lo)[1], math.frexp(max(map(max, rows)))[1]
+    shift = max(0, 53 - lo)
+    if shift <= 1023 and hi + shift <= 1024:
+        scale = (2.0 ** shift).__mul__
+        return [list(map(int, map(scale, row))) for row in rows], 1 << shift
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    D = max(d for row in ratios for _, d in row)
+    return [[n * (D // d) for n, d in row] for row in ratios], D
+
+
+def _kuhn_munkres(w) -> list:
+    """The column of each row in one maximum-total assignment of the
+    integer rows w to distinct columns, with at least as many columns as
+    rows; every row is assigned.
+
+    Each row starts at its best column when no earlier row holds it;
+    the others are placed by the Hungarian method's shortest augmenting
+    path, with row and column potentials (O(n^2 m)).  Column m is the
+    root of each search.
+    """
+    n, m = len(w), len(w[0])
+    u, v = list(map(max, w)), [0] * (m + 1)   # u[r] + v[c] >= w[r][c]
+    owner, way, pending = [-1] * (m + 1), [m] * m, []
+    for i, row in enumerate(w):
+        j = row.index(u[i])
+        if owner[j] < 0:
+            owner[j] = i
+        else:
+            pending.append(i)
+    for i in pending:
+        owner[m], j0 = i, m
+        slack = [math.inf] * m
+        free, seen = list(range(m)), [m]
+        while True:
+            i0 = owner[j0]
+            row, ui = w[i0], u[i0]
+            delta = math.inf
+            for j in free:
+                cur = ui + v[j] - row[j]
+                if cur < slack[j]:
+                    slack[j], way[j] = cur, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            if delta:
+                for j in seen:
+                    u[owner[j]] -= delta
+                    v[j] += delta
+                for j in free:
+                    slack[j] -= delta
+            free.remove(j1)
+            seen.append(j1)
+            j0 = j1
+            if owner[j0] < 0:
+                break
+        while j0 != m:  # flip the path back to the root
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(m):
+        if owner[j] >= 0:
+            cols[owner[j]] = j
+    return cols
+
+
+def _solve(w) -> list:
+    """One maximum-total assignment of the integer matrix w, as (row, col)
+    pairs; Kuhn-Munkres runs on the shorter side, so every row or every
+    column is used."""
+    if not w or not w[0]:
         return []
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if eligible[r, c]]
+    if len(w) <= len(w[0]):
+        return list(enumerate(_kuhn_munkres(w)))
+    return [(r, c) for c, r in enumerate(_kuhn_munkres([list(col) for col in zip(*w)]))]
 
 
 def _components(eligible):
@@ -333,37 +437,54 @@ def _components(eligible):
     return [(sorted(rows), sorted(cols)) for rows, cols in groups]
 
 
-def _tie_break(weights: np.ndarray, eligible: np.ndarray):
+def _tie_break(weights, eligible):
     """Lexicographically smallest optimal assignment, row by row.
 
     Each row takes the smallest eligible column that still allows the
-    optimal total; a row no column allows stays unmatched.  A current
-    optimal witness (scipy's base solve, then each accepted completion)
-    settles its own column without another solve.
+    optimal math.fsum total t_star; a row no column allows stays
+    unmatched.  Totals are exact integers over one denominator (see
+    _exact_integers), and t_star is the exact optimum rounded once.  A
+    current optimal witness (the base solve, then each accepted
+    completion) settles its own column without another solve.  Any other
+    column is passed over when even the best weight of each later row,
+    over every column and then over the still-free ones, gives a total
+    that rounds below t_star: rounding is monotone.  Only a column that
+    survives both bounds costs a solve of the rows after it.
     """
-    w, el = weights.tolist(), eligible.tolist()
-    witness = dict(_solve_rect(weights, eligible))
-    t_star = math.fsum(w[r][c] for r, c in witness.items())
-    fixed: list[tuple[int, int]] = []
-    free_cols = list(range(weights.shape[1]))
-    for row in range(len(w)):
+    w, D = _exact_integers(weights)
+    n, m = len(w), len(w[0])
+    witness, total = [None] * n, 0
+    for r, c in _solve(w):
+        if eligible[r][c]:
+            witness[r] = c
+            total += w[r][c]
+    t_star = total / D
+    later_best = [0] * (n + 1)   # the best weights of rows r + 1 on, summed
+    for r in range(n - 1, 0, -1):
+        later_best[r - 1] = later_best[r] + max(w[r])
+    fixed, total = [], 0
+    free_cols = list(range(m))
+    for row in range(n):
         for col in free_cols:
-            if not el[row][col]:
-                continue
-            if witness.get(row) != col:
-                sub_cols = [c for c in free_cols if c != col]
-                completion = [
-                    (row + 1 + r, sub_cols[c])
-                    for r, c in _solve_rect(weights[row + 1:].take(sub_cols, 1),
-                                            eligible[row + 1:].take(sub_cols, 1))
-                ]
-                total = math.fsum(
-                    [w[r][c] for r, c in fixed] + [w[row][col]] + [w[r][c] for r, c in completion]
-                )
-                if total != t_star:
+            if col != witness[row]:
+                if not eligible[row][col]:
                     continue
-                witness = dict(fixed + [(row, col)] + completion)
+                head = total + w[row][col]
+                if (head + later_best[row]) / D < t_star:
+                    continue
+                rest = [c for c in free_cols if c != col]
+                sub = [[w[r][c] for c in rest] for r in range(row + 1, n)]
+                if (head + sum(max(line, default=0) for line in sub)) / D < t_star:
+                    continue
+                completion = [(row + 1 + r, rest[c]) for r, c in _solve(sub)
+                              if eligible[row + 1 + r][rest[c]]]
+                if (head + sum(w[r][c] for r, c in completion)) / D != t_star:
+                    continue
+                witness[row + 1:] = [None] * (n - row - 1)
+                for r, c in completion:
+                    witness[r] = c
             fixed.append((row, col))
+            total += w[row][col]
             free_cols.remove(col)
             break
     return fixed
@@ -372,15 +493,14 @@ def _tie_break(weights: np.ndarray, eligible: np.ndarray):
 def _assign(weights, eligible) -> list:
     """max_weight_assignment's sorted pairs, on weights and eligibility
     given as lists of rows.  A component of one pair is taken as it is;
-    only a component with a conflict becomes numpy submatrices, for the
-    tie-break."""
+    the tie-break runs on each other component's submatrix."""
     pairs: list[tuple[int, int]] = []
     for rows, cols in _components(eligible):
         if len(rows) == len(cols) == 1:
             pairs.append((rows[0], cols[0]))
             continue
-        local = _tie_break(np.array([[weights[r][c] for c in cols] for r in rows], dtype=float),
-                           np.array([[eligible[r][c] for c in cols] for r in rows], dtype=bool))
+        local = _tie_break([[weights[r][c] for c in cols] for r in rows],
+                           [[eligible[r][c] for c in cols] for r in rows])
         pairs.extend((rows[r], cols[c]) for r, c in local)
     pairs.sort()
     return pairs
@@ -396,8 +516,8 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     equal-total ties resolve identically no matter how the optimum was
     found.  Components of the eligibility graph are independent: a lone
     pair is taken as it is, and the tie-break runs on each other
-    component's submatrix.  Cells outside eligible must weigh zero, as
-    match makes them.
+    component's submatrix.  Weights must be non-negative, and cells
+    outside eligible must weigh zero, as match makes them.
     """
     pairs = _assign(weights.tolist(), eligible.tolist())
     return pairs, math.fsum(weights[r, c] for r, c in pairs)

@@ -5,6 +5,10 @@ comparisons where reproducibility is the contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -51,6 +55,19 @@ def run_config(tmp_path, **overrides):
 
 
 # -------------------------------------------------------------- generate
+
+def test_the_package_imports_without_scipy():
+    """A fresh interpreter that imports the command line loads no scipy:
+    association solves its own assignments, so every command is spared
+    the import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, rearguard.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
 
 def test_generate_writes_trace_and_truth(tmp_path, capsys):
     cfg = write_yaml(tmp_path / "scen.yaml", SCENARIO)
@@ -440,6 +457,24 @@ QTABLE_FILES = {
                  id="tracker-p0-diag-inf"),
     pytest.param({"tracker": {"q_car": float("nan")}}, EXIT_CONFIG,
                  "tracker.q_car: must be a finite number, got nan", id="tracker-q-car-nan"),
+    # finite but unphysical noise terms and margins; each of these used to exit 0
+    pytest.param({"tracker": {"q_car": 1.0e300}}, EXIT_CONFIG,
+                 "tracker.q_car: must be at most 10000 m^2/s^3, got 1e+300",
+                 id="tracker-q-car-huge"),
+    pytest.param({"tracker": {"q_cycle": 2.0e4}}, EXIT_CONFIG,
+                 "tracker.q_cycle: must be at most 10000 m^2/s^3, got 20000.0",
+                 id="tracker-q-cycle-above-bound"),
+    pytest.param({"tracker": {"r_diag": [16.0, 9.0, 1.0e9]}}, EXIT_CONFIG,
+                 "tracker.r_diag[2]: must be at most 1e+08 px^2, got 1000000000.0",
+                 id="tracker-r-diag-above-bound"),
+    pytest.param({"tracker": {"p0_diag": [1.0e300, 4, 16, 16]}}, EXIT_CONFIG,
+                 "tracker.p0_diag[0]: must be at most 1e+06 m^2, got 1e+300",
+                 id="tracker-p0-diag-position-huge"),
+    pytest.param({"tracker": {"p0_diag": [4, 4, 16, 1.0e5]}}, EXIT_CONFIG,
+                 "tracker.p0_diag[3]: must be at most 10000 (m/s)^2, got 100000.0",
+                 id="tracker-p0-diag-velocity-above-bound"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"margin_px": 1.0e300}}}, EXIT_CONFIG,
+                 "camera.margin_px: must be at most 10000 px, got 1e+300", id="margin-huge"),
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
                  "warmup_s: must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
@@ -657,18 +692,20 @@ def _set_header(name, field, value):
     return mutate
 
 
-# the seed, tick rate and duration cases used to load and run (exit 0)
+# the seed, tick rate and duration cases used to load and run (exit 0), as did
+# a pair whose headers disagree on anything but the seed and tick rate
 @pytest.mark.parametrize("mutate", [
     _set_box(0, float("nan")), _set_box(1, "top"), _set_box(2, 0.0), _set_box(3, -4.0),
     _set_pitch, _repeat_t, _shift_truth_t, _truncate_truth, _nan_truth_object,
     _unknown_truth_class, _bad_header_focal, _set_header("trace", "camera_height", 0),
     _set_header("trace", "seed", "abc"), _set_header("trace", "seed", 3.5),
     _set_header("trace", "tick_rate", -10), _set_header("truth", "duration", 0),
+    _set_header("truth", "duration", 9.0), _set_header("truth", "camera_height", 1.6),
 ], ids=["nan-box", "box-not-a-number", "zero-width", "negative-height", "pitch-out-of-range",
         "t-not-increasing", "truth-t-disagrees", "truth-truncated", "nan-truth-object",
         "unknown-truth-class", "header-focal-zero", "header-camera-height-zero",
         "header-seed-string", "header-seed-fraction", "header-tick-rate-negative",
-        "header-duration-zero"])
+        "header-duration-zero", "headers-disagree-on-duration", "headers-disagree-on-camera"])
 def test_run_rejects_bad_input_file_with_line_number(tmp_path, capsys, mutate):
     scen_cfg = write_yaml(tmp_path / "scen.yaml", SCENARIO)
     gen_out = tmp_path / "g"

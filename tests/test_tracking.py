@@ -659,6 +659,53 @@ def test_assignment_matches_brute_force_on_independent_blocks(problem):
     assert got_total == want_total
 
 
+def test_assignment_breaks_a_non_dyadic_tie_on_the_fsum_optimum():
+    """Two assignments whose exact totals differ by rounding alone: the
+    fsum optimum 2.3000000000000003 beats 2.3, which a float solver's
+    optimum (and the tie-break resting on it) took."""
+    W = np.array([[.8, .2, 0, .5], [0, .2, .5, .8], [.5, .2, 0, 0], [.5, .5, 0, 0],
+                  [.5, .2, .2, .5]])
+    pairs, total = max_weight_assignment(W, W > 0.0)
+    assert pairs == [(0, 0), (1, 3), (3, 1), (4, 2)]
+    assert total == 2.3000000000000003
+    assert (pairs, total) == tuple(brute_force_assignment(W, W > 0.0))
+
+
+@pytest.mark.parametrize("ties", [[0.2, 0.5, 0.8], [0.1, 0.3, 0.7, 1.0]])
+def test_assignment_matches_brute_force_on_non_dyadic_ties(ties):
+    """Tie-heavy instances up to 6x6 whose totals are inexact in binary;
+    with a float optimum, this seed's [0.2, 0.5, 0.8] instances depart
+    from the exhaustive fsum optimum."""
+    rng = np.random.default_rng(2)
+    for i in range(250):
+        nr, nc = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        W = rng.choice(ties, size=(nr, nc))
+        eligible = rng.random((nr, nc)) < 0.6
+        W = np.where(eligible, W, 0.0)
+        assert max_weight_assignment(W, eligible) == brute_force_assignment(W, eligible), i
+
+
+TINY = 5e-324   # the least subnormal double, 2**-1074
+
+
+@pytest.mark.parametrize("W, want", [
+    # subnormal weights alone: a fixed 2**53 scale would make them all 0
+    ([[TINY, 3 * TINY], [3 * TINY, TINY]], [(0, 1), (1, 0)]),
+    ([[2 * TINY, TINY, 0.0], [TINY, 2 * TINY, 3 * TINY], [0.0, 3 * TINY, TINY]],
+     [(0, 0), (1, 2), (2, 1)]),
+    # 1074 binary orders apart: both totals round to 1.0, so the smaller pair
+    # list wins over the exactly larger total
+    ([[1.0, 1.0], [2 * TINY, TINY]], [(0, 0), (1, 1)]),
+    # 900 orders apart, still within one float scale; a tie the same way
+    ([[1.0, 1.0], [2.0 ** -899, 2.0 ** -900]], [(0, 0), (1, 1)]),
+], ids=["subnormal-2x2", "subnormal-3x3", "1074-orders", "900-orders"])
+def test_assignment_is_exact_for_subnormal_and_far_apart_weights(W, want):
+    W = np.array(W)
+    pairs, total = max_weight_assignment(W, W > 0.0)
+    assert pairs == want
+    assert (pairs, total) == tuple(brute_force_assignment(W, W > 0.0))
+
+
 def _det_box_for(x, z, pose, cls="car", h_obj=1.5, w_obj=1.8):
     """Noise-free detection box via the forward model."""
     obs = observe(x, z, h_obj, pose, INTR, H_E)
