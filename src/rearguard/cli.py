@@ -207,6 +207,10 @@ def _resolve_run_inputs(cfg: RunConfig):
     if header != theader:
         raise ParseError(f"{cfg.truth}: line 1: trace and truth headers disagree; "
                          "not the same run")
+    n_ticks = int(round(header.duration * header.tick_rate))
+    if len(frames) != n_ticks:
+        raise ParseError(f"{cfg.trace}: line 1: the header's duration and tick rate give "
+                         f"{n_ticks} records, the file holds {len(frames)}")
     check_aligned(frames, truth, cfg.truth)
     return frames, truth, header.camera, DEFAULT_FOV if cfg.fov is None else cfg.fov
 

@@ -15,28 +15,35 @@ Association works on Python lists, since a blink holds a few tracks
 and detections and numpy's fixed cost per call would exceed the work:
 each track's gated IoU row is a list, computed from its predicted box
 geometry (bottom centre from the triple, size from the already-checked
-last box, one horizon row per blink).  The rows are split into the
-connected components of the graph of gated (track, detection) pairs: a
-component of one pair is taken as it is, and only a component with a
-conflict (a track or detection with two gated pairs) is solved.  Its
-weights become exact integers over one power-of-two denominator, and
-Kuhn-Munkres on the shorter side gives the exact optimal total, so the
-optimal fsum total is that integer divided once.  The row-by-row
-tie-break then compares exact totals, rounded once, against it.
-max_weight_assignment takes numpy matrices and runs the same split.
+last box, one horizon row per blink), and so is the list of its gated
+columns, built once.  The connected components of the graph of gated
+(track, detection) pairs are formed from those lists.  A component with
+one row or one column is its best pair, the largest weight with the
+smallest index on a tie: a single pair's total is its weight, so this
+is exact.  Only a component with two rows and two columns or more is
+solved, on its submatrix, extracted once.  Its weights become exact
+integers over one power-of-two denominator, and Kuhn-Munkres on the
+shorter side gives the exact optimal total, so the optimal fsum total
+is that integer divided once.  The row-by-row tie-break then compares
+exact totals, rounded once, against it.  max_weight_assignment takes
+numpy matrices and runs the same split.
 
-Each object is one Track, an immutable NamedTuple: the filter state
-(vec, P), its confidence and what association needs.  Risk, the
-samplers and scoring read these tracks directly; there is no separate
-per-tick view.  A new track is placed by the blink's pose-model locate
-and starts from the cached, read-only P0 of its config.
+Each object is one Track, an immutable NamedTuple: the filter state,
+its confidence and what association needs.  The mean is four floats,
+x, z, vx and vz, taken by one tolist() from each predicted or updated
+stack, so risk, the samplers, association, retirement and scoring read
+plain floats; the vec property builds the same float64 array.  There is
+no separate per-tick view.  A new track is placed by the blink's
+pose-model locate and starts from the cached, read-only P0 of its
+config.
 
 The filter algebra works on stacks: advance() predicts every live
 track, and step() linearizes and updates every matched pair, with one
 set of calls; there is no separate one-track form, since a lone track
 is a stack of one.  Every stacked operation gives each member the same
 bytes as the 2-D algebra on that member alone.  Transition,
-process-noise and measurement-noise matrices are cached and read-only.
+process-noise and measurement-noise matrices are cached and read-only;
+tracks of one noise density share its matrix, broadcast over the stack.
 A blink with no track and no detection returns at once.
 
 The tracker is a value (TrackerState, a NamedTuple like Track and
@@ -64,6 +71,7 @@ COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 MAX_Q = 1.0e4                                     # m^2/s^3
 MAX_R_DIAG = ((geometry.MAX_PIXELS ** 2, "px^2"),) * 3
 MAX_P0_DIAG = ((1.0e6, "m^2"),) * 2 + ((1.0e4, "(m/s)^2"),) * 2
+MAX_D = 1.0e3                                     # m, the range the scene keeps its vehicles in
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,8 @@ class TrackerConfig:
     MAX_PIXELS^2 px^2: a pixel error wider than any image measures
     nothing.  p0_diag's positions are at most 1e6 m^2, a 1 km spread
     (the scene keeps vehicles within 1 km of the user), and its
-    velocities at most 1e4 (m/s)^2, the scene's top speed.
+    velocities at most 1e4 (m/s)^2, the scene's top speed.  d_max, the
+    tracking range, is at most MAX_D, 1 km, for the same reason.
     """
 
     q_car: float = 2.0          # process noise spectral density, m^2/s^3
@@ -98,6 +107,7 @@ class TrackerConfig:
             require(q <= MAX_Q, name, f"must be at most {MAX_Q:g} m^2/s^3, got {q!r}")
         require(self.gamma > 0, "gamma", "must be positive")
         require(self.d_max > 0, "d_max", "must be positive")
+        require(self.d_max <= MAX_D, "d_max", f"must be at most {MAX_D:g} m, got {self.d_max!r}")
         require(0 <= self.iou_gate <= 1, "iou_gate", "must be in [0, 1]")
         miss_max = self.miss_max
         require(isinstance(miss_max, int) and not isinstance(miss_max, bool) and miss_max >= 0,
@@ -126,11 +136,18 @@ class TrackerConfig:
 
 
 class Track(NamedTuple):
-    """One tracked object: the filter state and what association needs."""
+    """One tracked object: the filter state and what association needs.
+
+    The mean is four floats, x, z, vx, vz, taken from the stacked
+    algebra's rows by one tolist(), so its readers take plain floats.
+    """
 
     id: int
     cls: str
-    vec: np.ndarray   # shape (4,): x, z, vx, vz
+    x: float
+    z: float
+    vx: float
+    vz: float
     P: np.ndarray     # shape (4, 4)
     obj_height: float
     confidence: float
@@ -138,24 +155,17 @@ class Track(NamedTuple):
     last_box: BoundingBox2D | None = None
 
     @property
-    def x(self):
-        return float(self.vec[0])
-
-    @property
-    def z(self):
-        return float(self.vec[1])
-
-    @property
-    def vx(self):
-        return float(self.vec[2])
-
-    @property
-    def vz(self):
-        return float(self.vec[3])
+    def vec(self) -> np.ndarray:
+        """The mean [x, z, vx, vz] as a float64 array, with the bytes it
+        had in the stack it came from."""
+        return np.array(self[_MEAN], dtype=float)
 
     @property
     def range(self) -> float:
         return math.hypot(self.x, self.z)
+
+
+_MEAN = slice(2, 6)   # a Track's x, z, vx, vz
 
 
 class Assignment(NamedTuple):
@@ -231,25 +241,32 @@ def _jacobian_stack(points, jacobian) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 3, 4)
 
 
-def _condition(S: np.ndarray) -> np.ndarray:
+def _condition(S: np.ndarray) -> list:
     """2-norm condition numbers of a stack of symmetric matrices, from
-    their eigenvalues.
+    their eigenvalues, as a list of floats.
 
     Singular values of a symmetric matrix are its absolute eigenvalues,
     so each is np.linalg.cond(S[i]) without the SVD.  Like
     np.linalg.cond it is inf for a singular member or one with an
-    infinite entry, and a NaN entry raises LinAlgError.  The magnitudes
-    are folded as Python floats, which give the same quotients as
-    numpy's reductions at a fraction of their fixed cost.
+    infinite entry, and a NaN entry raises LinAlgError.  The tracker's
+    3x3 member whose ascending eigenvalues lo, mid, hi are all positive
+    is hi / lo; any other member folds its magnitudes as Python floats,
+    which give the same quotients as numpy's reductions at a fraction of
+    their fixed cost.
     """
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError:
         if len(S) > 1:  # find the member that failed, and keep the others
-            return np.concatenate([_condition(S[i:i + 1]) for i in range(len(S))])
+            return [c for i in range(len(S)) for c in _condition(S[i:i + 1])]
         eigs = np.zeros(S.shape[:-1])
     conds = []
     for i, row in enumerate(eigs.tolist()):
+        if len(row) == 3:
+            lo, mid, hi = row
+            if 0.0 < lo <= mid <= hi:  # false for any NaN
+                conds.append(hi / lo)
+                continue
         mags = [abs(v) for v in row]
         if all(m > 0.0 for m in mags):  # false for a zero or a NaN
             conds.append(max(mags) / min(mags))
@@ -257,26 +274,31 @@ def _condition(S: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError("innovation covariance has a NaN entry")
         else:
             conds.append(math.inf)
-    return np.array(conds, dtype=float)
+    return conds
+
+
+_IDENTITY = _read_only(np.eye(4))
 
 
 def _kalman_stack(vec, P, residual, H, R):
     """Measurement update of a stack of members, one shared R.
 
     vec, P, residual and H carry the member on their first axis.
-    Returns (cond, keep, vec_post, P_post): every member's innovation
-    condition number, whether it is within COND_LIMIT, and the posterior
-    of the members kept, in order; the others are left out unupdated.
+    Returns (cond, keep, vec_post, P_post): lists of every member's
+    innovation condition number and whether it is within COND_LIMIT,
+    and the posterior of the members kept, in order; the others are left
+    out unupdated.
     """
     Ht = H.swapaxes(-1, -2)
     S = H @ P @ Ht + R
     cond = _condition(S)
-    keep = cond <= COND_LIMIT
-    if not keep.all():
-        vec, P, residual, H, Ht, S = (a[keep] for a in (vec, P, residual, H, Ht, S))
+    keep = [c <= COND_LIMIT for c in cond]
+    if not all(keep):
+        mask = np.array(keep, dtype=bool)
+        vec, P, residual, H, Ht, S = (a[mask] for a in (vec, P, residual, H, Ht, S))
     K = P @ Ht @ np.linalg.inv(S)
     vec_post = vec + (K @ residual[..., None])[..., 0]
-    I_KH = _diagonal((1.0,) * P.shape[-1]) - K @ H
+    I_KH = _IDENTITY - K @ H
     P_post = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
     P_post = 0.5 * (P_post + P_post.swapaxes(-1, -2))
     return cond, keep, vec_post, P_post
@@ -288,19 +310,24 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     misses and take their detection's box."""
     traces = P.trace(axis1=-2, axis2=-1).tolist()
     return [
-        Track(tr.id, tr.cls, vec[i], P[i], tr.obj_height, 1.0 / (traces[i] + gamma),
+        Track(tr.id, tr.cls, x, z, vx, vz, cov, tr.obj_height, 1.0 / (trace + gamma),
               tr.miss_count if detections is None else 0,
               tr.last_box if detections is None else detections[i])
-        for i, tr in enumerate(tracks)
+        for i, (tr, (x, z, vx, vz), cov, trace)
+        in enumerate(zip(tracks, vec.tolist(), P, traces))
     ]
 
 
-def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
+def _predict_stack(tracks, dt: float, qs: list, gamma: float) -> list:
     """Each track advanced by dt under the constant-velocity model, with
-    the process noise density in qs."""
+    the process noise density in qs.  Tracks of one density share its
+    cached process-noise matrix, broadcast over the stack."""
     F = transition_matrix(dt)
-    Q = np.array([process_noise(dt, q) for q in qs])
-    vec = (F @ np.array([tr.vec for tr in tracks])[..., None])[..., 0]
+    if qs.count(qs[0]) == len(qs):
+        Q = process_noise(dt, qs[0])
+    else:
+        Q = np.array([process_noise(dt, q) for q in qs])
+    vec = (F @ np.array([tr[_MEAN] for tr in tracks])[..., None])[..., 0]
     P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))
     return _refiltered(tracks, vec, P, gamma)
@@ -338,14 +365,14 @@ def _exact_integers(rows):
     no product overflows; subnormal weights, or weights more than about
     970 binary orders apart, bring their integer ratios to D instead.
     """
-    lo = min(filter(None, itertools.chain.from_iterable(rows)), default=0.0)
-    if not lo:
+    nonzero = [v for row in rows for v in row if v]
+    if not nonzero:
         return [[0] * len(row) for row in rows], 1
-    lo, hi = math.frexp(lo)[1], math.frexp(max(map(max, rows)))[1]
+    lo, hi = math.frexp(min(nonzero))[1], math.frexp(max(nonzero))[1]
     shift = max(0, 53 - lo)
     if shift <= 1023 and hi + shift <= 1024:
-        scale = (2.0 ** shift).__mul__
-        return [list(map(int, map(scale, row))) for row in rows], 1 << shift
+        scale = 2.0 ** shift
+        return [[int(v * scale) for v in row] for row in rows], 1 << shift
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     D = max(d for row in ratios for _, d in row)
     return [[n * (D // d) for n, d in row] for row in ratios], D
@@ -417,22 +444,21 @@ def _solve(w) -> list:
     return [(r, c) for c, r in enumerate(_kuhn_munkres([list(col) for col in zip(*w)]))]
 
 
-def _components(eligible):
-    """Connected components of the bipartite graph of eligible cells, given
-    as rows of truthy (eligible) and falsy values, as (rows, cols) pairs of
-    sorted index lists."""
+def _components(gated):
+    """Connected components of the bipartite graph in which row r has the
+    eligible columns gated[r], as (rows, cols) pairs of sorted index
+    lists."""
     groups: list[tuple[list, set]] = []
-    for r, line in enumerate(eligible):
-        cols = {c for c, ok in enumerate(line) if ok}
-        if not cols:
+    for r, line in enumerate(gated):
+        if not line:
             continue
-        rows, rest = [r], []
-        for g_rows, g_cols in groups:
-            if g_cols & cols:  # column sets of groups are disjoint
-                rows += g_rows
-                cols |= g_cols
+        rows, cols, rest = [r], set(line), []
+        for group in groups:
+            if cols.isdisjoint(group[1]):  # column sets of groups are disjoint
+                rest.append(group)
             else:
-                rest.append((g_rows, g_cols))
+                rows += group[0]
+                cols |= group[1]
         groups = rest + [(rows, cols)]
     return [(sorted(rows), sorted(cols)) for rows, cols in groups]
 
@@ -490,18 +516,28 @@ def _tie_break(weights, eligible):
     return fixed
 
 
-def _assign(weights, eligible) -> list:
-    """max_weight_assignment's sorted pairs, on weights and eligibility
-    given as lists of rows.  A component of one pair is taken as it is;
-    the tie-break runs on each other component's submatrix."""
+def _assign(weights, gated, eligible=None) -> list:
+    """max_weight_assignment's sorted pairs, on weights given as lists of
+    rows and each row's sorted eligible columns in gated.  eligible gives
+    the eligibility as rows of truth values, or is None where a cell is
+    eligible exactly when its weight is positive, as match's gated
+    weights are.
+
+    A component with one row or one column is its best pair: the largest
+    weight, the smallest index on a tie, since a single pair's total is
+    its weight.  The tie-break runs on each other component's submatrix.
+    """
     pairs: list[tuple[int, int]] = []
-    for rows, cols in _components(eligible):
-        if len(rows) == len(cols) == 1:
-            pairs.append((rows[0], cols[0]))
-            continue
-        local = _tie_break([[weights[r][c] for c in cols] for r in rows],
-                           [[eligible[r][c] for c in cols] for r in rows])
-        pairs.extend((rows[r], cols[c]) for r, c in local)
+    for rows, cols in _components(gated):
+        if len(rows) == 1:
+            pairs.append((rows[0], max(cols, key=weights[rows[0]].__getitem__)))
+        elif len(cols) == 1:
+            col = cols[0]
+            pairs.append((max(rows, key=lambda r: weights[r][col]), col))
+        else:
+            sub = [[weights[r][c] for c in cols] for r in rows]
+            ok = sub if eligible is None else [[eligible[r][c] for c in cols] for r in rows]
+            pairs.extend((rows[r], cols[c]) for r, c in _tie_break(sub, ok))
     pairs.sort()
     return pairs
 
@@ -514,12 +550,21 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     lexicographically smallest, and its total.  Totals are compared as
     math.fsum of the pair weights, which is order-independent, so
     equal-total ties resolve identically no matter how the optimum was
-    found.  Components of the eligibility graph are independent: a lone
-    pair is taken as it is, and the tie-break runs on each other
-    component's submatrix.  Weights must be non-negative, and cells
-    outside eligible must weigh zero, as match makes them.
+    found.  Components of the eligibility graph are independent: one
+    with a single row or column is its best pair, and the tie-break runs
+    on each other component's submatrix.  Weights must be non-negative,
+    and cells outside eligible must weigh zero, as match makes them; the
+    first cell in row order that breaks either rule raises ValueError.
     """
-    pairs = _assign(weights.tolist(), eligible.tolist())
+    w, ok = weights.tolist(), eligible.tolist()
+    for r, (line, flags) in enumerate(zip(w, ok)):
+        for c, (v, flag) in enumerate(zip(line, flags)):
+            if v < 0.0:
+                raise ValueError(f"weights[{r}][{c}]: must be non-negative, got {v!r}")
+            if v and not flag:
+                raise ValueError(f"weights[{r}][{c}]: outside eligible, so must be 0, got {v!r}")
+    gated = [[c for c, flag in enumerate(flags) if flag] for flags in ok]
+    pairs = _assign(w, gated, ok)
     return pairs, math.fsum(weights[r, c] for r, c in pairs)
 
 
@@ -536,9 +581,9 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
     """
     ordered = sorted(tracks, key=lambda t: t.id)
     nd = len(detections)
-    predicted, rows = {}, []
+    predicted, rows, gated = {}, [], []
     for track in ordered:
-        row = [0.0] * nd
+        row, cols = None, []
         last = track.last_box
         if last is not None:
             obs = observe(track.x, track.z, track.obj_height)
@@ -548,9 +593,11 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
                 w, h = last.w, last.h
                 ious = _iou_row(c_x + u_offset - w / 2.0, y_h + deviation - h, w, h, detections)
                 row = [v if v > 0.0 and v >= iou_gate else 0.0 for v in ious]
+                cols = [c for c, v in enumerate(row) if v]
         rows.append(row)
+        gated.append(cols)
     # a gated weight is positive exactly when its cell is eligible
-    pairs = tuple((ordered[r].id, c) for r, c in _assign(rows, rows))
+    pairs = tuple((ordered[r].id, c) for r, c in _assign(rows, gated))
     matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
     return Assignment(
@@ -593,15 +640,8 @@ def _spawn(box: BoundingBox2D, track_id: int, locate, config: TrackerConfig) -> 
     x, z, obj_height, _ = located
     if math.hypot(x, z) > config.d_max:
         return None  # out of tracking range; do not burn an id on it
-    return Track(
-        id=track_id,
-        cls=box.cls,
-        vec=np.array([x, z, 0.0, 0.0]),
-        P=config.p0_matrix(),
-        obj_height=obj_height,
-        confidence=config.p0_confidence(),
-        last_box=box,
-    )
+    return Track(track_id, box.cls, x, z, 0.0, 0.0, config.p0_matrix(), obj_height,
+                 config.p0_confidence(), 0, box)
 
 
 def step(
@@ -632,21 +672,21 @@ def step(
     updated: dict[int, Track] = {}
     if assignment.pairs:
         by_id = {t.id: t for t in tracker.tracks}
-        matched, observed, predicted = [], [], []
+        matched, residual = [], []
+        c_x = intr.c_x
         for tid, j in assignment.pairs:
             det = detections[j]
-            # measurement triple straight from the detection box
+            # measurement triple straight from the detection box, less the prediction
             u, v_bottom = det.bottom_center
-            observed.append([u - intr.c_x, det.h, v_bottom - y_h])
+            p_u, p_h, p_dev = assignment.predicted[tid]
+            residual.append((u - c_x - p_u, det.h - p_h, v_bottom - y_h - p_dev))
             matched.append((by_id[tid], det))
-            predicted.append(assignment.predicted[tid])
         H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched], jacobian)
-        _, keep, vec, P = _kalman_stack(np.array([tr.vec for tr, _ in matched]),
+        _, keep, vec, P = _kalman_stack(np.array([tr[_MEAN] for tr, _ in matched]),
                                         np.array([tr.P for tr, _ in matched]),
-                                        np.array(observed) - np.array(predicted),
-                                        H, config.r_matrix())
+                                        np.array(residual), H, config.r_matrix())
         # a singular innovation drops its pair, as a miss
-        kept = list(itertools.compress(matched, keep.tolist()))
+        kept = list(itertools.compress(matched, keep))
         for tr in _refiltered([tr for tr, _ in kept], vec, P, config.gamma,
                               [det for _, det in kept]):
             updated[tr.id] = tr
@@ -657,8 +697,8 @@ def step(
             track = updated[track.id]
         else:
             # unmatched, or the update failed; either way a miss
-            track = Track(track.id, track.cls, track.vec, track.P, track.obj_height,
-                          track.confidence, track.miss_count + 1, track.last_box)
+            # every field through the confidence, and one more miss
+            track = Track(*track[:-2], track.miss_count + 1, track.last_box)
         if track.miss_count > config.miss_max:
             continue
         if track.range > config.d_max:

@@ -6,6 +6,7 @@ comparisons where reproducibility is the contract.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +341,26 @@ QTABLE_FILES = {
 }
 
 
+# trace and truth pairs for the exit-code table, by directory: a generated
+# 5 s, 50-record pair with both headers edited alike
+EDITED_PAIRS = {"long": {"duration": 9.0}}
+
+
+@pytest.fixture(scope="module")
+def edited_pairs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pairs")
+    scen = write_yaml(root / "scen.yaml", {**SCENARIO, "duration": 5.0})
+    assert main(["generate", "--config", scen, "--out", str(root / "gen")]) == EXIT_OK
+    for name, edit in EDITED_PAIRS.items():
+        (root / name).mkdir()
+        for f in ("trace.jsonl", "truth.jsonl"):
+            header, *records = (root / "gen" / f).read_text().splitlines(keepends=True)
+            assert len(records) == 50
+            (root / name / f).write_text(json.dumps({**json.loads(header), **edit}) + "\n"
+                                         + "".join(records))
+    return root
+
+
 @pytest.mark.parametrize("change, code, text", [
     pytest.param({"sampler": {"kind": "interval", "period": "often"}}, EXIT_CONFIG,
                  "sampler.period: expected float, got 'often'", id="period-not-a-number"),
@@ -475,6 +496,8 @@ QTABLE_FILES = {
                  id="tracker-p0-diag-velocity-above-bound"),
     pytest.param({"scenario": {**SCENARIO, "camera": {"margin_px": 1.0e300}}}, EXIT_CONFIG,
                  "camera.margin_px: must be at most 10000 px, got 1e+300", id="margin-huge"),
+    pytest.param({"tracker": {"d_max": 1.0e300}}, EXIT_CONFIG,
+                 "tracker.d_max: must be at most 1000 m, got 1e+300", id="tracker-d-max-huge"),
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
                  "warmup_s: must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
@@ -581,6 +604,10 @@ QTABLE_FILES = {
                  id="qtable-tick-mislabelled"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
+    # headers that agree on a duration the records do not have used to run (exit 0)
+    pytest.param({"scenario": None, "trace": "long/trace.jsonl", "truth": "long/truth.jsonl"},
+                 EXIT_IO, "long/trace.jsonl: line 1: the header's duration and tick rate give "
+                 "90 records, the file holds 50", id="headers-claim-more-records"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": ""}}, EXIT_CONFIG,
                  "sampler.qtable: must name a Q-table file, got ''", id="qtable-empty"),
     # only sarsa reads a Q-table; a path beside another kind is never opened
@@ -592,10 +619,12 @@ QTABLE_FILES = {
                  "sampler.qtable: only the sarsa sampler reads a Q-table; the run's sampler is "
                  "'random'", id="qtable-beside-flag-baseline"),
 ])
-def test_run_exit_code_table(tmp_path, monkeypatch, capsys, change, code, text):
+def test_run_exit_code_table(tmp_path, monkeypatch, capsys, edited_pairs, change, code, text):
     monkeypatch.chdir(tmp_path)
     for name, body in QTABLE_FILES.items():
         (tmp_path / name).write_text(f"rearguard-qtable v1\n{body}")
+    for name in EDITED_PAIRS:
+        shutil.copytree(edited_pairs / name, tmp_path / name)
     change = dict(change)
     flags = change.pop("flags", [])   # command-line flags, kept out of the file
     cfg = run_config(tmp_path, **change)

@@ -216,7 +216,7 @@ def test_label_truth_equals_the_per_object_definition(case):
 
 _SENTINEL = object()
 RECORDS = {
-    "Track": lambda: Track(1, "car", np.zeros(4), np.eye(4), 1.5, 0.2),
+    "Track": lambda: Track(1, "car", 0.0, 0.0, 0.0, 0.0, np.eye(4), 1.5, 0.2),
     "TrackerState": lambda: TrackerState(),
     "Assignment": lambda: Assignment(((1, 0),), (), (), {}),
     "ObjectRisk": lambda: ObjectRisk(1, 2.0, 0.4),

@@ -168,7 +168,10 @@ def make_track(x, z, vx, vz, P=None, cls="car", obj_height=1.5, tid=1):
     return Track(
         id=tid,
         cls=cls,
-        vec=np.array([x, z, vx, vz], float),
+        x=float(x),
+        z=float(z),
+        vx=float(vx),
+        vz=float(vz),
         P=P,
         obj_height=obj_height,
         confidence=confidence(P),
@@ -428,7 +431,7 @@ _H2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
 def _assert_dropped(R):
     cond, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
     assert not cond[0] <= tracking.COND_LIMIT
-    assert keep.tolist() == [False]
+    assert keep == [False]
     assert (vec.shape, P.shape) == ((0, 4), (0, 4, 4))
 
 
@@ -457,7 +460,7 @@ def test_nan_innovation_is_a_linalg_error(R):
 def test_innovation_below_the_condition_limit_updates():
     _, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2,
                                    np.diag([1e11, 1.0]))
-    assert keep.tolist() == [True]
+    assert keep == [True]
     assert np.array_equal(vec, np.zeros((1, 4)))
     assert np.array_equal(P, np.zeros((1, 4, 4)))
 
@@ -498,8 +501,8 @@ def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
         _, alone, vec, P = kalman_alone(vecs[i], Ps[i], residuals[i], Hs[i], R)
         if alone[0]:
             separate.append((i, vec[0], P[0]))
-    kept = [i for i, k in enumerate(keep.tolist()) if k]
-    assert kept == [i for i, c in enumerate(cond.tolist()) if c <= tracking.COND_LIMIT]
+    kept = [i for i, k in enumerate(keep) if k]
+    assert kept == [i for i, c in enumerate(cond) if c <= tracking.COND_LIMIT]
     assert kept == [i for i, _, _ in separate]
     if r_kind == "inf-row":
         assert kept == []
@@ -512,6 +515,12 @@ def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
         want_vec, want_P = per_track_joseph_update(vecs[i], Ps[i], residuals[i], Hs[i], R)
         assert vec_post[j].tobytes() == vec.tobytes() == want_vec.tobytes()
         assert P_post[j].tobytes() == P.tobytes() == want_P.tobytes()
+    # each updated track keeps its stacked row as floats, and vec gives back its bytes
+    tracks = [make_track(*vecs[i], P=Ps[i], tid=i + 1) for i in kept]
+    for row, tr in zip(vec_post, tracking._refiltered(tracks, vec_post, P_post, 1e-6)):
+        assert [tr.x, tr.z, tr.vx, tr.vz] == row.tolist()
+        assert all(type(v) is float for v in (tr.x, tr.z, tr.vx, tr.vz))
+        assert tr.vec.tobytes() == row.tobytes()
 
 
 def test_stacked_update_with_a_nan_member_is_a_linalg_error():
@@ -547,6 +556,8 @@ def test_advance_equals_separate_predicts(classes, dt, seed):
         alone = advance(TrackerState((before,), before.id + 1, 5.0), 5.0 + dt, cfg).tracks[0]
         want_vec, want_P = per_track_predict(before.vec, before.P, (5.0 + dt) - 5.0, q)
         assert after.vec.tobytes() == alone.vec.tobytes() == want_vec.tobytes()
+        assert [after.x, after.z, after.vx, after.vz] == want_vec.tolist()
+        assert all(type(v) is float for v in (after.x, after.z, after.vx, after.vz))
         assert after.P.tobytes() == alone.P.tobytes() == want_P.tobytes()
         assert after.confidence == alone.confidence == confidence(want_P, cfg.gamma)
         assert (after.miss_count, after.last_box) == (before.miss_count, before.last_box)
@@ -563,21 +574,36 @@ def test_cached_filter_matrices_are_read_only():
     assert np.array_equal(TrackerConfig().r_matrix(), np.diag([16.0, 9.0, 9.0]))
 
 
+def _mixed_sign_symmetric(rng, m, scale):
+    """A regular symmetric m x m matrix whose eigenvalues are not all
+    positive: the first is negative, the rest of either sign."""
+    eigs = rng.uniform(0.1, 10.0, m) * scale * rng.choice([-1.0, 1.0], m)
+    eigs[0] = -abs(eigs[0])
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    S = Q @ np.diag(eigs) @ Q.T
+    return 0.5 * (S + S.T)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 6), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([1e-3, 1.0, 1e6]))
-def test_condition_of_a_regular_stack_equals_the_numpy_fold(n, m, seed, scale):
-    """Folding a regular stack's eigenvalue magnitudes in Python floats
-    gives numpy's max / min quotient, byte for byte."""
+       scale=st.sampled_from([1e-3, 1.0, 1e6]), signs=st.sampled_from(["positive", "mixed"]))
+def test_condition_of_a_regular_stack_equals_the_numpy_fold(n, m, seed, scale, signs):
+    """The condition numbers of a regular stack, positive definite or
+    with eigenvalues of both signs, are numpy's max / min quotient of
+    the eigenvalue magnitudes, byte for byte, whether a member takes the
+    ascending hi / lo or the Python fold."""
     rng = np.random.default_rng(seed)
-    S = np.array([random_spd(rng, m, scale) for _ in range(n)]).reshape(n, m, m)
+    member = random_spd if signs == "positive" else _mixed_sign_symmetric
+    S = np.array([member(rng, m, scale) for _ in range(n)]).reshape(n, m, m)
     mags = np.abs(np.linalg.eigvalsh(S))
-    assert tracking._condition(S).tobytes() == (mags.max(-1) / mags.min(-1)).tobytes()
+    got = tracking._condition(S)
+    assert type(got) is list and all(type(c) is float for c in got)
+    assert np.array(got, dtype=float).tobytes() == (mags.max(-1) / mags.min(-1)).tobytes()
 
 
 def test_condition_of_a_singular_member_is_inf_beside_regular_ones():
     S = np.array([np.eye(2), np.diag([1.0, 0.0]), np.diag([4.0, 1.0])])
-    assert tracking._condition(S).tolist() == [1.0, math.inf, 4.0]
+    assert tracking._condition(S) == [1.0, math.inf, 4.0]
 
 
 # ------------------------------------------------------------- association
@@ -593,7 +619,7 @@ def test_iou_basic_cases():
 def test_assignment_hand_example():
     W = np.array([[0.8, 0.1], [0.2, 0.7]])
     eligible = W >= 0.3
-    pairs, total = max_weight_assignment(W, eligible)
+    pairs, total = max_weight_assignment(np.where(eligible, W, 0.0), eligible)
     assert pairs == [(0, 0), (1, 1)]
     assert total == pytest.approx(1.5)
 
@@ -603,6 +629,24 @@ def test_assignment_gate_excludes_everything():
     pairs, total = max_weight_assignment(W, np.zeros((2, 2), bool))
     assert pairs == []
     assert total == 0.0
+
+
+def test_assignment_refuses_weights_outside_its_contract():
+    """A nonzero weight outside eligible, or a negative weight, raises
+    ValueError at the first such cell in row order.  With (0, 0)
+    ineligible but weighing 0.9, the solver used to return [(1, 1)], 0.9;
+    the optimum over the eligible cells is [(0, 1), (1, 0)], 1.0."""
+    W = np.array([[0.9, 0.5], [0.5, 0.9]])
+    eligible = np.array([[False, True], [True, True]])
+    with pytest.raises(ValueError, match=r"^weights\[0\]\[0\]: outside eligible, so must be 0, "
+                                         r"got 0\.9$"):
+        max_weight_assignment(W, eligible)
+    gated = np.where(eligible, W, 0.0)
+    assert max_weight_assignment(gated, eligible) == ([(0, 1), (1, 0)], 1.0)
+    assert max_weight_assignment(gated, eligible) == brute_force_assignment(gated, eligible)
+    negative = np.array([[0.5, 0.0], [0.2, -0.25]])
+    with pytest.raises(ValueError, match=r"^weights\[1\]\[1\]: must be non-negative, got -0\.25$"):
+        max_weight_assignment(negative, np.ones((2, 2), bool))
 
 
 def test_assignment_matches_brute_force():
@@ -627,15 +671,22 @@ def test_assignment_matches_brute_force():
 def block_diagonal_problems(draw):
     """Tie-heavy assignment problems made of independent blocks, with
     rows and columns shuffled.  Dyadic weights make every fsum total
-    exact, so the brute-force optimum and its tie-break are exact too."""
+    exact, so the brute-force optimum and its tie-break are exact too.
+    Some blocks are one row or one column of tied weights, whose best
+    pair is the tie's smallest index after the shuffle."""
     blocks, rows_left, cols_left = [], 6, 6
     for _ in range(draw(st.integers(1, 4))):
         if not (rows_left and cols_left):
             break
         nr = draw(st.integers(1, min(3, rows_left)))
         nc = draw(st.integers(1, min(3, cols_left)))
-        cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=nr * nc,
-                         max_size=nr * nc)
+        shape = draw(st.sampled_from(["any", "tied-row", "tied-column"]))
+        if shape == "tied-row":
+            nr = 1
+        elif shape == "tied-column":
+            nc = 1
+        values = [0.0, 0.25, 0.5, 0.75] if shape == "any" else [0.0, 0.25, 0.75, 0.75]
+        cells = st.lists(st.sampled_from(values), min_size=nr * nc, max_size=nr * nc)
         blocks.append(np.array(draw(cells)).reshape(nr, nc))
         rows_left, cols_left = rows_left - nr, cols_left - nc
     W = np.zeros((6 - rows_left, 6 - cols_left))
