@@ -49,6 +49,7 @@ from .scenario import (
     generate,
     read_trace,
     read_truth,
+    tick_count,
     write_trace,
     write_truth,
 )
@@ -207,7 +208,7 @@ def _resolve_run_inputs(cfg: RunConfig):
     if header != theader:
         raise ParseError(f"{cfg.truth}: line 1: trace and truth headers disagree; "
                          "not the same run")
-    n_ticks = int(round(header.duration * header.tick_rate))
+    n_ticks = tick_count(header.duration, header.tick_rate)
     if len(frames) != n_ticks:
         raise ParseError(f"{cfg.trace}: line 1: the header's duration and tick rate give "
                          f"{n_ticks} records, the file holds {len(frames)}")

@@ -114,6 +114,12 @@ def _within(value, lo: float, hi: float, name: str, unit: str) -> None:
     require(lo <= value <= hi, name, f"must be in [{lo:g}, {hi:g}] {unit}, got {value!r}")
 
 
+def tick_count(duration: float, tick_rate: float) -> int:
+    """The ticks of a run of `duration` seconds at `tick_rate` Hz: the
+    records that `generate` makes and a trace of that header holds."""
+    return int(round(duration * tick_rate))
+
+
 def check_fov(fov) -> None:
     """The one rule for a scenario's `detector.fov` and a run file's `fov`."""
     require(is_number(fov) and 0 < fov < math.pi, "fov", f"must be in (0, pi), got {fov!r}")
@@ -597,7 +603,7 @@ def generate(config: ScenarioConfig):
     """
     rng = np.random.default_rng(config.seed)
     dt = 1.0 / config.tick_rate
-    n_ticks = int(round(config.duration * config.tick_rate))
+    n_ticks = tick_count(config.duration, config.tick_rate)
     hm = config.resolved_head_motion()
     user_speed = config.user.resolved_speed()
     cam = config.camera

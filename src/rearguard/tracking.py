@@ -42,8 +42,7 @@ track, and step() linearizes and updates every matched pair, with one
 set of calls; there is no separate one-track form, since a lone track
 is a stack of one.  Every stacked operation gives each member the same
 bytes as the 2-D algebra on that member alone.  Transition,
-process-noise and measurement-noise matrices are cached and read-only;
-tracks of one noise density share its matrix, broadcast over the stack.
+process-noise and measurement-noise matrices are cached and read-only.
 A blink with no track and no detection returns at once.
 
 The tracker is a value (TrackerState, a NamedTuple like Track and
@@ -318,15 +317,11 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     ]
 
 
-def _predict_stack(tracks, dt: float, qs: list, gamma: float) -> list:
+def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
     """Each track advanced by dt under the constant-velocity model, with
-    the process noise density in qs.  Tracks of one density share its
-    cached process-noise matrix, broadcast over the stack."""
+    the process noise density in qs."""
     F = transition_matrix(dt)
-    if qs.count(qs[0]) == len(qs):
-        Q = process_noise(dt, qs[0])
-    else:
-        Q = np.array([process_noise(dt, q) for q in qs])
+    Q = np.array([process_noise(dt, q) for q in qs])
     vec = (F @ np.array([tr[_MEAN] for tr in tracks])[..., None])[..., 0]
     P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))

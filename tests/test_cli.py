@@ -6,7 +6,6 @@ comparisons where reproducibility is the contract.
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -341,23 +340,18 @@ QTABLE_FILES = {
 }
 
 
-# trace and truth pairs for the exit-code table, by directory: a generated
-# 5 s, 50-record pair with both headers edited alike
-EDITED_PAIRS = {"long": {"duration": 9.0}}
-
-
 @pytest.fixture(scope="module")
-def edited_pairs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("pairs")
+def long_pair(tmp_path_factory):
+    """A generated 5 s, 50-record trace and truth pair with both headers
+    edited alike to a 9 s duration."""
+    root = tmp_path_factory.mktemp("long")
     scen = write_yaml(root / "scen.yaml", {**SCENARIO, "duration": 5.0})
     assert main(["generate", "--config", scen, "--out", str(root / "gen")]) == EXIT_OK
-    for name, edit in EDITED_PAIRS.items():
-        (root / name).mkdir()
-        for f in ("trace.jsonl", "truth.jsonl"):
-            header, *records = (root / "gen" / f).read_text().splitlines(keepends=True)
-            assert len(records) == 50
-            (root / name / f).write_text(json.dumps({**json.loads(header), **edit}) + "\n"
-                                         + "".join(records))
+    for f in ("trace.jsonl", "truth.jsonl"):
+        header, *records = (root / "gen" / f).read_text().splitlines(keepends=True)
+        assert len(records) == 50
+        (root / f).write_text(json.dumps({**json.loads(header), "duration": 9.0}) + "\n"
+                              + "".join(records))
     return root
 
 
@@ -605,9 +599,9 @@ def edited_pairs(tmp_path_factory):
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
     # headers that agree on a duration the records do not have used to run (exit 0)
-    pytest.param({"scenario": None, "trace": "long/trace.jsonl", "truth": "long/truth.jsonl"},
-                 EXIT_IO, "long/trace.jsonl: line 1: the header's duration and tick rate give "
-                 "90 records, the file holds 50", id="headers-claim-more-records"),
+    pytest.param({"scenario": None, "long_pair": True}, EXIT_IO,
+                 "/trace.jsonl: line 1: the header's duration and tick rate give 90 records, "
+                 "the file holds 50", id="headers-claim-more-records"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": ""}}, EXIT_CONFIG,
                  "sampler.qtable: must name a Q-table file, got ''", id="qtable-empty"),
     # only sarsa reads a Q-table; a path beside another kind is never opened
@@ -619,14 +613,14 @@ def edited_pairs(tmp_path_factory):
                  "sampler.qtable: only the sarsa sampler reads a Q-table; the run's sampler is "
                  "'random'", id="qtable-beside-flag-baseline"),
 ])
-def test_run_exit_code_table(tmp_path, monkeypatch, capsys, edited_pairs, change, code, text):
+def test_run_exit_code_table(tmp_path, monkeypatch, capsys, long_pair, change, code, text):
     monkeypatch.chdir(tmp_path)
     for name, body in QTABLE_FILES.items():
         (tmp_path / name).write_text(f"rearguard-qtable v1\n{body}")
-    for name in EDITED_PAIRS:
-        shutil.copytree(edited_pairs / name, tmp_path / name)
     change = dict(change)
     flags = change.pop("flags", [])   # command-line flags, kept out of the file
+    if change.pop("long_pair", False):
+        change.update(trace=str(long_pair / "trace.jsonl"), truth=str(long_pair / "truth.jsonl"))
     cfg = run_config(tmp_path, **change)
     assert main(["run", "--config", cfg, *flags, "--out", str(tmp_path / "r")]) == code
     assert text in capsys.readouterr().err

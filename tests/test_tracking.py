@@ -680,7 +680,8 @@ def block_diagonal_problems(draw):
             break
         nr = draw(st.integers(1, min(3, rows_left)))
         nc = draw(st.integers(1, min(3, cols_left)))
-        shape = draw(st.sampled_from(["any", "tied-row", "tied-column"]))
+        # most blocks stay free-form, so conflicts (2+ rows and columns) stay common
+        shape = draw(st.sampled_from(["any"] * 4 + ["tied-row", "tied-column"]))
         if shape == "tied-row":
             nr = 1
         elif shape == "tied-column":
@@ -700,7 +701,7 @@ def block_diagonal_problems(draw):
     return W, W > 0.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=320, deadline=None)
 @given(block_diagonal_problems())
 def test_assignment_matches_brute_force_on_independent_blocks(problem):
     W, eligible = problem
