@@ -132,9 +132,17 @@ class CompareConfig:
                 "a compare config needs exactly one of suite: standard or a scenarios list")
 
 
+# libyaml's parser where PyYAML was built with it; both build the same
+# values with the same safe constructors
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _load_yaml(path) -> dict:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """A config file's top-level mapping.  The file is read as bytes, so the
+    YAML reader detects its encoding, and a byte it cannot decode is a
+    `yaml.ReaderError` naming the file and position."""
+    with open(path, "rb") as fh:
+        raw = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path}: top level must be a mapping")
     return raw

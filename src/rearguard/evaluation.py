@@ -16,7 +16,8 @@ charged to every sampler as misses.  The exclusion depends only on the
 ground truth, never on the sampler, so denominators line up across a
 comparison.  For the same reason `label_truth` labels a scenario once
 and `compare` scores every sampler and seed against those labels.
-Labelling projects and risk-scores each true object once per tick.
+Labelling risk-scores each true object once per tick and projects it
+only when that can change a label.
 
 Per-tick records (`TickRecord`, `TruthLabel`) are NamedTuples; the
 reports (`RunReport`, `AlertEvent`, `TruthLabels`, `ComparisonReport`)
@@ -148,8 +149,10 @@ def label_truth(
 
     The labels read only the true states, the sensing footprint and the
     risk rule, never the sampler, so every sampler and seed replaying
-    the same scenario shares them.  Each object is projected and scored
-    once per tick: `danger` is `assess` over the tick's objects inside
+    the same scenario shares them.  Each object is scored once per tick,
+    and projected only when that can change a label: when its level is
+    above the sensed maximum so far or it lies within `tracker.d_max`.
+    `danger` is `assess` over the tick's objects inside
     `in_sensing_footprint`, and `excluded` is `ground_truth_danger` of
     the tick when `danger` is not, both as levels folded here.
     """
@@ -158,7 +161,7 @@ def label_truth(
     d_max = config.tracker.d_max
     labels = []
     for tick in truth:
-        sensed = sensing_footprint(tick.pose, camera, fov)
+        sensed = None   # the tick's footprint, bound for the first object that needs it
         # assess's overall level, of every object and of the sensed ones
         gamma = gamma_sensed = 0.0
         visible = []
@@ -166,6 +169,12 @@ def label_truth(
             kappa = object_risk(o, t_r).kappa
             if kappa > gamma:
                 gamma = kappa
+            # sensed or not, this object moves neither the sensed level nor
+            # the coverage list; a NaN level or range compares false and is projected
+            if kappa <= gamma_sensed and o.range > d_max:
+                continue
+            if sensed is None:
+                sensed = sensing_footprint(tick.pose, camera, fov)
             if sensed(o.x, o.z, o.cls):
                 if kappa > gamma_sensed:
                     gamma_sensed = kappa
@@ -280,6 +289,7 @@ def run_pipeline(
     tracker = TrackerState()
     intr = camera.intrinsics
     t_r, threshold = config.reaction_time, config.alert_threshold
+    hypot = math.hypot
 
     records, peak_ids = [], []
     errors = []            # one per covered object-tick: distance to the nearest track
@@ -296,19 +306,23 @@ def run_pipeline(
         measured = frame.t >= config.warmup_s
         records.append(TickRecord(frame.t, blink, result.alert, label.danger, label.excluded,
                                   measured, result.gamma_overall))
+        # only alert episodes read the peak track
         peak_ids.append(
             max(result.per_object, key=lambda o: (o.kappa, -o.track_id)).track_id
-            if result.per_object else None
+            if result.alert and result.per_object else None
         )
 
-        if measured:
+        if measured and label.visible:
             visible_obj_ticks += len(label.visible)
             for obj in label.visible:
-                dist = min(
-                    (math.hypot(tr.x - obj.x, tr.z - obj.z) for tr in tracks),
-                    default=math.inf,
-                )
-                if dist <= MATCH_RADIUS_M:
+                # min(..., default=inf): the first of equal distances, and a
+                # NaN first distance stays
+                dist = None
+                for tr in tracks:
+                    d = hypot(tr.x - obj.x, tr.z - obj.z)
+                    if dist is None or d < dist:
+                        dist = d
+                if dist is not None and dist <= MATCH_RADIUS_M:
                     errors.append(dist)
 
     post = [r for r in records if r.measured]

@@ -43,7 +43,6 @@ from .geometry import (
     VersionMismatch,
     is_finite_number,
     is_number,
-    normalize_angle,
     pose_model,
     require,
     require_finite,
@@ -631,7 +630,7 @@ def generate(config: ScenarioConfig):
         yaw = math.pi + hm.yaw_amplitude * math.sin(2 * math.pi * t / hm.yaw_period + yaw_phase)
         pitch += rng.normal(0.0, hm.jitter_std)
         yaw += rng.normal(0.0, hm.jitter_std)
-        pose = ImuPose(pitch=pitch, yaw=normalize_angle(yaw))
+        pose = ImuPose(pitch, yaw)   # which wraps the yaw to (-pi, pi]
 
         for _, _, sim in live:
             sim.step(t, dt)
@@ -648,7 +647,7 @@ def generate(config: ScenarioConfig):
             GroundTruthObject(oid, sim.cls, sim.x, sim.z - z_user, sim.vx, sim.vz - user_speed,
                               sim.height)
             for _, oid, sim in live])
-        truth.append(GroundTruthTick(t=t, pose=pose, objects=objects))
+        truth.append(GroundTruthTick(t, pose, objects))
 
         # geometric visibility first, then occlusion, then the detection trial
         project = _pose_projector(pose, cam)
@@ -680,7 +679,7 @@ def generate(config: ScenarioConfig):
                     cls=obj.cls, score=p_det,
                 )
             )
-        frames.append(Frame(t=t, pose=pose, detections=tuple(detections)))
+        frames.append(Frame(t, pose, tuple(detections)))
 
     log.info("generated %d ticks, %d vehicles", n_ticks, len(config.vehicles))
     return frames, truth
@@ -798,9 +797,17 @@ def write_trace(path, config: ScenarioConfig, frames) -> None:
 
 def _split_lines(path):
     """A trace or truth file as its header line and its (line number, line)
-    records; blank lines are skipped."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    records; blank lines are skipped.  A file that is not UTF-8 is refused
+    at the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count the line breaks among them
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8: {exc.reason} "
+                         f"(byte 0x{data[exc.start]:02x})") from exc
     if not lines:
         raise ParseError(f"{path}: line 1: empty file")
     return lines[0], [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
@@ -838,7 +845,7 @@ def _pose_record(raw: dict) -> tuple:
 
 def _frame(raw: dict) -> Frame:
     t, pose = _pose_record(raw)
-    return Frame(t=t, pose=pose, detections=tuple(map(_box, raw["detections"])))
+    return Frame(t, pose, tuple(map(_box, raw["detections"])))
 
 
 def read_trace(path):
@@ -892,7 +899,7 @@ def _truth_objects(rows) -> tuple:
 
 def _truth_tick(raw: dict) -> GroundTruthTick:
     t, pose = _pose_record(raw)
-    return GroundTruthTick(t=t, pose=pose, objects=_truth_objects(raw["objects"]))
+    return GroundTruthTick(t, pose, _truth_objects(raw["objects"]))
 
 
 def read_truth(path):

@@ -6,6 +6,7 @@ comparisons where reproducibility is the contract.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import yaml
 
 from rearguard import cli
 from rearguard.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_IO, EXIT_OK, main
+from rearguard.geometry import ParseError
 from rearguard.sampler import SamplerConfig, load_qtable
 from rearguard.risk import RiskConfig
 from rearguard.scenario import (
@@ -25,6 +27,7 @@ from rearguard.scenario import (
     ScenarioConfig,
     UserConfig,
     VehicleConfig,
+    read_trace,
 )
 from rearguard.tracking import TrackerConfig
 
@@ -151,6 +154,73 @@ def test_generate_refuses_the_lane_change_that_wrote_nan_truth(tmp_path, capsys)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: vehicles[0].x0: must be in [-1000, 1000] m, got 1e+308\n"
     assert not (tmp_path / "g").exists()
+
+
+# --------------------------------------------------------- config files
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CONFIGS = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+
+# the module's loader is libyaml's where PyYAML was built with it; both
+# loaders must read every config alike
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                          reason="PyYAML was built without libyaml")),
+]
+
+
+@pytest.fixture(params=LOADERS)
+def yaml_loader(request, monkeypatch):
+    monkeypatch.setattr(cli, "_YAML_LOADER", request.param)
+    return request.param
+
+
+def test_the_loader_is_libyaml_where_pyyaml_has_it():
+    assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def test_readme_config_blocks_load_alike_under_both_loaders(tmp_path, yaml_loader):
+    assert len(README_CONFIGS) >= 3
+    for i, block in enumerate(README_CONFIGS):
+        path = tmp_path / f"readme-{i}.yaml"
+        path.write_text(block)
+        assert cli._load_yaml(path) == yaml.safe_load(block)
+
+
+# each names the file and where in it; a byte that is not UTF-8 used to exit 4
+# with a UnicodeDecodeError
+@pytest.mark.parametrize("data, text", [
+    pytest.param(b"seed: [3, 4\nduration: 2.0\n", "while parsing a flow sequence",
+                 id="unclosed-flow-sequence"),
+    pytest.param(b"seed: 3\n  duration: 2.0\n", "mapping values are not allowed",
+                 id="indented-mapping-value"),
+    pytest.param(b"seed: 'three\nduration: 2.0\n", "while scanning a quoted scalar",
+                 id="unterminated-quote"),
+    pytest.param(b"seed: 3\nduration: 2.0\nlabel: \xff\xfe\n",
+                 '", position 29', id="not-utf-8"),
+])
+def test_unparsable_config_exits_2_under_both_loaders(tmp_path, capsys, yaml_loader, data, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(data)
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "g")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err and f'in "{cfg}"' in err
+    assert not (tmp_path / "g").exists()
+
+
+# valid YAML that used to exit 4 as well
+def test_a_utf16_config_with_a_byte_order_mark_loads(tmp_path, yaml_loader):
+    text = yaml.safe_dump(SCENARIO)
+    plain, wide = tmp_path / "plain.yaml", tmp_path / "wide.yaml"
+    plain.write_text(text)
+    wide.write_bytes(text.encode("utf-16"))
+    assert wide.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    for cfg in (plain, wide):
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == EXIT_OK
+    for f in ("trace.jsonl", "truth.jsonl"):
+        assert (tmp_path / "wide" / f).read_bytes() == (tmp_path / "plain" / f).read_bytes()
 
 
 def test_one_scenario_file_with_out_serves_generate_run_and_compare(tmp_path):
@@ -285,6 +355,35 @@ def test_run_trace_with_an_int_too_large_for_a_double_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_IO
     assert "line 4: non-finite number or non-number" in err and "internal error" not in err
+
+
+# a byte that is not UTF-8 used to exit 4, with the whole file in the message
+@pytest.mark.parametrize("name, prefix", [("trace", b""), ("truth", b'{"kind":')])
+def test_run_refuses_a_byte_that_is_not_utf8_at_its_line(tmp_path, capsys, name, prefix):
+    scen_cfg = write_yaml(tmp_path / "scen.yaml", SCENARIO)
+    gen_out = tmp_path / "g"
+    assert main(["generate", "--config", scen_cfg, "--out", str(gen_out)]) == EXIT_OK
+    path = gen_out / f"{name}.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = prefix + b"\xff" + lines[5][len(prefix):]
+    path.write_bytes(b"\n".join(lines))
+
+    cfg = write_yaml(tmp_path / "run.yaml", {
+        "seed": 5, "trace": str(gen_out / "trace.jsonl"), "truth": str(gen_out / "truth.jsonl"),
+    })
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 6: not UTF-8: invalid start byte (byte 0xff)\n")
+
+
+def test_a_bad_byte_counts_lines_as_the_reader_splits_them(tmp_path):
+    """Line numbers follow the reader's own line breaks, carriage returns
+    among them, and a multi-byte character before the bad byte."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"header\r\nfirst\rsecond \xc3\xa9\n\nfourth \xc3\n")
+    with pytest.raises(ParseError, match=r"trace.jsonl: line 5: not UTF-8: "
+                                         r"invalid continuation byte \(byte 0xc3\)$"):
+        read_trace(path)
 
 
 def test_run_without_seed_is_a_config_error(tmp_path, capsys):

@@ -212,6 +212,83 @@ def test_label_truth_equals_the_per_object_definition(case):
     assert all(type(label) is TruthLabel for label in labels.ticks)
 
 
+def _counted_footprint(monkeypatch) -> Counter:
+    """Count label_truth's footprint binds (one pose model each) and the
+    projections made through them."""
+    counts = Counter()
+    real = evaluation.sensing_footprint
+
+    def footprint(pose, camera, fov):
+        counts["binds"] += 1
+        sensed = real(pose, camera, fov)
+
+        def counted(x, z, cls):
+            counts["projections"] += 1
+            return sensed(x, z, cls)
+        return counted
+
+    monkeypatch.setattr(evaluation, "sensing_footprint", footprint)
+    return counts
+
+
+D_MAX_20 = PipelineConfig(tracker=TrackerConfig(d_max=20.0))
+
+
+def _label_as_defined(truth, config=D_MAX_20):
+    labels = label_truth(truth, CameraConfig(), DEFAULT_FOV, config).ticks
+    assert labels == _labels_by_definition(truth, CameraConfig(), DEFAULT_FOV, config)
+    return labels
+
+
+def test_label_projects_a_dangerous_object_beyond_d_max(monkeypatch):
+    # 30 m behind, closing at 15 m/s: ttc 2 s, danger; beyond d_max, so not visible
+    far = car(0.0, -30.0, vz=15.0)
+    assert in_sensing_footprint(far.x, far.z, far.cls, REAR, CameraConfig())
+    counts = _counted_footprint(monkeypatch)
+    (label,) = _label_as_defined([tick_at([far])])
+    assert (label.danger, label.excluded, label.visible) == (True, False, ())
+    assert counts == {"binds": 1, "projections": 1}
+
+
+def test_label_skips_a_receding_far_object_before_a_dangerous_one(monkeypatch):
+    away = car(0.5, -35.0, vz=-3.0, oid=1)
+    near = car(0.0, -6.0, vz=2.0, oid=2)
+    counts = _counted_footprint(monkeypatch)
+    (label,) = _label_as_defined([tick_at([away, near])])
+    assert (label.danger, label.excluded, label.visible) == (True, False, (near,))
+    # the receding object is skipped, and so is a second one after the danger
+    assert counts == {"binds": 1, "projections": 1}
+    _label_as_defined([tick_at([away, near, car(-0.5, -40.0, vz=-3.0, oid=3)])])
+    assert counts == {"binds": 2, "projections": 2}
+
+
+def test_label_projects_an_object_exactly_at_d_max(monkeypatch):
+    edge = car(0.0, -20.0, vz=-3.0)
+    assert edge.range == D_MAX_20.tracker.d_max
+    counts = _counted_footprint(monkeypatch)
+    (label,) = _label_as_defined([tick_at([edge])])
+    assert (label.danger, label.excluded, label.visible) == (False, False, (edge,))
+    assert counts == {"binds": 1, "projections": 1}
+
+
+def test_label_projects_an_object_of_nan_range(monkeypatch):
+    lost = car(math.nan, -30.0, vz=-3.0)
+    counts = _counted_footprint(monkeypatch)
+    (label,) = _label_as_defined([tick_at([lost])])
+    assert (label.danger, label.excluded, label.visible) == (False, False, ())
+    assert counts == {"binds": 1, "projections": 1}
+
+
+def test_a_tick_of_skippable_objects_binds_no_pose_model(monkeypatch):
+    counts = _counted_footprint(monkeypatch)
+    labels = _label_as_defined([
+        tick_at([car(0.5, -35.0, vz=-3.0, oid=1), car(30.0, 25.0, oid=2)], t=0.0),
+        tick_at([], t=0.1),
+    ])
+    assert [(lb.danger, lb.excluded, lb.visible) for lb in labels] == [(False, False, ())] * 2
+    assert counts == {}
+
+
 # ------------------------------------------------------ records are values
 
 _SENTINEL = object()
