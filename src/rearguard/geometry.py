@@ -49,7 +49,9 @@ of ``horizon_line``.
 
 Every module imports this one and it imports no other, so it also holds
 what they all use to refuse input: the number tests, the error types and
-the config checks ``require`` and ``require_finite`` (``field: reason``).
+the config checks ``require`` and ``require_finite`` (``field: reason``),
+and ``read_lines``, the one rule by which trace, truth and Q-table files
+are decoded.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ DEFAULT_MIN_DY_PX = 1.0
 # length or error beyond this describes no view of the scene.
 MAX_PIXELS = 1.0e4
 
+# A focal length beyond this views less than MAX_PIXELS / MAX_FOCAL_PX =
+# 0.1 rad across the widest image: a telephoto lens, not a camera that
+# watches the road behind its wearer.
+MAX_FOCAL_PX = 1.0e5
+
 
 class BehindCamera(ValueError):
     """Point has non-positive forward coordinate in the camera frame."""
@@ -82,6 +89,21 @@ class ParseError(ValueError):
 
 class VersionMismatch(ValueError):
     """Input file written in a format version this one does not read."""
+
+
+def read_lines(path) -> list:
+    """The lines of a text file, decoded from UTF-8 once and split as
+    str.splitlines splits them.  A file that is not UTF-8 is a
+    ParseError naming the path and the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count the line breaks among them
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8: {exc.reason} "
+                         f"(byte 0x{data[exc.start]:02x})") from exc
 
 
 def is_number(value) -> bool:
@@ -118,7 +140,9 @@ def require_finite(obj, *names) -> None:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole parameters in pixels."""
+    """Pinhole parameters in pixels.  The focal lengths are at most
+    MAX_FOCAL_PX, and the principal point lies within MAX_PIXELS of the
+    image origin on each axis: one farther out is off every image."""
 
     f_x: float
     f_y: float
@@ -127,8 +151,14 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         require_finite(self, "f_x", "f_y", "c_x", "c_y")
-        require(self.f_x > 0, "f_x", "must be positive")
-        require(self.f_y > 0, "f_y", "must be positive")
+        for name in ("f_x", "f_y"):
+            f = getattr(self, name)
+            require(f > 0, name, "must be positive")
+            require(f <= MAX_FOCAL_PX, name, f"must be at most {MAX_FOCAL_PX:g} px, got {f!r}")
+        for name in ("c_x", "c_y"):
+            c = getattr(self, name)
+            require(abs(c) <= MAX_PIXELS, name,
+                    f"must be within {MAX_PIXELS:g} px of the image origin, got {c!r}")
 
 
 @dataclass(frozen=True)

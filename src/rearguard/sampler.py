@@ -30,7 +30,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .geometry import ParseError, VersionMismatch, is_finite_number, require, require_finite
+from .geometry import (ParseError, VersionMismatch, is_finite_number, read_lines, require,
+                       require_finite)
 
 SKIP, BLINK = 0, 1
 
@@ -173,10 +174,9 @@ def load_qtable(path, config: SamplerConfig) -> QTable:
     malformed file, or one that save_qtable could not have written (a
     second line other than ``tick <count>``, a negative tick or visit count,
     a state bin outside the config's bins, an action other than skip or
-    blink, a non-finite value, a repeated (state, action) row), is a
-    ParseError naming the path and line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    blink, a non-finite value, a repeated (state, action) row, a byte
+    that is not UTF-8), is a ParseError naming the path and line."""
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(QTABLE_FORMAT):
         raise ParseError(f"{path}: line 1: not a {QTABLE_FORMAT} file")
     version = lines[0].split("v")[-1]

@@ -44,6 +44,7 @@ from .geometry import (
     is_finite_number,
     is_number,
     pose_model,
+    read_lines,
     require,
     require_finite,
 )
@@ -81,6 +82,7 @@ MAX_SPEED = 100.0            # m/s, of a vehicle or the user
 MAX_DECELERATION = 100.0     # m/s^2, a decelerate-at rate
 MIN_LANE_CHANGE_S = 0.1      # s, a lane-change-at duration
 MIN_HEAD_PERIOD_S = 0.1      # s, a head_motion yaw or pitch period
+MAX_CAMERA_HEIGHT = 10.0     # m; an ear this high above the road is on no road user
 # each profile parameter's closed range and unit
 PARAM_BOUNDS = {"at": (0.0, MAX_SECONDS, "s"), "rate": (0.0, MAX_DECELERATION, "m/s^2"),
                 "to_x": (-MAX_OFFSET_M, MAX_OFFSET_M, "m"),
@@ -128,7 +130,8 @@ def check_fov(fov) -> None:
 class CameraConfig:
     """The camera's intrinsics, image and mounting.  A box is in view
     while it lies inside the image grown by margin_px on every side; a
-    margin beyond geometry.MAX_PIXELS describes no camera."""
+    margin beyond geometry.MAX_PIXELS describes no camera, and a
+    camera_height above MAX_CAMERA_HEIGHT no earbud."""
 
     intrinsics: CameraIntrinsics = CameraIntrinsics(600.0, 600.0, 320.0, 320.0)
     image_size: tuple = (640, 640)
@@ -138,6 +141,8 @@ class CameraConfig:
     def __post_init__(self):
         require_finite(self, "camera_height", "margin_px")
         require(self.camera_height > 0, "camera_height", "must be positive")
+        require(self.camera_height <= MAX_CAMERA_HEIGHT, "camera_height",
+                f"must be at most {MAX_CAMERA_HEIGHT:g} m, got {self.camera_height!r}")
         require(self.margin_px >= 0, "margin_px", "must be non-negative")
         require(self.margin_px <= MAX_PIXELS, "margin_px",
                 f"must be at most {MAX_PIXELS:g} px, got {self.margin_px!r}")
@@ -798,16 +803,8 @@ def write_trace(path, config: ScenarioConfig, frames) -> None:
 def _split_lines(path):
     """A trace or truth file as its header line and its (line number, line)
     records; blank lines are skipped.  A file that is not UTF-8 is refused
-    at the line of its first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; count the line breaks among them
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"{path}: line {line}: not UTF-8: {exc.reason} "
-                         f"(byte 0x{data[exc.start]:02x})") from exc
+    at the line of its first bad byte (geometry.read_lines)."""
+    lines = read_lines(path)
     if not lines:
         raise ParseError(f"{path}: line 1: empty file")
     return lines[0], [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]

@@ -41,7 +41,10 @@ The filter algebra works on stacks: advance() predicts every live
 track, and step() linearizes and updates every matched pair, with one
 set of calls; there is no separate one-track form, since a lone track
 is a stack of one.  Every stacked operation gives each member the same
-bytes as the 2-D algebra on that member alone.  Transition,
+bytes as the 2-D algebra on that member alone.  The update drops a
+member whose innovation covariance S is ill-conditioned; a closed-form
+proof on S's floats clears the well-conditioned 3x3 members, and only
+the members it cannot clear take LAPACK's eigvalsh.  Transition,
 process-noise and measurement-noise matrices are cached and read-only.
 A blink with no track and no detection returns at once.
 
@@ -65,6 +68,8 @@ from . import geometry
 from .geometry import BoundingBox2D, CameraIntrinsics, require, require_finite
 
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
+_TRACE_RANGE = (1e-90, 1e90)   # keeps tr^3 and det's rounding clear of under- and overflow
+_CUBE_LIMIT = COND_LIMIT / 2   # tr^3 / (4 det) <= COND_LIMIT / 8
 
 # Physical upper bounds on the filter's noise terms (see TrackerConfig)
 MAX_Q = 1.0e4                                     # m^2/s^3
@@ -276,6 +281,43 @@ def _condition(S: np.ndarray) -> list:
     return conds
 
 
+def _cleared(S: np.ndarray) -> list:
+    """Whether a closed-form proof clears each member of a stack of
+    symmetric matrices, as a list of bools.  A cleared member's
+    _condition is within COND_LIMIT; False proves nothing.  Only 3x3
+    members are ever cleared.
+
+    It reads the lower triangle, as eigvalsh does: a, b, d, c, e, f of
+    [[a, b, c], [b, d, e], [c, e, f]].  A member is cleared when its
+    trace tr lies inside _TRACE_RANGE (false for an infinite or NaN
+    diagonal entry); a > 0 and the minors ad - b^2, af - c^2, df - e^2
+    and det are positive (false for an infinite or NaN off-diagonal
+    entry); and tr^3 / (4 det) <= COND_LIMIT / 8.
+
+    Why this is a proof: with these minors every entry is at most tr in
+    magnitude, so det's rounding is a few ulps of tr^3, under 1% of the
+    det the last test asks for, and S is positive definite (Sylvester's
+    criterion; with two negative eigenvalues and a positive trace, det
+    would be near 0).  For a positive-definite S with eigenvalues
+    lo <= mid <= hi, hi <= tr and mid * hi <= (tr / 2)^2, so
+    hi / lo <= tr^3 / (4 det).  S's condition number is then below
+    COND_LIMIT / 7.9, and eigvalsh, exact to a few ulps of hi, gives a
+    quotient within COND_LIMIT.  The proof rests on S alone, not on how
+    it was formed.
+    """
+    if S.shape[-1] != 3:
+        return [False] * len(S)
+    lo, hi = _TRACE_RANGE
+    cleared = []
+    for (a, _, _), (b, d, _), (c, e, f) in S.tolist():
+        tr = a + d + f
+        minor = d * f - e * e
+        det = a * minor - b * (b * f - c * e) + c * (b * e - c * d)
+        cleared.append(lo < tr < hi and a > 0.0 and a * d > b * b and a * f > c * c
+                       and minor > 0.0 and det > 0.0 and tr * tr * tr <= _CUBE_LIMIT * det)
+    return cleared
+
+
 _IDENTITY = _read_only(np.eye(4))
 
 
@@ -283,24 +325,28 @@ def _kalman_stack(vec, P, residual, H, R):
     """Measurement update of a stack of members, one shared R.
 
     vec, P, residual and H carry the member on their first axis.
-    Returns (cond, keep, vec_post, P_post): lists of every member's
-    innovation condition number and whether it is within COND_LIMIT,
-    and the posterior of the members kept, in order; the others are left
-    out unupdated.
+    Returns (keep, vec_post, P_post): the list of whether each member's
+    innovation condition number is within COND_LIMIT, and the posterior
+    of the members kept, in order; the others are left out unupdated.
+    _cleared decides keep where its proof holds, and _condition decides
+    the other members, so a NaN among them still raises LinAlgError.
     """
     Ht = H.swapaxes(-1, -2)
     S = H @ P @ Ht + R
-    cond = _condition(S)
-    keep = [c <= COND_LIMIT for c in cond]
+    keep = _cleared(S)
     if not all(keep):
-        mask = np.array(keep, dtype=bool)
-        vec, P, residual, H, Ht, S = (a[mask] for a in (vec, P, residual, H, Ht, S))
+        rest = [i for i, k in enumerate(keep) if not k]
+        for i, c in zip(rest, _condition(S[rest])):
+            keep[i] = c <= COND_LIMIT
+        if not all(keep):
+            mask = np.array(keep, dtype=bool)
+            vec, P, residual, H, Ht, S = (a[mask] for a in (vec, P, residual, H, Ht, S))
     K = P @ Ht @ np.linalg.inv(S)
     vec_post = vec + (K @ residual[..., None])[..., 0]
     I_KH = _IDENTITY - K @ H
     P_post = I_KH @ P @ I_KH.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)
     P_post = 0.5 * (P_post + P_post.swapaxes(-1, -2))
-    return cond, keep, vec_post, P_post
+    return keep, vec_post, P_post
 
 
 def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
@@ -550,6 +596,14 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     on each other component's submatrix.  Weights must be non-negative,
     and cells outside eligible must weigh zero, as match makes them; the
     first cell in row order that breaks either rule raises ValueError.
+
+    An eligible pair of weight 0 is taken when its row has no better
+    column.  Rows are filled in order, each with the smallest eligible
+    column that keeps the total optimal, and a row stays unmatched only
+    when no column does.  So W = [[0.0, 0.0]] with only (0, 0) eligible
+    gives [(0, 0)], 0.0, and where an optimal pair list extends another
+    by such pairs, the longer one is returned, not its prefix.  match
+    never makes such a pair: its eligible cells are its positive ones.
     """
     w, ok = weights.tolist(), eligible.tolist()
     for r, (line, flags) in enumerate(zip(w, ok)):
@@ -677,9 +731,9 @@ def step(
             residual.append((u - c_x - p_u, det.h - p_h, v_bottom - y_h - p_dev))
             matched.append((by_id[tid], det))
         H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched], jacobian)
-        _, keep, vec, P = _kalman_stack(np.array([tr[_MEAN] for tr, _ in matched]),
-                                        np.array([tr.P for tr, _ in matched]),
-                                        np.array(residual), H, config.r_matrix())
+        keep, vec, P = _kalman_stack(np.array([tr[_MEAN] for tr, _ in matched]),
+                                     np.array([tr.P for tr, _ in matched]),
+                                     np.array(residual), H, config.r_matrix())
         # a singular innovation drops its pair, as a miss
         kept = list(itertools.compress(matched, keep))
         for tr in _refiltered([tr for tr, _ in kept], vec, P, config.gamma,

@@ -109,7 +109,7 @@ def test_criterion_04_linear_measurement_matches_textbook_kf():
         vec = rng.normal(0, 10, 4)
         P = random_spd(rng)
         meas = H @ vec + rng.normal(0, 0.5, 2)
-        _, keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
+        keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
         want_vec, want_P = textbook_linear_kf(vec, P, meas, H, R)
         assert keep[0]
         assert np.max(np.abs(got_vec[0] - want_vec)) <= 1e-9

@@ -436,6 +436,8 @@ QTABLE_FILES = {
     "edges.qtable": "tick 3\n4 1 2 1 1.0 1\n",
     "repeat.qtable": "tick 3\n0 1 2 1 0.5 4\n0 1 3 1 0.5 4\n0 1 2 1 0.7 4\n",
     "label.qtable": "foo 3\n0 1 2 1 -0.5 4\n",
+    # \udcff writes the byte 0xff (surrogateescape): not UTF-8, at the end of line 3
+    "utf8.qtable": "tick 3\n0 1 2 1 -0.5 4\udcff\n",
 }
 
 
@@ -591,6 +593,27 @@ def long_pair(tmp_path_factory):
                  "camera.margin_px: must be at most 10000 px, got 1e+300", id="margin-huge"),
     pytest.param({"tracker": {"d_max": 1.0e300}}, EXIT_CONFIG,
                  "tracker.d_max: must be at most 1000 m, got 1e+300", id="tracker-d-max-huge"),
+    # a focal length or principal point of 1e300 used to run: no detections,
+    # FNR 0.0 and coverage 1.0
+    pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "f_x": 1e300}}}},
+                 EXIT_CONFIG, "camera.intrinsics.f_x: must be at most 100000 px, got 1e+300",
+                 id="focal-x-huge"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "f_y": 2e5}}}},
+                 EXIT_CONFIG, "camera.intrinsics.f_y: must be at most 100000 px, got 200000.0",
+                 id="focal-y-above-bound"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "c_x": 1e300}}}},
+                 EXIT_CONFIG,
+                 "camera.intrinsics.c_x: must be within 10000 px of the image origin, got 1e+300",
+                 id="principal-x-huge"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"intrinsics": {**INTRINSICS, "c_y": -2e4}}}},
+                 EXIT_CONFIG,
+                 "camera.intrinsics.c_y: must be within 10000 px of the image origin, got -20000.0",
+                 id="principal-y-far-negative"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"camera_height": 1e300}}}, EXIT_CONFIG,
+                 "camera.camera_height: must be at most 10 m, got 1e+300", id="camera-height-huge"),
+    pytest.param({"scenario": {**SCENARIO, "camera": {"camera_height": 10.5}}}, EXIT_CONFIG,
+                 "camera.camera_height: must be at most 10 m, got 10.5",
+                 id="camera-height-above-bound"),
     pytest.param({"warmup_s": float("nan")}, EXIT_CONFIG,
                  "warmup_s: must be a finite number, got nan", id="warmup-nan"),
     pytest.param({"sampler": {"kind": "interval", "period": float("inf")}}, EXIT_CONFIG,
@@ -695,6 +718,10 @@ def long_pair(tmp_path_factory):
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "label.qtable"}}, EXIT_IO,
                  "label.qtable: line 2: expected 'tick <count>', got 'foo 3'",
                  id="qtable-tick-mislabelled"),
+    # used to exit 4 with UnicodeDecodeError, the whole file in the message
+    pytest.param({"sampler": {"kind": "sarsa", "qtable": "utf8.qtable"}}, EXIT_IO,
+                 "utf8.qtable: line 3: not UTF-8: invalid start byte (byte 0xff)",
+                 id="qtable-not-utf8"),
     pytest.param({"sampler": {"kind": "sarsa", "qtable": "missing.qtable"}}, EXIT_IO,
                  "missing.qtable", id="qtable-missing"),
     # headers that agree on a duration the records do not have used to run (exit 0)
@@ -715,7 +742,8 @@ def long_pair(tmp_path_factory):
 def test_run_exit_code_table(tmp_path, monkeypatch, capsys, long_pair, change, code, text):
     monkeypatch.chdir(tmp_path)
     for name, body in QTABLE_FILES.items():
-        (tmp_path / name).write_text(f"rearguard-qtable v1\n{body}")
+        (tmp_path / name).write_text(f"rearguard-qtable v1\n{body}", encoding="utf-8",
+                                     errors="surrogateescape")
     change = dict(change)
     flags = change.pop("flags", [])   # command-line flags, kept out of the file
     if change.pop("long_pair", False):

@@ -17,6 +17,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import rearguard
+from rearguard import geometry
 from rearguard.geometry import (
     BoundingBox2D,
     CameraIntrinsics,
@@ -60,12 +61,24 @@ def test_is_number_agrees_with_the_abstract_class_check(value):
     ("f_y", -600.0, "must be positive"),
     ("c_x", math.nan, "must be a finite number, got nan"),
     ("c_y", math.inf, "must be a finite number, got inf"),
-], ids=["f-x-zero", "f-y-negative", "c-x-nan", "c-y-inf"])
+    ("f_x", 1e300, "must be at most 100000 px, got 1e\\+300"),
+    ("f_y", 100000.5, "must be at most 100000 px, got 100000.5"),
+    ("c_x", -10000.5, "must be within 10000 px of the image origin, got -10000.5"),
+    ("c_y", 1e300, "must be within 10000 px of the image origin, got 1e\\+300"),
+], ids=["f-x-zero", "f-y-negative", "c-x-nan", "c-y-inf", "f-x-huge", "f-y-above-bound",
+        "c-x-below-bound", "c-y-huge"])
 def test_bad_intrinsics_are_config_errors_led_by_their_field(field, value, message):
     # a plain ValueError before, and "focal lengths must be positive" named no field
     intr = {"f_x": 600.0, "f_y": 600.0, "c_x": 320.0, "c_y": 320.0, field: value}
     with pytest.raises(InvalidConfig, match=f"^{field}: {message}$"):
         CameraIntrinsics(**intr)
+
+
+def test_intrinsics_at_their_bounds_are_accepted():
+    """The bounds are closed: a focal length of MAX_FOCAL_PX and a principal
+    point MAX_PIXELS from the origin on either side are a camera."""
+    CameraIntrinsics(geometry.MAX_FOCAL_PX, geometry.MAX_FOCAL_PX, -geometry.MAX_PIXELS,
+                     geometry.MAX_PIXELS)
 
 
 def test_headset_modules_do_not_load_the_generator():

@@ -15,7 +15,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose, pose_model
+from rearguard.geometry import (MAX_FOCAL_PX, MAX_PIXELS, BoundingBox2D, CameraIntrinsics, ImuPose,
+                                pose_model)
 from rearguard import scenario
 from rearguard.evaluation import standard_suite
 from rearguard.risk import ttc
@@ -510,7 +511,8 @@ def scenes_at_the_bounds(draw):
     """Scenes whose bounded fields sit at their limits: offsets and a lane
     change's target at +-1 km, speeds of 0 or 100 m/s, the shortest lane
     change and the strongest braking, at the least and the most ticks per
-    second, with any finite heading."""
+    second, with any finite heading; the camera's focal lengths, principal
+    point and height at their upper bounds or at the defaults."""
     tick_rate = draw(_corners(*scenario.TICK_RATES))
     duration = draw(st.sampled_from((1, 40, 300))) / tick_rate
     vehicles = []
@@ -534,7 +536,12 @@ def scenes_at_the_bounds(draw):
         seed=draw(st.integers(0, 2**31)), duration=duration, tick_rate=tick_rate,
         user=UserConfig(mode=draw(st.sampled_from(USER_MODES)),
                         speed=draw(_corners(0.0, scenario.MAX_SPEED))),
-        vehicles=tuple(vehicles))
+        vehicles=tuple(vehicles),
+        camera=CameraConfig(
+            intrinsics=CameraIntrinsics(*(draw(st.sampled_from((600.0, MAX_FOCAL_PX))) for _ in "xy"),
+                                        *(draw(st.sampled_from((-MAX_PIXELS, 320.0, MAX_PIXELS)))
+                                          for _ in "xy")),
+            camera_height=draw(st.sampled_from((1.55, scenario.MAX_CAMERA_HEIGHT)))))
 
 
 # the sharpest lane change, from one bound to the other, as the scene starts

@@ -108,24 +108,20 @@ def per_track_predict(vec, P, dt, q):
 
 def brute_force_assignment(weights, eligible):
     """Enumerate every maximal matching via permutations of the padded
-    square problem; keep the largest fsum total, breaking ties toward the
-    lexicographically smallest sorted pair tuple."""
+    square problem; keep the largest fsum total, breaking ties row by row:
+    the smaller column for the first row where two assignments differ,
+    an unmatched row after every column.  So an eligible pair of weight 0
+    is taken rather than left out."""
     nr, nc = weights.shape
     n = max(nr, nc, 1)
-    best_key = None
+    best = None
     for perm in itertools.permutations(range(n)):
-        pairs = tuple(
-            sorted(
-                (r, perm[r])
-                for r in range(nr)
-                if perm[r] < nc and eligible[r, perm[r]]
-            )
-        )
-        total = math.fsum(weights[r, c] for r, c in pairs)
-        key = (-total, pairs)
-        if best_key is None or key < best_key:
-            best_key = key
-    return list(best_key[1]), -best_key[0]
+        cols = tuple(perm[r] if perm[r] < nc and eligible[r, perm[r]] else nc for r in range(nr))
+        pairs = [(r, c) for r, c in enumerate(cols) if c < nc]
+        key = (-math.fsum(weights[r, c] for r, c in pairs), cols)
+        if best is None or key < best[0]:
+            best = key, pairs
+    return best[1], -best[0][0]
 
 
 def reference_predicted_box(track, obs, pose, intr):
@@ -404,8 +400,8 @@ def test_filter_invariants_under_random_blink_schedules(ticks, z0, vz, two, nois
 
 
 def kalman_alone(vec, P, residual, H, R):
-    """tracking._kalman_stack on a stack of one member: (cond, keep,
-    vec_post, P_post), the posteriors empty when the member is dropped."""
+    """tracking._kalman_stack on a stack of one member: (keep, vec_post,
+    P_post), the posteriors empty when the member is dropped."""
     return tracking._kalman_stack(vec[None], P[None], residual[None], H[None], R)
 
 
@@ -417,22 +413,34 @@ def test_linear_model_reduces_to_textbook_kf():
         vec = rng.normal(0, 10, 4)
         P = random_spd(rng)
         meas = H @ vec + rng.normal(0, 0.5, 2)
-        _, keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
+        keep, got_vec, got_P = kalman_alone(vec, P, meas - H @ vec, H, R)
         want_vec, want_P = textbook_linear_kf(vec, P, meas, H, R)
         assert keep[0]
         assert np.max(np.abs(got_vec[0] - want_vec)) <= 1e-9
         assert np.max(np.abs(got_P[0] - want_P)) <= 1e-9
 
 
-# With P = 0 the innovation covariance S is R itself.
+# With P = 0 the innovation covariance S is R itself.  _H3 gives the
+# tracker's 3x3 S, the only size the closed-form gate clears; _H2's 2x2 S
+# always takes eigvalsh.
 _H2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+_H3 = np.eye(3, 4)
 
 
-def _assert_dropped(R):
-    cond, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
-    assert not cond[0] <= tracking.COND_LIMIT
+def _assert_dropped(R, H=_H2):
+    keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(len(R)), H, R)
+    assert not tracking._condition(R[None])[0] <= tracking.COND_LIMIT
     assert keep == [False]
     assert (vec.shape, P.shape) == ((0, 4), (0, 4, 4))
+
+
+def _symmetric(diag, entries):
+    """diag(diag) with each (row, col): value of entries set on both
+    sides of the diagonal."""
+    S = np.diag(diag).astype(float)
+    for (i, j), v in entries.items():
+        S[i, j] = S[j, i] = v
+    return S
 
 
 def test_singular_innovation_drops_the_member():
@@ -457,12 +465,153 @@ def test_nan_innovation_is_a_linalg_error(R):
         kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(2), _H2, R)
 
 
+@pytest.mark.parametrize("R", [
+    pytest.param(np.diag([math.inf, 1.0, 1.0]), id="inf-first-diagonal"),
+    pytest.param(np.diag([1.0, 1.0, -math.inf]), id="minus-inf-last-diagonal"),
+    pytest.param(_symmetric([1.0, 1.0, 1.0], {(2, 0): math.inf}), id="inf-off-diagonal"),
+    pytest.param(_symmetric([1.0, 1.0, 1.0], {(2, 1): -math.inf}), id="minus-inf-off-diagonal"),
+    pytest.param(np.diag([1e13, 1.0, 1.0]), id="ratio-1e13"),
+    pytest.param(np.zeros((3, 3)), id="singular"),
+    pytest.param(_symmetric([1.0, 1.0, 4.0], {(1, 0): 1.0}), id="rank-2"),
+    # indefinite, condition number 6.9e15: a nearly singular leading 2x2 block
+    # and large entries along its null vector; the rounded det is positive
+    pytest.param(_symmetric([0.9719091972838558, 0.1868367992000977, 0.8416949641195357],
+                            {(1, 0): 0.42613190860771255, (2, 0): -988.0511719456101,
+                             (2, 1): -433.20932951342473}), id="off-diagonal-beyond-the-trace"),
+])
+def test_ill_conditioned_3x3_innovation_drops_the_member(R):
+    """The 3x3 counterparts of the rows above, a singular and a rank-2
+    member: the closed-form gate clears none of them, and eigvalsh drops
+    each.  A gate without its trace range cleared an infinite S[0, 0];
+    one with Sylvester's leading minors alone, and not af - c^2 and
+    df - e^2, cleared the last row."""
+    assert tracking._cleared(R[None]) == [False]
+    _assert_dropped(R, _H3)
+
+
+@pytest.mark.parametrize("R", [
+    pytest.param(np.diag([math.nan, 1.0, 1.0]), id="nan-first-diagonal"),
+    pytest.param(np.diag([1.0, 1.0, math.nan]), id="nan-last-diagonal"),
+    pytest.param(_symmetric([1.0, 1.0, 1.0], {(1, 0): math.nan}), id="nan-off-diagonal"),
+    pytest.param(_symmetric([1.0, 1.0, 1.0], {(2, 1): math.nan}), id="nan-last-off-diagonal"),
+])
+def test_nan_3x3_innovation_is_a_linalg_error(R):
+    """A NaN in a 3x3 innovation covariance raises, alone and between two
+    members the closed-form gate clears."""
+    with pytest.raises(np.linalg.LinAlgError):
+        kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(3), _H3, R)
+    # the outer members' S is the identity, which the gate clears
+    assert tracking._cleared(np.eye(3)[None]) == [True]
+    Ps = np.zeros((3, 4, 4))
+    Ps[1, :3, :3] = R
+    with pytest.raises(np.linalg.LinAlgError):
+        tracking._kalman_stack(np.zeros((3, 4)), Ps, np.zeros((3, 3)), np.array([_H3] * 3),
+                               np.eye(3))
+
+
 def test_innovation_below_the_condition_limit_updates():
-    _, keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2,
-                                   np.diag([1e11, 1.0]))
+    keep, vec, P = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.ones(2), _H2,
+                                np.diag([1e11, 1.0]))
     assert keep == [True]
     assert np.array_equal(vec, np.zeros((1, 4)))
     assert np.array_equal(P, np.zeros((1, 4, 4)))
+
+
+def _counted_eigvalsh(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record each call's stack size, in the
+    returned list."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(S, *args, **kwargs):
+        calls.append(len(S))
+        return eigvalsh(S, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ratio, cleared", [(1e4, True), (1e11, False), (1e13, False)])
+def test_3x3_innovation_takes_eigvalsh_only_where_the_gate_fails(monkeypatch, ratio, cleared):
+    """diag(ratio, 1, 1) has the condition number ratio.  The gate's bound
+    tr^3 / (4 det) is about ratio^2 / 4, so it clears 1e4 without
+    LAPACK; 1e11 goes to eigvalsh, which keeps it, and 1e13 to eigvalsh,
+    which drops it.  In a stack, only the member the gate cannot clear
+    goes to eigvalsh."""
+    calls = _counted_eigvalsh(monkeypatch)
+    R = np.diag([ratio, 1.0, 1.0])
+    assert tracking._cleared(R[None]) == [cleared]
+    keep, vec, _ = kalman_alone(np.zeros(4), np.zeros((4, 4)), np.zeros(3), _H3, R)
+    assert keep == [ratio <= tracking.COND_LIMIT]
+    assert calls == ([] if cleared else [1])
+    del calls[:]
+    Ps = np.zeros((3, 4, 4))
+    Ps[1, :3, :3] = R - np.eye(3)   # S = R for member 1 and the identity for the others
+    keep, vec, _ = tracking._kalman_stack(np.zeros((3, 4)), Ps, np.zeros((3, 3)),
+                                          np.array([_H3] * 3), np.eye(3))
+    assert keep == [True, ratio <= tracking.COND_LIMIT, True] and len(vec) == sum(keep)
+    assert calls == ([] if cleared else [1])
+
+
+@st.composite
+def gate_probes(draw):
+    """Symmetric 3x3 matrices that probe the closed-form gate: of any
+    sign and scale; positive definite with a condition number from 1 to
+    1e13, at any scale in the gate's trace range and beyond it; nearly
+    rank-deficient, with a small multiple of the identity of either sign
+    added to a rank-2 matrix; and with an infinite or NaN entry on or
+    off the diagonal.  Two families sit where the proof is tight:
+    eigenvalues (1, c, c), whose condition number c is half the gate's
+    bound tr^3 / (4 det), and a nearly singular leading 2x2 block with
+    large entries along its null vector, whose rounded det can come out
+    positive though S is indefinite.  The upper triangle, which the gate
+    and eigvalsh do not read, may differ from the lower in its last
+    bits, as a computed H P H^T + R can."""
+    kind = draw(st.sampled_from(["any-sign", "conditioned", "near-rank-2", "non-finite",
+                                 "tight", "null-aligned"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "any-sign":
+        A = rng.normal(size=(3, 3)) * 10.0 ** draw(st.floats(-100, 100))
+        S = A + A.T
+    elif kind == "conditioned":
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        cond = 10.0 ** draw(st.floats(0, 13))
+        eigs = [1.0, cond ** draw(st.floats(0, 1)), cond]
+        S = Q @ np.diag(rng.permutation(eigs)) @ Q.T * 10.0 ** draw(st.floats(-100, 100))
+    elif kind == "tight":
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        c = 10.0 ** draw(st.floats(10, 13))
+        S = Q @ np.diag([1.0, c, c]) @ Q.T * 10.0 ** draw(st.floats(-80, 80))
+    elif kind == "null-aligned":
+        u = rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        block = np.outer(u, u) + np.eye(2) * 10.0 ** draw(st.floats(-17, -14))
+        c, e = u * 10.0 ** draw(st.floats(2, 7))
+        S = np.zeros((3, 3))
+        S[:2, :2] = block
+        S[2, :2] = S[:2, 2] = c, e
+        S[2, 2] = draw(st.floats(0, 2))
+    elif kind == "near-rank-2":
+        V = rng.normal(size=(3, 2))
+        S = V @ V.T + np.eye(3) * draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(
+            st.floats(-20, 0))
+    else:
+        A = rng.normal(size=(3, 3))
+        S = A @ A.T + np.eye(3)
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        S[i, j] = S[j, i] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    if draw(st.booleans()):
+        S[0, 2] *= 1.0 + 2.0 ** -40
+    return S
+
+
+@settings(max_examples=1500, deadline=None)
+@given(gate_probes())
+def test_a_member_the_gate_clears_is_within_the_condition_limit(S):
+    """The gate is a proof: whenever it clears a member, eigvalsh's
+    condition number of that member is within COND_LIMIT, so the member
+    is kept whichever of the two decides."""
+    if tracking._cleared(S[None]) == [True]:
+        assert tracking._condition(S[None])[0] <= tracking.COND_LIMIT
 
 
 # ---------------------------------------------------------- stacked filter
@@ -493,16 +642,18 @@ def test_stacked_update_equals_separate_updates(n, r_kind, row, singular, seed):
         if flag:
             H[row] = 0.0
 
-    cond, keep, vec_post, P_post = tracking._kalman_stack(
+    keep, vec_post, P_post = tracking._kalman_stack(
         np.array(vecs), np.array(Ps), np.array(residuals), np.array(Hs), R)
 
     separate = []
     for i in range(n):
-        _, alone, vec, P = kalman_alone(vecs[i], Ps[i], residuals[i], Hs[i], R)
+        alone, vec, P = kalman_alone(vecs[i], Ps[i], residuals[i], Hs[i], R)
         if alone[0]:
             separate.append((i, vec[0], P[0]))
     kept = [i for i, k in enumerate(keep) if k]
-    assert kept == [i for i, c in enumerate(cond) if c <= tracking.COND_LIMIT]
+    # the innovation covariances, as the update forms them
+    S = np.array(Hs) @ np.array(Ps) @ np.array(Hs).swapaxes(-1, -2) + R
+    assert kept == [i for i, c in enumerate(tracking._condition(S)) if c <= tracking.COND_LIMIT]
     assert kept == [i for i, _, _ in separate]
     if r_kind == "inf-row":
         assert kept == []
@@ -622,6 +773,22 @@ def test_assignment_hand_example():
     pairs, total = max_weight_assignment(np.where(eligible, W, 0.0), eligible)
     assert pairs == [(0, 0), (1, 1)]
     assert total == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("W, eligible, want", [
+    ([[0.0, 0.0]], [[True, False]], [(0, 0)]),
+    ([[0.0], [0.0]], [[False], [True]], [(1, 0)]),
+    ([[0.0, 0.5], [0.5, 0.0]], [[True, True], [True, True]], [(0, 1), (1, 0)]),
+    ([[0.5, 0.0], [0.5, 0.0]], [[True, False], [True, True]], [(0, 0), (1, 1)]),
+], ids=["lone-row", "lone-column", "beside-positive", "after-positive"])
+def test_assignment_takes_an_eligible_pair_of_weight_zero(W, eligible, want):
+    """An eligible pair of weight 0 is taken when its row has no better
+    column: it leaves the total optimal, and a matched row comes before
+    an unmatched one.  The oracle used to leave [[0.0, 0.0]]'s (0, 0) out,
+    the function to take it."""
+    W, eligible = np.array(W), np.array(eligible)
+    assert max_weight_assignment(W, eligible) == (want, math.fsum(W[r, c] for r, c in want))
+    assert max_weight_assignment(W, eligible) == brute_force_assignment(W, eligible)
 
 
 def test_assignment_gate_excludes_everything():
@@ -1040,6 +1207,26 @@ def test_step_projects_each_live_track_once_per_blink(monkeypatch):
         assert len(binds) - binds_before == int(busy)
         empty += not busy
     assert max(live) >= 5 and len(pairs) > len(frames) and empty > 0
+
+
+def test_dense_scenario_updates_never_call_eigvalsh(monkeypatch):
+    """The closed-form gate clears every member of every update over the
+    crowded scenario of the pin below, so no blink calls LAPACK's
+    eigvalsh."""
+    scen = _dense_scenario()
+    frames, _ = scenario.generate(scen)
+    calls = _counted_eigvalsh(monkeypatch)
+    gate, members = tracking._cleared, []
+
+    def counted_gate(S):
+        members.append(len(S))
+        return gate(S)
+
+    monkeypatch.setattr(tracking, "_cleared", counted_gate)
+    cfg, state = TrackerConfig(), TrackerState()
+    for frame in frames:
+        state, _ = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
+    assert sum(members) > len(frames) and calls == []
 
 
 def test_dense_tracker_bytes_pinned():
