@@ -32,11 +32,18 @@ from typing import NamedTuple
 
 from .geometry import (ParseError, VersionMismatch, is_finite_number, read_lines, require,
                        require_finite)
+from .tracking import MAX_D
 
 SKIP, BLINK = 0, 1
 
 QTABLE_FORMAT = "rearguard-qtable"
 QTABLE_VERSION = 1
+
+# Physical bounds on the sampler's knobs (see SamplerConfig)
+MAX_CONFIDENCE = 1.0e6   # 1/m^2, a covariance trace of 1e-6: a millimetre spread
+MAX_ETA = 1.0            # per tick
+MAX_DT_S = 1.0e6         # s, the latest time a scenario reaches (scenario.MAX_SECONDS)
+MAX_PERIOD = 1.0e9       # ticks, compare's budget-matched period at its 1e-9 blink-fraction floor
 
 
 class SamplerState(NamedTuple):
@@ -47,6 +54,25 @@ class SamplerState(NamedTuple):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """The learned sampler's knobs and the baselines'.
+
+    Each has a physical bound.  Confidence, 1 / (trace + gamma), is
+    positive and at most MAX_CONFIDENCE: a track known to a millimetre
+    is beyond any camera box (the standard suite's tightest trace is
+    0.12 m^2).  c_min lies in (0, MAX_CONFIDENCE]: at 0 or below, the
+    threshold sampler would never blink while a track lives.  The
+    conf_edges lie in [0, MAX_CONFIDENCE].  sample_cost is at least
+    -MAX_CONFIDENCE: the reward weighs a blink against a change of the
+    weakest confidence, so a costlier blink is never worth one, and a
+    cost of -1e308 overflows the Q-values to NaN.  eta is at most
+    MAX_ETA, one per tick: faster, exploration is gone before the
+    second tick.  dt_max and the dt_edges are at most MAX_DT_S, the
+    latest time a scenario reaches, and the dist_edges at most MAX_D,
+    the tracking range's bound.  period is at most MAX_PERIOD ticks,
+    the longest interval compare's budget matching sets; beyond the
+    longest run (10^6 ticks) an interval never blinks anyway.
+    """
+
     sample_cost: float = -0.05
     epsilon0: float = 1.0
     eta: float = 0.1
@@ -64,17 +90,29 @@ class SamplerConfig:
         require_finite(self, "sample_cost", "epsilon0", "eta", "beta", "dt_max", "period", "p",
                        "c_min")
         require(self.sample_cost <= 0, "sample_cost", "is a cost; it must be zero or negative")
+        require(self.sample_cost >= -MAX_CONFIDENCE, "sample_cost",
+                f"must be at least {-MAX_CONFIDENCE:g}, got {self.sample_cost!r}")
         require(0 < self.epsilon0 <= 1, "epsilon0", "must be in (0, 1]")
         require(self.eta > 0, "eta", "must be positive")
+        require(self.eta <= MAX_ETA, "eta", f"must be at most {MAX_ETA:g} per tick, got {self.eta!r}")
         require(0 <= self.beta < 1, "beta", "must be in [0, 1)")
         require(self.dt_max > 0, "dt_max", "must be positive")
-        for name in ("conf_edges", "dist_edges", "dt_edges"):
+        require(self.dt_max <= MAX_DT_S, "dt_max",
+                f"must be at most {MAX_DT_S:g} s, got {self.dt_max!r}")
+        for name, hi, unit in (("conf_edges", MAX_CONFIDENCE, ""), ("dist_edges", MAX_D, " m"),
+                               ("dt_edges", MAX_DT_S, " s")):
             edges = getattr(self, name)
             require(isinstance(edges, tuple) and all(map(is_finite_number, edges))
                     and all(a < b for a, b in zip(edges, edges[1:])), name,
                     f"must be a strictly increasing tuple of finite numbers, got {edges!r}")
+            require(all(0 <= e <= hi for e in edges), name,
+                    f"must lie in [0, {hi:g}]{unit}, got {edges!r}")
         require(self.period >= 1, "period", f"must be at least one tick, got {self.period!r}")
+        require(self.period <= MAX_PERIOD, "period",
+                f"must be at most {MAX_PERIOD:g} ticks, got {self.period!r}")
         require(0 <= self.p <= 1, "p", f"must be a blink probability in [0, 1], got {self.p!r}")
+        require(0 < self.c_min <= MAX_CONFIDENCE, "c_min",
+                f"must be in (0, {MAX_CONFIDENCE:g}], got {self.c_min!r}")
 
     @property
     def no_tracks_bin(self) -> int:

@@ -16,12 +16,20 @@ and detections and numpy's fixed cost per call would exceed the work:
 each track's gated IoU row is a list, computed from its predicted box
 geometry (bottom centre from the triple, size from the already-checked
 last box, one horizon row per blink), and so is the list of its gated
-columns, built once.  The connected components of the graph of gated
-(track, detection) pairs are formed from those lists.  A component with
-one row or one column is its best pair, the largest weight with the
-smallest index on a tie: a single pair's total is its weight, so this
-is exact.  Only a component with two rows and two columns or more is
-solved, on its submatrix, extracted once.  Its weights become exact
+columns, built once.  The row-best rule settles over half of a dense
+scene's blinks: when the rows' best columns (the largest weight, the
+smallest index on a tie) are distinct, every best weight is positive,
+and every gated column left of a row's best falls short of it by more
+than 4 ulp(s), s the float sum of the bests, the row bests are the
+answer.  They reach each component's exact maximum T, and a row that
+took an earlier column would leave a best completion more than 2
+ulp(T) below T, so its total rounds below the optimum (see
+_row_bests).  Otherwise the connected components of the graph of gated
+(track, detection) pairs are formed from those lists.  A component
+with one row or one column is its best pair, the largest weight with
+the smallest index on a tie: a single pair's total is its weight, so
+this is exact.  Only a component with two rows and two columns or more
+is solved, on its submatrix, extracted once.  Its weights become exact
 integers over one power-of-two denominator, and Kuhn-Munkres on the
 shorter side gives the exact optimal total, so the optimal fsum total
 is that integer divided once.  The row-by-row tie-break then compares
@@ -70,12 +78,14 @@ from .geometry import BoundingBox2D, CameraIntrinsics, require, require_finite
 COND_LIMIT = 1e12  # innovation covariance above this is treated as singular
 _TRACE_RANGE = (1e-90, 1e90)   # keeps tr^3 and det's rounding clear of under- and overflow
 _CUBE_LIMIT = COND_LIMIT / 2   # tr^3 / (4 det) <= COND_LIMIT / 8
+_BEST_SUM_LIMIT = 2.0 ** 1023  # keeps each component's optimum finite when it is rounded
 
 # Physical upper bounds on the filter's noise terms (see TrackerConfig)
 MAX_Q = 1.0e4                                     # m^2/s^3
 MAX_R_DIAG = ((geometry.MAX_PIXELS ** 2, "px^2"),) * 3
 MAX_P0_DIAG = ((1.0e6, "m^2"),) * 2 + ((1.0e4, "(m/s)^2"),) * 2
 MAX_D = 1.0e3                                     # m, the range the scene keeps its vehicles in
+MAX_GAMMA = 1.0                                   # m^2, the confidence offset
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,11 @@ class TrackerConfig:
     nothing.  p0_diag's positions are at most 1e6 m^2, a 1 km spread
     (the scene keeps vehicles within 1 km of the user), and its
     velocities at most 1e4 (m/s)^2, the scene's top speed.  d_max, the
-    tracking range, is at most MAX_D, 1 km, for the same reason.
+    tracking range, is at most MAX_D, 1 km, for the same reason.  gamma,
+    the offset that keeps confidence finite, is at most MAX_GAMMA, 1 m^2:
+    a larger one outweighs the covariance of every measured track (the
+    standard suite's tightest trace is 0.12 m^2), so confidence would
+    stop reading the filter.
     """
 
     q_car: float = 2.0          # process noise spectral density, m^2/s^3
@@ -110,6 +124,8 @@ class TrackerConfig:
             require(q >= 0, name, "must be non-negative")
             require(q <= MAX_Q, name, f"must be at most {MAX_Q:g} m^2/s^3, got {q!r}")
         require(self.gamma > 0, "gamma", "must be positive")
+        require(self.gamma <= MAX_GAMMA, "gamma",
+                f"must be at most {MAX_GAMMA:g} m^2, got {self.gamma!r}")
         require(self.d_max > 0, "d_max", "must be positive")
         require(self.d_max <= MAX_D, "d_max", f"must be at most {MAX_D:g} m, got {self.d_max!r}")
         require(0 <= self.iou_gate <= 1, "iou_gate", "must be in [0, 1]")
@@ -354,13 +370,14 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
     their confidence().  Tracks measured by detections also clear their
     misses and take their detection's box."""
     traces = P.trace(axis1=-2, axis2=-1).tolist()
-    return [
-        Track(tr.id, tr.cls, x, z, vx, vz, cov, tr.obj_height, 1.0 / (trace + gamma),
-              tr.miss_count if detections is None else 0,
-              tr.last_box if detections is None else detections[i])
-        for i, (tr, (x, z, vx, vz), cov, trace)
-        in enumerate(zip(tracks, vec.tolist(), P, traces))
-    ]
+    new = tuple.__new__   # skips the NamedTuple constructor, a Python call per track
+    if detections is None:
+        return [new(Track, (tid, cls, x, z, vx, vz, cov, h, 1.0 / (trace + gamma), misses, box))
+                for (tid, cls, _, _, _, _, _, h, _, misses, box), (x, z, vx, vz), cov, trace
+                in zip(tracks, vec.tolist(), P, traces)]
+    return [new(Track, (tid, cls, x, z, vx, vz, cov, h, 1.0 / (trace + gamma), 0, box))
+            for (tid, cls, _, _, _, _, _, h, _, _, _), (x, z, vx, vz), cov, trace, box
+            in zip(tracks, vec.tolist(), P, traces, detections)]
 
 
 def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
@@ -557,6 +574,47 @@ def _tie_break(weights, eligible):
     return fixed
 
 
+def _row_bests(weights, gated):
+    """Each gated row's best pair, the largest weight with the smallest
+    column on a tie, as sorted pairs, when they settle the assignment;
+    None when they may not.
+
+    They settle it when the best columns are distinct, every best weight
+    is positive, and in each row every gated column left of the best
+    falls short of it by more than 4 ulp(s), s the float sum of the best
+    weights (below _BEST_SUM_LIMIT).  Why that is _tie_break's answer:
+    the row bests give each component its exact maximum T, the sum of
+    its rows' best weights, and T is at most about s, so 4 ulp(s) >=
+    2 ulp(T).  A row that took a column left of its best would leave a
+    best completion more than 2 ulp(T) below T, and a total that far
+    below T rounds below T's rounding, the optimal fsum total.  So no
+    row takes an earlier column than its best, and the best is taken,
+    since its completion reaches T.
+    """
+    pairs, taken, s, shortfall = [], set(), 0.0, math.inf
+    for r, cols in enumerate(gated):
+        if not cols:
+            continue
+        row = weights[r]
+        col = cols[0]
+        best, left = row[col], None
+        for c in cols:
+            v = row[c]
+            if v > best:
+                left, best, col = best, v, c
+        if not best > 0.0 or col in taken:
+            return None
+        if left is not None and best - left < shortfall:
+            shortfall = best - left
+        taken.add(col)
+        s += best
+        pairs.append((r, col))
+    # best - left rounds monotonically, so exceeding the power of two 4 ulp(s) is exact
+    if s < _BEST_SUM_LIMIT and shortfall > 4.0 * math.ulp(s):
+        return pairs
+    return None
+
+
 def _assign(weights, gated, eligible=None) -> list:
     """max_weight_assignment's sorted pairs, on weights given as lists of
     rows and each row's sorted eligible columns in gated.  eligible gives
@@ -564,10 +622,14 @@ def _assign(weights, gated, eligible=None) -> list:
     eligible exactly when its weight is positive, as match's gated
     weights are.
 
-    A component with one row or one column is its best pair: the largest
+    The row bests are the answer where _row_bests proves it.  Otherwise
+    a component with one row or one column is its best pair: the largest
     weight, the smallest index on a tie, since a single pair's total is
     its weight.  The tie-break runs on each other component's submatrix.
     """
+    settled = _row_bests(weights, gated)
+    if settled is not None:
+        return settled
     pairs: list[tuple[int, int]] = []
     for rows, cols in _components(gated):
         if len(rows) == 1:
@@ -591,11 +653,18 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     lexicographically smallest, and its total.  Totals are compared as
     math.fsum of the pair weights, which is order-independent, so
     equal-total ties resolve identically no matter how the optimum was
-    found.  Components of the eligibility graph are independent: one
-    with a single row or column is its best pair, and the tie-break runs
-    on each other component's submatrix.  Weights must be non-negative,
-    and cells outside eligible must weigh zero, as match makes them; the
-    first cell in row order that breaks either rule raises ValueError.
+    found.  The contract holds per connected component of the
+    eligibility graph, the optimum and the tie-break both: each
+    component is settled on its own fsum total, as components cannot
+    affect each other.  So W = [[1.0, 0.0], [0.0, 1e-20], [0.0, 2e-20]]
+    with W > 0 gives [(0, 0), (2, 1)], the second component's optimum,
+    although [(0, 0), (1, 1)] also totals 1.0 over the whole matrix.
+    Distinct row bests that the row-best rule proves optimal are the
+    answer at once; otherwise a component with a single row or column is
+    its best pair, and the tie-break runs on each other component's
+    submatrix.  Weights must be non-negative (not NaN), and cells outside
+    eligible must weigh zero, as match makes them; the first cell in row
+    order that breaks either rule raises ValueError.
 
     An eligible pair of weight 0 is taken when its row has no better
     column.  Rows are filled in order, each with the smallest eligible
@@ -608,7 +677,7 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     w, ok = weights.tolist(), eligible.tolist()
     for r, (line, flags) in enumerate(zip(w, ok)):
         for c, (v, flag) in enumerate(zip(line, flags)):
-            if v < 0.0:
+            if not v >= 0.0:   # a NaN is not non-negative either
                 raise ValueError(f"weights[{r}][{c}]: must be non-negative, got {v!r}")
             if v and not flag:
                 raise ValueError(f"weights[{r}][{c}]: outside eligible, so must be 0, got {v!r}")

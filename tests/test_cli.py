@@ -492,6 +492,30 @@ def long_pair(tmp_path_factory):
     pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -10**400}}, EXIT_CONFIG,
                  "sampler.sample_cost: must be a finite number, got -1000",
                  id="sampler-cost-401-digits"),
+    # finite values past each knob's physical bound used to load: a -1e308 cost
+    # learned NaN Q-values, a negative c_min never blinked on a track
+    pytest.param({"sampler": {"kind": "sarsa", "sample_cost": -1e308}}, EXIT_CONFIG,
+                 "sampler.sample_cost: must be at least -1e+06, got -1e+308",
+                 id="sampler-cost-beyond-bound"),
+    pytest.param({"sampler": {"kind": "confidence", "c_min": -1.0}}, EXIT_CONFIG,
+                 "sampler.c_min: must be in (0, 1e+06], got -1.0", id="c-min-negative"),
+    pytest.param({"tracker": {"gamma": 1e308}}, EXIT_CONFIG,
+                 "tracker.gamma: must be at most 1 m^2, got 1e+308", id="tracker-gamma-huge"),
+    pytest.param({"sampler": {"kind": "sarsa", "eta": 1e308}}, EXIT_CONFIG,
+                 "sampler.eta: must be at most 1 per tick, got 1e+308", id="sampler-eta-huge"),
+    pytest.param({"sampler": {"kind": "confidence", "dt_max": 1e308}}, EXIT_CONFIG,
+                 "sampler.dt_max: must be at most 1e+06 s, got 1e+308", id="sampler-dt-max-huge"),
+    pytest.param({"sampler": {"kind": "interval", "period": 1e308}}, EXIT_CONFIG,
+                 "sampler.period: must be at most 1e+09 ticks, got 1e+308", id="period-huge"),
+    pytest.param({"sampler": {"kind": "sarsa", "conf_edges": [0.02, 0.1, 1e308]}}, EXIT_CONFIG,
+                 "sampler.conf_edges: must lie in [0, 1e+06], got (0.02, 0.1, 1e+308)",
+                 id="sampler-conf-edges-huge"),
+    pytest.param({"sampler": {"kind": "sarsa", "dist_edges": [5.0, 10.0, 1e308]}}, EXIT_CONFIG,
+                 "sampler.dist_edges: must lie in [0, 1000] m, got (5.0, 10.0, 1e+308)",
+                 id="sampler-dist-edges-huge"),
+    pytest.param({"sampler": {"kind": "sarsa", "dt_edges": [0.2, 0.5, 1e308]}}, EXIT_CONFIG,
+                 "sampler.dt_edges: must lie in [0, 1e+06] s, got (0.2, 0.5, 1e+308)",
+                 id="sampler-dt-edges-huge"),
     pytest.param({"seed": "five"}, EXIT_CONFIG, "seed:", id="seed-not-a-number"),
     pytest.param({"warmup_s": "soon"}, EXIT_CONFIG, "warmup_s:", id="warmup-not-a-number"),
     pytest.param({"risk": {"reaction_time": "slow"}}, EXIT_CONFIG,

@@ -56,7 +56,7 @@ from rearguard.scenario import (
 )
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
 from rearguard.risk import ObjectRisk, RiskAssessment, RiskConfig, assess
-from rearguard.sampler import SamplerConfig
+from rearguard.sampler import QTable, SamplerConfig
 from rearguard.tracking import Assignment, Track, TrackerConfig, TrackerState
 
 REAR = ImuPose(pitch=0.0, yaw=math.pi)
@@ -457,6 +457,22 @@ NEGATIVE_COSTS = [
 def test_a_401_digit_int_is_a_config_error_naming_its_field(cls, field, value):
     with pytest.raises(InvalidConfig, match=f"^{field}: "):
         cls(**{field: value})
+
+
+def test_a_sample_cost_that_overflows_the_q_values_is_refused():
+    """A finite cost of -1e308 used to load, and run_pipeline on s01 learned
+    14 NaN Q-values out of 62 and kept running; at the bound the values
+    stay finite."""
+    with pytest.raises(InvalidConfig, match=r"^sample_cost: must be at least -1e\+06, got -1e\+308$"):
+        replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, sample_cost=-1e308))
+    name, scen = standard_suite()[0]
+    frames, truth = generate(scen)
+    q = QTable()
+    cfg = replace(NO_WARMUP, sampler=replace(NO_WARMUP.sampler, sample_cost=-1e6))
+    run_pipeline(frames, truth, "sarsa", cfg, seed=1, camera=scen.camera, fov=scen.detector.fov,
+                 qtable=q, scenario_label=name)
+    assert name.startswith("s01") and q.values
+    assert all(math.isfinite(v) for v in q.values.values())
 
 
 # ------------------------------------------------------------- truth labels

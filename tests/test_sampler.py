@@ -13,8 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toy_mdp
+from rearguard import scenario
 from rearguard.sampler import (
     BLINK,
+    MAX_CONFIDENCE,
+    MAX_DT_S,
+    MAX_ETA,
+    MAX_PERIOD,
     SKIP,
     QTable,
     SamplerConfig,
@@ -76,9 +81,40 @@ def test_non_number_learning_field_is_a_config_error(field, value):
 
 
 def test_baseline_knobs_at_their_edges_are_accepted():
-    cfg = SamplerConfig(period=1.0, p=0.0, c_min=-1e9)
-    assert (cfg.period, cfg.p, cfg.c_min) == (1.0, 0.0, -1e9)
-    assert SamplerConfig(p=1.0).p == 1.0
+    cfg = SamplerConfig(period=1.0, p=0.0, c_min=5e-324)
+    assert (cfg.period, cfg.p, cfg.c_min) == (1.0, 0.0, 5e-324)
+    cfg = SamplerConfig(period=MAX_PERIOD, p=1.0, c_min=MAX_CONFIDENCE)
+    assert (cfg.period, cfg.p, cfg.c_min) == (MAX_PERIOD, 1.0, MAX_CONFIDENCE)
+
+
+# every field had no upper bound (and c_min no bound at all), so 1e308 loaded;
+# a sample_cost of -1e308 learned NaN Q-values, a c_min of -1 never blinked on a track
+@pytest.mark.parametrize("field, value, message", [
+    ("sample_cost", -1e308, "sample_cost: must be at least -1e+06, got -1e+308"),
+    ("c_min", -1.0, "c_min: must be in (0, 1e+06], got -1.0"),
+    ("c_min", 0.0, "c_min: must be in (0, 1e+06], got 0.0"),
+    ("c_min", 1e308, "c_min: must be in (0, 1e+06], got 1e+308"),
+    ("eta", 1e308, "eta: must be at most 1 per tick, got 1e+308"),
+    ("dt_max", 1e308, "dt_max: must be at most 1e+06 s, got 1e+308"),
+    ("period", 1e308, "period: must be at most 1e+09 ticks, got 1e+308"),
+    ("conf_edges", (0.02, 0.1, 1e308), "conf_edges: must lie in [0, 1e+06], got (0.02, 0.1, 1e+308)"),
+    ("conf_edges", (-0.5, 0.1, 0.5), "conf_edges: must lie in [0, 1e+06], got (-0.5, 0.1, 0.5)"),
+    ("dist_edges", (5.0, 10.0, 1e308), "dist_edges: must lie in [0, 1000] m, got (5.0, 10.0, 1e+308)"),
+    ("dt_edges", (0.2, 0.5, 1e308), "dt_edges: must lie in [0, 1e+06] s, got (0.2, 0.5, 1e+308)"),
+], ids=["sample-cost", "c-min-negative", "c-min-zero", "c-min-huge", "eta", "dt-max", "period",
+        "conf-edges-huge", "conf-edges-negative", "dist-edges", "dt-edges"])
+def test_knobs_beyond_their_physical_bounds_are_config_errors(field, value, message):
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        SamplerConfig(**{field: value})
+
+
+def test_knobs_at_their_physical_bounds_are_accepted():
+    cfg = SamplerConfig(sample_cost=-MAX_CONFIDENCE, eta=MAX_ETA, dt_max=MAX_DT_S,
+                        conf_edges=(0.0, MAX_CONFIDENCE), dist_edges=(0.0, 1000.0),
+                        dt_edges=(0.0, MAX_DT_S))
+    assert (cfg.sample_cost, cfg.eta, cfg.dt_max) == (-MAX_CONFIDENCE, MAX_ETA, MAX_DT_S)
+    # a dt_max beyond the latest time a scenario reaches would never fire
+    assert MAX_DT_S == scenario.MAX_SECONDS
 
 
 # ----------------------------------------------------------------- states

@@ -4,7 +4,8 @@ The reference implementations the EKF and matcher are checked against
 live at the top of this file: a central-difference Jacobian, the
 closed-form Jacobian of one track, a textbook linear Kalman update, a
 permutation-enumeration assignment solver with the same lexicographic
-tie-break contract, and association on a full numpy weight matrix.
+tie-break contract (and its run on each connected component, the
+contract's unit), and association on a full numpy weight matrix.
 """
 
 from __future__ import annotations
@@ -122,6 +123,37 @@ def brute_force_assignment(weights, eligible):
         if best is None or key < best[0]:
             best = key, pairs
     return best[1], -best[0][0]
+
+
+def brute_force_by_component(weights, eligible):
+    """brute_force_assignment run on each connected component of the
+    graph of eligible cells, its pairs merged and sorted, with their fsum
+    total.  max_weight_assignment settles each component on that
+    component's own optimum, so this is its oracle where components'
+    totals round together."""
+    nr, nc = weights.shape
+    owner = list(range(nr + nc))   # union-find over rows 0..nr-1 and columns nr..nr+nc-1
+
+    def root(i):
+        while owner[i] != i:
+            i = owner[i]
+        return i
+
+    for r, c in zip(*np.nonzero(eligible)):
+        owner[root(int(r))] = root(nr + int(c))
+    blocks = {}
+    for r, c in zip(*np.nonzero(eligible)):
+        rows, cols = blocks.setdefault(root(int(r)), (set(), set()))
+        rows.add(int(r))
+        cols.add(int(c))
+    pairs = []
+    for rows, cols in blocks.values():
+        rows, cols = sorted(rows), sorted(cols)
+        block = np.ix_(rows, cols)
+        sub, _ = brute_force_assignment(weights[block], eligible[block])
+        pairs += [(rows[r], cols[c]) for r, c in sub]
+    pairs.sort()
+    return pairs, math.fsum(weights[r, c] for r, c in pairs)
 
 
 def reference_predicted_box(track, obs, pose, intr):
@@ -247,6 +279,14 @@ def test_confidence_hand_values():
 
 def test_confidence_decreasing_in_trace():
     assert confidence(np.eye(4) * 2) < confidence(np.eye(4))
+
+
+def test_gamma_is_at_most_a_square_metre():
+    """gamma had no upper bound, so 1e308 loaded and flattened every
+    confidence to about 1e-308."""
+    assert TrackerConfig(gamma=1.0).gamma == 1.0
+    with pytest.raises(InvalidConfig, match=r"^gamma: must be at most 1 m\^2, got 1\.0000000000000002$"):
+        TrackerConfig(gamma=math.nextafter(1.0, 2.0))
 
 
 # ---------------------------------------------------------------- jacobian
@@ -873,9 +913,110 @@ def block_diagonal_problems(draw):
 def test_assignment_matches_brute_force_on_independent_blocks(problem):
     W, eligible = problem
     got_pairs, got_total = max_weight_assignment(W, eligible)
-    want_pairs, want_total = brute_force_assignment(W, eligible)
+    want_pairs, want_total = brute_force_by_component(W, eligible)
     assert got_pairs == want_pairs
     assert got_total == want_total
+
+
+def test_assignment_settles_each_component_on_its_own_optimum():
+    """The contract is per component.  Row 0 and column 0 form one
+    component, rows 1 and 2 with column 1 another; its optimum is row 2's
+    2e-20.  Over the whole assignment both choices total 1.0, so an
+    oracle on whole-assignment fsum totals takes the smaller pair list."""
+    W = np.array([[1.0, 0.0], [0.0, 1e-20], [0.0, 2e-20]])
+    assert max_weight_assignment(W, W > 0.0) == ([(0, 0), (2, 1)], 1.0)
+    assert brute_force_by_component(W, W > 0.0) == ([(0, 0), (2, 1)], 1.0)
+    assert brute_force_assignment(W, W > 0.0) == ([(0, 0), (1, 1)], 1.0)
+
+
+def test_assignment_refuses_a_nan_weight():
+    """A NaN is not non-negative.  It used to pass the check, and then
+    either be passed over by a lone row's max or raise from the exact
+    solver's integer conversion, as its component had it."""
+    W = np.array([[0.5, math.nan], [0.25, 0.5]])
+    with pytest.raises(ValueError, match=r"^weights\[0\]\[1\]: must be non-negative, got nan$"):
+        max_weight_assignment(W, np.ones((2, 2), bool))
+
+
+def tie_break_by_component(weights, eligible):
+    """The full path without the row-best rule: _tie_break on the
+    submatrix of each of _components' components."""
+    w, ok = weights.tolist(), eligible.tolist()
+    gated = [[c for c, flag in enumerate(flags) if flag] for flags in ok]
+    pairs = []
+    for rows, cols in tracking._components(gated):
+        sub = [[w[r][c] for c in cols] for r in rows]
+        sub_ok = [[ok[r][c] for c in cols] for r in rows]
+        pairs += [(rows[r], cols[c]) for r, c in tracking._tie_break(sub, sub_ok)]
+    return sorted(pairs)
+
+
+@st.composite
+def row_best_problems(draw):
+    """Matrices up to 4x4 around each row's best weight: cells are
+    ineligible, eligible at weight 0, at the row's best (equal maxima in
+    a row, and shared bests across rows), some ulps below it (0 to 8
+    ulps of the best, scaled by a power of two up to 32, so the gap
+    falls on both sides of the rule's 4 ulp(s)), or another weight."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    W, eligible = np.zeros((nr, nc)), np.zeros((nr, nc), bool)
+    bests = st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1e-300, 5e-324])
+    kinds = st.sampled_from(["off", "off", "zero", "best", "near", "near", "other"])
+    for r in range(nr):
+        best = draw(bests)
+        for c in range(nc):
+            kind = draw(kinds)
+            eligible[r, c] = kind != "off"
+            if kind == "best":
+                W[r, c] = best
+            elif kind == "near":
+                W[r, c] = max(0.0, best - draw(st.integers(0, 8)) * math.ulp(best)
+                              * 2.0 ** draw(st.integers(0, 5)))
+            elif kind == "other":
+                W[r, c] = draw(st.sampled_from([0.05, 0.2, 0.4, 0.6, 2.0 ** -1000]))
+    return W, eligible
+
+
+# sets no max_examples, so the ci profile (tests/conftest.py) deepens it
+@settings(deadline=None)
+@given(row_best_problems())
+def test_assignment_row_bests_equal_the_full_path_and_brute_force(problem):
+    W, eligible = problem
+    want = tie_break_by_component(W, eligible)
+    assert max_weight_assignment(W, eligible) == brute_force_by_component(W, eligible)
+    assert max_weight_assignment(W, eligible)[0] == want
+    w = W.tolist()
+    gated = [[c for c, flag in enumerate(flags) if flag] for flags in eligible.tolist()]
+    assert tracking._assign(w, gated, eligible.tolist()) == want
+    if (eligible == (W > 0.0)).all():   # match's form: eligible exactly where positive
+        assert tracking._assign(w, gated) == want
+
+
+def test_assignment_takes_distinct_row_bests_without_components(monkeypatch):
+    """Each row's best is its own column, with every earlier eligible
+    column far below it, so the row-best rule settles the blink and the
+    component path never runs."""
+    def refuse(gated):
+        raise AssertionError("_components was called")
+
+    monkeypatch.setattr(tracking, "_components", refuse)
+    W = np.array([[0.9, 0.2, 0.0], [0.1, 0.8, 0.3], [0.0, 0.5, 0.7]])
+    assert max_weight_assignment(W, W > 0.0) == ([(0, 0), (1, 1), (2, 2)], 2.4)
+    assert tracking._assign(W.tolist(), [[0, 1], [0, 1, 2], [1, 2]]) == [(0, 0), (1, 1), (2, 2)]
+
+
+def test_assignment_with_a_one_ulp_gap_takes_the_full_path(monkeypatch):
+    """Row 0's best, 1.0 in column 1, is one ulp above its column 0, and
+    the rows' bests are distinct.  But 1.0 - 2**-53 + 1.0 rounds to 2.0,
+    the optimal total, so the lexicographically smaller [(0, 0), (1, 1)]
+    is optimal too: the rule declines, and the full path finds it."""
+    calls = []
+    components = tracking._components
+    monkeypatch.setattr(tracking, "_components", lambda gated: calls.append(gated) or components(gated))
+    W = np.array([[1.0 - 2.0 ** -53, 1.0], [1.0, 1.0]])
+    assert max_weight_assignment(W, W > 0.0) == ([(0, 0), (1, 1)], 2.0)
+    assert max_weight_assignment(W, W > 0.0) == brute_force_assignment(W, W > 0.0)
+    assert len(calls) == 2
 
 
 def test_assignment_breaks_a_non_dyadic_tie_on_the_fsum_optimum():
