@@ -67,6 +67,7 @@ from .sampler import SAMPLER_KINDS  # noqa: F401  callers read evaluation.SAMPLE
 from .scenario import (
     DEFAULT_FOV,
     DEFAULT_USER_SPEED,
+    MAX_SECONDS,
     CameraConfig,
     ScenarioConfig,
     UserConfig,
@@ -89,6 +90,10 @@ class PipelineConfig(RiskConfig):
         super().__post_init__()
         require_finite(self, "warmup_s")
         require(self.warmup_s >= 0, "warmup_s", f"must be non-negative, got {self.warmup_s!r}")
+        # a warm-up past the trace's end is legal and scores no tick; past the
+        # latest time any scenario reaches it can only hide a whole run
+        require(self.warmup_s <= MAX_SECONDS, "warmup_s",
+                f"must be at most {MAX_SECONDS:g} s, got {self.warmup_s!r}")
 
 
 def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None = None):

@@ -26,6 +26,7 @@ from .geometry import InvalidConfig, is_finite_number, require, require_finite
 RADIAL_EPS = 1e-9
 
 DEFAULT_REACTION_TIME_S = 3.3
+MAX_REACTION_TIME_S = 60.0
 DEFAULT_ALERT_THRESHOLD = 0.01
 
 
@@ -46,10 +47,16 @@ class RiskConfig:
 
 def check_reaction_time(t_r) -> None:
     """The one reaction-time rule, for a config and for every function that
-    takes t_r: a positive finite number.  Per tick in assess, so the message
-    is built only on failure, not eagerly as a require call would."""
+    takes t_r: a positive finite number, at most MAX_REACTION_TIME_S.  A
+    one-minute budget is beyond any road user's reaction plus braking, and
+    past it the rule alerts on nearly every approaching object.  Per tick in
+    assess, so the message is built only on failure, not eagerly as a
+    require call would."""
     if not (is_finite_number(t_r) and t_r > 0):
         raise InvalidConfig(f"reaction_time: must be a positive finite number, got {t_r!r}")
+    if t_r > MAX_REACTION_TIME_S:
+        raise InvalidConfig(f"reaction_time: must be at most {MAX_REACTION_TIME_S:g} s, "
+                            f"got {t_r!r}")
 
 
 class DegeneratePosition(ValueError):

@@ -417,7 +417,9 @@ BAD_PIPELINE_VALUES = [
                            ("alert_threshold", "alert_threshold: must be a finite number"))
     for value in (math.nan, math.inf, -math.inf, True, False)   # a bool is no number
 ] + [("reaction_time", value, "reaction_time: must be a positive finite number")
-     for value in (0.0, -1.0)]
+     for value in (0.0, -1.0)] + [
+    # past the latest time a scenario reaches; 1e308 used to score 0 ticks with exit 0
+    ("warmup_s", 1e308, r"warmup_s: must be at most 1e\+06 s, got 1e\+308")]
 
 
 @pytest.mark.parametrize("field, value, message", BAD_PIPELINE_VALUES,

@@ -180,10 +180,16 @@ def _label_config(t_r):
     return SimpleNamespace(reaction_time=t_r, alert_threshold=0.01, tracker=TrackerConfig())
 
 
-BAD_REACTION_TIMES = [float("nan"), float("inf"), 0.0, -1.0]
+BAD_REACTION_TIMES = [
+    *((t_r, f"reaction_time: must be a positive finite number, got {t_r!r}")
+      for t_r in (float("nan"), float("inf"), 0.0, -1.0)),
+    # 1e308 used to report FNR 68.5% on s01, alerting on nearly every approach
+    (1e308, "reaction_time: must be at most 60 s, got 1e+308"),
+]
 
 
-@pytest.mark.parametrize("t_r", BAD_REACTION_TIMES, ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("t_r, message", BAD_REACTION_TIMES,
+                         ids=["nan", "inf", "zero", "negative", "huge"])
 @pytest.mark.parametrize("call", [
     lambda t_r: risk_level(1.0, t_r),
     lambda t_r: assess([FakeTrack(1, 0.0, -2.0, 0.0, 2.0)], t_r),
@@ -192,9 +198,8 @@ BAD_REACTION_TIMES = [float("nan"), float("inf"), 0.0, -1.0]
     lambda t_r: label_truth([_tick(2)], config=_label_config(t_r)),
     lambda t_r: RiskConfig(reaction_time=t_r),
 ], ids=["risk_level", "assess", "assess-empty", "ground_truth_danger", "label_truth", "RiskConfig"])
-def test_one_reaction_time_rule(call, t_r):
+def test_one_reaction_time_rule(call, t_r, message):
     # risk_level(1.0, nan) returned 0.0 and risk_level(1.0, inf) 1.0
-    message = f"reaction_time: must be a positive finite number, got {t_r!r}"
     with pytest.raises(InvalidConfig, match=re.escape(message)):
         call(t_r)
 
