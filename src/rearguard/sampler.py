@@ -38,6 +38,8 @@ SKIP, BLINK = 0, 1
 
 QTABLE_FORMAT = "rearguard-qtable"
 QTABLE_VERSION = 1
+# the fields of a row after the tick line, as save_qtable writes them
+QTABLE_ROW = ("conf_bin", "dist_bin", "dt_bin", "action", "value", "visits")
 
 # Physical bounds on the sampler's knobs (see SamplerConfig)
 MAX_CONFIDENCE = 1.0e6   # 1/m^2, a covariance trace of 1e-6: a millimetre spread
@@ -232,7 +234,11 @@ def load_qtable(path, config: SamplerConfig) -> QTable:
         for i, line in enumerate(lines[2:], start=3):
             if not line:
                 continue
-            cb, db, tb, a, value, visits = line.split()
+            fields = line.split()
+            if len(fields) != len(QTABLE_ROW):
+                raise ValueError(f"expected {len(QTABLE_ROW)} fields ({' '.join(QTABLE_ROW)}), "
+                                 f"got {len(fields)}")
+            cb, db, tb, a, value, visits = fields
             s = SamplerState(int(cb), int(db), int(tb))
             a, value, visits = int(a), float(value), int(visits)
             if not all(0 <= b <= top for b, top in zip(s, tops)):

@@ -41,6 +41,7 @@ from .geometry import (
     InvalidConfig,
     ParseError,
     VersionMismatch,
+    collector_paused,
     is_finite_number,
     is_number,
     pose_model,
@@ -448,17 +449,30 @@ def _calibrated_midpoint(target_median: float, spread: float, tick_rate: float =
     return 0.5 * (lo + hi)
 
 
+def _detection_rule(cls: str, light: str, det: DetectorConfig, tick_rate: float):
+    """The per-trial detection probability of a `cls` object as a function
+    of its range, its class terms bound once; generate binds one per class
+    for a scenario, detector_model one per call."""
+    night_factor = det.night_factor if light == "night" else None
+    spread = det.spread_m[cls]
+    r0 = _calibrated_midpoint(det.first_detect_m[cls], spread, tick_rate)
+
+    def probability(range_m: float) -> float:
+        effective = range_m if night_factor is None else range_m / night_factor
+        try:
+            return 1.0 / (1.0 + math.exp((effective - r0) / spread))
+        except OverflowError:   # some 700 spreads past the midpoint: 1 / (1 + inf)
+            return 0.0
+
+    return probability
+
+
 def detector_model(range_m: float, cls: str, light: str, det: DetectorConfig,
                    tick_rate: float = 10.0) -> float:
     """Per-trial detection probability at the given range."""
     if range_m < 0:
         raise ValueError("range must be non-negative")
-    effective = range_m / det.night_factor if light == "night" else range_m
-    r0 = _calibrated_midpoint(det.first_detect_m[cls], det.spread_m[cls], tick_rate)
-    try:
-        return 1.0 / (1.0 + math.exp((effective - r0) / det.spread_m[cls]))
-    except OverflowError:   # some 700 spreads past the midpoint: 1 / (1 + inf)
-        return 0.0
+    return _detection_rule(cls, light, det, tick_rate)(range_m)
 
 
 def _pose_projector(pose: ImuPose, cam: CameraConfig):
@@ -576,6 +590,8 @@ def _occluded(views, sector: float) -> list:
     hides nor is hidden and stays out of the sweep.
     """
     hidden = [False] * len(views)
+    if len(views) < 2:
+        return hidden
     order = sorted((i for i, (r, b) in enumerate(views) if r == r and math.isfinite(b)),
                    key=lambda i: views[i][0])
     nearer, tied = [], []   # bearings passed; those at the current range
@@ -593,6 +609,7 @@ def _occluded(views, sector: float) -> list:
     return hidden
 
 
+@collector_paused()
 def generate(config: ScenarioConfig):
     """Produce (frames, truth) for a scenario config.
 
@@ -604,6 +621,9 @@ def generate(config: ScenarioConfig):
     bearing; that is decided before its detection trial, so an occluded
     object draws nothing from the generator.  A detected box gets its
     noise and must then lie inside the padded image.
+
+    It runs with the cyclic collector paused (geometry.collector_paused):
+    the records it builds hold no cycles.
     """
     rng = np.random.default_rng(config.seed)
     dt = 1.0 / config.tick_rate
@@ -613,6 +633,8 @@ def generate(config: ScenarioConfig):
     cam = config.camera
     det = config.detector
     half_fov = det.fov / 2
+    detection = {cls: _detection_rule(cls, config.light, det, config.tick_rate)
+                 for cls in {v.cls for v in config.vehicles}}
 
     yaw_phase = rng.uniform(0.0, 2.0 * math.pi)
     pitch_phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -626,6 +648,7 @@ def generate(config: ScenarioConfig):
     frames = []
     truth = []
     z_user = 0.0
+    new = tuple.__new__
     for k in range(n_ticks):
         t = k / config.tick_rate
         if k > 0:
@@ -648,9 +671,10 @@ def generate(config: ScenarioConfig):
                 next_object_id += 1
             live.sort(key=itemgetter(0))
 
+        # built as tracking._refiltered builds a Track, without the NamedTuple constructor
         objects = tuple([
-            GroundTruthObject(oid, sim.cls, sim.x, sim.z - z_user, sim.vx, sim.vz - user_speed,
-                              sim.height)
+            new(GroundTruthObject, (oid, sim.cls, sim.x, sim.z - z_user, sim.vx,
+                                    sim.vz - user_speed, sim.height))
             for _, oid, sim in live])
         truth.append(GroundTruthTick(t, pose, objects))
 
@@ -668,7 +692,7 @@ def generate(config: ScenarioConfig):
                 visible, views, _occluded(views, det.occlusion_sector)):
             if hidden:
                 continue
-            p_det = detector_model(range_m, obj.cls, config.light, det, config.tick_rate)
+            p_det = detection[obj.cls](range_m)
             if rng.random() >= p_det:
                 continue
             if det.box_noise_px > 0:
@@ -723,14 +747,25 @@ def _non_finite(token: str):
 _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
 
-def _check_numbers(values, what: str) -> None:
+def _decode(line: str):
+    """One line's JSON value.  A line that is not JSON is a ValueError
+    naming the column; the caller names the file and the line."""
+    try:
+        return _DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"column {exc.colno}: {exc.msg}") from exc
+
+
+def _check_numbers(values, what: str, strict: bool = False) -> None:
     """Raise ValueError unless every value is a finite number.  One float sum
     per record costs far less than a check per field; a literal too large
     for a double decodes to inf and fails it, and so do values whose sum
     overflows, all near the float limit; an int too large for a double
-    fails it too, as the sum cannot convert it."""
+    fails it too, as the sum cannot convert it.  A bool passes the sum, so
+    a record whose line holds one is checked value by value (strict), with
+    geometry.is_finite_number."""
     try:
-        if math.isfinite(sum(values, 0.0)):
+        if all(map(is_finite_number, values)) if strict else math.isfinite(sum(values, 0.0)):
             return
     except (TypeError, OverflowError):
         pass
@@ -740,7 +775,7 @@ def _check_numbers(values, what: str) -> None:
 def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
     where = f"{path}: line 1"
     try:
-        raw = _DECODER.decode(line)
+        raw = _decode(line)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -810,15 +845,21 @@ def _split_lines(path):
     return lines[0], [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
+@collector_paused()
 def _read_records(path, header_kind: str, build):
     """Header plus one record per line, each checked where it enters:
-    finite numbers, valid boxes and poses, strictly increasing t."""
+    finite numbers, valid boxes and poses, strictly increasing t.
+    build(raw, strict) makes a record of a line's JSON value; a line
+    that may hold a JSON true or false is built strict, with the number
+    check that refuses a bool (_check_numbers), and a string that holds
+    the word costs only that slower check.  It runs with the cyclic
+    collector paused, as generate does."""
     header_line, body = _split_lines(path)
     header = _parse_header(path, header_line, header_kind)
     records = []
     for i, line in body:
         try:
-            rec = build(_DECODER.decode(line))
+            rec = build(_decode(line), "true" in line or "false" in line)
             if records and not rec.t > records[-1].t:
                 raise ValueError(f"t={rec.t} does not increase")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -827,22 +868,24 @@ def _read_records(path, header_kind: str, build):
     return header, records
 
 
-def _box(d) -> BoundingBox2D:
+def _box(d, strict: bool) -> BoundingBox2D:
     x, y, w, h, cls, score = d
-    _check_numbers((x, y, w, h, score), "box")
+    if cls not in VEHICLE_CLASSES:
+        raise ValueError(f"box {d!r}: class must be one of {VEHICLE_CLASSES}")
+    _check_numbers((x, y, w, h, score), "box", strict)
     return BoundingBox2D(x=x, y=y, w=w, h=h, cls=cls, score=score)
 
 
-def _pose_record(raw: dict) -> tuple:
+def _pose_record(raw: dict, strict: bool) -> tuple:
     """A record's t and pose, shared by trace frames and truth ticks."""
     t, pitch, yaw = raw["t"], raw["pitch"], raw["yaw"]
-    _check_numbers((t, pitch, yaw), "t, pitch, yaw")
+    _check_numbers((t, pitch, yaw), "t, pitch, yaw", strict)
     return t, ImuPose(pitch=pitch, yaw=yaw)
 
 
-def _frame(raw: dict) -> Frame:
-    t, pose = _pose_record(raw)
-    return Frame(t, pose, tuple(map(_box, raw["detections"])))
+def _frame(raw: dict, strict: bool) -> Frame:
+    t, pose = _pose_record(raw, strict)
+    return Frame(t, pose, tuple([_box(d, strict) for d in raw["detections"]]))
 
 
 def read_trace(path):
@@ -856,17 +899,18 @@ def write_truth(path, config: ScenarioConfig, truth) -> None:
             "t": tick.t,
             "pitch": tick.pose.pitch,
             "yaw": tick.pose.yaw,
-            "objects": [[o.id, o.cls, o.x, o.z, o.vx, o.vz, o.height] for o in tick.objects],
+            # a GroundTruthObject is a tuple, which the encoder writes as an array
+            "objects": tick.objects,
         }
         for tick in truth
     ))
 
 
-def _truth_object(o) -> GroundTruthObject:
+def _truth_object(o, strict: bool = False) -> GroundTruthObject:
     oid, cls, x, z, vx, vz, height = o
     if cls not in VEHICLE_CLASSES:
         raise ValueError(f"object {o!r}: class must be one of {VEHICLE_CLASSES}")
-    _check_numbers((x, z, vx, vz, height), "object")
+    _check_numbers((x, z, vx, vz, height), "object", strict)
     return GroundTruthObject(id=oid, cls=cls, x=x, z=z, vx=vx, vz=vz, height=height)
 
 
@@ -874,15 +918,18 @@ _OBJECT_CLASSES = frozenset(VEHICLE_CLASSES)
 _OBJECT_NUMBERS = itemgetter(2, 3, 4, 5, 6)   # x, z, vx, vz, height
 
 
-def _truth_objects(rows) -> tuple:
+def _truth_objects(rows, strict: bool) -> tuple:
     """A record's objects, checked as _truth_object checks each one.
 
     One finite sum over the magnitudes of every object's numbers stands for
     the per-object sums: each of those is at most this one, so they are all
     finite when it is (a plain sum could cancel an overflow they report).
     Only when it fails, or a row or class is bad, are the objects checked
-    one by one, for the first bad object's own error.
+    one by one, for the first bad object's own error; a strict check
+    takes them one by one from the start.
     """
+    if strict:
+        return tuple([_truth_object(o, strict) for o in rows])
     try:
         objects = tuple(map(GroundTruthObject._make, rows))
         numbers = chain.from_iterable(map(_OBJECT_NUMBERS, objects))
@@ -894,9 +941,9 @@ def _truth_objects(rows) -> tuple:
     return tuple(map(_truth_object, rows))
 
 
-def _truth_tick(raw: dict) -> GroundTruthTick:
-    t, pose = _pose_record(raw)
-    return GroundTruthTick(t, pose, _truth_objects(raw["objects"]))
+def _truth_tick(raw: dict, strict: bool) -> GroundTruthTick:
+    t, pose = _pose_record(raw, strict)
+    return GroundTruthTick(t, pose, _truth_objects(raw["objects"], strict))
 
 
 def read_truth(path):

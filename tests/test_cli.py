@@ -557,9 +557,10 @@ REFUSALS = {
     "test_run_missing_trace_exits_3_and_names_the_path": (
         _run({"scenario": None, "trace": "nope.jsonl", "truth": "nope-truth.jsonl"}), EXIT_IO,
         "[Errno 2] No such file or directory: 'nope.jsonl'"),
+    # json's own position (line 1 column 2) used to follow the file's line
     "test_run_corrupt_trace_exits_3": (
-        _edited(_break_line_4), EXIT_IO, "trace.jsonl: line 4: Expecting property name enclosed "
-        "in double quotes: line 1 column 2 (char 1)"),
+        _edited(_break_line_4), EXIT_IO, "trace.jsonl: line 4: column 2: Expecting property name "
+        "enclosed in double quotes"),
     "test_run_trace_with_an_int_too_large_for_a_double_exits_3": (
         _edited(lambda trace, truth: trace[3].update(pitch=10**400)), EXIT_IO,
         f"trace.jsonl: line 4: non-finite number or non-number in t, pitch, yaw [0.2, {10**400}, "
@@ -825,9 +826,10 @@ REFUSALS = {
             ({"risk": {"reaction_time": 1e308}},
              "risk.reaction_time: must be at most 60 s, got 1e+308", "reaction-time-huge"),
         ]),
+        # used to report Python's unpacking error
         pytest.param(_qtable("bad.qtable", "tick 3\n0 1 2 blink\n"), EXIT_IO,
-                     "bad.qtable: line 3: not enough values to unpack (expected 6, got 4)",
-                     id="qtable-malformed"),
+                     "bad.qtable: line 3: expected 6 fields (conf_bin dist_bin dt_bin action value "
+                     "visits), got 4", id="qtable-malformed"),
         # values save_qtable never writes; tick -10 used to exit 4 (a zero
         # division in the exploration schedule), a nan value to exit 0 and spread
         pytest.param(_qtable("tick.qtable", "tick -10\n"), EXIT_IO,
@@ -922,6 +924,18 @@ REFUSALS = {
             (_set_truth_object(1, "bus"), "truth.jsonl: line 12: object "
              "[1, 'bus', 0.9, -25.0, 0.0, 2.4, 1.5]: class must be one of ('car', 'cycle')",
              "unknown-truth-class"),
+            # each of these used to load: a bool passed the number check, and a bus
+            # was tracked as a car
+            (lambda trace, truth: trace[3].update(pitch=True), "trace.jsonl: line 4: non-finite "
+             "number or non-number in t, pitch, yaw [0.2, True, 3.12271494191511]", "pitch-true"),
+            (_set_box(0, True), "trace.jsonl: line 52: non-finite number or non-number in box "
+             "[True, 313.05210888061714, 73.11367594572415, 60.85677035102931, "
+             "0.033082683741615396]", "box-x-true"),
+            (_set_truth_object(2, False), "truth.jsonl: line 12: non-finite number or non-number "
+             "in object [False, -25.0, 0.0, 2.4, 1.5]", "truth-object-x-false"),
+            (_set_box(4, "bus"), "trace.jsonl: line 52: box [220.63932825033334, "
+             "313.05210888061714, 73.11367594572415, 60.85677035102931, 'bus', "
+             "0.033082683741615396]: class must be one of ('car', 'cycle')", "unknown-box-class"),
             (_bad_header_focal, "trace.jsonl: line 1: f_x: must be positive", "header-focal-zero"),
             (_set_header("trace", "camera_height", 0),
              "trace.jsonl: line 1: camera_height: must be positive", "header-camera-height-zero"),

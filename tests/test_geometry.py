@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import gc
 import math
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from rearguard.geometry import (
     CameraIntrinsics,
     ImuPose,
     InvalidConfig,
+    collector_paused,
     horizon_line,
     is_number,
     normalize_angle,
@@ -283,3 +285,37 @@ def test_observation_third_component_matches_depth_inversion():
         obs = observe(x, z, 1.5, ImuPose(pitch, yaw), INTR, h_e)
         _, d = camera_nd(x, z, yaw)
         assert INTR.f_y * h_e / obs[2] == pytest.approx(d, rel=1e-12)
+
+
+# ------------------------------------------------------------- collector
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_collector_paused_inside_and_as_the_caller_had_it_after(collector, raises):
+    inside = []
+
+    @collector_paused()
+    def build():
+        inside.append(gc.isenabled())
+        if raises:
+            raise KeyError("boom")
+        return "records"
+
+    if raises:
+        with pytest.raises(KeyError, match="boom"):
+            build()
+    else:
+        assert build() == "records"
+    with collector_paused():
+        inside.append(gc.isenabled())
+    assert inside == [False, False]
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("cls, args", [
+    (ImuPose, (0.1, 3.0)), (BoundingBox2D, (1.0, 2.0, 3.0, 4.0, "cycle", 0.5))])
+def test_pose_and_box_are_slotted_with_the_same_repr_equality_and_hash(cls, args):
+    """One object each for the collector, with no __dict__ beside it."""
+    a, b = cls(*args), cls(*args)
+    assert not hasattr(a, "__dict__")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a).startswith(cls.__name__ + "(")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -633,7 +634,7 @@ _COORD = st.floats(-1e6, 1e6)  # finite, -0.0 included
 _SIZE = st.floats(1e-3, 1e4)
 _POSE = st.builds(ImuPose, st.floats(-1.5, 1.5), st.floats(-3.14, 3.14))
 _TIMES = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12, unique=True).map(sorted)
-_BOX = st.builds(BoundingBox2D, _COORD, _COORD, _SIZE, _SIZE, st.text(max_size=6),
+_BOX = st.builds(BoundingBox2D, _COORD, _COORD, _SIZE, _SIZE, st.sampled_from(VEHICLE_CLASSES),
                  st.floats(0.0, 1.0))
 _OBJECT = st.builds(GroundTruthObject, st.integers(0, 10**6), st.sampled_from(VEHICLE_CLASSES),
                     _COORD, _COORD, _COORD, _COORD, _SIZE)
@@ -780,3 +781,81 @@ def test_version_mismatch(tmp_path):
     path.write_text(json.dumps({"kind": "trace-header", "version": 99}) + "\n")
     with pytest.raises(VersionMismatch):
         read_trace(path)
+
+
+# ------------------------------------------------------- collector paused
+
+def _spy(monkeypatch, name, raises):
+    """Patch scenario.<name>, a step inside generate's or the readers' loop,
+    to record whether the collector runs and then raise or carry on."""
+    seen, real = [], getattr(scenario, name)
+
+    def step(*args):
+        seen.append(gc.isenabled())
+        if raises:
+            raise ValueError("stop")
+        return real(*args)
+    monkeypatch.setattr(scenario, name, step)
+    return seen
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_generate_pauses_the_collector_and_restores_it(collector, monkeypatch, raises):
+    seen = _spy(monkeypatch, "_occluded", raises)
+    if raises:
+        with pytest.raises(ValueError, match="stop"):
+            generate(one_car(duration=2.0))
+    else:
+        generate(one_car(duration=2.0))
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("reader", [read_trace, read_truth], ids=["trace", "truth"])
+def test_readers_pause_the_collector_and_restore_it(tmp_path, collector, monkeypatch, reader,
+                                                    raises):
+    cfg = one_car(duration=2.0)
+    frames, truth = generate(cfg)
+    write_trace(tmp_path / "t.trace", cfg, frames)
+    write_truth(tmp_path / "t.truth", cfg, truth)
+    seen = _spy(monkeypatch, "_pose_record", raises)
+    path = tmp_path / ("t.trace" if reader is read_trace else "t.truth")
+    if raises:
+        with pytest.raises(ParseError, match="line 2: stop"):
+            reader(path)
+    else:
+        assert len(reader(path)[1]) == 20
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+
+
+def test_a_bad_truth_line_restores_the_collector(tmp_path, collector):
+    cfg = one_car(duration=2.0)
+    _, truth = generate(cfg)
+    path = tmp_path / "t.truth"
+    write_truth(path, cfg, truth)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["{broken"] + lines[4:]) + "\n")
+    with pytest.raises(ParseError, match="line 4: column 2: "):
+        read_truth(path)
+    assert gc.isenabled() is collector
+
+
+def test_a_dense_scene_makes_no_cycles(tmp_path):
+    """What makes the pause safe: generating, writing and reading a dense
+    scene, with the collector paused throughout, leaves nothing for it."""
+    cfg = _crowded_scene()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        frames, truth = generate(cfg)
+        write_trace(tmp_path / "t.trace", cfg, frames)
+        write_truth(tmp_path / "t.truth", cfg, truth)
+        read = read_trace(tmp_path / "t.trace"), read_truth(tmp_path / "t.truth")
+        del frames, truth, read
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
