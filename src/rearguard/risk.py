@@ -119,16 +119,33 @@ def assess(
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
     now: float = 0.0,
 ) -> RiskAssessment:
-    """Score every track with object_risk and fold into the overall alert
-    decision."""
+    """Score every track as object_risk does and fold into the overall
+    alert decision.
+
+    One pass over the tracks: ttc and the level inline, with object_risk's
+    operations in its order, each ObjectRisk built positionally, and the
+    overall level the running maximum (a kappa is never NaN or -0.0, so
+    this is max over the kappas, 0.0 for no track)."""
     check_reaction_time(t_r)
-    if not tracks:
-        return RiskAssessment(now, (), 0.0, 0.0 >= alert_threshold)
-    per = tuple([object_risk(tr, t_r) for tr in tracks])
-    gamma = max([o.kappa for o in per], default=0.0)
-    return RiskAssessment(
-        timestamp=now,
-        per_object=per,
-        gamma_overall=gamma,
-        alert=gamma >= alert_threshold,
-    )
+    per, gamma, new = [], 0.0, tuple.__new__
+    for obj in tracks:
+        x, z = obj.x, obj.z
+        r2 = x * x + z * z
+        if r2 == 0.0:
+            t, kappa = None, 1.0   # on the user: maximal risk, as object_risk rules
+        else:
+            radial = x * obj.vx + z * obj.vz
+            if abs(radial) < RADIAL_EPS:
+                t, kappa = None, 0.0
+            else:
+                t = -r2 / radial
+                if t < 0:
+                    kappa = 0.0
+                else:
+                    kappa = 1.0 - t / t_r
+                    if not kappa > 0.0:   # max(0.0, kappa)
+                        kappa = 0.0
+        per.append(new(ObjectRisk, (obj.id, t, kappa)))
+        if kappa > gamma:
+            gamma = kappa
+    return new(RiskAssessment, (now, tuple(per), gamma, gamma >= alert_threshold))

@@ -908,6 +908,8 @@ def write_truth(path, config: ScenarioConfig, truth) -> None:
 
 def _truth_object(o, strict: bool = False) -> GroundTruthObject:
     oid, cls, x, z, vx, vz, height = o
+    if isinstance(oid, bool) or not isinstance(oid, int) or oid < 0:
+        raise ValueError(f"object {o!r}: id must be a non-negative integer")
     if cls not in VEHICLE_CLASSES:
         raise ValueError(f"object {o!r}: class must be one of {VEHICLE_CLASSES}")
     _check_numbers((x, z, vx, vz, height), "object", strict)
@@ -915,26 +917,32 @@ def _truth_object(o, strict: bool = False) -> GroundTruthObject:
 
 
 _OBJECT_CLASSES = frozenset(VEHICLE_CLASSES)
-_OBJECT_NUMBERS = itemgetter(2, 3, 4, 5, 6)   # x, z, vx, vz, height
 
 
 def _truth_objects(rows, strict: bool) -> tuple:
     """A record's objects, checked as _truth_object checks each one.
 
-    One finite sum over the magnitudes of every object's numbers stands for
-    the per-object sums: each of those is at most this one, so they are all
-    finite when it is (a plain sum could cancel an overflow they report).
-    Only when it fails, or a row or class is bad, are the objects checked
-    one by one, for the first bad object's own error; a strict check
-    takes them one by one from the start.
+    The objects are taken apart into one tuple per field.  math.isqrt
+    over the ids raises for an id that is negative or not an int; a bool
+    is an int to it, but a line that may hold one is read strict (see
+    _read_records).  One finite sum over the magnitudes of every
+    object's numbers stands for the per-object sums: each of those is at
+    most this one, so they are all finite when it is (a plain sum could
+    cancel an overflow they report).  Only when a check fails, or a row
+    or class is bad, are the objects checked one by one, for the first
+    bad object's own error; a strict check takes them one by one from
+    the start.
     """
     if strict:
         return tuple([_truth_object(o, strict) for o in rows])
     try:
         objects = tuple(map(GroundTruthObject._make, rows))
-        numbers = chain.from_iterable(map(_OBJECT_NUMBERS, objects))
-        if (_OBJECT_CLASSES.issuperset([o.cls for o in objects])
-                and math.isfinite(sum(map(abs, numbers), 0.0))):
+        if not objects:
+            return objects
+        ids, classes, *numbers = zip(*objects)   # one tuple per field
+        sum(map(math.isqrt, ids))   # raises for an id that is negative or not an int
+        if (_OBJECT_CLASSES.issuperset(classes)
+                and math.isfinite(sum(map(abs, chain.from_iterable(numbers)), 0.0))):
             return objects
     except (TypeError, ValueError, OverflowError):
         pass

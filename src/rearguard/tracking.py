@@ -12,24 +12,27 @@ Among the assignments whose math.fsum total is optimal it returns the
 lexicographically smallest sorted pair list.
 
 Association works on Python lists, since a blink holds a few tracks
-and detections and numpy's fixed cost per call would exceed the work:
-each track's gated IoU row is a list, computed from its predicted box
-geometry (bottom centre from the triple, size from the already-checked
-last box, one horizon row per blink), and so is the list of its gated
-columns, built once.  The row-best rule settles over half of a dense
-scene's blinks: when the rows' best columns (the largest weight, the
-smallest index on a tie) are distinct, every best weight is positive,
-and every gated column left of a row's best falls short of it by more
-than 4 ulp(s), s the float sum of the bests, the row bests are the
-answer.  They reach each component's exact maximum T, and a row that
-took an earlier column would leave a best completion more than 2
-ulp(T) below T, so its total rounds below the optimum (see
-_row_bests).  Otherwise the connected components of the graph of gated
-(track, detection) pairs are formed from those lists.  A component
-with one row or one column is its best pair, the largest weight with
-the smallest index on a tie: a single pair's total is its weight, so
-this is exact.  Only a component with two rows and two columns or more
-is solved, on its submatrix, extracted once.  Its weights become exact
+and detections and numpy's fixed cost per call would exceed the work.
+match walks the tracks once.  For each it projects the track, then
+builds its gated IoU row against the detections' extents (x, y, x + w,
+y + h and w * h, computed once per blink), its list of gated columns
+and its row best: the largest weight, the smallest index on a tie, and
+the largest weight left of it.  Rows are taken in increasing track id;
+step's tracks always are, so only other input is reordered.  The
+row-best rule settles over half of a dense scene's blinks: when the
+rows' best columns are distinct, every best weight is positive, and
+every gated column left of a row's best falls short of it by more than
+4 ulp(s), s the float sum of the bests, the row bests are the answer.
+They reach each component's exact maximum T, and a row that took an
+earlier column would leave a best completion more than 2 ulp(T) below
+T, so its total rounds below the optimum (see _row_bests).  Otherwise
+the connected components of the graph of gated (track, detection)
+pairs are formed from those lists.  A component with one row or one
+column is its best pair, the largest weight with the smallest index on
+a tie: a single pair's total is its weight, so this is exact.  A
+component with two rows and two columns or more is settled by the
+row-best rule on its own rows where that holds, and is otherwise
+solved, on its submatrix, extracted once.  Its weights become exact
 integers over one power-of-two denominator, and Kuhn-Munkres on the
 shorter side gives the exact optimal total, so the optimal fsum total
 is that integer divided once.  The row-by-row tie-break then compares
@@ -56,6 +59,14 @@ the members it cannot clear take LAPACK's eigvalsh.  Transition,
 process-noise and measurement-noise matrices are cached and read-only.
 A blink with no track and no detection returns at once.
 
+The rest of a blink is one pass each: advance() gathers the means,
+covariances and process noises in one loop over the tracks; step()
+gathers each matched pair's residual, Jacobian rows, mean and
+covariance in one loop over the pairs, which run in track id order as
+the tracks do, so the loop finds each pair's track by walking forward;
+and retirement walks the tracks once more, rebuilding a missed track
+positionally and reading its range as math.hypot(x, z).
+
 The tracker is a value (TrackerState, a NamedTuple like Track and
 Assignment); step() and advance() return new states and never mutate
 their inputs, which keeps replays and comparisons trivially
@@ -65,7 +76,6 @@ reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -196,6 +206,10 @@ class Assignment(NamedTuple):
 
 
 class TrackerState(NamedTuple):
+    """The tracker: its live tracks, in strictly increasing id (step
+    appends spawns with fresh ids, and nothing reorders them), the next
+    id, and the times of the last predict and the last blink."""
+
     tracks: tuple = ()
     next_id: int = 1
     last_t: float | None = None
@@ -249,16 +263,6 @@ def confidence(P: np.ndarray, gamma: float = 1e-6) -> float:
 @functools.lru_cache(maxsize=256)
 def _initial_confidence(p0_diag: tuple, gamma: float) -> float:
     return confidence(_diagonal(p0_diag), gamma)
-
-
-def _jacobian_stack(points, jacobian) -> np.ndarray:
-    """Stacked 3x4 Jacobians of the observation w.r.t. [x, z, vx, vz], one
-    per (x, z, obj_height) in points, from one bound geometry.pose_model
-    jacobian."""
-    flat = []
-    for x, z, obj_height in points:
-        flat += jacobian(x, z, obj_height)
-    return np.array(flat, dtype=float).reshape(-1, 3, 4)
 
 
 def _condition(S: np.ndarray) -> list:
@@ -380,37 +384,38 @@ def _refiltered(tracks, vec, P, gamma, detections=None) -> list:
             in zip(tracks, vec.tolist(), P, traces, detections)]
 
 
-def _predict_stack(tracks, dt: float, qs, gamma: float) -> list:
+def _predict_stack(tracks, dt: float, config: TrackerConfig) -> list:
     """Each track advanced by dt under the constant-velocity model, with
-    the process noise density in qs."""
+    its class's process noise density; one loop over the tracks gathers
+    the means, covariances and process noises."""
+    means, covs, noises = [], [], []
+    for track in tracks:
+        means += track[_MEAN]
+        covs.append(track[6])
+        noises.append(process_noise(dt, config.q_for(track[1])))
     F = transition_matrix(dt)
-    Q = np.array([process_noise(dt, q) for q in qs])
-    vec = (F @ np.array([tr[_MEAN] for tr in tracks])[..., None])[..., 0]
-    P = F @ np.array([tr.P for tr in tracks]) @ F.T + Q
+    Q = np.array(noises)
+    vec = (F @ np.array(means).reshape(-1, 4)[..., None])[..., 0]
+    P = F @ np.array(covs) @ F.T + Q
     P = 0.5 * (P + P.swapaxes(-1, -2))
-    return _refiltered(tracks, vec, P, gamma)
+    return _refiltered(tracks, vec, P, config.gamma)
 
 
 # ------------------------------------------------------------ association
 
-def _iou_row(x: float, y: float, w: float, h: float, boxes) -> list:
-    """IoU of the box with top-left (x, y) and size (w, h) against each of
-    boxes, as a list of floats."""
-    x2, y2, area = x + w, y + h, w * h
-    row = []
-    for b in boxes:
-        # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
-        bx, by = b.x, b.y
-        bx2, by2 = bx + b.w, by + b.h
-        ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
-        iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
-        inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
-        row.append(0.0 if inter == 0.0 else inter / (area + b.w * b.h - inter))
-    return row
-
-
 def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    return _iou_row(a.x, a.y, a.w, a.h, (b,))[0]
+    """Intersection over union of two boxes.  match computes the same
+    floats, with the same operations in the same order, against each
+    detection's extents."""
+    x, y, w, h = a.x, a.y, a.w, a.h
+    x2, y2, area = x + w, y + h, w * h
+    bx, by = b.x, b.y
+    bx2, by2 = bx + b.w, by + b.h
+    # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
+    ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
+    iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
+    inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
+    return 0.0 if inter == 0.0 else inter / (area + b.w * b.h - inter)
 
 
 def _exact_integers(rows):
@@ -574,10 +579,25 @@ def _tie_break(weights, eligible):
     return fixed
 
 
-def _row_bests(weights, gated):
-    """Each gated row's best pair, the largest weight with the smallest
-    column on a tie, as sorted pairs, when they settle the assignment;
-    None when they may not.
+def _row_best(row, cols):
+    """A row's best over its gated columns cols, as (column, weight,
+    left): the largest weight, the smallest column on a tie, and the
+    largest weight of a column left of it (None when there is none).
+    match finds the same triple in its IoU pass."""
+    col = cols[0]
+    best, left = row[col], None
+    for c in cols:
+        v = row[c]
+        if v > best:
+            left, best, col = best, v, c
+    return col, best, left
+
+
+def _row_bests(bests):
+    """Each gated row's best pair, from the _row_best triples in bests
+    (None for a row with no gated column), as sorted pairs, when they
+    settle the assignment of those rows; None when they may not.  bests
+    may hold every row of a blink or the rows of one component.
 
     They settle it when the best columns are distinct, every best weight
     is positive, and in each row every gated column left of the best
@@ -592,16 +612,10 @@ def _row_bests(weights, gated):
     since its completion reaches T.
     """
     pairs, taken, s, shortfall = [], set(), 0.0, math.inf
-    for r, cols in enumerate(gated):
-        if not cols:
+    for r, triple in enumerate(bests):
+        if triple is None:
             continue
-        row = weights[r]
-        col = cols[0]
-        best, left = row[col], None
-        for c in cols:
-            v = row[c]
-            if v > best:
-                left, best, col = best, v, c
+        col, best, left = triple
         if not best > 0.0 or col in taken:
             return None
         if left is not None and best - left < shortfall:
@@ -615,29 +629,38 @@ def _row_bests(weights, gated):
     return None
 
 
-def _assign(weights, gated, eligible=None) -> list:
+def _assign(weights, gated, eligible=None, bests=None) -> list:
     """max_weight_assignment's sorted pairs, on weights given as lists of
     rows and each row's sorted eligible columns in gated.  eligible gives
     the eligibility as rows of truth values, or is None where a cell is
     eligible exactly when its weight is positive, as match's gated
-    weights are.
+    weights are.  bests holds each row's _row_best triple, or None for a
+    row with no gated column; it is found from the rows when not given.
 
     The row bests are the answer where _row_bests proves it.  Otherwise
     a component with one row or one column is its best pair: the largest
     weight, the smallest index on a tie, since a single pair's total is
-    its weight.  The tie-break runs on each other component's submatrix.
+    its weight; a lone row's is its row best.  Each other component is
+    settled by _row_bests on its own rows where it proves them, the proof
+    being per component, and by the tie-break on its submatrix where not.
     """
-    settled = _row_bests(weights, gated)
+    if bests is None:
+        bests = [_row_best(weights[r], cols) if cols else None for r, cols in enumerate(gated)]
+    settled = _row_bests(bests)
     if settled is not None:
         return settled
     pairs: list[tuple[int, int]] = []
     for rows, cols in _components(gated):
         if len(rows) == 1:
-            pairs.append((rows[0], max(cols, key=weights[rows[0]].__getitem__)))
+            pairs.append((rows[0], bests[rows[0]][0]))
         elif len(cols) == 1:
             col = cols[0]
             pairs.append((max(rows, key=lambda r: weights[r][col]), col))
         else:
+            settled = _row_bests([bests[r] for r in rows])
+            if settled is not None:
+                pairs.extend((rows[r], c) for r, c in settled)
+                continue
             sub = [[weights[r][c] for c in cols] for r in rows]
             ok = sub if eligible is None else [[eligible[r][c] for c in cols] for r in rows]
             pairs.extend((rows[r], cols[c]) for r, c in _tie_break(sub, ok))
@@ -661,10 +684,11 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     although [(0, 0), (1, 1)] also totals 1.0 over the whole matrix.
     Distinct row bests that the row-best rule proves optimal are the
     answer at once; otherwise a component with a single row or column is
-    its best pair, and the tie-break runs on each other component's
-    submatrix.  Weights must be non-negative (not NaN), and cells outside
-    eligible must weigh zero, as match makes them; the first cell in row
-    order that breaks either rule raises ValueError.
+    its best pair, and each other component is settled by the rule on its
+    own rows or by the tie-break on its submatrix.  Weights must be
+    non-negative (not NaN), and cells outside eligible must weigh zero, as
+    match makes them; the first cell in row order that breaks either rule
+    raises ValueError.
 
     An eligible pair of weight 0 is taken when its row has no better
     column.  Rows are filled in order, each with the smallest eligible
@@ -696,32 +720,72 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
     the triple and its size from the last box.  Pairs below the gate (or
     with zero overlap) are never matched.  Tracks whose predicted state is
     behind the camera this blink are unmatched by construction.
+
+    One pass over the tracks builds, for each, its gated IoU row (iou's
+    floats, against each detection's extents, computed once per blink),
+    its gated columns and its _row_best triple.  Rows are taken in
+    increasing track id, as the tie-break needs; step's tracks already
+    are, and other input is put in that order after the pass.
     """
-    ordered = sorted(tracks, key=lambda t: t.id)
-    nd = len(detections)
-    predicted, rows, gated = {}, [], []
-    for track in ordered:
-        row, cols = None, []
-        last = track.last_box
+    extents = [(b.x, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for b in detections]
+    nd = len(extents)
+    ids, predicted, rows, gated, bests = [], {}, [], [], []
+    increasing, last_id = True, -math.inf
+    for track in tracks:
+        tid = track[0]
+        if tid <= last_id:
+            increasing = False
+        last_id = tid
+        ids.append(tid)
+        row, cols, triple = None, [], None
+        last = track[10]
         if last is not None:
-            obs = observe(track.x, track.z, track.obj_height)
+            obs = observe(track[2], track[3], track[7])
             if obs is not None:
                 _, _, u_offset, _, deviation = obs
-                predicted[track.id] = obs[2:]
+                predicted[tid] = obs[2:]
                 w, h = last.w, last.h
-                ious = _iou_row(c_x + u_offset - w / 2.0, y_h + deviation - h, w, h, detections)
-                row = [v if v > 0.0 and v >= iou_gate else 0.0 for v in ious]
-                cols = [c for c, v in enumerate(row) if v]
+                x, y = c_x + u_offset - w / 2.0, y_h + deviation - h
+                x2, y2, area = x + w, y + h, w * h
+                best = None
+                for c, (bx, by, bx2, by2, b_area) in enumerate(extents):
+                    # iou's floats; where iou's intersection is 0.0, so is the weight
+                    ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
+                    if not ix > 0.0:
+                        continue
+                    iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
+                    if not iy > 0.0:
+                        continue
+                    inter = ix * iy
+                    if inter == 0.0:
+                        continue
+                    v = inter / (area + b_area - inter)
+                    if v > 0.0 and v >= iou_gate:
+                        if best is None:   # the row's first gated column
+                            row = [0.0] * nd
+                            best, col, left = v, c, None
+                        elif v > best:
+                            left, best, col = best, v, c
+                        row[c] = v
+                        cols.append(c)
+                if best is not None:
+                    triple = (col, best, left)
         rows.append(row)
         gated.append(cols)
+        bests.append(triple)
+    if not increasing:
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        row_ids, rows, gated, bests = ([seq[i] for i in order] for seq in (ids, rows, gated, bests))
+    else:
+        row_ids = ids
     # a gated weight is positive exactly when its cell is eligible
-    pairs = tuple((ordered[r].id, c) for r, c in _assign(rows, gated))
+    pairs = tuple([(row_ids[r], c) for r, c in _assign(rows, gated, None, bests)])
     matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
     return Assignment(
         pairs=pairs,
-        unmatched_tracks=tuple(t.id for t in tracks if t.id not in matched_tracks),
-        unmatched_detections=tuple(j for j in range(nd) if j not in matched_dets),
+        unmatched_tracks=tuple([tid for tid in ids if tid not in matched_tracks]),
+        unmatched_detections=tuple([j for j in range(nd) if j not in matched_dets]),
         predicted=predicted,
     )
 
@@ -744,8 +808,7 @@ def advance(tracker: TrackerState, t: float, config: TrackerConfig) -> TrackerSt
         return tracker
     if not tracker.tracks:
         return TrackerState((), tracker.next_id, t, tracker.last_frame_t)
-    tracks = tracker.tracks
-    moved = _predict_stack(tracks, dt, [config.q_for(tr.cls) for tr in tracks], config.gamma)
+    moved = _predict_stack(tracker.tracks, dt, config)
     return TrackerState(tuple(moved), tracker.next_id, t, tracker.last_frame_t)
 
 
@@ -784,44 +847,56 @@ def step(
         out = TrackerState((), tracker.next_id, frame.t, frame.t)
         return out, out.tracks
 
+    tracks = tracker.tracks
     observe, jacobian, locate, y_h = geometry.pose_model(frame.pose, intr, camera_height)
-    assignment = match(tracker.tracks, detections, observe, y_h, intr.c_x, config.iou_gate)
+    assignment = match(tracks, detections, observe, y_h, intr.c_x, config.iou_gate)
 
-    updated: dict[int, Track] = {}
+    measured = [None] * len(tracks)   # each track's updated state, by position
     if assignment.pairs:
-        by_id = {t.id: t for t in tracker.tracks}
-        matched, residual = [], []
-        c_x = intr.c_x
+        predicted, c_x = assignment.predicted, intr.c_x
+        slots, matched, dets, residual, rows, means, covs = [], [], [], [], [], [], []
+        pos, n = 0, len(tracks)
         for tid, j in assignment.pairs:
-            det = detections[j]
-            # measurement triple straight from the detection box, less the prediction
-            u, v_bottom = det.bottom_center
-            p_u, p_h, p_dev = assignment.predicted[tid]
-            residual.append((u - c_x - p_u, det.h - p_h, v_bottom - y_h - p_dev))
-            matched.append((by_id[tid], det))
-        H = _jacobian_stack([(tr.x, tr.z, tr.obj_height) for tr, _ in matched], jacobian)
-        keep, vec, P = _kalman_stack(np.array([tr[_MEAN] for tr, _ in matched]),
-                                     np.array([tr.P for tr, _ in matched]),
-                                     np.array(residual), H, config.r_matrix())
-        # a singular innovation drops its pair, as a miss
-        kept = list(itertools.compress(matched, keep))
-        for tr in _refiltered([tr for tr, _ in kept], vec, P, config.gamma,
-                              [det for _, det in kept]):
-            updated[tr.id] = tr
+            # pairs run in increasing track id, as step's tracks do, so this walk
+            # passes each track once; it wraps around for tracks in any other order
+            while tracks[pos][0] != tid:
+                pos = (pos + 1) % n
+            track, det = tracks[pos], detections[j]
+            # measurement triple straight from the detection box (its bottom_center
+            # and height), less the prediction
+            h = det.h
+            p_u, p_h, p_dev = predicted[tid]
+            residual += (det.x + det.w / 2.0 - c_x - p_u, h - p_h, det.y + h - y_h - p_dev)
+            rows += jacobian(track[2], track[3], track[7])   # x, z, obj_height
+            means += track[_MEAN]
+            covs.append(track[6])
+            slots.append(pos)
+            matched.append(track)
+            dets.append(det)
+        # the means, residuals and Jacobian rows are flat lists of floats, shaped here
+        keep, vec, P = _kalman_stack(np.array(means).reshape(-1, 4), np.array(covs),
+                                     np.array(residual).reshape(-1, 3),
+                                     np.array(rows, dtype=float).reshape(-1, 3, 4),
+                                     config.r_matrix())
+        if not all(keep):   # a singular innovation drops its pair, as a miss
+            slots, matched, dets = ([v for v, k in zip(seq, keep) if k]
+                                    for seq in (slots, matched, dets))
+        for pos, track in zip(slots, _refiltered(matched, vec, P, config.gamma, dets)):
+            measured[pos] = track
 
-    survivors = []
-    for track in tracker.tracks:
-        if track.id in updated:
-            track = updated[track.id]
-        else:
+    survivors, new = [], tuple.__new__
+    miss_max, d_max = config.miss_max, config.d_max
+    for track, updated in zip(tracks, measured):
+        if updated is None:
             # unmatched, or the update failed; either way a miss
-            # every field through the confidence, and one more miss
-            track = Track(*track[:-2], track.miss_count + 1, track.last_box)
-        if track.miss_count > config.miss_max:
+            misses = track[9] + 1
+            if misses > miss_max or math.hypot(track[2], track[3]) > d_max:
+                continue
+            # every field through the confidence, one more miss, the last box
+            updated = new(Track, track[:9] + (misses, track[10]))
+        elif math.hypot(updated[2], updated[3]) > d_max:   # Track.range
             continue
-        if track.range > config.d_max:
-            continue
-        survivors.append(track)
+        survivors.append(updated)
 
     next_id = tracker.next_id
     for j in assignment.unmatched_detections:

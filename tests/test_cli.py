@@ -933,6 +933,11 @@ REFUSALS = {
              "0.033082683741615396]", "box-x-true"),
             (_set_truth_object(2, False), "truth.jsonl: line 12: non-finite number or non-number "
              "in object [False, -25.0, 0.0, 2.4, 1.5]", "truth-object-x-false"),
+            # each of these used to load and run (exit 0): nothing read the id
+            *((_set_truth_object(0, oid), f"truth.jsonl: line 12: object [{oid!r}, 'car', 0.9, "
+               "-25.0, 0.0, 2.4, 1.5]: id must be a non-negative integer", f"truth-object-id-{name}")
+              for oid, name in [("abc", "string"), ([1], "list"), (-1, "negative"),
+                                (2.0, "float"), (True, "true")]),
             (_set_box(4, "bus"), "trace.jsonl: line 52: box [220.63932825033334, "
              "313.05210888061714, 73.11367594572415, 60.85677035102931, 'bus', "
              "0.033082683741615396]: class must be one of ('car', 'cycle')", "unknown-box-class"),
@@ -1025,6 +1030,7 @@ CONSOLE_REPROS = {
     "claim": ("test_run_exit_code_table", "headers-claim-more-records"),
     "badbyte": ("test_generate_refuses_a_config_byte_that_is_not_utf8", None),
     "badbyterun": ("test_run_refuses_a_byte_that_is_not_utf8_at_its_line", "trace-"),
+    "badid": ("test_run_rejects_bad_input_file_with_line_number", "truth-object-id-string"),
 }
 
 # the body of the console-script wrapper that installing the package generates

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rearguard import evaluation, risk
@@ -17,6 +17,7 @@ from rearguard.evaluation import ground_truth_danger, label_truth
 from rearguard.geometry import ImuPose
 from rearguard.risk import (
     DegeneratePosition,
+    ObjectRisk,
     RiskAssessment,
     RiskConfig,
     assess,
@@ -25,7 +26,7 @@ from rearguard.risk import (
     ttc,
 )
 from rearguard.scenario import GroundTruthObject, GroundTruthTick, InvalidConfig
-from rearguard.tracking import TrackerConfig
+from rearguard.tracking import Track, TrackerConfig
 
 
 @dataclass
@@ -159,6 +160,51 @@ def test_assess_permutation_invariant():
     g2 = assess(list(reversed(tracks)), now=0.0).gamma_overall
     assert g1 == g2
     assert g1 == max(o.kappa for o in assess(tracks).per_object)
+
+
+@st.composite
+def risk_objects(draw):
+    """A FakeTrack or a tracking.Track: random, on the user's origin,
+    moving tangentially (x = 0 and vz = 0, so the radial rate is exactly
+    0), receding or approaching along its bearing."""
+    kind = draw(st.sampled_from(["random", "origin", "tangential", "receding", "approaching"]))
+    x, z, vx, vz = draw(coordinate), draw(coordinate), draw(speed), draw(speed)
+    k = draw(st.floats(0.01, 3.0))
+    if kind == "origin":
+        x = z = 0.0
+    elif kind == "tangential":
+        x, vz = 0.0, 0.0
+    elif kind in ("receding", "approaching"):
+        k = k if kind == "receding" else -k
+        vx, vz = x * k, z * k
+    tid = draw(st.integers(0, 50))
+    if draw(st.booleans()):
+        return FakeTrack(tid, x, z, vx, vz)
+    return Track(tid, "car", x, z, vx, vz, np.eye(4), 1.5, 1.0)
+
+
+EDGE_OBJECTS = [FakeTrack(1, 0.0, 0.0, 0.0, 1.0),    # on the origin: ttc None, level 1.0
+                FakeTrack(2, 0.0, -8.0, 2.0, 0.0),   # tangential: ttc None, level 0.0
+                FakeTrack(3, 0.0, -8.0, 0.0, -2.0),  # receding: ttc -4.0, level 0.0
+                FakeTrack(4, 3.0, -4.0, -1.5, 2.0)]  # approaching: ttc 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(objs=st.lists(risk_objects(), max_size=8), t_r=st.floats(0.1, 60.0),
+       alert_threshold=st.sampled_from([0.01, 0.5, 1.0, 5e-324]), now=st.floats(0.0, 100.0))
+@example(objs=EDGE_OBJECTS, t_r=3.3, alert_threshold=0.99, now=1.0)
+def test_assess_equals_the_fold_of_object_risk(objs, t_r, alert_threshold, now):
+    """assess's one pass gives what scoring each object with object_risk
+    and folding the max gives: the same per_object tuple, gamma_overall
+    and alert, with the same reprs (so no -0.0 for 0.0) and types."""
+    got = assess(objs, t_r, alert_threshold, now=now)
+    want = _assess_by_definition(objs, t_r, alert_threshold, now)
+    assert got == want and repr(got) == repr(want)
+    assert type(got) is RiskAssessment and all(type(o) is ObjectRisk for o in got.per_object)
+    if objs is EDGE_OBJECTS:
+        assert [(o.ttc, o.kappa) for o in got.per_object[:3]] == [(None, 1.0), (None, 0.0),
+                                                                  (-4.0, 0.0)]
+        assert got.per_object[3].ttc == 2.0 and got.gamma_overall == 1.0 and got.alert
 
 
 def test_assess_origin_track_is_max_risk():

@@ -10,6 +10,7 @@ contract's unit), and association on a full numpy weight matrix.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -330,16 +331,24 @@ def test_jacobian_velocity_columns_zero():
 )
 def test_stacked_jacobians_equal_each_member_bytes(points, pitch, yaw):
     """One set of pose trigonometry gives every member the bytes of the
-    closed form; a member behind the camera raises for the whole stack,
-    as it does alone."""
+    closed form, stacked as step stacks them (each member's 12 floats
+    appended to one list, then one array); a member behind the camera
+    raises for the whole stack, as it does alone."""
     pose = ImuPose(pitch, yaw)
     _, jacobian, _, _ = pose_model(pose, INTR, H_E)
+
+    def stacked(points):
+        rows = []
+        for x, z, h_obj in points:
+            rows += jacobian(x, z, h_obj)
+        return np.array(rows, dtype=float).reshape(-1, 3, 4)
+
     behind = [camera_nd(x, z, pose.yaw)[1] <= 0 for x, z, _ in points]
     if any(behind):
         with pytest.raises(BehindCamera):
-            tracking._jacobian_stack(points, jacobian)
+            stacked(points)
         points = [p for p, b in zip(points, behind) if not b]
-    H = tracking._jacobian_stack(points, jacobian)
+    H = stacked(points)
     assert H.shape == (len(points), 3, 4)
     for member, (x, z, h_obj) in zip(H, points):
         assert member.tobytes() == closed_form_jacobian(x, z, h_obj, pose, INTR, H_E).tobytes()
@@ -1221,6 +1230,27 @@ def test_step_retires_a_live_track_beyond_dmax(vz, kept):
     assert [tr.id for tr in tracks] == ([1] if kept else [])
 
 
+def test_step_updates_a_state_whose_ids_do_not_increase():
+    """step's update walks the pairs in track id order; a state built with
+    its tracks out of that order still gets every pair's update, as the
+    same tracks in order do, track for track."""
+    cfg = TrackerConfig()
+    spots = [(0.0, -10.0), (3.0, -15.0), (-3.0, -8.0)]
+    tracks = [make_track(x, z, 0.0, 1.0, tid=i + 1)._replace(last_box=_det_box_for(x, z, REAR))
+              for i, (x, z) in enumerate(spots)]
+    frame = FakeFrame(0.1, REAR, [_det_box_for(x, z + 0.1, REAR) for x, z in spots])
+    ordered, _ = step(TrackerState(tuple(tracks), 4, 0.0, 0.0), frame, cfg, INTR, H_E)
+    shuffled, _ = step(TrackerState((tracks[2], tracks[0], tracks[1]), 4, 0.0, 0.0), frame,
+                       cfg, INTR, H_E)
+    assert [tr.id for tr in shuffled.tracks] == [3, 1, 2]
+    assert all(tr.miss_count == 0 for tr in ordered.tracks)
+    by_id = {tr.id: tr for tr in shuffled.tracks}
+    for tr in ordered.tracks:
+        other = by_id[tr.id]
+        assert other.vec.tobytes() == tr.vec.tobytes() and other.P.tobytes() == tr.P.tobytes()
+        assert other[:2] + other[7:] == tr[:2] + tr[7:]
+
+
 def test_step_rejects_non_increasing_frame_times():
     cfg = TrackerConfig()
     state, _ = step(TrackerState(), FakeFrame(1.0, REAR, []), cfg, INTR, H_E)
@@ -1382,12 +1412,103 @@ def test_dense_tracker_bytes_pinned():
     digest = hashlib.sha256()
     for frame in frames:
         state, tracks = step(state, frame, cfg, scen.camera.intrinsics, scen.camera.camera_height)
-        digest.update(f"tick {frame.t!r} {len(tracks)}\n".encode())
-        for tr in tracks:
-            digest.update(f"{tr.id} {tr.miss_count} {tr.confidence!r}\n".encode())
-            digest.update(tr.vec.tobytes())
-            digest.update(tr.P.tobytes())
+        _digest_tick(digest, frame, tracks)
     assert digest.hexdigest() == DENSE_TRACKER_DIGEST
+
+
+def _digest_tick(digest, frame, tracks) -> None:
+    """Feed one blink's tracks to a pin's digest: ids, misses, confidence,
+    mean and covariance bytes."""
+    digest.update(f"tick {frame.t!r} {len(tracks)}\n".encode())
+    for tr in tracks:
+        digest.update(f"{tr.id} {tr.miss_count} {tr.confidence!r}\n".encode())
+        digest.update(tr.vec.tobytes())
+        digest.update(tr.P.tobytes())
+
+
+JOGGING_TRACKER_DIGEST = "792e7501971aed9119e097fce9701b5b48d7d52323b3d867ceb7690140562d23"
+
+
+def _jogging_frames(seed=5, vehicles=30, duration=20.0):
+    """A jogging user, so the head swings in pitch and yaw, among traffic
+    from 5 to 45 m behind at 0.5 to 6 m/s: vehicles close in, overtake and
+    leave the view, fall back past d_max, and are first seen beyond it.
+    Every tenth frame also holds a false detection 70 px above the
+    horizon.  Returns the frames and the camera."""
+    rng = np.random.default_rng(seed)
+    spawns = np.sort(rng.uniform(0.0, duration - 1.0, vehicles))
+    scen = scenario.ScenarioConfig(
+        seed=int(rng.integers(2**31)),
+        duration=duration,
+        user=scenario.UserConfig(mode="jogging"),
+        vehicles=tuple(
+            scenario.VehicleConfig(
+                cls="car" if rng.random() < 0.7 else "cycle",
+                spawn_time=float(t),
+                x0=float(rng.uniform(-6.0, 6.0)),
+                z0=-float(rng.uniform(5.0, 45.0)),
+                speed=float(rng.uniform(0.5, 6.0)),
+            )
+            for t in spawns
+        ),
+        detector=scenario.DetectorConfig(box_noise_px=3.0,
+                                         first_detect_m={"car": 40.0, "cycle": 30.0}),
+    )
+    cam = scen.camera
+    frames = []
+    for k, frame in enumerate(scenario.generate(scen)[0]):
+        if k % 10 == 0:
+            y_h = horizon_line(cam.intrinsics, frame.pose.pitch)
+            sky = BoundingBox2D(280.0, y_h - 100.0, 40.0, 30.0)
+            frame = frame._replace(detections=frame.detections + (sky,))
+        frames.append(frame)
+    return frames, cam
+
+
+def test_jogging_tracker_bytes_pinned(monkeypatch):
+    """A second pin, every frame a blink, with the head swinging: the
+    recorded per-tick track bytes hold, and the scene takes every branch
+    of the blink path at least once: a matched track, a missed track kept,
+    retirement by misses and by range, and a spawn refused above the
+    horizon and one refused beyond d_max.  Retirement by range comes both
+    after an update and after a miss."""
+    frames, cam = _jogging_frames()
+    assign, results = tracking.match, []
+
+    def recorded_match(*args):
+        results.append(assign(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tracking, "match", recorded_match)
+    cfg, state = TrackerConfig(), TrackerState()
+    digest, events = hashlib.sha256(), collections.Counter()
+    for frame in frames:
+        before, calls = state.tracks, len(results)
+        state, tracks = step(state, frame, cfg, cam.intrinsics, cam.camera_height)
+        _digest_tick(digest, frame, tracks)
+        if len(results) == calls:
+            continue   # an empty blink
+        assignment = results[-1]
+        matched, kept = {tid for tid, _ in assignment.pairs}, {tr.id for tr in tracks}
+        events["match"] += len(matched)
+        for tr in before:
+            if tr.id in kept:
+                events["miss"] += tr.id not in matched
+            elif tr.id not in matched and tr.miss_count == cfg.miss_max:
+                events["retired by misses"] += 1
+            else:
+                events["retired by range, " + ("updated" if tr.id in matched else "missed")] += 1
+        locate = pose_model(frame.pose, cam.intrinsics, cam.camera_height)[2]
+        for j in assignment.unmatched_detections:
+            located = locate(frame.detections[j])
+            if located is None:
+                events["refused above the horizon"] += 1
+            elif math.hypot(located[0], located[1]) > cfg.d_max:
+                events["refused beyond d_max"] += 1
+    assert digest.hexdigest() == JOGGING_TRACKER_DIGEST
+    assert all(events[name] > 0 for name in (
+        "match", "miss", "retired by misses", "retired by range, updated",
+        "retired by range, missed", "refused above the horizon", "refused beyond d_max")), events
 
 
 @st.composite
@@ -1443,6 +1564,27 @@ def test_every_frame_loop_keeps_the_filter_invariants(scen):
         for tr in tracks:
             _assert_filter_invariants(tr, cfg.gamma)
         assert 0.0 <= assess(tracks, now=frame.t).gamma_overall <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(busy_scenarios(), st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+def test_step_and_advance_keep_track_ids_strictly_increasing(scen, p_blink, seed):
+    """Every state step and advance return holds strictly increasing track
+    ids, whatever the blink schedule (each tick a blink with probability
+    p_blink, the rest predicts): the order match's one pass takes as
+    given, and the order step's update walks the pairs in."""
+    frames, _ = scenario.generate(scen)
+    blinks = np.random.default_rng(seed).random(len(frames)) < p_blink
+    cfg, cam = TrackerConfig(), scen.camera
+    state = TrackerState()
+    for frame, blink in zip(frames, blinks.tolist()):
+        state = advance(state, frame.t, cfg)
+        ids = [tr.id for tr in state.tracks]
+        assert ids == sorted(set(ids))
+        if blink:
+            state, tracks = step(state, frame, cfg, cam.intrinsics, cam.camera_height)
+            ids = [tr.id for tr in tracks]
+            assert ids == sorted(set(ids)) and all(i < state.next_id for i in ids)
 
 
 # ------------------------------------------------------------------ config
