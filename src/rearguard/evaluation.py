@@ -60,7 +60,7 @@ from .risk import (
     RiskConfig,
     assess,
     check_reaction_time,
-    object_risk,
+    ttc_level,
 )
 from .sampler import BASELINES, QTable, SamplerConfig, SarsaSampler, check_kind
 from .sampler import SAMPLER_KINDS  # noqa: F401  callers read evaluation.SAMPLER_KINDS
@@ -159,36 +159,38 @@ def label_truth(
     above the sensed maximum so far or it lies within `tracker.d_max`.
     `danger` is `assess` over the tick's objects inside
     `in_sensing_footprint`, and `excluded` is `ground_truth_danger` of
-    the tick when `danger` is not, both as levels folded here.
+    the tick when `danger` is not, both as levels of `risk.ttc_level`,
+    assess's rule, folded here.
     """
     t_r, threshold = config.reaction_time, config.alert_threshold
     check_reaction_time(t_r)
     d_max = config.tracker.d_max
-    labels = []
-    for tick in truth:
+    labels, new, rule, hypot = [], tuple.__new__, ttc_level, math.hypot
+    for t, pose, objects in truth:
         sensed = None   # the tick's footprint, bound for the first object that needs it
         # assess's overall level, of every object and of the sensed ones
         gamma = gamma_sensed = 0.0
         visible = []
-        for o in tick.objects:
-            kappa = object_risk(o, t_r).kappa
+        for o in objects:
+            _, cls, x, z, vx, vz, _ = o
+            kappa = rule(x, z, vx, vz, t_r)[1]
             if kappa > gamma:
                 gamma = kappa
             # sensed or not, this object moves neither the sensed level nor
             # the coverage list; a NaN level or range compares false and is projected
-            if kappa <= gamma_sensed and o.range > d_max:
+            if kappa <= gamma_sensed and hypot(x, z) > d_max:
                 continue
             if sensed is None:
-                sensed = sensing_footprint(tick.pose, camera, fov)
-            if sensed(o.x, o.z, o.cls):
+                sensed = sensing_footprint(pose, camera, fov)
+            if sensed(x, z, cls):
                 if kappa > gamma_sensed:
                     gamma_sensed = kappa
-                if o.range <= d_max:
+                if hypot(x, z) <= d_max:
                     visible.append(o)
         danger = gamma_sensed >= threshold
         # excluded is true danger the sensor cannot see: raw and not observable
         excluded = not danger and gamma >= threshold
-        labels.append(TruthLabel(tick.t, danger, excluded, tuple(visible)))
+        labels.append(new(TruthLabel, (t, danger, excluded, tuple(visible))))
     return TruthLabels(tuple(labels), **_label_settings(camera, fov, config))
 
 
@@ -294,7 +296,7 @@ def run_pipeline(
     tracker = TrackerState()
     intr = camera.intrinsics
     t_r, threshold = config.reaction_time, config.alert_threshold
-    hypot = math.hypot
+    hypot, new = math.hypot, tuple.__new__
 
     records, peak_ids = [], []
     errors = []            # one per covered object-tick: distance to the nearest track
@@ -309,8 +311,8 @@ def run_pipeline(
 
         result = assess(tracks, t_r, threshold, now=frame.t)
         measured = frame.t >= config.warmup_s
-        records.append(TickRecord(frame.t, blink, result.alert, label.danger, label.excluded,
-                                  measured, result.gamma_overall))
+        records.append(new(TickRecord, (frame.t, blink, result.alert, label.danger,
+                                        label.excluded, measured, result.gamma_overall)))
         # only alert episodes read the peak track
         peak_ids.append(
             max(result.per_object, key=lambda o: (o.kappa, -o.track_id)).track_id

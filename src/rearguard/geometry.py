@@ -188,7 +188,9 @@ class CameraIntrinsics:
 
 # Slotted, as the box below: one is built per tick and per record, and a
 # slotted one has no values array beside it, so it is 40-48 bytes smaller.
-@dataclass(frozen=True, slots=True)
+# Its own __init__ checks and wraps before it sets each field once: the
+# generated one would set the yaw, call __post_init__ and set it again.
+@dataclass(frozen=True, slots=True, init=False)
 class ImuPose:
     """Head orientation at a blink: pitch and yaw in radians.
 
@@ -198,10 +200,11 @@ class ImuPose:
     pitch: float
     yaw: float
 
-    def __post_init__(self):
-        if not -math.pi / 2 < self.pitch < math.pi / 2:
+    def __init__(self, pitch: float, yaw: float):
+        if not -math.pi / 2 < pitch < math.pi / 2:
             raise ValueError("pitch out of range (-pi/2, pi/2)")
-        object.__setattr__(self, "yaw", normalize_angle(self.yaw))
+        object.__setattr__(self, "pitch", pitch)
+        object.__setattr__(self, "yaw", normalize_angle(yaw))
 
 
 @dataclass(frozen=True, slots=True)

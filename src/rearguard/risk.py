@@ -63,27 +63,44 @@ class DegeneratePosition(ValueError):
     """TTC is undefined for an object exactly at the origin."""
 
 
-def ttc(x: float, z: float, vx: float, vz: float) -> float | None:
-    """Radial time to collision in seconds; None when not approaching."""
+def ttc_level(x: float, z: float, vx: float, vz: float, t_r: float) -> tuple:
+    """The rule for one object: its radial TTC and its level, (ttc, kappa),
+    for a t_r the caller has checked.  The one copy of the rule: assess,
+    object_risk, ttc and the truth labels all read it.
+
+    An object sitting exactly on the user is maximal risk, (None, 1.0),
+    rather than an error; the degenerate position only occurs on
+    estimated states passing through the origin.  Not approaching gives
+    (None, 0.0) and receding (ttc, 0.0).  kappa is never NaN or -0.0:
+    a NaN level, as max(0.0, nan) would, reads 0.0.
+    """
     r2 = x * x + z * z
     if r2 == 0.0:
-        raise DegeneratePosition("object at the user origin")
+        return None, 1.0
     radial = x * vx + z * vz
     if abs(radial) < RADIAL_EPS:
-        return None
-    return -r2 / radial
+        return None, 0.0
+    t = -r2 / radial
+    if t < 0:
+        return t, 0.0
+    kappa = 1.0 - t / t_r
+    return t, (kappa if kappa > 0.0 else 0.0)
 
 
-def _level(ttc_value: float | None, t_r: float) -> float:
-    if ttc_value is None or ttc_value < 0:
-        return 0.0
-    return max(0.0, 1.0 - ttc_value / t_r)
+def ttc(x: float, z: float, vx: float, vz: float) -> float | None:
+    """Radial time to collision in seconds; None when not approaching."""
+    if x * x + z * z == 0.0:
+        raise DegeneratePosition("object at the user origin")
+    return ttc_level(x, z, vx, vz, DEFAULT_REACTION_TIME_S)[0]
 
 
 def risk_level(ttc_value: float | None, t_r: float = DEFAULT_REACTION_TIME_S) -> float:
-    """Map a TTC to [0, 1]; receding and non-approaching objects score 0."""
+    """Map a TTC to [0, 1], as ttc_level maps an object's; receding and
+    non-approaching objects score 0."""
     check_reaction_time(t_r)
-    return _level(ttc_value, t_r)
+    if ttc_value is None or ttc_value < 0:
+        return 0.0
+    return max(0.0, 1.0 - ttc_value / t_r)
 
 
 class ObjectRisk(NamedTuple):
@@ -100,17 +117,8 @@ class RiskAssessment(NamedTuple):
 
 
 def object_risk(obj, t_r: float) -> ObjectRisk:
-    """One object's TTC and level, for a t_r the caller has checked.
-
-    An object sitting exactly on the user is treated as maximal risk
-    rather than an error; the degenerate position only occurs on
-    estimated states passing through the origin.
-    """
-    try:
-        t = ttc(obj.x, obj.z, obj.vx, obj.vz)
-    except DegeneratePosition:
-        return ObjectRisk(obj.id, None, 1.0)
-    return ObjectRisk(obj.id, t, _level(t, t_r))
+    """One object's ttc_level, for a t_r the caller has checked."""
+    return tuple.__new__(ObjectRisk, (obj.id, *ttc_level(obj.x, obj.z, obj.vx, obj.vz, t_r)))
 
 
 def assess(
@@ -119,32 +127,16 @@ def assess(
     alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
     now: float = 0.0,
 ) -> RiskAssessment:
-    """Score every track as object_risk does and fold into the overall
-    alert decision.
+    """Score every track with ttc_level, as object_risk does, and fold
+    into the overall alert decision.
 
-    One pass over the tracks: ttc and the level inline, with object_risk's
-    operations in its order, each ObjectRisk built positionally, and the
+    One pass over the tracks: each ObjectRisk built positionally, and the
     overall level the running maximum (a kappa is never NaN or -0.0, so
     this is max over the kappas, 0.0 for no track)."""
     check_reaction_time(t_r)
-    per, gamma, new = [], 0.0, tuple.__new__
+    per, gamma, new, rule = [], 0.0, tuple.__new__, ttc_level
     for obj in tracks:
-        x, z = obj.x, obj.z
-        r2 = x * x + z * z
-        if r2 == 0.0:
-            t, kappa = None, 1.0   # on the user: maximal risk, as object_risk rules
-        else:
-            radial = x * obj.vx + z * obj.vz
-            if abs(radial) < RADIAL_EPS:
-                t, kappa = None, 0.0
-            else:
-                t = -r2 / radial
-                if t < 0:
-                    kappa = 0.0
-                else:
-                    kappa = 1.0 - t / t_r
-                    if not kappa > 0.0:   # max(0.0, kappa)
-                        kappa = 0.0
+        t, kappa = rule(obj.x, obj.z, obj.vx, obj.vz, t_r)
         per.append(new(ObjectRisk, (obj.id, t, kappa)))
         if kappa > gamma:
             gamma = kappa

@@ -671,12 +671,13 @@ def generate(config: ScenarioConfig):
                 next_object_id += 1
             live.sort(key=itemgetter(0))
 
-        # built as tracking._refiltered builds a Track, without the NamedTuple constructor
+        # records built as tracking._refiltered builds a Track, without the
+        # NamedTuple constructor
         objects = tuple([
             new(GroundTruthObject, (oid, sim.cls, sim.x, sim.z - z_user, sim.vx,
                                     sim.vz - user_speed, sim.height))
             for _, oid, sim in live])
-        truth.append(GroundTruthTick(t, pose, objects))
+        truth.append(new(GroundTruthTick, (t, pose, objects)))
 
         # geometric visibility first, then occlusion, then the detection trial
         project = _pose_projector(pose, cam)
@@ -708,7 +709,7 @@ def generate(config: ScenarioConfig):
                     cls=obj.cls, score=p_det,
                 )
             )
-        frames.append(Frame(t, pose, tuple(detections)))
+        frames.append(new(Frame, (t, pose, tuple(detections))))
 
     log.info("generated %d ticks, %d vehicles", n_ticks, len(config.vehicles))
     return frames, truth
@@ -749,7 +750,19 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
 def _decode(line: str):
     """One line's JSON value.  A line that is not JSON is a ValueError
-    naming the column; the caller names the file and the line."""
+    naming the column; the caller names the file and the line.
+
+    The decoder's own scanner reads the line from its first character;
+    when that gives one value that ends at the line's end, it is what
+    _DECODER.decode returns, without decode's whitespace and end checks.
+    Any other line (leading or trailing whitespace, extra data, an error)
+    is decoded again by _DECODER.decode, whose errors keep their text."""
+    try:
+        value, end = _DECODER.scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
     try:
         return _DECODER.decode(line)
     except json.JSONDecodeError as exc:
@@ -805,21 +818,41 @@ def _parse_header(path, line: str, expected_kind: str) -> TraceHeader:
     return header
 
 
-# one encoder writes every line, as one decoder reads them; json.dumps
-# with these options would build a new encoder per record
+# the options every line is written with, as one decoder reads them
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dump(record: dict) -> str:
-    return _ENCODER.encode(record)
+def _line_encoder():
+    """A function of a record that gives its line, as _ENCODER.encode
+    does, with one C encoder for every record it is given: encode, like
+    json.dumps, builds a new one per record.  The C encoder has
+    _ENCODER's options and no cycle markers, since a record is built of
+    fresh dicts, lists and tuples and holds no cycle.  Where json has no
+    C encoder, the function is _ENCODER.encode."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _ENCODER.encode
+    enc = _ENCODER
+    chunks = make(None, enc.default, json.encoder.encode_basestring_ascii, enc.indent,
+                  enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys,
+                  enc.allow_nan)
+    join = "".join
+
+    def encode(record) -> str:
+        return join(chunks(record, 0))
+
+    return encode
 
 
 def _write_records(path, config: ScenarioConfig, header_kind: str, rows) -> None:
-    """Header line, then one line per record dict."""
+    """Header line, then one line per record dict, each ended by a
+    newline: encoded by one _line_encoder, then written in one write."""
+    encode = _line_encoder()
+    lines = [encode(_header_record(config, header_kind))]
+    lines.extend(map(encode, rows))
+    lines.append("")
     with open(path, "w") as fh:
-        fh.write(_dump(_header_record(config, header_kind)) + "\n")
-        for row in rows:
-            fh.write(_dump(row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def write_trace(path, config: ScenarioConfig, frames) -> None:
@@ -873,19 +906,30 @@ def _box(d, strict: bool) -> BoundingBox2D:
     if cls not in VEHICLE_CLASSES:
         raise ValueError(f"box {d!r}: class must be one of {VEHICLE_CLASSES}")
     _check_numbers((x, y, w, h, score), "box", strict)
-    return BoundingBox2D(x=x, y=y, w=w, h=h, cls=cls, score=score)
+    return BoundingBox2D(x, y, w, h, cls, score)
 
 
-def _pose_record(raw: dict, strict: bool) -> tuple:
-    """A record's t and pose, shared by trace frames and truth ticks."""
+def _pose_record(raw: dict, kind: str, list_field: str, strict: bool) -> tuple:
+    """A record's t, pose and `list_field`, shared by trace frames and
+    truth ticks.  The record's kind must be the file's record kind, and
+    its list field a JSON array: iterating an empty object or string
+    would read as no detections or no objects."""
     t, pitch, yaw = raw["t"], raw["pitch"], raw["yaw"]
+    if raw.get("kind") != kind:
+        raise ValueError(f"expected kind {kind!r}, got {raw.get('kind')!r}")
+    rows = raw[list_field]
+    if type(rows) is not list:
+        raise ValueError(f"{list_field} must be an array, got {rows!r}")
     _check_numbers((t, pitch, yaw), "t, pitch, yaw", strict)
-    return t, ImuPose(pitch=pitch, yaw=yaw)
+    return t, ImuPose(pitch, yaw), rows
+
+
+_new = tuple.__new__   # records built as generate builds them
 
 
 def _frame(raw: dict, strict: bool) -> Frame:
-    t, pose = _pose_record(raw, strict)
-    return Frame(t, pose, tuple([_box(d, strict) for d in raw["detections"]]))
+    t, pose, boxes = _pose_record(raw, "frame", "detections", strict)
+    return _new(Frame, (t, pose, tuple([_box(d, strict) for d in boxes])))
 
 
 def read_trace(path):
@@ -950,8 +994,8 @@ def _truth_objects(rows, strict: bool) -> tuple:
 
 
 def _truth_tick(raw: dict, strict: bool) -> GroundTruthTick:
-    t, pose = _pose_record(raw, strict)
-    return GroundTruthTick(t, pose, _truth_objects(raw["objects"], strict))
+    t, pose, rows = _pose_record(raw, "truth", "objects", strict)
+    return _new(GroundTruthTick, (t, pose, _truth_objects(rows, strict)))
 
 
 def read_truth(path):

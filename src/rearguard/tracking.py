@@ -200,7 +200,6 @@ _MEAN = slice(2, 6)   # a Track's x, z, vx, vz
 
 class Assignment(NamedTuple):
     pairs: tuple            # ((track_id, det_index), ...)
-    unmatched_tracks: tuple
     unmatched_detections: tuple
     predicted: dict         # track_id -> predicted observation triple (floats), per projected track
 
@@ -780,11 +779,9 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
         row_ids = ids
     # a gated weight is positive exactly when its cell is eligible
     pairs = tuple([(row_ids[r], c) for r, c in _assign(rows, gated, None, bests)])
-    matched_tracks = {tid for tid, _ in pairs}
     matched_dets = {c for _, c in pairs}
     return Assignment(
         pairs=pairs,
-        unmatched_tracks=tuple([tid for tid in ids if tid not in matched_tracks]),
         unmatched_detections=tuple([j for j in range(nd) if j not in matched_dets]),
         predicted=predicted,
     )

@@ -958,6 +958,26 @@ REFUSALS = {
              "headers-disagree-on-camera"),
         ]
     ],
+    # each of these used to load and run (exit 0): no reader read a record's
+    # kind, and an object or a string read as no detections or no objects
+    "test_run_refuses_a_record_of_another_kind_or_shape": [
+        pytest.param(_edited(edit), EXIT_IO, text, id=name) for edit, text, name in [
+            (lambda trace, truth: trace[3].update(kind="banana"),
+             "trace.jsonl: line 4: expected kind 'frame', got 'banana'", "trace-kind-banana"),
+            (lambda trace, truth: trace[3].pop("kind"),
+             "trace.jsonl: line 4: expected kind 'frame', got None", "trace-kind-missing"),
+            (lambda trace, truth: trace[3].update(kind="truth"),
+             "trace.jsonl: line 4: expected kind 'frame', got 'truth'", "trace-kind-truth"),
+            (lambda trace, truth: truth[3].update(kind="frame"),
+             "truth.jsonl: line 4: expected kind 'truth', got 'frame'", "truth-kind-frame"),
+            (lambda trace, truth: trace[3].update(detections={}),
+             "trace.jsonl: line 4: detections must be an array, got {}", "detections-object"),
+            (lambda trace, truth: trace[3].update(detections=""),
+             "trace.jsonl: line 4: detections must be an array, got ''", "detections-string"),
+            (lambda trace, truth: truth[3].update(objects={}),
+             "truth.jsonl: line 4: objects must be an array, got {}", "objects-object"),
+        ]
+    ],
     "test_misaligned_truth_line_number_counts_blank_lines": (
         _edited(_shift_truth_t_after_blank_lines), EXIT_IO,
         "truth.jsonl: line 9: truth t=0.55 but trace t=0.5; " + UNALIGNED),
@@ -1031,6 +1051,7 @@ CONSOLE_REPROS = {
     "badbyte": ("test_generate_refuses_a_config_byte_that_is_not_utf8", None),
     "badbyterun": ("test_run_refuses_a_byte_that_is_not_utf8_at_its_line", "trace-"),
     "badid": ("test_run_rejects_bad_input_file_with_line_number", "truth-object-id-string"),
+    "kind": ("test_run_refuses_a_record_of_another_kind_or_shape", "trace-kind-banana"),
 }
 
 # the body of the console-script wrapper that installing the package generates

@@ -295,7 +295,7 @@ _SENTINEL = object()
 RECORDS = {
     "Track": lambda: Track(1, "car", 0.0, 0.0, 0.0, 0.0, np.eye(4), 1.5, 0.2),
     "TrackerState": lambda: TrackerState(),
-    "Assignment": lambda: Assignment(((1, 0),), (), (), {}),
+    "Assignment": lambda: Assignment(((1, 0),), (), {}),
     "ObjectRisk": lambda: ObjectRisk(1, 2.0, 0.4),
     "RiskAssessment": lambda: RiskAssessment(0.5, (ObjectRisk(1, 2.0, 0.4),), 0.4, True),
     "TickRecord": lambda: TickRecord(0.5, True, False, False, False, True, 0.0),

