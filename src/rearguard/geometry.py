@@ -44,8 +44,11 @@ This model has one home, ``pose_model``, which binds a pose once and
 returns three functions and the horizon row: ``observe`` and
 ``jacobian`` of a user-frame object, ``locate`` of a detection box, and
 ``y_h``.  Callers bind the model once for the frame's pose and call
-these directly, one object or many; ``pose_model`` is the only caller
-of ``horizon_line``.
+these directly, one object or many.  Beside it, ``image_boxes`` is the
+batch form of ``observe`` that the generator and the labels project
+through: the image boxes of a frame's objects in one call.  Both read a
+pose's terms from ``pose_terms``, its trigonometry done once, which is
+the only caller of ``horizon_line``.
 
 Every module imports this one and it imports no other, so it also holds
 what they all use to refuse input: the number tests, the error types and
@@ -67,6 +70,10 @@ from numbers import Real
 # a 1 px horizon deviation at f_y=600, h_e=1.5 would already mean 900 m.
 DEFAULT_MAX_DEPTH_M = 100.0
 DEFAULT_MIN_DY_PX = 1.0
+
+# An object closer than this along the camera's axis has no image box:
+# a box that close is degenerate.
+MIN_BOX_DEPTH_M = 0.5
 
 # No camera image is 10,000 px wide (an 8K frame is 7,680), so a pixel
 # length or error beyond this describes no view of the scene.
@@ -121,6 +128,12 @@ def collector_paused():
     Reference counting still frees every record that is dropped.  The
     switch is process-wide, so other threads run unpaused only once the
     block is done.
+
+    The pause defers the young collection; it does not skip it.  The
+    collector still counts what the block allocates, so the first
+    allocation after the block runs one generation-0 collection over
+    every record the block built and kept (about a tenth of generating
+    the standard suite, see README).
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -246,9 +259,20 @@ def horizon_line(intr: CameraIntrinsics, pitch: float) -> float:
     return intr.c_y - intr.f_y * math.tan(pitch)
 
 
+def pose_terms(pose: ImuPose, intr: CameraIntrinsics, camera_height: float) -> tuple:
+    """The model's terms for one pose, its trigonometry done once: the
+    yaw's cosine and sine, the pitch's cosine, f_x, f_y, c_x, the contact
+    constant f_y * camera_height and the horizon row y_h.  pose_model
+    binds its functions on them; image_boxes reads them as they are, so
+    a frame projected in one batch binds no function."""
+    f_y = intr.f_y
+    return (math.cos(pose.yaw), math.sin(pose.yaw), math.cos(pose.pitch), intr.f_x, f_y,
+            intr.c_x, f_y * camera_height, horizon_line(intr, pose.pitch))
+
+
 def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
-    """The camera model for one pose, its trigonometry done once, as the
-    three functions and the horizon row (observe, jacobian, locate, y_h).
+    """The camera model for one pose, on its pose_terms, as three functions
+    and the horizon row (observe, jacobian, locate, y_h).
 
     ``observe(x, z, obj_height)`` gives a user-frame object's camera-frame
     ``n, d`` and its observation triple, five Python floats, or None when
@@ -264,11 +288,7 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
     runs once per frame on every path, and a named tuple would double its
     cost.
     """
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    cos_pitch = math.cos(pose.pitch)
-    f_x, f_y, c_x = intr.f_x, intr.f_y, intr.c_x
-    contact = f_y * camera_height
-    y_h = horizon_line(intr, pose.pitch)
+    c, s, cos_pitch, f_x, f_y, c_x, contact, y_h = pose_terms(pose, intr, camera_height)
 
     def observe(x: float, z: float, obj_height: float):
         n, d = c * x + s * z, -s * x + c * z
@@ -296,3 +316,28 @@ def pose_model(pose: ImuPose, intr: CameraIntrinsics, camera_height: float):
 
     return observe, jacobian, locate, y_h
 
+
+def image_boxes(terms: tuple, objects, dims) -> list:
+    """The image box of each object, in order, for a pose's pose_terms:
+    observe's floats, with the same operations in the same order, in one
+    call for a frame's objects (as tracking.match inlines its IoU).
+
+    Each object is a row laid out as a truth object, of which only items
+    1-3, its class, x and z, are read; `dims` maps a class to its
+    (width, height) in metres.  A box is (u, v_bottom, w_px, h_px,
+    bearing): the centre column c_x plus observe's column offset, the
+    contact row y_h plus its horizon deviation, the size in pixels and
+    atan2(n, d).  It is None at d <= MIN_BOX_DEPTH_M.
+    """
+    c, s, cos_pitch, f_x, f_y, c_x, contact, y_h = terms
+    out = []
+    for o in objects:
+        x, z = o[2], o[3]
+        n, d = c * x + s * z, -s * x + c * z
+        if d <= MIN_BOX_DEPTH_M:
+            out.append(None)
+            continue
+        w_obj, h_obj = dims[o[1]]
+        out.append((c_x + f_x * (n / d) * cos_pitch, y_h + contact / d,
+                    f_x * w_obj / d, f_y * h_obj / d, math.atan2(n, d)))
+    return out

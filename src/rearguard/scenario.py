@@ -4,9 +4,10 @@ and line-delimited trace files.
 The generator produces exactly what the live system would see per tick:
 an IMU pose and a list of detection boxes, alongside the ground truth
 the evaluation harness scores against.  Detection boxes come from
-geometry.pose_model, the forward model the tracker projects through and
-inverts, plus a box's width, bearing and 0.5 m cutoff; the labels'
-sensing footprint uses the same boxes and padded-frame test.
+geometry.image_boxes, the batch form of the forward model the tracker
+projects through and inverts (geometry.pose_model's observe), with a
+box's width, bearing and 0.5 m cutoff; the labels' sensing footprint
+uses the same boxes and padded-frame test.
 
 Everything is driven by one seeded generator in a fixed order, so a
 given config produces byte-identical traces every time.
@@ -44,7 +45,8 @@ from .geometry import (
     collector_paused,
     is_finite_number,
     is_number,
-    pose_model,
+    image_boxes,
+    pose_terms,
     read_lines,
     require,
     require_finite,
@@ -475,34 +477,6 @@ def detector_model(range_m: float, cls: str, light: str, det: DetectorConfig,
     return _detection_rule(cls, light, det, tick_rate)(range_m)
 
 
-def _pose_projector(pose: ImuPose, cam: CameraConfig):
-    """The noise-free image box of an object for one pose, on one
-    geometry.pose_model, as a function (x, z, cls) -> (u, v_bottom, w_px,
-    h_px, bearing) of its user coordinates and class: box centre column,
-    ground-contact row, size in pixels and bearing.  It runs per object
-    and tick in generate and label_truth, so the box is a plain tuple:
-    building a named tuple cost more than the projection.
-
-    The function returns None when the object is at or behind the camera
-    plane (closer than half a metre counts as behind; a box that close is
-    degenerate).
-    """
-    observe, _, _, y_h = pose_model(pose, cam.intrinsics, cam.camera_height)
-    f_x, c_x = cam.intrinsics.f_x, cam.intrinsics.c_x
-
-    def project(x: float, z: float, cls: str) -> tuple | None:
-        w_obj, h_obj = CLASS_DIMENSIONS[cls]
-        obs = observe(x, z, h_obj)
-        if obs is None:
-            return None
-        n, d, u_offset, h_px, deviation = obs
-        if d <= 0.5:
-            return None
-        return c_x + u_offset, y_h + deviation, f_x * w_obj / d, h_px, math.atan2(n, d)
-
-    return project
-
-
 def _in_padded_frame(cam: CameraConfig, u: float, v_bottom: float, w_px: float, h_px: float):
     """Whether a box (centre column, contact row, size) lies inside the
     image grown by margin_px on every side."""
@@ -519,13 +493,14 @@ def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV
     cone, padded image bounds), not the detection trial or occlusion.
     Objects closer than the image bottom allows have a ground contact
     below the frame and are invisible to this sensor regardless of the
-    detector.
+    detector.  Each object's box comes from geometry.image_boxes, which
+    projects generate's frames, on the pose's terms bound once.
     """
-    project = _pose_projector(pose, cam)
+    terms = pose_terms(pose, cam.intrinsics, cam.camera_height)
     half_fov = fov / 2
 
     def sensed(x: float, z: float, cls: str) -> bool:
-        box = project(x, z, cls)
+        (box,) = image_boxes(terms, ((None, cls, x, z),), CLASS_DIMENSIONS)
         if box is None or abs(box[4]) > half_fov:
             return False
         return _in_padded_frame(cam, *box[:4])
@@ -541,39 +516,17 @@ def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
 
 # -------------------------------------------------------------- generation
 
-class _VehicleSim:
-    """Per-vehicle world-frame kinematics, stepped tick by tick."""
-
-    def __init__(self, cfg: VehicleConfig, z_user_at_spawn: float, spawn_t: float):
-        self.cfg = cfg
-        self.cls = cfg.cls
-        self.height = CLASS_DIMENSIONS[cfg.cls][1]
-        self.speed = cfg.speed
-        self.x = cfg.x0
-        self.z = cfg.z0 + z_user_at_spawn
-        self.base_x = cfg.x0
-        self.vx, self.vz = self._velocity(spawn_t)
-
-    def _velocity(self, t: float) -> tuple:
-        p = self.cfg
-        vx = self.speed * math.sin(p.heading)
-        vz = self.speed * math.cos(p.heading)
-        if p.profile == "lane-change-at":
-            t0, dur = p.params["at"], p.params["duration"]
-            if t0 <= t < t0 + dur:
-                shift = p.params["to_x"] - self.base_x
-                vx += shift * 0.5 * math.pi / dur * math.sin(math.pi * (t - t0) / dur)
-        return vx, vz
-
-    def step(self, t: float, dt: float):
-        p = self.cfg
-        # a constant vehicle keeps the velocity it spawned with
-        if p.profile != "constant":
-            if p.profile == "decelerate-at" and t >= p.params["at"]:
-                self.speed = max(0.0, self.speed - p.params["rate"] * dt)
-            self.vx, self.vz = self._velocity(t)
-        self.x += self.vx * dt
-        self.z += self.vz * dt
+def _velocity(v: VehicleConfig, speed: float, t: float) -> tuple:
+    """A vehicle's world-frame velocity at time t at the given speed along
+    its heading, plus a lane change's lateral term while it lasts."""
+    vx = speed * math.sin(v.heading)
+    vz = speed * math.cos(v.heading)
+    if v.profile == "lane-change-at":
+        t0, dur = v.params["at"], v.params["duration"]
+        if t0 <= t < t0 + dur:
+            shift = v.params["to_x"] - v.x0
+            vx += shift * 0.5 * math.pi / dur * math.sin(math.pi * (t - t0) / dur)
+    return vx, vz
 
 
 def _occluded(views, sector: float) -> list:
@@ -592,12 +545,12 @@ def _occluded(views, sector: float) -> list:
     hidden = [False] * len(views)
     if len(views) < 2:
         return hidden
-    order = sorted((i for i, (r, b) in enumerate(views) if r == r and math.isfinite(b)),
-                   key=lambda i: views[i][0])
+    # (range, index) pairs sort by range, and equal ranges in index order
+    order = sorted([(r, i) for i, (r, b) in enumerate(views) if r == r and math.isfinite(b)])
     nearer, tied = [], []   # bearings passed; those at the current range
     last = None
-    for i in order:
-        r, b = views[i]
+    for r, i in order:
+        b = views[i][1]
         if r != last:
             for other in tied:
                 insort(nearer, other)
@@ -622,19 +575,32 @@ def generate(config: ScenarioConfig):
     object draws nothing from the generator.  A detected box gets its
     noise and must then lie inside the padded image.
 
+    One pass per tick: a live vehicle is a row [x, z, vx, vz, speed,
+    config index, id, class, height] in the world frame, moved in place
+    (x += vx * dt); only a decelerate-at or lane-change-at vehicle runs
+    its velocity rule first.  The pose's terms are bound once, and the
+    frame's objects are projected by one geometry.image_boxes call.
+    tests/reference_generator.py keeps the per-vehicle, per-object loop
+    this replaced, as the reference whose records and bytes it equals.
+
     It runs with the cyclic collector paused (geometry.collector_paused):
     the records it builds hold no cycles.
     """
     rng = np.random.default_rng(config.seed)
-    dt = 1.0 / config.tick_rate
-    n_ticks = tick_count(config.duration, config.tick_rate)
+    rate = config.tick_rate
+    dt = 1.0 / rate
+    n_ticks = tick_count(config.duration, rate)
     hm = config.resolved_head_motion()
+    yaw_amp, yaw_period, pitch_amp, pitch_period = (hm.yaw_amplitude, hm.yaw_period,
+                                                    hm.pitch_amplitude, hm.pitch_period)
     user_speed = config.user.resolved_speed()
     cam = config.camera
+    intr, camera_height = cam.intrinsics, cam.camera_height
     det = config.detector
-    half_fov = det.fov / 2
-    detection = {cls: _detection_rule(cls, config.light, det, config.tick_rate)
+    half_fov, sector, box_noise = det.fov / 2, det.occlusion_sector, det.box_noise_px
+    detection = {cls: _detection_rule(cls, config.light, det, rate)
                  for cls in {v.cls for v in config.vehicles}}
+    tau, sin, hypot, jitter_std = 2 * math.pi, math.sin, math.hypot, hm.jitter_std
 
     yaw_phase = rng.uniform(0.0, 2.0 * math.pi)
     pitch_phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -642,7 +608,9 @@ def generate(config: ScenarioConfig):
     # the vehicles yet to spawn, the next one last; only spawned ones are walked
     vehicles = config.vehicles
     queue = sorted(range(len(vehicles)), key=lambda i: (vehicles[i].spawn_time, i), reverse=True)
-    live = []   # (config index, object id, sim), in config order
+    next_spawn = vehicles[queue[-1]].spawn_time if queue else math.inf
+    live = []       # rows, in config order
+    profiled = []   # (row, config) of each live vehicle with a velocity rule
     next_object_id = 1
 
     frames = []
@@ -650,65 +618,68 @@ def generate(config: ScenarioConfig):
     z_user = 0.0
     new = tuple.__new__
     for k in range(n_ticks):
-        t = k / config.tick_rate
+        t = k / rate
         if k > 0:
             z_user += user_speed * dt
 
-        pitch = hm.pitch_amplitude * math.sin(2 * math.pi * t / hm.pitch_period + pitch_phase)
-        yaw = math.pi + hm.yaw_amplitude * math.sin(2 * math.pi * t / hm.yaw_period + yaw_phase)
-        pitch += rng.normal(0.0, hm.jitter_std)
-        yaw += rng.normal(0.0, hm.jitter_std)
-        pose = ImuPose(pitch, yaw)   # which wraps the yaw to (-pi, pi]
+        pitch = pitch_amp * sin(tau * t / pitch_period + pitch_phase)
+        yaw = math.pi + yaw_amp * sin(tau * t / yaw_period + yaw_phase)
+        jitter = rng.normal(0.0, jitter_std, 2).tolist()
+        pose = ImuPose(pitch + jitter[0], yaw + jitter[1])   # which wraps the yaw to (-pi, pi]
 
-        for _, _, sim in live:
-            sim.step(t, dt)
-        born = []
-        while queue and t >= vehicles[queue[-1]].spawn_time:
-            born.append(queue.pop())
-        if born:
+        for row, v in profiled:
+            if v.profile == "decelerate-at" and t >= v.params["at"]:
+                row[4] = max(0.0, row[4] - v.params["rate"] * dt)
+            row[2], row[3] = _velocity(v, row[4], t)
+        for row in live:
+            row[0] += row[2] * dt
+            row[1] += row[3] * dt
+        if t >= next_spawn:
+            born = []
+            while queue and t >= vehicles[queue[-1]].spawn_time:
+                born.append(queue.pop())
+            next_spawn = vehicles[queue[-1]].spawn_time if queue else math.inf
             for i in sorted(born):
-                live.append((i, next_object_id, _VehicleSim(vehicles[i], z_user, t)))
+                v = vehicles[i]
+                row = [v.x0, v.z0 + z_user, *_velocity(v, v.speed, t), v.speed, i,
+                       next_object_id, v.cls, CLASS_DIMENSIONS[v.cls][1]]
+                live.append(row)
+                if v.profile != "constant":
+                    profiled.append((row, v))
                 next_object_id += 1
-            live.sort(key=itemgetter(0))
+            live.sort(key=itemgetter(5))
 
         # records built as tracking._refiltered builds a Track, without the
         # NamedTuple constructor
-        objects = tuple([
-            new(GroundTruthObject, (oid, sim.cls, sim.x, sim.z - z_user, sim.vx,
-                                    sim.vz - user_speed, sim.height))
-            for _, oid, sim in live])
+        objects = tuple([new(GroundTruthObject, (oid, cls, x, z - z_user, vx, vz - user_speed, h))
+                         for x, z, vx, vz, _, _, oid, cls, h in live])
         truth.append(new(GroundTruthTick, (t, pose, objects)))
 
         # geometric visibility first, then occlusion, then the detection trial
-        project = _pose_projector(pose, cam)
         visible, views = [], []
-        for obj in objects:
-            box = project(obj.x, obj.z, obj.cls)
+        terms = pose_terms(pose, intr, camera_height)
+        for obj, box in zip(objects, image_boxes(terms, objects, CLASS_DIMENSIONS)):
             if box is None or abs(box[4]) > half_fov:
                 continue
             visible.append((obj, box))
-            views.append((math.hypot(obj.x, obj.z), box[4]))
+            views.append((hypot(obj[2], obj[3]), box[4]))
         detections = []
         for (obj, (u, v_bottom, w_px, h_px, _)), (range_m, _), hidden in zip(
-                visible, views, _occluded(views, det.occlusion_sector)):
+                visible, views, _occluded(views, sector)):
             if hidden:
                 continue
-            p_det = detection[obj.cls](range_m)
+            cls = obj[1]
+            p_det = detection[cls](range_m)
             if rng.random() >= p_det:
                 continue
-            if det.box_noise_px > 0:
-                noise = rng.normal(0.0, det.box_noise_px, size=4).tolist()
+            if box_noise > 0:
+                noise = rng.normal(0.0, box_noise, size=4).tolist()
                 u, v_bottom = u + noise[0], v_bottom + noise[1]
                 w_px = max(2.0, w_px + noise[2])
                 h_px = max(2.0, h_px + noise[3])
             if not _in_padded_frame(cam, u, v_bottom, w_px, h_px):
                 continue
-            detections.append(
-                BoundingBox2D(
-                    x=u - w_px / 2, y=v_bottom - h_px, w=w_px, h=h_px,
-                    cls=obj.cls, score=p_det,
-                )
-            )
+            detections.append(BoundingBox2D(u - w_px / 2, v_bottom - h_px, w_px, h_px, cls, p_det))
         frames.append(new(Frame, (t, pose, tuple(detections))))
 
     log.info("generated %d ticks, %d vehicles", n_ticks, len(config.vehicles))

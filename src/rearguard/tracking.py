@@ -402,21 +402,6 @@ def _predict_stack(tracks, dt: float, config: TrackerConfig) -> list:
 
 # ------------------------------------------------------------ association
 
-def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
-    """Intersection over union of two boxes.  match computes the same
-    floats, with the same operations in the same order, against each
-    detection's extents."""
-    x, y, w, h = a.x, a.y, a.w, a.h
-    x2, y2, area = x + w, y + h, w * h
-    bx, by = b.x, b.y
-    bx2, by2 = bx + b.w, by + b.h
-    # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
-    ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
-    iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
-    inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
-    return 0.0 if inter == 0.0 else inter / (area + b.w * b.h - inter)
-
-
 def _exact_integers(rows):
     """The float weights in rows as exact integers over one denominator.
 
@@ -720,8 +705,10 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
     with zero overlap) are never matched.  Tracks whose predicted state is
     behind the camera this blink are unmatched by construction.
 
-    One pass over the tracks builds, for each, its gated IoU row (iou's
-    floats, against each detection's extents, computed once per blink),
+    One pass over the tracks builds, for each, its gated IoU row (the
+    floats of the reference iou in tests/test_tracking.py, with the same
+    operations in the same order, against each detection's extents,
+    computed once per blink),
     its gated columns and its _row_best triple.  Rows are taken in
     increasing track id, as the tie-break needs; step's tracks already
     are, and other input is put in that order after the pass.
@@ -748,7 +735,7 @@ def match(tracks, detections, observe, y_h: float, c_x: float, iou_gate: float) 
                 x2, y2, area = x + w, y + h, w * h
                 best = None
                 for c, (bx, by, bx2, by2, b_area) in enumerate(extents):
-                    # iou's floats; where iou's intersection is 0.0, so is the weight
+                    # the reference iou's floats; where its intersection is 0.0, so is the weight
                     ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
                     if not ix > 0.0:
                         continue

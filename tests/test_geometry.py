@@ -26,10 +26,15 @@ from rearguard.geometry import (
     InvalidConfig,
     collector_paused,
     horizon_line,
+    image_boxes,
     is_number,
     normalize_angle,
     pose_model,
+    pose_terms,
 )
+from rearguard.scenario import CLASS_DIMENSIONS, CameraConfig
+
+from reference_generator import pose_projector
 
 INTR = CameraIntrinsics(f_x=600.0, f_y=600.0, c_x=320.0, c_y=320.0)
 
@@ -222,6 +227,58 @@ def test_locate_none_exactly_at_the_horizon_rule(dy, pitch, yaw):
     assert (locate(box, yaw=yaw, pitch=pitch) is None) is above
     if not above:
         assert locate(box, pitch=pitch)[3] == locate(box, yaw=yaw, pitch=pitch)[3]
+
+
+# ------------------------------------------------------------ batch boxes
+
+_BELOW_HALF_PI = math.nextafter(math.pi / 2, 0.0)
+# yaw is wrapped to (-pi, pi]: pi itself, and the floats next to either end
+_YAWS = (st.sampled_from((math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)))
+         | st.floats(-math.pi, math.pi))
+_PITCHES = st.sampled_from((_BELOW_HALF_PI, -_BELOW_HALF_PI, 0.0)) | st.floats(-1.5, 1.5)
+# rows laid out as truth objects: id, class, x, z
+_ROWS = st.lists(st.tuples(st.integers(0, 99), st.sampled_from(sorted(CLASS_DIMENSIONS)),
+                           st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)), max_size=8)
+
+
+@given(pitch=_PITCHES, yaw=_YAWS, rows=_ROWS, camera_height=st.sampled_from((0.3, 1.55, 10.0)))
+def test_image_boxes_equal_observe_and_the_per_object_box(pitch, yaw, rows, camera_height):
+    """Member by member, to the bit: None where observe gives a depth of
+    0.5 m or less (None included), else c_x plus its column offset, y_h
+    plus its horizon deviation, the width over the depth, its pixel
+    height and the bearing atan2(n, d); and so the box the generator
+    once projected object by object."""
+    pose = ImuPose(pitch, yaw)
+    boxes = image_boxes(pose_terms(pose, INTR, camera_height), rows, CLASS_DIMENSIONS)
+    observe, _, _, y_h = pose_model(pose, INTR, camera_height)
+    want = []
+    for _, cls, x, z in rows:
+        w_obj, h_obj = CLASS_DIMENSIONS[cls]
+        obs = observe(x, z, h_obj)
+        if obs is None or obs[1] <= 0.5:
+            want.append(None)
+            continue
+        n, d, u_offset, h_px, deviation = obs
+        want.append((INTR.c_x + u_offset, y_h + deviation, INTR.f_x * w_obj / d, h_px,
+                     math.atan2(n, d)))
+    assert repr(boxes) == repr(want)
+    project = pose_projector(pose, CameraConfig(intrinsics=INTR, camera_height=camera_height))
+    assert repr(boxes) == repr([project(x, z, cls) for _, cls, x, z in rows])
+
+
+@pytest.mark.parametrize("z, boxed", [
+    (5.0, False), (0.0, False), (-0.25, False), (-0.5, False),
+    (math.nextafter(-0.5, -1.0), True), (-20.0, True),
+], ids=["behind", "at-the-plane", "a-quarter-metre", "half-a-metre", "past-half-a-metre", "far"])
+def test_image_boxes_cut_off_at_half_a_metre(z, boxed):
+    """At yaw pi an object at x = 0 has depth -z exactly; a box needs more
+    than geometry.MIN_BOX_DEPTH_M of it."""
+    assert camera_nd(0.0, z, math.pi)[1] == -z
+    terms = pose_terms(ImuPose(0.0, math.pi), INTR, 1.55)
+    (box,) = image_boxes(terms, [(1, "car", 0.0, z)], CLASS_DIMENSIONS)
+    assert (box is not None) is boxed
+    if boxed:
+        assert box[4] == math.atan2(*camera_nd(0.0, z, math.pi))
 
 
 def test_normalize_angle_range():

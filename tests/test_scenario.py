@@ -51,6 +51,7 @@ from rearguard.scenario import (
     write_truth,
 )
 from test_geometry import camera_nd
+import reference_generator
 
 QUIET_HEAD = HeadMotionConfig(0.0, 4.0, 0.0, 3.5, 0.0)
 
@@ -567,6 +568,127 @@ def test_generate_at_the_bounds_writes_only_finite_numbers(cfg):
     numbers += [number for frame in frames for d in frame.detections
                 for number in (d.x, d.y, d.w, d.h, d.score)]
     assert all(map(math.isfinite, numbers))
+
+
+# ------------------------------------------------- the reference generator
+
+def _scene_params(profile, n_ticks, tick_rate):
+    """A profile's parameters, its start inside the scene, on a tick or
+    between two."""
+    at = st.integers(0, n_ticks).map(lambda k: k / tick_rate) | _floats(0, n_ticks / tick_rate)
+    if profile == "decelerate-at":
+        return st.fixed_dictionaries({"at": at, "rate": _floats(1e-3, 20)})
+    if profile == "lane-change-at":
+        return st.fixed_dictionaries(
+            {"at": at, "to_x": _floats(-8, 8), "duration": _floats(0.1, 3)})
+    return st.just({})
+
+
+@st.composite
+def generator_scenes(draw):
+    """Short scenes over every branch of generate: all three profiles,
+    vehicles listed out of spawn order and several spawning on one tick,
+    day and night, head jitter and box noise at 0 and above, objects in
+    front of the user (behind the camera plane), closer than half a
+    metre or outside the view cone, and no vehicles at all."""
+    tick_rate = draw(st.sampled_from((5.0, 10.0, 20.0)))
+    n_ticks = draw(st.integers(1, 60))
+    duration = n_ticks / tick_rate
+    vehicles = []
+    for _ in range(draw(st.integers(0, 6))):
+        profile = draw(st.sampled_from(scenario.VEHICLE_PROFILES))
+        # on a tick or between two, so that spawns share ticks
+        spawn = (draw(st.integers(0, n_ticks - 1)) + draw(st.sampled_from((0.0, 0.5)))) / tick_rate
+        vehicles.append(VehicleConfig(
+            cls=draw(st.sampled_from(VEHICLE_CLASSES)), spawn_time=spawn,
+            x0=draw(_floats(-12, 12)), z0=draw(_floats(-40, 15)), speed=draw(_floats(0, 15)),
+            heading=draw(_floats(-math.pi, math.pi)), profile=profile,
+            params=draw(_scene_params(profile, n_ticks, tick_rate))))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**31)), duration=duration, tick_rate=tick_rate,
+        user=UserConfig(mode=draw(st.sampled_from(USER_MODES)),
+                        speed=draw(st.none() | _floats(0, 4))),
+        head_motion=draw(st.none() | st.builds(
+            HeadMotionConfig, _floats(0, 0.3), _floats(0.5, 6), _floats(0, 0.1), _floats(0.5, 6),
+            st.sampled_from((0.0, 0.002, 0.05)))),
+        vehicles=tuple(vehicles),
+        light=draw(st.sampled_from(LIGHT_CONDITIONS)),
+        detector=DetectorConfig(fov=draw(st.sampled_from((0.3, scenario.DEFAULT_FOV, 3.0))),
+                                box_noise_px=draw(st.sampled_from((0.0, 1.5, 5.0))),
+                                occlusion_sector=draw(st.sampled_from((0.0, math.radians(3.0), 0.2)))),
+        camera=draw(st.sampled_from((CameraConfig(), CameraConfig(image_size=(320, 240), margin_px=0.0)))))
+
+
+def _still_scene(*points, fov=scenario.DEFAULT_FOV):
+    """A standing user and a head held still, so that every pose is exactly
+    (0, pi), with a parked car at each user-frame (x, z)."""
+    return ScenarioConfig(
+        seed=3, duration=1.0, user=UserConfig(mode="standing"), head_motion=QUIET_HEAD,
+        detector=DetectorConfig(fov=fov),
+        vehicles=tuple(VehicleConfig("car", 0.0, x0=x, z0=z, speed=0.0) for x, z in points))
+
+
+# on the view cone's edge: the fov is twice the car's bearing (doubled and
+# halved exactly), and a car a hair farther out lies outside it
+VIEW_CONE_EDGE = _still_scene((2.0, -10.0), (2.000001, -10.0),
+                              fov=2 * abs(math.atan2(*camera_nd(2.0, -10.0, math.pi))))
+# behind the camera plane, at it, exactly half a metre in front of it
+# (d = -z at yaw pi and x = 0), and a hair beyond
+NEAR_THE_CAMERA = _still_scene((0.0, 5.0), (0.0, 0.0), (0.0, -0.5),
+                               (0.0, math.nextafter(-0.5, -1.0)), (0.4, -6.0))
+
+
+def _generated(cfg, make) -> tuple:
+    """make's records for cfg and the trace and truth bytes written from them."""
+    frames, truth = make(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(Path(tmp) / "trace.jsonl", cfg, frames)
+        write_truth(Path(tmp) / "truth.jsonl", cfg, truth)
+        files = tuple((Path(tmp) / f).read_bytes() for f in ("trace.jsonl", "truth.jsonl"))
+    return frames, truth, files
+
+
+@settings(deadline=None)
+@given(generator_scenes() | scenes_at_the_bounds())
+@example(VIEW_CONE_EDGE)
+@example(NEAR_THE_CAMERA)
+@example(MIXED_SCENE)
+@example(SHARPEST_LANE_CHANGE)
+@example(ScenarioConfig(seed=4, duration=1.0))
+def test_generator_equals_the_reference(cfg):
+    """generate's records, and the trace and truth files written from them,
+    equal those of the per-vehicle, per-object loop it replaced."""
+    frames, truth, files = _generated(cfg, generate)
+    ref_frames, ref_truth, ref_files = _generated(cfg, reference_generator.generate)
+    assert truth == ref_truth
+    assert frames == ref_frames
+    assert files == ref_files
+
+
+def test_generator_edge_scenes_reach_their_branches():
+    """The examples above hold what they claim: the car on the cone's edge
+    is seen and the one past it is not, and of the cars near the camera
+    only the two beyond half a metre are ever seen."""
+    project = reference_generator.pose_projector(ImuPose(0.0, math.pi), CameraConfig())
+    edge = VIEW_CONE_EDGE.detector.fov / 2
+    boxes = [project(v.x0, v.z0, v.cls) for v in VIEW_CONE_EDGE.vehicles]
+    assert abs(boxes[0][4]) == edge < abs(boxes[1][4])
+    boxes = [project(v.x0, v.z0, v.cls) for v in NEAR_THE_CAMERA.vehicles]
+    assert [box is None for box in boxes] == [True, True, True, False, False]
+    frames, truth = generate(NEAR_THE_CAMERA)
+    assert {tick.pose for tick in truth} == {ImuPose(0.0, math.pi)}
+    assert any(frame.detections for frame in frames)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05])
+def test_generator_jitter_pair_is_two_scalar_draws(sigma):
+    """generate draws a tick's two head-jitter terms as one pair: the same
+    floats, from the same stream, as two scalar draws."""
+    pairs, scalars = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(1000):
+        got = pairs.normal(0.0, sigma, 2).tolist()
+        assert repr(got) == repr([scalars.normal(0.0, sigma), scalars.normal(0.0, sigma)])
+    assert pairs.random() == scalars.random()
 
 
 # --------------------------------------------------------------- detector

@@ -31,7 +31,6 @@ from rearguard.tracking import (
     TrackerState,
     advance,
     confidence,
-    iou,
     match,
     max_weight_assignment,
     process_noise,
@@ -164,6 +163,21 @@ def reference_predicted_box(track, obs, pose, intr):
     v_bottom = horizon_line(intr, pose.pitch) + obs[2]
     w, h = track.last_box.w, track.last_box.h
     return BoundingBox2D(x=u - w / 2.0, y=v_bottom - h, w=w, h=h, cls=track.cls)
+
+
+def iou(a: BoundingBox2D, b: BoundingBox2D) -> float:
+    """Intersection over union of two boxes: the reference for match,
+    which computes the same floats, with the same operations in the same
+    order, against each detection's extents."""
+    x, y, w, h = a.x, a.y, a.w, a.h
+    x2, y2, area = x + w, y + h, w * h
+    bx, by = b.x, b.y
+    bx2, by2 = bx + b.w, by + b.h
+    # max(0.0, min(right edges) - max(left edges)) per axis, as conditionals
+    ix = (bx2 if bx2 < x2 else x2) - (bx if bx > x else x)
+    iy = (by2 if by2 < y2 else y2) - (by if by > y else y)
+    inter = (ix if ix > 0.0 else 0.0) * (iy if iy > 0.0 else 0.0)
+    return 0.0 if inter == 0.0 else inter / (area + b.w * b.h - inter)
 
 
 def full_matrix_match(tracks, detections, pose, intr, h_e, iou_gate):
