@@ -55,8 +55,6 @@ import numpy as np
 
 from .geometry import InvalidConfig, is_number, require, require_finite
 from .risk import (
-    DEFAULT_ALERT_THRESHOLD,
-    DEFAULT_REACTION_TIME_S,
     RiskConfig,
     assess,
     check_reaction_time,
@@ -105,19 +103,6 @@ def make_sampler(kind: str, config: PipelineConfig, rng, qtable: QTable | None =
 
 # ------------------------------------------------------------- labeling
 
-def ground_truth_danger(
-    truth_tick,
-    t_r: float = DEFAULT_REACTION_TIME_S,
-    alert_threshold: float = DEFAULT_ALERT_THRESHOLD,
-) -> bool:
-    """Apply the alerting rule to the true object states.
-
-    Using the same TTC/risk mapping on both sides keeps the labels free
-    of any second, independently invented danger notion.
-    """
-    return assess(truth_tick.objects, t_r, alert_threshold, now=truth_tick.t).alert
-
-
 class TruthLabel(NamedTuple):
     """What the ground truth says about one tick, whatever the sampler."""
 
@@ -157,9 +142,9 @@ def label_truth(
     the same scenario shares them.  Each object is scored once per tick,
     and projected only when that can change a label: when its level is
     above the sensed maximum so far or it lies within `tracker.d_max`.
-    `danger` is `assess` over the tick's objects inside
-    `in_sensing_footprint`, and `excluded` is `ground_truth_danger` of
-    the tick when `danger` is not, both as levels of `risk.ttc_level`,
+    `danger` is `assess` over the tick's objects inside the pose's
+    `scenario.sensing_footprint`, and `excluded` is `assess` over all of
+    them when `danger` is not, both as levels of `risk.ttc_level`,
     assess's rule, folded here.
     """
     t_r, threshold = config.reaction_time, config.alert_threshold

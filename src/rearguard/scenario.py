@@ -508,12 +508,6 @@ def sensing_footprint(pose: ImuPose, cam: CameraConfig, fov: float = DEFAULT_FOV
     return sensed
 
 
-def in_sensing_footprint(x: float, z: float, cls: str, pose: ImuPose,
-                         cam: CameraConfig, fov: float = DEFAULT_FOV) -> bool:
-    """One object's sensing_footprint."""
-    return sensing_footprint(pose, cam, fov)(x, z, cls)
-
-
 # -------------------------------------------------------------- generation
 
 def _velocity(v: VehicleConfig, speed: float, t: float) -> tuple:

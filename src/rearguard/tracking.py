@@ -25,13 +25,22 @@ every gated column left of a row's best falls short of it by more than
 4 ulp(s), s the float sum of the bests, the row bests are the answer.
 They reach each component's exact maximum T, and a row that took an
 earlier column would leave a best completion more than 2 ulp(T) below
-T, so its total rounds below the optimum (see _row_bests).  Otherwise
-the connected components of the graph of gated (track, detection)
-pairs are formed from those lists.  A component with one row or one
-column is its best pair, the largest weight with the smallest index on
-a tie: a single pair's total is its weight, so this is exact.  A
-component with two rows and two columns or more is settled by the
-row-best rule on its own rows where that holds, and is otherwise
+T, so its total rounds below the optimum (see _row_bests).  Where it
+declines, most often because a component has more tracks than
+detections, the column-best rule, its dual, settles most of the rest:
+when the columns' best rows are distinct, every best weight is
+positive, and every other gated weight in a column falls short of its
+best by more than 4 ulp(s), s now the float sum of the column bests,
+any matching that leaves a column best rounds below the optimum, and
+any other is a subset of them, later in row order (see _column_bests).
+Its column bests are gathered from the gated lists only then.
+Otherwise the connected components of the graph of gated (track,
+detection) pairs are formed from those lists.  A component with one
+row or one column is its best pair, the largest weight with the
+smallest index on a tie: a single pair's total is its weight, so this
+is exact.  A component with two rows and two columns or more is
+settled by the row-best or the column-best rule on its own rows or
+columns where either holds, and is otherwise
 solved, on its submatrix, extracted once.  Its weights become exact
 integers over one power-of-two denominator, and Kuhn-Munkres on the
 shorter side gives the exact optimal total, so the optimal fsum total
@@ -613,6 +622,65 @@ def _row_bests(bests):
     return None
 
 
+def _column_tops(weights, gated) -> dict:
+    """Each gated column's best, as column -> [row, weight, other]: the
+    largest weight, the smallest row on a tie, and the largest weight of
+    any other gated row in that column (None when there is none).  A tied
+    column's other equals its best."""
+    tops = {}
+    for r, cols in enumerate(gated):
+        row = weights[r]
+        for c in cols:
+            v = row[c]
+            top = tops.get(c)
+            if top is None:
+                tops[c] = [r, v, None]
+            elif v > top[1]:
+                tops[c] = [r, v, top[1]]
+            elif top[2] is None or v > top[2]:
+                top[2] = v
+    return tops
+
+
+def _column_bests(tops):
+    """Each gated column's best pair, from the (column, _column_tops
+    entry) items in tops, as sorted pairs, when they settle the
+    assignment of those columns; None when they may not.  tops may hold
+    every gated column of a blink or the columns of one component.  It
+    is _row_bests' dual, for components with more rows than columns,
+    which the row rule cannot settle.
+
+    They settle it when the best rows are distinct, every best weight is
+    positive, and in each column every other gated weight falls short of
+    the best by more than 4 ulp(s), s the float sum of the best weights
+    (below _BEST_SUM_LIMIT).  Why that is _tie_break's answer: a
+    matching's total is at most the sum of its columns' bests, so the
+    column bests, which are a matching, give each component its exact
+    maximum T, and 4 ulp(s) >= 2 ulp(T) as in _row_bests.  A matching
+    that uses any other gated cell, a gated zero weight included, falls
+    more than 4 ulp(s) below T in that column alone, so its total rounds
+    below the optimal fsum total.  A matching that uses column bests
+    alone is a subset of them, and a proper one leaves a row unmatched
+    that they match, with every earlier row the same, so it comes later
+    in the row-by-row order.  So the column bests are the smallest
+    optimal pair list.
+    """
+    pairs, taken, s, shortfall = [], set(), 0.0, math.inf
+    for c, (r, best, other) in tops:
+        if not best > 0.0 or r in taken:
+            return None
+        if other is not None and best - other < shortfall:
+            shortfall = best - other
+        taken.add(r)
+        s += best
+        pairs.append((r, c))
+    # as in _row_bests, exceeding the power of two 4 ulp(s) after rounding is exact
+    if s < _BEST_SUM_LIMIT and shortfall > 4.0 * math.ulp(s):
+        pairs.sort()
+        return pairs
+    return None
+
+
 def _assign(weights, gated, eligible=None, bests=None) -> list:
     """max_weight_assignment's sorted pairs, on weights given as lists of
     rows and each row's sorted eligible columns in gated.  eligible gives
@@ -621,16 +689,24 @@ def _assign(weights, gated, eligible=None, bests=None) -> list:
     weights are.  bests holds each row's _row_best triple, or None for a
     row with no gated column; it is found from the rows when not given.
 
-    The row bests are the answer where _row_bests proves it.  Otherwise
-    a component with one row or one column is its best pair: the largest
-    weight, the smallest index on a tie, since a single pair's total is
-    its weight; a lone row's is its row best.  Each other component is
-    settled by _row_bests on its own rows where it proves them, the proof
-    being per component, and by the tie-break on its submatrix where not.
+    The row bests are the answer where _row_bests proves it, and the
+    column bests, gathered from gated only when the row rule declines,
+    where _column_bests proves them.  Otherwise a component with one row
+    or one column is its best pair: the largest weight, the smallest
+    index on a tie, since a single pair's total is its weight; a lone
+    row's is its row best and a lone column's its column best.  Each
+    other component is settled by _row_bests on its own rows or
+    _column_bests on its own columns where either proves them, the
+    proofs being per component, and by the tie-break on its submatrix
+    where neither does.
     """
     if bests is None:
         bests = [_row_best(weights[r], cols) if cols else None for r, cols in enumerate(gated)]
     settled = _row_bests(bests)
+    if settled is not None:
+        return settled
+    tops = _column_tops(weights, gated)
+    settled = _column_bests(tops.items())
     if settled is not None:
         return settled
     pairs: list[tuple[int, int]] = []
@@ -638,12 +714,15 @@ def _assign(weights, gated, eligible=None, bests=None) -> list:
         if len(rows) == 1:
             pairs.append((rows[0], bests[rows[0]][0]))
         elif len(cols) == 1:
-            col = cols[0]
-            pairs.append((max(rows, key=lambda r: weights[r][col]), col))
+            pairs.append((tops[cols[0]][0], cols[0]))
         else:
             settled = _row_bests([bests[r] for r in rows])
             if settled is not None:
                 pairs.extend((rows[r], c) for r, c in settled)
+                continue
+            settled = _column_bests([(c, tops[c]) for c in cols])
+            if settled is not None:
+                pairs.extend(settled)
                 continue
             sub = [[weights[r][c] for c in cols] for r in rows]
             ok = sub if eligible is None else [[eligible[r][c] for c in cols] for r in rows]
@@ -667,9 +746,12 @@ def max_weight_assignment(weights: np.ndarray, eligible: np.ndarray):
     with W > 0 gives [(0, 0), (2, 1)], the second component's optimum,
     although [(0, 0), (1, 1)] also totals 1.0 over the whole matrix.
     Distinct row bests that the row-best rule proves optimal are the
-    answer at once; otherwise a component with a single row or column is
-    its best pair, and each other component is settled by the rule on its
-    own rows or by the tie-break on its submatrix.  Weights must be
+    answer at once, and so are distinct column bests that the
+    column-best rule proves, whose proof covers eligible cells of weight
+    0 (see _column_bests); otherwise a component with a single row or
+    column is its best pair, and each other component is settled by
+    either rule on its own rows or columns or by the tie-break on its
+    submatrix.  Weights must be
     non-negative (not NaN), and cells outside eligible must weigh zero, as
     match makes them; the first cell in row order that breaks either rule
     raises ValueError.

@@ -32,7 +32,6 @@ from rearguard.evaluation import (
     comparison_to_dict,
     config_digest,
     format_comparison,
-    ground_truth_danger,
     label_truth,
     make_sampler,
     report_to_dict,
@@ -52,10 +51,17 @@ from rearguard.scenario import (
     UserConfig,
     VehicleConfig,
     generate,
-    in_sensing_footprint,
+    sensing_footprint,
 )
 from rearguard.geometry import BoundingBox2D, CameraIntrinsics, ImuPose
-from rearguard.risk import ObjectRisk, RiskAssessment, RiskConfig, assess
+from rearguard.risk import (
+    DEFAULT_ALERT_THRESHOLD,
+    DEFAULT_REACTION_TIME_S,
+    ObjectRisk,
+    RiskAssessment,
+    RiskConfig,
+    assess,
+)
 from rearguard.sampler import QTable, SamplerConfig
 from rearguard.tracking import Assignment, Track, TrackerConfig, TrackerState
 
@@ -90,6 +96,18 @@ def quick_scenario(seed=7, duration=15.0, vehicles=(), **kw):
 
 
 # ------------------------------------------------------- danger labeling
+
+def ground_truth_danger(truth_tick, t_r=DEFAULT_REACTION_TIME_S,
+                        alert_threshold=DEFAULT_ALERT_THRESHOLD) -> bool:
+    """The alerting rule applied to one tick's true object states, the
+    raw danger that label_truth's `excluded` folds in."""
+    return assess(truth_tick.objects, t_r, alert_threshold, now=truth_tick.t).alert
+
+
+def in_sensing_footprint(x, z, cls, pose, cam, fov=DEFAULT_FOV) -> bool:
+    """One object's sensing_footprint, bound for its pose alone."""
+    return sensing_footprint(pose, cam, fov)(x, z, cls)
+
 
 def tick_at(objs, t=0.0):
     return GroundTruthTick(t=t, pose=REAR, objects=tuple(objs))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rearguard import evaluation, risk
-from rearguard.evaluation import ground_truth_danger, label_truth
+from rearguard.evaluation import label_truth
 from rearguard.geometry import ImuPose
 from rearguard.risk import (
     DegeneratePosition,
@@ -274,10 +274,9 @@ BAD_REACTION_TIMES = [
     lambda t_r: risk_level(1.0, t_r),
     lambda t_r: assess([FakeTrack(1, 0.0, -2.0, 0.0, 2.0)], t_r),
     lambda t_r: assess([], t_r),
-    lambda t_r: ground_truth_danger(_tick(2), t_r),
     lambda t_r: label_truth([_tick(2)], config=_label_config(t_r)),
     lambda t_r: RiskConfig(reaction_time=t_r),
-], ids=["risk_level", "assess", "assess-empty", "ground_truth_danger", "label_truth", "RiskConfig"])
+], ids=["risk_level", "assess", "assess-empty", "label_truth", "RiskConfig"])
 def test_one_reaction_time_rule(call, t_r, message):
     # risk_level(1.0, nan) returned 0.0 and risk_level(1.0, inf) 1.0
     with pytest.raises(InvalidConfig, match=re.escape(message)):
