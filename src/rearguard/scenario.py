@@ -569,11 +569,17 @@ def generate(config: ScenarioConfig):
     object draws nothing from the generator.  A detected box gets its
     noise and must then lie inside the padded image.
 
-    One pass per tick: a live vehicle is a row [x, z, vx, vz, speed,
-    config index, id, class, height] in the world frame, moved in place
-    (x += vx * dt); only a decelerate-at or lane-change-at vehicle runs
-    its velocity rule first.  The pose's terms are bound once, and the
-    frame's objects are projected by one geometry.image_boxes call.
+    One pass per tick: a live vehicle is a row [x, z, vx, vz, closing,
+    speed, config index, id, class, height] in the world frame, moved in
+    place (x += vx * dt); only a decelerate-at or lane-change-at vehicle
+    runs its velocity rule first.  closing is the relative vz - user
+    speed, kept from spawn and recomputed only after that rule, and x
+    moves only when its step is nonzero or x is a zero: x + +-0.0 is x
+    bit for bit except -0.0 + 0.0, which is 0.0.  So a vehicle's truth
+    objects share one x while it drives straight, one height, and one vx
+    and closing while no velocity rule runs, rather than holding equal
+    copies.  The pose's terms are bound once, and the frame's objects
+    are projected by one geometry.image_boxes call.
     tests/reference_generator.py keeps the per-vehicle, per-object loop
     this replaced, as the reference whose records and bytes it equals.
 
@@ -623,10 +629,13 @@ def generate(config: ScenarioConfig):
 
         for row, v in profiled:
             if v.profile == "decelerate-at" and t >= v.params["at"]:
-                row[4] = max(0.0, row[4] - v.params["rate"] * dt)
-            row[2], row[3] = _velocity(v, row[4], t)
+                row[5] = max(0.0, row[5] - v.params["rate"] * dt)
+            row[2], row[3] = _velocity(v, row[5], t)
+            row[4] = row[3] - user_speed
         for row in live:
-            row[0] += row[2] * dt
+            step = row[2] * dt
+            if step or not row[0]:   # x + +-0.0 is x, but for -0.0 + 0.0
+                row[0] += step
             row[1] += row[3] * dt
         if t >= next_spawn:
             born = []
@@ -635,18 +644,19 @@ def generate(config: ScenarioConfig):
             next_spawn = vehicles[queue[-1]].spawn_time if queue else math.inf
             for i in sorted(born):
                 v = vehicles[i]
-                row = [v.x0, v.z0 + z_user, *_velocity(v, v.speed, t), v.speed, i,
+                vx, vz = _velocity(v, v.speed, t)
+                row = [v.x0, v.z0 + z_user, vx, vz, vz - user_speed, v.speed, i,
                        next_object_id, v.cls, CLASS_DIMENSIONS[v.cls][1]]
                 live.append(row)
                 if v.profile != "constant":
                     profiled.append((row, v))
                 next_object_id += 1
-            live.sort(key=itemgetter(5))
+            live.sort(key=itemgetter(6))
 
         # records built as tracking._refiltered builds a Track, without the
         # NamedTuple constructor
-        objects = tuple([new(GroundTruthObject, (oid, cls, x, z - z_user, vx, vz - user_speed, h))
-                         for x, z, vx, vz, _, _, oid, cls, h in live])
+        objects = tuple([new(GroundTruthObject, (oid, cls, x, z - z_user, vx, closing, h))
+                         for x, z, vx, _, closing, _, _, oid, cls, h in live])
         truth.append(new(GroundTruthTick, (t, pose, objects)))
 
         # geometric visibility first, then occlusion, then the detection trial

@@ -650,24 +650,29 @@ def _column_bests(tops):
     is _row_bests' dual, for components with more rows than columns,
     which the row rule cannot settle.
 
-    They settle it when the best rows are distinct, every best weight is
-    positive, and in each column every other gated weight falls short of
-    the best by more than 4 ulp(s), s the float sum of the best weights
-    (below _BEST_SUM_LIMIT).  Why that is _tie_break's answer: a
-    matching's total is at most the sum of its columns' bests, so the
-    column bests, which are a matching, give each component its exact
-    maximum T, and 4 ulp(s) >= 2 ulp(T) as in _row_bests.  A matching
-    that uses any other gated cell, a gated zero weight included, falls
-    more than 4 ulp(s) below T in that column alone, so its total rounds
-    below the optimal fsum total.  A matching that uses column bests
-    alone is a subset of them, and a proper one leaves a row unmatched
-    that they match, with every earlier row the same, so it comes later
-    in the row-by-row order.  So the column bests are the smallest
-    optimal pair list.
+    They settle it when the best rows are distinct and in each column
+    every other gated weight falls short of the best by more than 4
+    ulp(s), s the float sum of the best weights (below _BEST_SUM_LIMIT).
+    Why that is _tie_break's answer: a matching's total is at most the
+    sum of its columns' bests, so the column bests, which are a matching,
+    give each component its exact maximum T, and 4 ulp(s) >= 2 ulp(T) as
+    in _row_bests.  A matching that uses any other gated cell, a gated
+    zero weight included, falls more than 4 ulp(s) below T in that
+    column alone, so its total rounds below the optimal fsum total.  A
+    matching that uses column bests alone is a subset of them, and a
+    proper one leaves a row unmatched that they match, with every
+    earlier row the same, so it comes later in the row-by-row order.
+    So the column bests are the smallest optimal pair list.  That holds
+    for a best of weight 0 too, which needs no check of its own: it can
+    only be its column's lone gated cell (a second gated zero would tie
+    and leave no shortfall), so the matching without that pair is
+    optimal as well, but it is a proper subset, and its row, which no
+    other column's best pair holds, takes the zero pair in _tie_break
+    rather than stay unmatched.
     """
     pairs, taken, s, shortfall = [], set(), 0.0, math.inf
     for c, (r, best, other) in tops:
-        if not best > 0.0 or r in taken:
+        if r in taken:
             return None
         if other is not None and best - other < shortfall:
             shortfall = best - other

@@ -584,13 +584,20 @@ def _scene_params(profile, n_ticks, tick_rate):
     return st.just({})
 
 
+# heading +-0.0 makes vx = speed * +-0.0; -0.0 + 0.0 is the one sum of a zero
+# step that changes bits
+_signed_zeros = st.sampled_from((0.0, -0.0))
+
+
 @st.composite
 def generator_scenes(draw):
     """Short scenes over every branch of generate: all three profiles,
     vehicles listed out of spawn order and several spawning on one tick,
     day and night, head jitter and box noise at 0 and above, objects in
     front of the user (behind the camera plane), closer than half a
-    metre or outside the view cone, and no vehicles at all."""
+    metre or outside the view cone, and no vehicles at all.  Offsets and
+    headings are drawn as signed zeros too, so that a vehicle driving
+    straight moves by +-0.0 from an x of +-0.0."""
     tick_rate = draw(st.sampled_from((5.0, 10.0, 20.0)))
     n_ticks = draw(st.integers(1, 60))
     duration = n_ticks / tick_rate
@@ -601,8 +608,9 @@ def generator_scenes(draw):
         spawn = (draw(st.integers(0, n_ticks - 1)) + draw(st.sampled_from((0.0, 0.5)))) / tick_rate
         vehicles.append(VehicleConfig(
             cls=draw(st.sampled_from(VEHICLE_CLASSES)), spawn_time=spawn,
-            x0=draw(_floats(-12, 12)), z0=draw(_floats(-40, 15)), speed=draw(_floats(0, 15)),
-            heading=draw(_floats(-math.pi, math.pi)), profile=profile,
+            x0=draw(_signed_zeros | _floats(-12, 12)), z0=draw(_floats(-40, 15)),
+            speed=draw(_floats(0, 15)), heading=draw(_signed_zeros | _floats(-math.pi, math.pi)),
+            profile=profile,
             params=draw(_scene_params(profile, n_ticks, tick_rate))))
     return ScenarioConfig(
         seed=draw(st.integers(0, 2**31)), duration=duration, tick_rate=tick_rate,
@@ -663,6 +671,44 @@ def test_generator_equals_the_reference(cfg):
     assert truth == ref_truth
     assert frames == ref_frames
     assert files == ref_files
+
+
+def test_generator_moves_a_negative_zero_x_to_zero():
+    """x0 = -0.0 with vx = +0.0 is written as -0.0 at spawn and 0.0 from the
+    first move on; with vx = -0.0 it stays -0.0."""
+    cfg = ScenarioConfig(
+        seed=2, duration=1.0, user=UserConfig(mode="walking"),
+        vehicles=(VehicleConfig("car", 0.0, x0=-0.0, z0=-10.0, speed=2.0, heading=0.0),
+                  VehicleConfig("cycle", 0.3, x0=-0.0, z0=-6.0, speed=1.0, heading=-0.0)))
+    _, truth, (_, truth_bytes) = _generated(cfg, generate)
+    lines = [json.loads(line) for line in truth_bytes.decode().splitlines()[1:]]
+    car = [repr(line["objects"][0][2]) for line in lines]
+    cycle = [repr(line["objects"][1][2]) for line in lines if len(line["objects"]) > 1]
+    assert car == ["-0.0"] + ["0.0"] * (len(lines) - 1)
+    assert cycle == ["-0.0"] * (len(lines) - 3)
+    assert [repr(tick.objects[0].x) for tick in truth] == car
+
+
+@pytest.mark.parametrize("mode", ["standing", "walking"])
+def test_generator_shares_the_floats_that_do_not_change(mode):
+    """A constant-profile vehicle driving straight keeps one x, vx and
+    relative vz object across all its ticks, standing user or walking,
+    rather than an equal copy per tick."""
+    cfg = ScenarioConfig(
+        seed=6, duration=4.0, user=UserConfig(mode=mode),
+        vehicles=tuple(VehicleConfig(cls, spawn, x0=x0, z0=-12.0, speed=speed)
+                       for cls, spawn, x0, speed in (("car", 0.0, 1.5, 2.0), ("cycle", 0.0, -0.7, 1.2),
+                                                     ("car", 1.25, 3.0, 0.0), ("car", 2.0, -2.5, 3.5))))
+    _, truth = generate(cfg)
+    assert {obj.id: obj.vz for obj in truth[-1].objects} == pytest.approx(
+        {i + 1: v.speed - cfg.user.resolved_speed() for i, v in enumerate(cfg.vehicles)})
+    for field in ("x", "vx", "vz"):
+        ids = {}   # each vehicle's id -> the id()s of its objects' field
+        for tick in truth:
+            for obj in tick.objects:
+                ids.setdefault(obj.id, set()).add(id(getattr(obj, field)))
+        assert len(ids) == 4
+        assert all(len(objs) == 1 for objs in ids.values()), field
 
 
 def test_generator_edge_scenes_reach_their_branches():
